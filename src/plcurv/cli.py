@@ -28,6 +28,7 @@ from .errors import (
     DegenerateFace,
     Disconnected,
     NonConvexQuad,
+    NonFiniteValue,
     NonManifold,
     NonPositiveLength,
     OrientationConflict,
@@ -43,8 +44,8 @@ _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO,
 
 # Structural and metric problems found after a file parsed cleanly.
 _VALIDATION_ERRORS = (NonManifold, Disconnected, OrientationConflict,
-                      NonPositiveLength, DegenerateFace, NonConvexQuad,
-                      ValueError)
+                      NonFiniteValue, NonPositiveLength, DegenerateFace,
+                      NonConvexQuad, ValueError)
 
 
 def _setup_logging() -> None:
@@ -138,16 +139,6 @@ class RunManifest:
                        outputs=dict(doc["outputs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed manifest: {exc}") from exc
-
-
-def _resolve_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    lower = path.lower()
-    for suffix, fmt in ((".off", "off"), (".obj", "obj"), (".json", "lengths")):
-        if lower.endswith(suffix):
-            return fmt
-    raise ParseError(f"cannot infer format of {path!r}; pass --format")
 
 
 def _load_input(man: RunManifest):
@@ -395,7 +386,7 @@ def _launch(args: argparse.Namespace, man: RunManifest) -> int:
 
 def cmd_curvature(args: argparse.Namespace) -> int:
     man = RunManifest(command="curvature", input_path=args.input,
-                      input_format=_resolve_format(args.input, args.format),
+                      input_format=args.format or mesh.infer_format(args.input),
                       alpha=args.alpha, seed=args.seed,
                       config={"u_file": args.u_file}, outputs={})
     return _launch(args, man)
@@ -403,7 +394,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
 
 def cmd_flow(args: argparse.Namespace) -> int:
     man = RunManifest(command="flow", input_path=args.input,
-                      input_format=_resolve_format(args.input, args.format),
+                      input_format=args.format or mesh.infer_format(args.input),
                       alpha=args.alpha, seed=args.seed,
                       config={"kind": args.flow, "dt": args.dt,
                               "tol": args.tol, "max_steps": args.max_steps,
@@ -416,7 +407,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     man = RunManifest(command="solve", input_path=args.input,
-                      input_format=_resolve_format(args.input, args.format),
+                      input_format=args.format or mesh.infer_format(args.input),
                       alpha=args.alpha, seed=args.seed,
                       config={"target": args.target, "tol": args.tol,
                               "max_iter": args.max_iter,
@@ -429,7 +420,7 @@ def cmd_delaunay(args: argparse.Namespace) -> int:
     if args.fix and not args.out:
         raise ParseError("--fix requires --out")
     man = RunManifest(command="delaunay", input_path=args.input,
-                      input_format=_resolve_format(args.input, args.format),
+                      input_format=args.format or mesh.infer_format(args.input),
                       alpha=0.0, seed=args.seed,
                       config={"mode": "fix" if args.fix else "check"},
                       outputs={"lengths": args.out})

@@ -19,6 +19,10 @@ class ZeroLengthEdge(ParseError):
     """An edge length is zero or negative."""
 
 
+class NonFiniteValue(PLCurvError):
+    """An input length or coordinate is infinite or NaN."""
+
+
 class NonManifold(PLCurvError):
     """An edge without exactly two incident faces, or a pinched vertex link."""
 

@@ -179,8 +179,7 @@ def _rhs_at(state: FlowState, kind: str, u: np.ndarray) -> np.ndarray:
 
 def _energy_at(state: FlowState, u: np.ndarray) -> float:
     rep = energy_W_alpha(state.tri, state.base, u, state.u_ref, state.alpha,
-                         state.rbar, offset=state.w_offset, method="closed",
-                         with_hessian=False)
+                         state.rbar, offset=state.w_offset, with_hessian=False)
     return rep.value
 
 
@@ -224,8 +223,7 @@ def _wall_surgery(tri: Triangulation, base: dict[int, float],
         if not hit:
             break
         w_here = energy_W_alpha(tri, base, cur, u_ref, alpha, rbar,
-                                offset=offset, method="closed",
-                                with_hessian=False).value
+                                offset=offset, with_hessian=False).value
         tri2, base2, infos = delaunay_surgery(tri, base, cur)
         if not infos:
             break

@@ -7,6 +7,10 @@ scaling of the metric, angle-deficit curvature and its weighted variants,
 cotangent edge weights, the curvature Jacobian, a weighted graph
 Laplacian, the Delaunay edge predicate, and intrinsic edge flips that
 transport lengths.
+
+Whole-mesh queries share one NumPy kernel over the triangulation's
+cached index arrays.  Single-edge queries stay scalar: the flip loop
+asks them one edge at a time, where array set-up would cost more.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ FLIP_CAP_FACTOR = 100
 
 TWO_PI = 2.0 * math.pi
 
+# Column k of x[..., _NEXT] is column (k + 1) % 3 of x, of x[..., _PREV] (k + 2) % 3.
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+
 
 @dataclass(frozen=True)
 class CurvatureReport:
@@ -87,8 +95,13 @@ def _cos_opposite(a: float, b: float, c: float) -> float:
     """
     m = max(a, b, c)
     a, b, c = a / m, b / m, c / m
-    raw = (b * b + c * c - a * a) / (2.0 * b * c)
-    return min(1.0, max(-1.0, raw))
+    num = b * b + c * c - a * a
+    den = 2.0 * b * c
+    if den == 0.0:
+        # b*c underflowed, so some side is negligible: only the sign of num
+        # survives (0 for a needle face's long side: its limit angle pi/2).
+        return math.copysign(1.0, num) if num else 0.0
+    return min(1.0, max(-1.0, num / den))
 
 
 def triangle_angles(l_i: float, l_j: float, l_k: float) -> tuple[float, float, float]:
@@ -105,36 +118,55 @@ def triangle_angles(l_i: float, l_j: float, l_k: float) -> tuple[float, float, f
             math.acos(_cos_opposite(l_k, l_i, l_j)))
 
 
-def face_lengths(tri: Triangulation, lengths: dict[int, float], f: int) -> tuple[float, float, float]:
-    """Lengths of face ``f``'s edges by slot."""
-    e0, e1, e2 = tri.face_edges[f]
-    return lengths[e0], lengths[e1], lengths[e2]
+def _edge_array(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
+    ids = tri.arrays.edge_ids
+    return np.fromiter(map(lengths.__getitem__, ids), dtype=float, count=len(ids))
 
 
-def face_is_degenerate(tri: Triangulation, lengths: dict[int, float], f: int) -> bool:
-    """True when face ``f`` fails a strict triangle inequality."""
-    a, b, c = face_lengths(tri, lengths, f)
-    _check_positive(a, b, c)
-    m = max(a, b, c)
-    return m >= (a + b + c) - m
+def side_lengths(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
+    """(F, 3) array of every face's edge lengths by slot, faces in id order."""
+    flat = _edge_array(tri, lengths)
+    ok = flat > 0.0
+    if not ok.all():
+        raise NonPositiveLength(
+            f"edge length {float(flat[~ok][0])!r} is not positive")
+    return flat[tri.arrays.face_edges]
+
+
+def opposite_cosines(L: np.ndarray) -> np.ndarray:
+    """Clamped cosines of the angles facing each side, sides on the last axis.
+
+    ``L[..., k]`` are positive side lengths; entry k of the result is the
+    cosine facing side k, by the same arithmetic as :func:`_cos_opposite`.
+    """
+    n = L / L.max(axis=-1, keepdims=True)
+    b, c = n[..., _NEXT], n[..., _PREV]
+    num = b * b + c * c - n * n
+    den = 2.0 * b * c
+    flat = den == 0.0
+    if flat.any():
+        den = np.where(flat, 1.0, den)
+        num = np.where(flat, np.sign(num), num)
+    return np.clip(num / den, -1.0, 1.0)
+
+
+def face_angles(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
+    """(F, 3) array: entry [f, s] is the angle facing slot s of face f.
+
+    Faces are in id order; the angle facing slot s sits at corner
+    (s + 2) % 3.  Extended past degeneracy like :func:`triangle_angles`,
+    so every row sums to pi.
+    """
+    return np.arccos(opposite_cosines(side_lengths(tri, lengths)))
 
 
 def degenerate_faces(tri: Triangulation, lengths: dict[int, float]) -> list[int]:
     """Face ids that fail a strict triangle inequality."""
-    return [f for f in tri.face_ids() if face_is_degenerate(tri, lengths, f)]
-
-
-def corner_angles(tri: Triangulation, lengths: dict[int, float]) -> dict[int, tuple[float, float, float]]:
-    """Map face id -> angles at its three corners (extended past degeneracy).
-
-    The corner at slot ``c`` faces the edge in slot ``(c + 1) % 3``.
-    """
-    out = {}
-    for f in tri.face_ids():
-        l0, l1, l2 = face_lengths(tri, lengths, f)
-        # angle at corner c is opposite the slot-(c+1) edge
-        out[f] = triangle_angles(l1, l2, l0)
-    return out
+    L = side_lengths(tri, lengths)
+    m = L.max(axis=1)
+    bad = m >= (L[:, 0] + L[:, 1] + L[:, 2]) - m
+    face_ids = tri.arrays.face_ids
+    return [face_ids[k] for k in np.flatnonzero(bad)]
 
 
 def scale_metric(tri: Triangulation, base: dict[int, float], u: np.ndarray) -> dict[int, float]:
@@ -151,11 +183,9 @@ def scale_metric(tri: Triangulation, base: dict[int, float], u: np.ndarray) -> d
     if np.max(np.abs(u)) > LOG_FACTOR_BOUND:
         raise LogFactorOverflow(
             f"|u| exceeds {LOG_FACTOR_BOUND}; metric would overflow")
-    out = {}
-    for e, length in base.items():
-        a, b = tri.edge_vertices(e)
-        out[e] = math.exp(u[a] + u[b]) * length
-    return out
+    ends = tri.arrays.edge_verts
+    out = np.exp(u[ends[:, 0]] + u[ends[:, 1]]) * _edge_array(tri, base)
+    return dict(zip(tri.arrays.edge_ids, out.tolist()))
 
 
 def curvature(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
@@ -164,15 +194,9 @@ def curvature(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
     Degenerate faces contribute their extended angles, so the result is
     total and the deficit sum stays pinned at 2*pi*chi.
     """
-    K = np.full(tri.vertex_count, TWO_PI)
-    angles = corner_angles(tri, lengths)
-    for f in tri.face_ids():
-        va, vb, vc = tri.faces[f]
-        ta, tb, tc = angles[f]
-        K[va] -= ta
-        K[vb] -= tb
-        K[vc] -= tc
-    return K
+    at = tri.arrays.face_verts[:, _PREV]
+    return TWO_PI - np.bincount(at.ravel(), weights=face_angles(tri, lengths).ravel(),
+                                minlength=tri.vertex_count)
 
 
 def alpha_curvature(K: np.ndarray, u: np.ndarray, alpha: float,
@@ -205,14 +229,14 @@ def _cot_from_cos(c: float) -> float:
     return c / s
 
 
-def _cot_opposite(tri: Triangulation, lengths: dict[int, float],
-                  face: int, slot: int) -> float:
+def _slot_cos(tri: Triangulation, lengths: dict[int, float],
+              face: int, slot: int) -> float:
     fe = tri.face_edges[face]
     a = lengths[fe[slot]]
     b = lengths[fe[(slot + 1) % 3]]
     c = lengths[fe[(slot + 2) % 3]]
     _check_positive(a, b, c)
-    return _cot_from_cos(_cos_opposite(a, b, c))
+    return _cos_opposite(a, b, c)
 
 
 def cot_weight(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
@@ -222,8 +246,29 @@ def cot_weight(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
     (cot 0 and cot pi respectively).
     """
     (f1, s1), (f2, s2) = tri.edge_sides[e]
-    return (_cot_opposite(tri, lengths, f1, s1)
-            + _cot_opposite(tri, lengths, f2, s2))
+    return (_cot_from_cos(_slot_cos(tri, lengths, f1, s1))
+            + _cot_from_cos(_slot_cos(tri, lengths, f2, s2)))
+
+
+def _cot_laplacian(tri: Triangulation, lengths: dict[int, float]) -> scipy.sparse.csr_matrix:
+    """Cot-weight graph Laplacian: -cot_weight off the diagonal, zero row sums.
+
+    Self-edges contribute nothing.  Degenerate faces give clamped weights
+    exactly as :func:`cot_weight` does.
+    """
+    cos = opposite_cosines(side_lengths(tri, lengths)).ravel()
+    sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+    cot = np.divide(cos, sin, out=np.where(cos > 0.0, COT_CLAMP, -COT_CLAMP),
+                    where=sin != 0.0)
+    A = tri.arrays
+    real = A.edge_verts[:, 0] != A.edge_verts[:, 1]
+    i, j = A.edge_verts[real].T
+    w = (cot[A.edge_sides[:, 0]] + cot[A.edge_sides[:, 1]])[real]
+    rows = np.stack([i, j, i, j], axis=1).ravel()
+    cols = np.stack([j, i, i, j], axis=1).ravel()
+    vals = np.stack([-w, -w, w, w], axis=1).ravel()
+    n = tri.vertex_count
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def curvature_jacobian(tri: Triangulation, lengths: dict[int, float]) -> scipy.sparse.csr_matrix:
@@ -239,18 +284,7 @@ def curvature_jacobian(tri: Triangulation, lengths: dict[int, float]) -> scipy.s
     bad = degenerate_faces(tri, lengths)
     if bad:
         raise DegenerateFace(f"faces {bad} are degenerate")
-    n = tri.vertex_count
-    rows, cols, vals = [], [], []
-    for e in tri.edge_ids():
-        i, j = tri.edge_vertices(e)
-        if i == j:
-            continue
-        w = cot_weight(tri, lengths, e) * CURVATURE_JACOBIAN_SCALE
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-w, -w, w, w]
-    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+    return _cot_laplacian(tri, lengths) * CURVATURE_JACOBIAN_SCALE
 
 
 def alpha_laplacian_apply(tri: Triangulation, lengths: dict[int, float],
@@ -258,35 +292,14 @@ def alpha_laplacian_apply(tri: Triangulation, lengths: dict[int, float],
     """Weighted cotangent Laplacian applied to a vertex function.
 
     Entry i is exp(-alpha*u_i) times the cot-weighted sum of differences
-    (f_j - f_i) over edges at i; self-edges drop out since their
-    difference vanishes.  ``lengths`` must already be the scaled metric.
-    Degenerate faces are allowed (clamped cotangents).
+    (f_j - f_i) over edges at i, i.e. -exp(-alpha*u) * (L @ f) with L the
+    curvature Jacobian's Laplacian; self-edges drop out.  ``lengths``
+    must already be the scaled metric.  Degenerate faces are allowed
+    (clamped cotangents).
     """
     u = np.asarray(u, dtype=float)
     f = np.asarray(f, dtype=float)
-    out = np.zeros(tri.vertex_count)
-    for e in tri.edge_ids():
-        i, j = tri.edge_vertices(e)
-        if i == j:
-            continue
-        w = cot_weight(tri, lengths, e)
-        out[i] += w * (f[j] - f[i])
-        out[j] += w * (f[i] - f[j])
-    return np.exp(-alpha * u) * out
-
-
-def _opposite_angles(tri: Triangulation, lengths: dict[int, float], e: int) -> tuple[float, float]:
-    (f1, s1), (f2, s2) = tri.edge_sides[e]
-
-    def angle(face: int, slot: int) -> float:
-        fe = tri.face_edges[face]
-        a = lengths[fe[slot]]
-        b = lengths[fe[(slot + 1) % 3]]
-        c = lengths[fe[(slot + 2) % 3]]
-        _check_positive(a, b, c)
-        return math.acos(_cos_opposite(a, b, c))
-
-    return angle(f1, s1), angle(f2, s2)
+    return -np.exp(-alpha * u) * (_cot_laplacian(tri, lengths) @ f)
 
 
 def is_delaunay(tri: Triangulation, lengths: dict[int, float], e: int) -> bool:
@@ -295,12 +308,17 @@ def is_delaunay(tri: Triangulation, lengths: dict[int, float], e: int) -> bool:
     The test is inclusive with DELAUNAY_SLACK so cocircular edges count
     as Delaunay and are never flipped.
     """
-    t1, t2 = _opposite_angles(tri, lengths, e)
-    return t1 + t2 <= math.pi + DELAUNAY_SLACK
+    (f1, s1), (f2, s2) = tri.edge_sides[e]
+    return (math.acos(_slot_cos(tri, lengths, f1, s1))
+            + math.acos(_slot_cos(tri, lengths, f2, s2))
+            <= math.pi + DELAUNAY_SLACK)
 
 
 def is_delaunay_all(tri: Triangulation, lengths: dict[int, float]) -> list[int]:
-    """Edge ids violating the Delaunay condition, in edge id order."""
+    """Edge ids violating the Delaunay condition, in edge id order.
+
+    Per edge, so it agrees bit for bit with the make_delaunay verdict.
+    """
     return [e for e in tri.edge_ids() if not is_delaunay(tri, lengths, e)]
 
 
@@ -311,11 +329,9 @@ def delaunay_margin(tri: Triangulation, lengths: dict[int, float]) -> float:
     negative a violation.  Used by the solver to stop steps just short of
     a flip so surgery happens at (numerically) cocircular configurations.
     """
-    worst = math.inf
-    for e in tri.edge_ids():
-        t1, t2 = _opposite_angles(tri, lengths, e)
-        worst = min(worst, math.pi - t1 - t2)
-    return worst
+    theta = face_angles(tri, lengths).ravel()
+    sides = tri.arrays.edge_sides
+    return float(np.min(math.pi - theta[sides[:, 0]] - theta[sides[:, 1]]))
 
 
 def flip_length(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
@@ -328,10 +344,13 @@ def flip_length(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
     convex quad, so the flip needed to restore Delaunay never fails here.
     """
     (f1, s1), (f2, s2) = tri.edge_sides[e]
-    for f in (f1, f2):
-        if face_is_degenerate(tri, lengths, f):
-            raise DegenerateFace(f"face {f} at edge {e} is degenerate")
     fe1, fe2 = tri.face_edges[f1], tri.face_edges[f2]
+    for f, fe in ((f1, fe1), (f2, fe2)):
+        a, b, c = lengths[fe[0]], lengths[fe[1]], lengths[fe[2]]
+        _check_positive(a, b, c)
+        m = max(a, b, c)
+        if m >= (a + b + c) - m:
+            raise DegenerateFace(f"face {f} at edge {e} is degenerate")
     # f1 = (i, j, k) with e in slot s1; f2 = (j, i, l) with e in slot s2
     l_ij = lengths[e]
     l_jk = lengths[fe1[(s1 + 1) % 3]]

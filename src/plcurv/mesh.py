@@ -18,11 +18,16 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     Disconnected,
     FlipDegeneratesComplex,
+    NonFiniteValue,
     NonManifold,
     NonTriangularFace,
     OrientationConflict,
@@ -64,6 +69,21 @@ class FlipInfo:
     rim: tuple[int, int, int, int]
 
 
+class IndexArrays(NamedTuple):
+    """Index arrays for whole-mesh NumPy kernels.
+
+    Edges and faces are numbered by position in id order.  A corner
+    position ``3 * face position + slot`` indexes a flattened (F, 3) array.
+    """
+
+    edge_ids: list[int]     # edge id at each edge position
+    face_ids: list[int]     # face id at each face position
+    face_edges: np.ndarray  # (F, 3) edge position in each slot
+    face_verts: np.ndarray  # (F, 3) vertex at each corner
+    edge_verts: np.ndarray  # (E, 2) endpoints, ordered as edge_vertices()
+    edge_sides: np.ndarray  # (E, 2) corner positions of the two sides
+
+
 class Triangulation:
     """Connected, consistently oriented, closed triangulated surface.
 
@@ -80,6 +100,7 @@ class Triangulation:
         "_next_edge",
         "_next_face",
         "_vertex_corners",
+        "_arrays",
     )
 
     def __init__(self, vertex_count, faces, face_edges, edge_sides,
@@ -96,6 +117,7 @@ class Triangulation:
             for c in range(3):
                 corners[tri[c]].append((f, c))
         self._vertex_corners = corners
+        self._arrays = None
 
     # --- queries -------------------------------------------------------
 
@@ -134,6 +156,30 @@ class Triangulation:
         """Vertex opposite the half-edge ``side`` within its face."""
         f, s = side
         return self.faces[f][(s + 2) % 3]
+
+    @property
+    def arrays(self) -> IndexArrays:
+        """Index arrays, built on first use and cached (the value is immutable).
+
+        Lazy because flip sequences create many triangulations that are
+        only ever queried edge by edge.
+        """
+        if self._arrays is None:
+            edge_ids, face_ids = list(self.edge_sides), list(self.faces)
+            edge_pos = {e: k for k, e in enumerate(edge_ids)}
+            face_pos = {f: k for k, f in enumerate(face_ids)}
+            self._arrays = IndexArrays(
+                edge_ids=edge_ids, face_ids=face_ids,
+                face_edges=np.array([[edge_pos[e] for e in self.face_edges[f]]
+                                     for f in face_ids], dtype=np.intp),
+                face_verts=np.array([self.faces[f] for f in face_ids],
+                                    dtype=np.intp),
+                edge_verts=np.array([self.edge_vertices(e) for e in edge_ids],
+                                    dtype=np.intp),
+                edge_sides=np.array([[3 * face_pos[f] + s
+                                      for f, s in self.edge_sides[e]]
+                                     for e in edge_ids], dtype=np.intp))
+        return self._arrays
 
     # --- flip ----------------------------------------------------------
 
@@ -329,6 +375,15 @@ def _check_connected(tri: Triangulation) -> None:
 
 # --- file formats ------------------------------------------------------
 
+def infer_format(path: str) -> str:
+    """Input format named by the file extension: off, obj or lengths."""
+    lower = path.lower()
+    for suffix, fmt in ((".off", "off"), (".obj", "obj"), (".json", "lengths")):
+        if lower.endswith(suffix):
+            return fmt
+    raise ParseError(f"cannot infer format of {path!r}; pass --format")
+
+
 def load_mesh(path: str, fmt: str | None = None) -> tuple[Triangulation, dict[int, float]]:
     """Load a mesh file and return (triangulation, edge length map).
 
@@ -338,15 +393,7 @@ def load_mesh(path: str, fmt: str | None = None) -> tuple[Triangulation, dict[in
     discarded.
     """
     if fmt is None:
-        lower = path.lower()
-        if lower.endswith(".off"):
-            fmt = "off"
-        elif lower.endswith(".obj"):
-            fmt = "obj"
-        elif lower.endswith(".json"):
-            fmt = "lengths"
-        else:
-            raise ParseError(f"cannot infer format of {path!r}")
+        fmt = infer_format(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if fmt == "off":
@@ -415,6 +462,9 @@ def _from_coordinates(verts, face_list):
         a, b = tri.edge_vertices(e)
         pa, pb = verts[a], verts[b]
         d = sum((x - y) ** 2 for x, y in zip(pa, pb)) ** 0.5
+        if not math.isfinite(d):
+            # every vertex is on an edge, so this also catches inf/NaN coordinates
+            raise NonFiniteValue(f"edge {a}-{b} has non-finite length {d!r}")
         if d <= 0.0:
             raise ZeroLengthEdge(f"vertices {a} and {b} coincide")
         lengths[e] = d
@@ -460,6 +510,8 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, dict[int, float]]:
                     f"vertex {opp} is not a corner of face {f}")
             slot = (corners.index(opp) + 1) % 3
             e = tri.face_edges[f][slot]
+            if not math.isfinite(val):
+                raise NonFiniteValue(f"non-finite length for face {f}")
             if val <= 0.0:
                 raise ZeroLengthEdge(f"non-positive length for face {f}")
             if e in lengths and abs(lengths[e] - val) > 1e-12 * max(lengths[e], val):
@@ -484,6 +536,8 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, dict[int, float]]:
             key = (min(a, b), max(a, b))
             if key not in pair_to_edge:
                 raise ParseError(f"no edge joins {a} and {b}")
+            if not math.isfinite(val):
+                raise NonFiniteValue(f"non-finite length for edge {key}")
             if val <= 0.0:
                 raise ZeroLengthEdge(f"non-positive length for edge {key}")
             lengths[pair_to_edge[key]] = val

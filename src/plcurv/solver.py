@@ -34,7 +34,9 @@ from .geometry import (
     curvature_jacobian,
     degenerate_faces,
     delaunay_surgery,
+    opposite_cosines,
     scale_metric,
+    side_lengths,
 )
 from .mesh import Triangulation
 
@@ -57,7 +59,10 @@ VALUE_NOISE = 1e-13
 # flips at an essentially cocircular quad.
 _WALL_PANELS = 16
 
-QUADRATURE_TOL = 1e-10
+# Twice the flip slack: the scan's NumPy angles may differ from the flip
+# loop's math.acos ones in the last place, and a wall found right at the
+# slack could be one the flip loop does not flip, pinning the solver.
+_WALL_MARGIN = -2.0 * geometry.DELAUNAY_SLACK
 
 
 # --- Lobachevsky function -----------------------------------------------
@@ -70,136 +75,68 @@ def _clausen_coefficients(count: int = 28) -> np.ndarray:
 _CL2_COEF = _clausen_coefficients()
 
 
-def _clausen(theta: float) -> float:
+def _clausen(theta):
     """Clausen integral Cl2 (the 2pi-periodic odd antiderivative of -ln|2 sin(t/2)|)."""
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta < 0.0:
-        theta += 2.0 * math.pi
-    sign = 1.0
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-        sign = -1.0
-    if theta == 0.0:
-        return 0.0
-    acc = 0.0
-    t2 = theta * theta
-    p = theta * t2
-    for c in _CL2_COEF:
-        acc += c * p
-        p *= t2
-    return sign * (theta * (1.0 - math.log(theta)) + acc)
+    t = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+    t = np.where(t < 0.0, t + TWO_PI, t)
+    sign = np.where(t > math.pi, -1.0, 1.0)
+    t = np.where(t > math.pi, TWO_PI - t, t)
+    t2 = t * t
+    series = np.zeros_like(t)
+    for c in _CL2_COEF[::-1]:
+        series = series * t2 + c
+    log_t = np.log(np.where(t > 0.0, t, 1.0))
+    return sign * (t * (1.0 - log_t) + series * t * t2)
 
 
-def lobachevsky(x: float) -> float:
+def lobachevsky(x):
     """Milnor's function: minus the integral of ln|2 sin t| from 0 to x.
 
     Odd and pi-periodic; accurate to about 1e-14 absolute via the power
     series of the Clausen integral (lobachevsky(x) = Cl2(2x) / 2).
+    Elementwise on arrays.
     """
-    return 0.5 * _clausen(2.0 * x)
+    return 0.5 * _clausen(2.0 * np.asarray(x, dtype=float))
 
 
 # --- per-triangle energy ------------------------------------------------
 
-def _angles_from_log_lengths(lam: np.ndarray) -> np.ndarray:
-    """Extended triangle angles from log side lengths, angle a opposite lam[a].
-
-    Vectorized over trailing axes: lam has shape (3, ...).
-    """
-    ell = np.exp(lam - lam.max(axis=0))
-    sq = ell * ell
-    cos = np.empty_like(ell)
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        cos[a] = (sq[b] + sq[c] - sq[a]) / (2.0 * ell[b] * ell[c])
-    return np.arccos(np.clip(cos, -1.0, 1.0))
-
-
-def _log_lengths(base: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Log scaled side lengths: side a (opposite corner a) picks up v_b + v_c."""
-    lam = np.empty_like(v)
-    for a in range(3):
-        lam[a] = v[(a + 1) % 3] + v[(a + 2) % 3] + math.log(base[a])
-    return lam
-
-
-def _triangle_energy_closed(base: np.ndarray, u: np.ndarray, u0: np.ndarray) -> float:
-    """Exact antiderivative difference for the angle 1-form.
+def _phi(base: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-face antiderivative of the angle 1-form; faces on leading axes.
 
     phi(v) = pi * sum(v) - sum_a [theta_a * lambda_a + Л(theta_a)] is a
     global C1 antiderivative: its partial in v_a is the extended angle at
     corner a (the log-radius terms cancel by the law of sines, and in the
-    degenerate regions the angles are locally constant).
+    degenerate regions the angles are locally constant).  Side a, of log
+    length lambda_a, is opposite corner a and picks up v_b + v_c.
     """
-
-    def phi(v: np.ndarray) -> float:
-        lam = _log_lengths(base, v)
-        theta = _angles_from_log_lengths(lam)
-        f = float(np.dot(theta, lam)) + sum(lobachevsky(t) for t in theta)
-        return math.pi * float(np.sum(v)) - f
-
-    return phi(u) - phi(u0)
+    lam = v[..., [1, 2, 0]] + v[..., [2, 0, 1]] + np.log(base)
+    theta = np.arccos(opposite_cosines(np.exp(lam - lam.max(axis=-1, keepdims=True))))
+    return (math.pi * v.sum(axis=-1)
+            - ((theta * lam).sum(axis=-1) + lobachevsky(theta).sum(axis=-1)))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _gl_panel(fn, a: float, b: float) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
-
-
-def _gl_adaptive(fn, a: float, b: float, whole: float, tol: float, depth: int) -> float:
-    mid = 0.5 * (a + b)
-    left = _gl_panel(fn, a, mid)
-    right = _gl_panel(fn, mid, b)
-    if abs(left + right - whole) <= tol or depth >= 24:
-        return left + right
-    return (_gl_adaptive(fn, a, mid, left, 0.5 * tol, depth + 1)
-            + _gl_adaptive(fn, mid, b, right, 0.5 * tol, depth + 1))
-
-
-def _triangle_energy_quadrature(base: np.ndarray, u: np.ndarray,
-                                u0: np.ndarray, tol: float) -> float:
-    du = u - u0
-    if not np.any(du):
-        return 0.0
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        v = u0[:, None] + s[None, :] * du[:, None]
-        lam = np.empty_like(v)
-        for a in range(3):
-            lam[a] = v[(a + 1) % 3] + v[(a + 2) % 3] + math.log(base[a])
-        theta = _angles_from_log_lengths(lam)
-        return du @ theta
-
-    whole = _gl_panel(integrand, 0.0, 1.0)
-    return _gl_adaptive(integrand, 0.0, 1.0, whole, tol, 0)
-
-
-def triangle_energy(base_lengths, u, u0, method: str = "quadrature",
-                    tol: float = QUADRATURE_TOL) -> float:
+def triangle_energy(base_lengths, u, u0) -> float:
     """Line integral of the extended corner angles from u0 to u.
 
     ``base_lengths[a]`` is the side opposite corner a at u = 0; moving
     along the straight segment in u-space, the integrand is
     sum_a angle_a * du_a.  Concave in u; the partial derivative in u_a is
-    the extended angle at corner a.  ``method`` selects 64-node adaptive
-    Gauss-Legendre quadrature (default) or the closed-form antiderivative
-    built on :func:`lobachevsky`; the two agree to quadrature tolerance.
+    the extended angle at corner a.  Evaluated in closed form through
+    :func:`lobachevsky`.  Batched: arrays of shape (3, F) give the sum
+    over the F triangles, and shape (3,) is the single-triangle case.
     """
     base = np.asarray(base_lengths, dtype=float)
     u = np.asarray(u, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    if base.shape != (3,) or u.shape != (3,) or u0.shape != (3,):
-        raise ValueError("triangle_energy expects three base lengths and u-triples")
-    if np.any(base <= 0.0):
+    if base.ndim not in (1, 2) or base.shape[0] != 3 \
+            or u.shape != base.shape or u0.shape != base.shape:
+        raise ValueError("triangle_energy expects (3,) or (3, F) base lengths "
+                         "and u-arrays of the same shape")
+    if not np.all(base > 0.0):
         raise geometry.NonPositiveLength(f"base lengths {base} not positive")
-    if method == "closed":
-        return _triangle_energy_closed(base, u, u0)
-    if method == "quadrature":
-        return _triangle_energy_quadrature(base, u, u0, tol)
-    raise ValueError(f"unknown method {method!r}")
+    base, u, u0 = base.T, u.T, u0.T
+    return float(np.sum(_phi(base, u) - _phi(base, u0)))
 
 
 # --- total energy -------------------------------------------------------
@@ -269,8 +206,7 @@ class Target:
 
 def energy_W_alpha(tri: Triangulation, base: dict[int, float], u: np.ndarray,
                    u_ref: np.ndarray, alpha: float, rbar: np.ndarray,
-                   offset: float = 0.0, method: str = "closed",
-                   with_hessian: bool = True) -> EnergyReport:
+                   offset: float = 0.0, with_hessian: bool = True) -> EnergyReport:
     """Total curvature energy of the scaled metric, anchored at ``u_ref``.
 
     value = offset - sum_faces triangle_energy(u; u_ref)
@@ -283,13 +219,10 @@ def energy_W_alpha(tri: Triangulation, base: dict[int, float], u: np.ndarray,
     u_ref = np.asarray(u_ref, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
 
-    total_faces = 0.0
-    for f in tri.face_ids():
-        va, vb, vc = tri.faces[f]
-        fe = tri.face_edges[f]
-        b = np.array([base[fe[1]], base[fe[2]], base[fe[0]]])
-        idx = [va, vb, vc]
-        total_faces += triangle_energy(b, u[idx], u_ref[idx], method=method)
+    # the side opposite corner a is the edge in slot (a + 1) % 3
+    opposite = side_lengths(tri, base)[:, [1, 2, 0]].T
+    corners = tri.arrays.face_verts.T
+    total_faces = triangle_energy(opposite, u[corners], u_ref[corners])
 
     if alpha == 0.0:
         vertex_term = float(np.sum((TWO_PI - rbar) * (u - u_ref)))
@@ -374,7 +307,7 @@ def _first_wall(tri: Triangulation, base: dict[int, float], u: np.ndarray,
             return -math.inf
         return geometry.delaunay_margin(tri, scaled)
 
-    bad = -geometry.DELAUNAY_SLACK
+    bad = _WALL_MARGIN
     lo = 0.0
     hi = None
     for k in range(1, _WALL_PANELS + 1):
@@ -424,7 +357,7 @@ def _carry_chart(tri: Triangulation, base: dict[int, float], u_from: np.ndarray,
 
 def newton_solve(tri: Triangulation, base: dict[int, float], u0,
                  alpha: float, target: Target, tol: float = 1e-10,
-                 max_iter: int = 100, method: str = "closed") -> NewtonResult:
+                 max_iter: int = 100) -> NewtonResult:
     """Minimize the curvature energy until the gradient is below ``tol``.
 
     Damped Newton with Armijo backtracking; every accepted step is
@@ -461,8 +394,7 @@ def newton_solve(tri: Triangulation, base: dict[int, float], u0,
 
     def evaluate(u_at: np.ndarray, with_hessian: bool) -> EnergyReport:
         return energy_W_alpha(tri_c, base_c, u_at, u_ref, alpha, rbar,
-                              offset=offset, method=method,
-                              with_hessian=with_hessian)
+                              offset=offset, with_hessian=with_hessian)
 
     rep = evaluate(u, with_hessian=True)
     grad_inf = float(np.max(np.abs(rep.gradient)))

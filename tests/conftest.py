@@ -135,3 +135,73 @@ def all_fixture_meshes():
             lens = unit_lengths(tri)
         out.append((name, tri, lens))
     return out
+
+
+# --- quadrature oracle for the curvature energy ----------------------------
+#
+# Production evaluates the per-face energy in closed form (Lobachevsky
+# terms).  This is the independent reference: the defining line integral
+# of the extended angles, by adaptive 64-node Gauss-Legendre quadrature.
+
+QUADRATURE_TOL = 1e-10
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _angles_from_log_lengths(lam):
+    """Extended angles, angle a opposite side a; lam has shape (3, n)."""
+    ell = np.exp(lam - lam.max(axis=0))
+    cos = np.empty_like(ell)
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        cos[a] = (ell[b] ** 2 + ell[c] ** 2 - ell[a] ** 2) / (2.0 * ell[b] * ell[c])
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def _gl_panel(fn, a, b):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * float(np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
+
+
+def _gl_adaptive(fn, a, b, whole, tol, depth):
+    mid = 0.5 * (a + b)
+    left = _gl_panel(fn, a, mid)
+    right = _gl_panel(fn, mid, b)
+    if abs(left + right - whole) <= tol or depth >= 24:
+        return left + right
+    return (_gl_adaptive(fn, a, mid, left, 0.5 * tol, depth + 1)
+            + _gl_adaptive(fn, mid, b, right, 0.5 * tol, depth + 1))
+
+
+def triangle_energy_quadrature(base, u, u0, tol=QUADRATURE_TOL):
+    """triangle_energy for one face (shape (3,) arguments) by quadrature."""
+    base, u, u0 = (np.asarray(x, dtype=float) for x in (base, u, u0))
+    du = u - u0
+    if not np.any(du):
+        return 0.0
+
+    def integrand(s):
+        v = u0[:, None] + s[None, :] * du[:, None]
+        lam = np.empty_like(v)
+        for a in range(3):
+            lam[a] = v[(a + 1) % 3] + v[(a + 2) % 3] + math.log(base[a])
+        return du @ _angles_from_log_lengths(lam)
+
+    whole = _gl_panel(integrand, 0.0, 1.0)
+    return _gl_adaptive(integrand, 0.0, 1.0, whole, tol, 0)
+
+
+def energy_value_quadrature(tri, base, u, u_ref, alpha, rbar):
+    """energy_W_alpha(...).value at offset 0, faces integrated by quadrature."""
+    faces = 0.0
+    for f in tri.face_ids():
+        e0, e1, e2 = tri.face_edges[f]
+        idx = list(tri.faces[f])
+        faces += triangle_energy_quadrature(
+            [base[e1], base[e2], base[e0]], u[idx], u_ref[idx])
+    if alpha == 0.0:
+        vertex = np.sum((2 * math.pi - rbar) * (u - u_ref))
+    else:
+        vertex = np.sum(2 * math.pi * (u - u_ref)
+                        - rbar * (np.exp(alpha * u) - np.exp(alpha * u_ref)) / alpha)
+    return float(vertex) - faces

@@ -289,6 +289,43 @@ class TestReplay:
         assert code == 2
 
 
+class TestExtremeInput:
+    """A 1e200 edge is a valid metric whose faces are flat; inf and NaN are
+    rejected at load.  main() must return the documented code: an
+    exception escaping it would be a traceback and exit 1."""
+
+    @staticmethod
+    def torus_with_edge(tmp_path, value):
+        tri = build_triangulation(torus9_faces())
+        lens = unit_lengths(tri)
+        lens[sorted(lens)[0]] = value
+        return write_lengths(tmp_path / "extreme.json", tri, lens)
+
+    def test_huge_edge_curvature_keeps_gauss_bonnet(self, capsys, tmp_path):
+        path = self.torus_with_edge(tmp_path, 1e200)
+        code, doc = run_cli(capsys, ["curvature", path])
+        assert code == 0
+        assert abs(sum(doc["K"]) - 2.0 * math.pi * doc["chi"]) < 1e-9
+
+    def test_huge_edge_solve_exits_3(self, capsys, tmp_path):
+        path = self.torus_with_edge(tmp_path, 1e200)
+        code, _ = run_cli(capsys, ["solve", path, "--alpha", "-1"])
+        assert code == 3
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("command", ["curvature", "solve"])
+    def test_non_finite_length_exits_3(self, capsys, tmp_path, command, value):
+        path = self.torus_with_edge(tmp_path, value)
+        code, _ = run_cli(capsys, [command, path])
+        assert code == 3
+
+    def test_non_finite_coordinate_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "tetra.off"
+        path.write_text(REGULAR_TETRA_OFF.replace("1 1 1\n", "1 inf 1\n"))
+        code, _ = run_cli(capsys, ["curvature", str(path)])
+        assert code == 3
+
+
 class TestProcess:
     def test_module_entry_point(self, tetra_off):
         proc = subprocess.run(

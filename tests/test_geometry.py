@@ -8,11 +8,11 @@ from plcurv import errors, geometry
 from plcurv.geometry import (
     alpha_curvature,
     alpha_laplacian_apply,
-    corner_angles,
     cot_weight,
     curvature,
     curvature_jacobian,
     degenerate_faces,
+    face_angles,
     flip_length,
     flip_with_length,
     is_delaunay,
@@ -154,7 +154,7 @@ class TestCurvature:
         rng = np.random.default_rng(29)
         for _, tri, _ in all_fixture_meshes():
             lengths = random_lengths(tri, rng)
-            for f, angs in corner_angles(tri, lengths).items():
+            for angs in face_angles(tri, lengths):
                 assert abs(sum(angs) - math.pi) < 1e-12
 
 

@@ -21,7 +21,12 @@ from plcurv.solver import (
     triangle_energy,
 )
 
-from conftest import all_fixture_meshes, unit_lengths
+from conftest import (
+    all_fixture_meshes,
+    energy_value_quadrature,
+    triangle_energy_quadrature,
+    unit_lengths,
+)
 
 
 def lobachevsky_quad_oracle(x):
@@ -60,8 +65,8 @@ class TestLobachevsky:
 class TestTriangleEnergy:
     def test_empty_path(self):
         u = np.array([0.3, -0.1, 0.2])
-        for method in ("quadrature", "closed"):
-            assert triangle_energy((1.0, 2.0, 1.5), u, u, method=method) == 0.0
+        assert triangle_energy((1.0, 2.0, 1.5), u, u) == 0.0
+        assert triangle_energy_quadrature((1.0, 2.0, 1.5), u, u) == 0.0
 
     def test_equilateral_diagonal(self):
         # along u = (s, s, s) the triangle stays equilateral, every angle
@@ -99,8 +104,8 @@ class TestTriangleEnergy:
         for _ in range(40):
             u0 = rng.uniform(-0.8, 0.8, 3)
             u = rng.uniform(-0.8, 0.8, 3)
-            q = triangle_energy(base, u, u0, method="quadrature")
-            c = triangle_energy(base, u, u0, method="closed")
+            q = triangle_energy_quadrature(base, u, u0)
+            c = triangle_energy(base, u, u0)
             assert c == pytest.approx(q, abs=1e-9)
 
     def test_closed_form_matches_quadrature_across_degeneracy(self):
@@ -109,8 +114,8 @@ class TestTriangleEnergy:
         base = np.array([1.0, 1.0, 1.0])
         u0 = np.array([0.0, 0.0, 0.0])
         u = np.array([3.0, -1.5, -1.5])  # very flat at the far end
-        q = triangle_energy(base, u, u0, method="quadrature")
-        c = triangle_energy(base, u, u0, method="closed")
+        q = triangle_energy_quadrature(base, u, u0)
+        c = triangle_energy(base, u, u0)
         assert c == pytest.approx(q, abs=1e-8)
 
     def test_concavity(self):
@@ -121,9 +126,9 @@ class TestTriangleEnergy:
             a = rng.uniform(-1.5, 1.5, 3)
             b = rng.uniform(-1.5, 1.5, 3)
             s = rng.uniform(0.05, 0.95)
-            fa = triangle_energy(base, a, u0, method="closed")
-            fb = triangle_energy(base, b, u0, method="closed")
-            fm = triangle_energy(base, s * a + (1 - s) * b, u0, method="closed")
+            fa = triangle_energy(base, a, u0)
+            fb = triangle_energy(base, b, u0)
+            fm = triangle_energy(base, s * a + (1 - s) * b, u0)
             assert fm >= s * fa + (1 - s) * fb - 1e-9
 
 
@@ -207,10 +212,9 @@ class TestEnergyReport:
             u = rng.uniform(-0.2, 0.2, n)
             rbar = -np.abs(rng.normal(0.5, 0.2, n))
             a = energy_W_alpha(tri, base, u, np.zeros(n), 0.9, rbar,
-                               method="closed", with_hessian=False)
-            b = energy_W_alpha(tri, base, u, np.zeros(n), 0.9, rbar,
-                               method="quadrature", with_hessian=False)
-            assert a.value == pytest.approx(b.value, abs=1e-9), name
+                               with_hessian=False)
+            b = energy_value_quadrature(tri, base, u, np.zeros(n), 0.9, rbar)
+            assert a.value == pytest.approx(b, abs=1e-9), name
 
 
 class TestTarget:
