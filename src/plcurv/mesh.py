@@ -59,6 +59,8 @@ class FlipInfo:
         one joins k and l.
     rim : tuple[int, int, int, int]
         Edge ids of the quad boundary (jk, ki, il, lj).
+    old_length, new_length : float or None
+        Diagonal lengths, when given to :meth:`Triangulation.flip`.
     """
 
     removed_edge: int
@@ -67,6 +69,8 @@ class FlipInfo:
     new_faces: tuple[int, int]
     quad: tuple[int, int, int, int]
     rim: tuple[int, int, int, int]
+    old_length: float | None = None
+    new_length: float | None = None
 
 
 class IndexArrays(NamedTuple):
@@ -152,11 +156,6 @@ class Triangulation:
         a, b = self.edge_sides[e]
         return b if side == a else a
 
-    def opposite_vertex(self, side: Side) -> int:
-        """Vertex opposite the half-edge ``side`` within its face."""
-        f, s = side
-        return self.faces[f][(s + 2) % 3]
-
     @property
     def arrays(self) -> IndexArrays:
         """Index arrays, built on first use and cached (the value is immutable).
@@ -183,12 +182,14 @@ class Triangulation:
 
     # --- flip ----------------------------------------------------------
 
-    def flip(self, e: int) -> tuple["Triangulation", FlipInfo]:
+    def flip(self, e: int, old_length: float | None = None,
+             new_length: float | None = None) -> tuple["Triangulation", FlipInfo]:
         """Replace the diagonal ``e`` of its two-face quad by the other one.
 
         Faces (i,j,k) and (j,i,l) become (i,l,k) and (l,j,k); the new edge
         joining k and l receives a fresh id, as do the two new faces.  The
-        four rim edges keep their ids.
+        four rim edges keep their ids.  Diagonal lengths, when given, are
+        recorded on the FlipInfo.
 
             k                 k
            / \\               /|\\
@@ -251,7 +252,8 @@ class Triangulation:
                             g + 1, fb + 1)
         info = FlipInfo(removed_edge=e, new_edge=g,
                         removed_faces=(f1, f2), new_faces=(fa, fb),
-                        quad=(i, j, k, l), rim=(e_jk, e_ki, e_il, e_lj))
+                        quad=(i, j, k, l), rim=(e_jk, e_ki, e_il, e_lj),
+                        old_length=old_length, new_length=new_length)
         return tri, info
 
 

@@ -22,6 +22,7 @@ import scipy.special
 
 from . import geometry
 from .errors import (
+    FlipLimitExceeded,
     LineSearchStalled,
     LogFactorOverflow,
     MaxIterations,
@@ -38,7 +39,7 @@ from .geometry import (
     scale_metric,
     side_lengths,
 )
-from .mesh import Triangulation
+from .mesh import FlipInfo, Triangulation
 
 log = logging.getLogger(__name__)
 
@@ -54,10 +55,9 @@ MAX_BACKTRACKS = 60
 # increase" there and lets the gradient criterion finish the job.
 VALUE_NOISE = 1e-13
 
-# Step caps within this of zero mean the iterate already sits on a
-# Delaunay wall; the accepted (tiny) step nudges it across so surgery
-# flips at an essentially cocircular quad.
+# The wall search scans 16 panels, then bisects 4 levels per kernel call.
 _WALL_PANELS = 16
+_BISECT_DEPTH = 4
 
 # Twice the flip slack: the scan's NumPy angles may differ from the flip
 # loop's math.acos ones in the last place, and a wall found right at the
@@ -279,7 +279,7 @@ def trace_csv(rows: list[TraceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
+def apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
     """Constant shift restoring the conserved normalization (exact form)."""
     if alpha == 0.0:
         return u + (conserved - float(np.sum(u))) / u.shape[0]
@@ -290,69 +290,80 @@ def _first_wall(tri: Triangulation, base: dict[int, float], u: np.ndarray,
                 delta: np.ndarray) -> tuple[float, bool]:
     """Largest step fraction in (0, 1] before Delaunayness is lost.
 
-    Scans the segment u + s*delta and bisects the first sign change of
-    the worst edge margin.  Returns (s_cap, hit): when ``hit`` the metric
-    at s_cap is just past cocircular on some edge (beyond the flip
-    slack), so the surgery that follows an accepted full step flips at
-    the wall instead of deep inside the non-Delaunay region.  Flipping
+    Scans the segment u + s*delta in 16 panels and bisects the first sign
+    change of the worst edge margin.  Returns (s_cap, hit): when ``hit``
+    the metric at s_cap is just past cocircular on some edge (beyond the
+    flip slack), so the surgery that follows an accepted full step flips
+    at the wall instead of deep inside the non-Delaunay region.  Flipping
     deep would transport base lengths along a path-dependent chart and
     solves from different starts could disagree by far more than the
-    rigidity tolerance.
+    rigidity tolerance.  Points past LOG_FACTOR_BOUND count as walls.
+    One kernel call scores all panels, and one the next _BISECT_DEPTH
+    bisection levels, with the result of probing point by point.
     """
+    base_e = geometry.edge_lengths(tri, base)
 
-    def margin(s: float) -> float:
-        try:
-            scaled = scale_metric(tri, base, u + s * delta)
-        except LogFactorOverflow:
-            return -math.inf
-        return geometry.delaunay_margin(tri, scaled)
+    def below(s: list[float]) -> np.ndarray:
+        U = u + np.array(s)[:, None] * delta
+        ok = np.abs(U).max(axis=1) <= geometry.LOG_FACTOR_BOUND  # False on NaN
+        margin = np.full(len(s), -math.inf)
+        margin[ok] = geometry.delaunay_margin(
+            tri, geometry.scaled_lengths(tri, base_e, U[ok]))
+        return margin < _WALL_MARGIN
 
-    bad = _WALL_MARGIN
-    lo = 0.0
-    hi = None
-    for k in range(1, _WALL_PANELS + 1):
-        s = k / _WALL_PANELS
-        if margin(s) < bad:
-            hi = s
-            break
-        lo = s
-    if hi is None:
+    panels = [k / _WALL_PANELS for k in range(_WALL_PANELS + 1)]
+    first = np.flatnonzero(below(panels[1:]))
+    if not first.size:
         return 1.0, False
+    lo, hi = panels[first[0]], panels[first[0] + 1]
     while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) < bad:
-            hi = mid
-        else:
-            lo = mid
+        # each probe of the next levels is a node of the dyadic grid on [lo, hi]
+        grid = [lo, hi]
+        for _ in range(_BISECT_DEPTH):
+            grid = [x for a, b in zip(grid, grid[1:]) for x in (a, 0.5 * (a + b))] + [hi]
+        bad = below(grid[1:-1])
+        a, b = 0, len(grid) - 1
+        while b - a > 1 and hi - lo > 1e-12 * max(1.0, hi):
+            m = (a + b) // 2
+            if bad[m - 1]:
+                b, hi = m, grid[m]
+            else:
+                a, lo = m, grid[m]
     return hi, True
 
 
-def _carry_chart(tri: Triangulation, base: dict[int, float], u_from: np.ndarray,
-                 u_to: np.ndarray) -> tuple[Triangulation, dict[int, float], int]:
+def carry_chart(tri: Triangulation, base: dict[int, float], u_from: np.ndarray,
+                u_to: np.ndarray, on_flip=None
+                ) -> tuple[Triangulation, dict[int, float], list[FlipInfo]]:
     """Transport the chart along the straight segment from u_from to u_to.
 
     Walks the segment and performs each flip at the wall where the edge
     turns cocircular, so the arrival chart does not depend on where the
-    segment started.  Returns the arrival triangulation, base lengths
-    and the number of flips made on the way.
+    segment started.  ``on_flip(tri, base, u, infos)``, when given, sees
+    each surgery: the chart before it, the point u on the segment and
+    the flips made there.  Returns the arrival triangulation, base
+    lengths and the flips made on the way.
     """
     cur = np.asarray(u_from, dtype=float).copy()
     u_to = np.asarray(u_to, dtype=float)
-    flips = 0
+    flips: list[FlipInfo] = []
     cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
-    while True:
-        delta = u_to - cur
-        if not np.any(delta):
-            return tri, base, flips
+    while np.any(delta := u_to - cur):
         s_cap, hit = _first_wall(tri, base, cur, delta)
         cur = cur + s_cap * delta
         if not hit:
-            return tri, base, flips
-        tri, base, done = delaunay_surgery(tri, base, cur)
-        flips += len(done)
-        if flips > cap:
-            raise LineSearchStalled(
-                f"{flips} flips while carrying the chart between two points")
+            break
+        tri_new, base_new, infos = delaunay_surgery(tri, base, cur)
+        if not infos:
+            break
+        if on_flip is not None:
+            on_flip(tri, base, cur, infos)
+        tri, base = tri_new, base_new
+        flips.extend(infos)
+        if len(flips) > cap:
+            raise FlipLimitExceeded(
+                f"{len(flips)} flips while carrying the chart along one segment")
+    return tri, base, flips
 
 
 def newton_solve(tri: Triangulation, base: dict[int, float], u0,
@@ -386,9 +397,8 @@ def newton_solve(tri: Triangulation, base: dict[int, float], u0,
     # base lengths and solutions from different starts could not be
     # compared at rigidity tolerances.
     tri_c, base_c, flips0 = delaunay_surgery(tri, base, np.zeros(n))
-    total_flips = len(flips0)
-    tri_c, base_c, carried = _carry_chart(tri_c, base_c, np.zeros(n), u)
-    total_flips += carried
+    tri_c, base_c, carried = carry_chart(tri_c, base_c, np.zeros(n), u)
+    total_flips = len(flips0) + len(carried)
     u_ref = u.copy()
     offset = 0.0
 
@@ -457,7 +467,7 @@ def newton_solve(tri: Triangulation, base: dict[int, float], u0,
 
         u = accepted
         if kind == "zero":
-            u = _apply_gauge(u, alpha, conserved)
+            u = apply_gauge(u, alpha, conserved)
         tri_new, base_new, flips = delaunay_surgery(tri_c, base_c, u)
         if flips:
             # glue: new chart must report the same value at the flip point

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from plcurv import geometry, solver
+from plcurv.errors import LogFactorOverflow
 from plcurv.mesh import build_triangulation
 
 # Oriented tetrahedron boundary.
@@ -205,3 +207,38 @@ def energy_value_quadrature(tri, base, u, u_ref, alpha, rbar):
         vertex = np.sum(2 * math.pi * (u - u_ref)
                         - rbar * (np.exp(alpha * u) - np.exp(alpha * u_ref)) / alpha)
     return float(vertex) - faces
+
+
+# --- point-by-point oracle for the wall search --------------------------------
+#
+# Production scores all panels, and several bisection levels, per kernel
+# call on edge arrays.  This is the reference it must reproduce: one
+# scale_metric and one dict delaunay_margin per probe point.
+
+def first_wall_reference(tri, base, u, delta):
+    """solver._first_wall probing one point of the segment at a time."""
+
+    def margin(s):
+        try:
+            scaled = geometry.scale_metric(tri, base, u + s * delta)
+        except LogFactorOverflow:
+            return -math.inf
+        return geometry.delaunay_margin(tri, scaled)
+
+    bad = solver._WALL_MARGIN
+    lo, hi = 0.0, None
+    for k in range(1, solver._WALL_PANELS + 1):
+        s = k / solver._WALL_PANELS
+        if margin(s) < bad:
+            hi = s
+            break
+        lo = s
+    if hi is None:
+        return 1.0, False
+    while hi - lo > 1e-12 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if margin(mid) < bad:
+            hi = mid
+        else:
+            lo = mid
+    return hi, True

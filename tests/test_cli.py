@@ -288,6 +288,33 @@ class TestReplay:
         code, _ = run_cli(capsys, ["replay", str(tmp_path / "none.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("command, config, outputs", [
+        ("flow", {}, {"history": None, "state": None}),
+        ("delaunay", {"mode": "fix"}, {}),
+    ])
+    def test_malformed_manifest_exits_2_without_traceback(
+            self, tmp_path, kite_file, command, config, outputs):
+        man = tmp_path / "run.json"
+        man.write_text(json.dumps({
+            "command": command, "input": {"path": kite_file, "format": "lengths"},
+            "alpha": -1.0, "seed": 0, "config": config, "outputs": outputs}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plcurv.cli", "replay", str(man)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "malformed manifest" in proc.stderr
+
+    def test_unexpected_exception_exits_5_with_one_line(
+            self, capsys, caplog, monkeypatch, tetra_file):
+        def broken(man):
+            raise RuntimeError("unexpected\nfailure")
+        monkeypatch.setattr(cli, "_exec_curvature", broken)
+        code, _ = run_cli(capsys, ["curvature", tetra_file])
+        assert code == 5
+        message = caplog.records[-1].getMessage()
+        assert "RuntimeError" in message and "\n" not in message
+
 
 class TestExtremeInput:
     """A 1e200 edge is a valid metric whose faces are flat; inf and NaN are

@@ -235,7 +235,7 @@ class TestCotWeight:
 class TestJacobian:
     def test_flat_torus_entries(self, torus9, lattice_torus_lengths):
         L = curvature_jacobian(torus9, lattice_torus_lengths).toarray()
-        off = -2.0 / math.sqrt(3.0) * geometry.CURVATURE_JACOBIAN_SCALE
+        off = -2.0 / math.sqrt(3.0)
         for i in range(9):
             for j in range(9):
                 if i == j:
@@ -246,7 +246,7 @@ class TestJacobian:
         assert np.allclose(L, L.T)
 
     def test_matches_finite_differences(self, tetra):
-        # This test pins CURVATURE_JACOBIAN_SCALE: the analytic Jacobian
+        # This test pins the Jacobian's scale: the analytic Jacobian
         # must match centered differences of the deficit in u.
         rng = np.random.default_rng(37)
         base = unit_lengths(tetra)
@@ -263,7 +263,6 @@ class TestJacobian:
                         - curvature(tetra, scale_metric(tetra, base, dm))) / (2 * h)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(L - fd)) < 1e-6 * scale
-        assert geometry.CURVATURE_JACOBIAN_SCALE == 1.0
 
     def test_kernel_contains_constants(self):
         rng = np.random.default_rng(41)
@@ -325,7 +324,7 @@ class TestAlphaLaplacian:
         alpha = 0.6
         direct = alpha_laplacian_apply(tri, metric, u, alpha, f)
         L = curvature_jacobian(tri, metric)
-        via_jac = -np.exp(-alpha * u) * (L @ f) / geometry.CURVATURE_JACOBIAN_SCALE
+        via_jac = -np.exp(-alpha * u) * (L @ f)
         assert direct == pytest.approx(via_jac, rel=1e-12, abs=1e-12)
 
     def test_weighted_sum_vanishes(self):
