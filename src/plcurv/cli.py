@@ -281,7 +281,7 @@ def _exec_solve(man: RunManifest) -> int:
         "alpha": man.alpha,
         "target": spec,
         "kind": res.kind,
-        "converged": res.converged,
+        "converged": True,  # newton_solve raises rather than stop short
         "iterations": res.iterations,
         "grad_inf": res.trace[-1].grad_inf,
         "flips": res.flips,
@@ -329,8 +329,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="input format (default: inferred from extension)")
     p.add_argument("--manifest", metavar="PATH",
                    help="also write a replayable run manifest")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized starts (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--starts", type=int, default=1,
                    help="extra random starts for a rigidity comparison")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random starts (default 0)")
     p.add_argument("--out", metavar="PATH", help="report JSON")
     p.add_argument("--out-trace", metavar="PATH", help="iteration trace CSV")
     p.set_defaults(func=cmd_solve)
@@ -395,7 +395,8 @@ def _launch(args: argparse.Namespace, command: str, config: dict,
             outputs: dict) -> int:
     man = RunManifest(command=command, input_path=args.input,
                       input_format=args.format or mesh.infer_format(args.input),
-                      alpha=getattr(args, "alpha", 0.0), seed=args.seed,
+                      alpha=getattr(args, "alpha", 0.0),
+                      seed=getattr(args, "seed", 0),
                       config=config, outputs=outputs)
     if args.manifest:
         _atomic_write(args.manifest, _json_text(man.to_doc()) + "\n")

@@ -61,6 +61,10 @@ class LogFactorOverflow(PLCurvError):
     """A log conformal factor is too large to exponentiate safely."""
 
 
+class PredicateConflict(PLCurvError):
+    """Two geometric tests that must agree disagree, through rounding."""
+
+
 # --- flows ---
 
 class StepSizeUnderflow(PLCurvError):

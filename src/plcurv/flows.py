@@ -46,11 +46,10 @@ ENERGY_NOISE = 1e-12
 
 @dataclass(frozen=True)
 class FlipRecord:
-    """One surgery event: edge replaced by the opposite diagonal."""
+    """One surgery event: edge replaced by the opposite diagonal, same id."""
 
     t: float
     edge: int
-    new_edge: int
     old_length: float
     new_length: float
 
@@ -89,7 +88,7 @@ class FlowState:
     """
 
     tri: Triangulation
-    base: dict[int, float]
+    base: np.ndarray
     u: np.ndarray
     alpha: float
     t: float = 0.0
@@ -138,7 +137,7 @@ def conserved_sum(u: np.ndarray, alpha: float) -> float:
     return float(np.sum(np.exp(alpha * u)))
 
 
-def make_state(tri: Triangulation, base: dict[int, float], u0,
+def make_state(tri: Triangulation, base: np.ndarray, u0,
                alpha: float) -> FlowState:
     """Assemble a FlowState at time zero (no surgery performed here)."""
     u0 = np.asarray(u0, dtype=float).copy()
@@ -213,8 +212,8 @@ def _wall_surgery(state: FlowState, u_to: np.ndarray, dt_used: float
         nonlocal u_ref, offset
         done = 1.0 - float(np.linalg.norm(u_to - cur)) / span if span else 1.0
         t_ev = state.t + done * dt_used
-        records.extend(FlipRecord(t_ev, i.removed_edge, i.new_edge, i.old_length,
-                                  i.new_length) for i in infos)
+        records.extend(FlipRecord(t_ev, i.edge, i.old_length, i.new_length)
+                       for i in infos)
         offset = energy_W_alpha(tri, base, cur, u_ref, state.alpha, state.rbar,
                                 offset=offset, with_hessian=False).value
         u_ref = cur.copy()
@@ -284,7 +283,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
                    accept_streak=streak, w_value=w_final)
 
 
-def run_flow(tri: Triangulation, base: dict[int, float], u0, alpha: float,
+def run_flow(tri: Triangulation, base: np.ndarray, u0, alpha: float,
              config: FlowConfig) -> tuple[FlowState, FlowHistory]:
     """Iterate ``step`` until max_dev < tol or the step budget runs out.
 

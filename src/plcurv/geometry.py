@@ -1,12 +1,12 @@
 """Metric geometry on triangulated surfaces.
 
-Everything here is a pure function of a Triangulation plus an edge length
-map (``dict`` edge id -> positive float).  Provided: corner angles with a
-constant extension past triangle-inequality failure, conformal vertex
-scaling of the metric, angle-deficit curvature and its weighted variants,
-cotangent edge weights, the curvature Jacobian, a weighted graph
-Laplacian, the Delaunay edge predicate, and intrinsic edge flips that
-transport lengths.
+Everything here is a pure function of a Triangulation plus a metric: a
+float array of positive edge lengths indexed by edge id.  Provided:
+corner angles with a constant extension past triangle-inequality
+failure, conformal vertex scaling of the metric, angle-deficit curvature
+and its weighted variants, cotangent edge weights, the curvature
+Jacobian, a weighted graph Laplacian, the Delaunay edge predicate, and
+intrinsic edge flips that transport lengths.
 
 Whole-mesh queries share one NumPy kernel over the triangulation's
 cached index arrays; the kernel also scores stacks of edge-length
@@ -30,6 +30,7 @@ from .errors import (
     LogFactorOverflow,
     NonConvexQuad,
     NonPositiveLength,
+    PredicateConflict,
 )
 from .mesh import FlipInfo, Triangulation
 
@@ -114,28 +115,26 @@ def triangle_angles(l_i: float, l_j: float, l_k: float) -> tuple[float, float, f
             math.acos(_cos_opposite(l_k, l_i, l_j)))
 
 
-def edge_lengths(tri: Triangulation, lengths) -> np.ndarray:
-    """A length dict as an array in ``tri.arrays`` edge order.
-
-    Arrays (..., E) in that order, one metric per leading index, pass.
-    """
-    if isinstance(lengths, np.ndarray):
-        return lengths
-    ids = tri.arrays.edge_ids
-    return np.fromiter(map(lengths.__getitem__, ids), dtype=float, count=len(ids))
-
-
-def side_lengths(tri: Triangulation, lengths) -> np.ndarray:
+def side_lengths(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     """(..., F, 3) array of every face's edge lengths by slot, faces in id order.
 
-    ``lengths`` is a dict or an :func:`edge_lengths` array (..., E).
+    ``lengths`` is a metric (E,) or a stack of metrics (..., E).
     """
-    flat = edge_lengths(tri, lengths)
+    flat = np.asarray(lengths, dtype=float)
     ok = flat > 0.0
     if not ok.all():
         raise NonPositiveLength(
             f"edge length {float(flat[~ok][0])!r} is not positive")
     return flat[..., tri.arrays.face_edges]
+
+
+def max3(x: np.ndarray) -> np.ndarray:
+    """Maximum over a last axis of length 3.
+
+    Two np.maximum calls, because NumPy reduces a length-3 axis several
+    times slower; the values are those of ``x.max(axis=-1)``.
+    """
+    return np.maximum(np.maximum(x[..., 0], x[..., 1]), x[..., 2])
 
 
 def opposite_cosines(L: np.ndarray) -> np.ndarray:
@@ -144,8 +143,7 @@ def opposite_cosines(L: np.ndarray) -> np.ndarray:
     ``L[..., k]`` are positive side lengths; entry k of the result is the
     cosine facing side k, by the same arithmetic as :func:`_cos_opposite`.
     """
-    m = np.maximum(np.maximum(L[..., 0], L[..., 1]), L[..., 2])  # beats .max(-1) 30x
-    n = L / m[..., None]
+    n = L / max3(L)[..., None]
     b, c = n[..., _NEXT], n[..., _PREV]
     num = b * b + c * c - n * n
     den = 2.0 * b * c
@@ -156,7 +154,7 @@ def opposite_cosines(L: np.ndarray) -> np.ndarray:
     return np.clip(num / den, -1.0, 1.0)
 
 
-def face_angles(tri: Triangulation, lengths) -> np.ndarray:
+def face_angles(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     """(..., F, 3) array: entry [f, s] is the angle facing slot s of face f.
 
     Lengths as for :func:`side_lengths`.  Faces are in id order; the
@@ -166,43 +164,33 @@ def face_angles(tri: Triangulation, lengths) -> np.ndarray:
     return np.arccos(opposite_cosines(side_lengths(tri, lengths)))
 
 
-def degenerate_faces(tri: Triangulation, lengths: dict[int, float]) -> list[int]:
+def degenerate_faces(tri: Triangulation, lengths: np.ndarray) -> list[int]:
     """Face ids that fail a strict triangle inequality."""
     L = side_lengths(tri, lengths)
-    m = L.max(axis=1)
-    bad = m >= (L[:, 0] + L[:, 1] + L[:, 2]) - m
-    face_ids = tri.arrays.face_ids
-    return [face_ids[k] for k in np.flatnonzero(bad)]
+    m = max3(L)
+    return np.flatnonzero(m >= (L[:, 0] + L[:, 1] + L[:, 2]) - m).tolist()
 
 
-def scale_metric(tri: Triangulation, base: dict[int, float], u: np.ndarray) -> dict[int, float]:
+def scale_metric(tri: Triangulation, base: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Scale every edge {i, j} by exp(u_i + u_j).
 
-    A self-edge at vertex i (possible in principle, never produced by the
+    ``u`` may stack points (..., V), giving one metric (..., E) each.  A
+    self-edge at vertex i (possible in principle, never produced by the
     mesh builder) picks up exp(2 u_i), the consistent specialization.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (tri.vertex_count,):
+    if u.shape[-1:] != (tri.vertex_count,):
         raise ValueError(f"expected {tri.vertex_count} log factors, got {u.shape}")
     if not np.all(np.isfinite(u)):
         raise LogFactorOverflow("non-finite log conformal factor")
-    if np.max(np.abs(u)) > LOG_FACTOR_BOUND:
+    if np.any(np.abs(u) > LOG_FACTOR_BOUND):
         raise LogFactorOverflow(
             f"|u| exceeds {LOG_FACTOR_BOUND}; metric would overflow")
-    out = scaled_lengths(tri, edge_lengths(tri, base), u)
-    return dict(zip(tri.arrays.edge_ids, out.tolist()))
-
-
-def scaled_lengths(tri: Triangulation, base: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Unchecked :func:`scale_metric` on an :func:`edge_lengths` array (E,).
-
-    ``u`` may stack points (..., V), giving one metric (..., E) each.
-    """
     ends = tri.arrays.edge_verts
     return np.exp(u[..., ends[:, 0]] + u[..., ends[:, 1]]) * base
 
 
-def curvature(tri: Triangulation, lengths: dict[int, float]) -> np.ndarray:
+def curvature(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     """Angle deficit 2*pi minus the incident corner angles, per vertex.
 
     Degenerate faces contribute their extended angles, so the result is
@@ -243,8 +231,7 @@ def _cot_from_cos(c: float) -> float:
     return c / s
 
 
-def _slot_cos(tri: Triangulation, lengths: dict[int, float],
-              face: int, slot: int) -> float:
+def _slot_cos(tri: Triangulation, lengths, face: int, slot: int) -> float:
     fe = tri.face_edges[face]
     a = lengths[fe[slot]]
     b = lengths[fe[(slot + 1) % 3]]
@@ -253,7 +240,7 @@ def _slot_cos(tri: Triangulation, lengths: dict[int, float],
     return _cos_opposite(a, b, c)
 
 
-def cot_weight(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
+def cot_weight(tri: Triangulation, lengths: np.ndarray, e: int) -> float:
     """Sum of the cotangents of the two angles facing edge ``e``.
 
     Degenerate faces contribute +/-COT_CLAMP through the extended angles
@@ -264,7 +251,7 @@ def cot_weight(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
             + _cot_from_cos(_slot_cos(tri, lengths, f2, s2)))
 
 
-def _cot_laplacian(tri: Triangulation, lengths: dict[int, float]) -> scipy.sparse.csr_matrix:
+def _cot_laplacian(tri: Triangulation, lengths: np.ndarray) -> scipy.sparse.csr_matrix:
     """Cot-weight graph Laplacian: -cot_weight off the diagonal, zero row sums.
 
     Self-edges contribute nothing.  Degenerate faces give clamped weights
@@ -285,7 +272,7 @@ def _cot_laplacian(tri: Triangulation, lengths: dict[int, float]) -> scipy.spars
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def curvature_jacobian(tri: Triangulation, lengths: dict[int, float]) -> scipy.sparse.csr_matrix:
+def curvature_jacobian(tri: Triangulation, lengths: np.ndarray) -> scipy.sparse.csr_matrix:
     """Derivative of the deficit vector in the log conformal factors.
 
     Returns a sparse symmetric matrix with zero row sums: off-diagonal
@@ -301,7 +288,7 @@ def curvature_jacobian(tri: Triangulation, lengths: dict[int, float]) -> scipy.s
     return _cot_laplacian(tri, lengths)
 
 
-def alpha_laplacian_apply(tri: Triangulation, lengths: dict[int, float],
+def alpha_laplacian_apply(tri: Triangulation, lengths: np.ndarray,
                           u: np.ndarray, alpha: float, f: np.ndarray) -> np.ndarray:
     """Weighted cotangent Laplacian applied to a vertex function.
 
@@ -316,11 +303,12 @@ def alpha_laplacian_apply(tri: Triangulation, lengths: dict[int, float],
     return -np.exp(-alpha * u) * (_cot_laplacian(tri, lengths) @ f)
 
 
-def is_delaunay(tri: Triangulation, lengths: dict[int, float], e: int) -> bool:
+def is_delaunay(tri: Triangulation, lengths, e: int) -> bool:
     """True when the angles facing edge ``e`` sum to at most pi.
 
     The test is inclusive with DELAUNAY_SLACK so cocircular edges count
-    as Delaunay and are never flipped.
+    as Delaunay and are never flipped.  ``lengths`` may be a metric array
+    or the same lengths as a list, which the flip loop reads faster.
     """
     (f1, s1), (f2, s2) = tri.edge_sides[e]
     return (math.acos(_slot_cos(tri, lengths, f1, s1))
@@ -328,38 +316,40 @@ def is_delaunay(tri: Triangulation, lengths: dict[int, float], e: int) -> bool:
             <= math.pi + DELAUNAY_SLACK)
 
 
-def is_delaunay_all(tri: Triangulation, lengths: dict[int, float]) -> list[int]:
+def is_delaunay_all(tri: Triangulation, lengths: np.ndarray) -> list[int]:
     """Edge ids violating the Delaunay condition, in edge id order.
 
     Per edge, so it agrees bit for bit with the make_delaunay verdict.
     """
-    return [e for e in tri.edge_ids() if not is_delaunay(tri, lengths, e)]
+    L = np.asarray(lengths, dtype=float).tolist()
+    return [e for e in tri.edge_ids() if not is_delaunay(tri, L, e)]
 
 
-def delaunay_margin(tri: Triangulation, lengths):
+def delaunay_margin(tri: Triangulation, lengths: np.ndarray):
     """Smallest pi - (sum of opposite angles) over all edges.
 
     Positive means strictly Delaunay everywhere, zero a cocircular edge,
     negative a violation.  Used by the solver to stop steps just short of
     a flip so surgery happens at (numerically) cocircular configurations.
-    A dict gives a float; an :func:`edge_lengths` array (..., E) gives
-    an array (...) with the minimum of each stacked metric.
+    A metric (E,) gives a float, a stack (..., E) an array (...) with the
+    minimum of each metric.
     """
     theta = face_angles(tri, lengths)
     theta = theta.reshape(theta.shape[:-2] + (3 * theta.shape[-2],))
     sides = tri.arrays.edge_sides
-    margin = (math.pi - theta[..., sides[:, 0]] - theta[..., sides[:, 1]]).min(-1)
-    return float(margin) if isinstance(lengths, dict) else margin
+    return (math.pi - theta[..., sides[:, 0]] - theta[..., sides[:, 1]]).min(-1)
 
 
-def flip_length(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
+def flip_length(tri: Triangulation, lengths, e: int) -> float:
     """Length of the opposite diagonal of edge ``e``'s two-face quad.
 
     Lays the two faces out flat on either side of ``e`` and measures the
     distance between the far corners; the law-of-cosines form below is
     that distance.  Requires both faces nondegenerate and the quad convex
     at the shared diagonal.  A non-Delaunay edge always has a strictly
-    convex quad, so the flip needed to restore Delaunay never fails here.
+    convex quad, so the flip needed to restore Delaunay never fails here;
+    should rounding make the two tests disagree, PredicateConflict says so.
+    Lengths as for :func:`is_delaunay`.
     """
     (f1, s1), (f2, s2) = tri.edge_sides[e]
     fe1, fe2 = tri.face_edges[f1], tri.face_edges[f2]
@@ -381,55 +371,60 @@ def flip_length(tri: Triangulation, lengths: dict[int, float], e: int) -> float:
     at_j = (math.acos(_cos_opposite(l_ki, l_ij, l_jk))
             + math.acos(_cos_opposite(l_il, l_lj, l_ij)))
     if at_i >= math.pi or at_j >= math.pi:
-        assert is_delaunay(tri, lengths, e), \
-            "a non-Delaunay edge cannot have a reflex quad corner"
+        if not is_delaunay(tri, lengths, e):
+            raise PredicateConflict(
+                f"edge {e} is non-Delaunay but its quad is reflex")
         raise NonConvexQuad(
             f"quad of edge {e} is reflex (corner sums {at_i:.6f}, {at_j:.6f})")
     return math.sqrt(max(0.0, l_ki * l_ki + l_il * l_il
                          - 2.0 * l_ki * l_il * math.cos(at_i)))
 
 
-def flip_with_length(tri: Triangulation, lengths: dict[int, float],
-                     e: int) -> tuple[Triangulation, dict[int, float], FlipInfo]:
-    """Flip edge ``e`` and transport the metric; FlipInfo gets both lengths."""
+def flip_with_length(tri: Triangulation, lengths: np.ndarray,
+                     e: int) -> tuple[Triangulation, np.ndarray, FlipInfo]:
+    """Flip edge ``e`` and transport the metric; FlipInfo gets both lengths.
+
+    The new diagonal's length goes into slot ``e`` of a copy of ``lengths``.
+    """
     new_len = flip_length(tri, lengths, e)
-    tri2, info = tri.flip(e, lengths[e], new_len)
-    lengths2 = dict(lengths)
-    del lengths2[e]
-    lengths2[info.new_edge] = new_len
+    tri2, info = tri.flip(e, float(lengths[e]), new_len)
+    lengths2 = np.array(lengths, dtype=float)
+    lengths2[e] = new_len
     return tri2, lengths2, info
 
 
-def make_delaunay(tri: Triangulation, lengths: dict[int, float]
-                  ) -> tuple[Triangulation, dict[int, float], list[FlipInfo]]:
+def make_delaunay(tri: Triangulation, lengths: np.ndarray
+                  ) -> tuple[Triangulation, np.ndarray, list[FlipInfo]]:
     """Flip edges until every edge passes the Delaunay test.
 
     FIFO queue seeded with all edges; each flip re-enqueues the four rim
     edges of its quad.  The output metric is isometric to the input (same
     deficit at every vertex).  All input faces must be nondegenerate.
+    The loop reads and rewrites the lengths as a list, in place.
     """
     cap = FLIP_CAP_FACTOR * tri.edge_count ** 2
+    L = np.asarray(lengths, dtype=float).tolist()
     queue = deque(tri.edge_ids())
     flips: list[FlipInfo] = []
     while queue:
         e = queue.popleft()
-        if e not in tri.edge_sides:
-            continue
-        if is_delaunay(tri, lengths, e):
+        if is_delaunay(tri, L, e):
             continue
         if len(flips) >= cap:
             raise FlipLimitExceeded(
                 f"{len(flips)} flips without reaching a Delaunay state")
-        tri, lengths, info = flip_with_length(tri, lengths, e)
+        new_len = flip_length(tri, L, e)
+        tri, info = tri.flip(e, L[e], new_len)
+        L[e] = new_len
         flips.append(info)
         queue.extend(info.rim)
     if flips:
         log.debug("make_delaunay performed %d flips", len(flips))
-    return tri, lengths, flips
+    return tri, np.array(L), flips
 
 
-def delaunay_surgery(tri: Triangulation, base: dict[int, float], u: np.ndarray
-                     ) -> tuple[Triangulation, dict[int, float], list[FlipInfo]]:
+def delaunay_surgery(tri: Triangulation, base: np.ndarray, u: np.ndarray
+                     ) -> tuple[Triangulation, np.ndarray, list[FlipInfo]]:
     """make_delaunay in the metric scaled by ``u``, transporting base lengths.
 
     The conformal factors stay attached to vertices, so a flipped-in edge
@@ -437,15 +432,11 @@ def delaunay_surgery(tri: Triangulation, base: dict[int, float], u: np.ndarray
     edges keep their base length bit for bit.
     """
     u = np.asarray(u, dtype=float)
-    scaled = scale_metric(tri, base, u)
-    tri2, scaled2, flips = make_delaunay(tri, scaled)
+    tri2, scaled2, flips = make_delaunay(tri, scale_metric(tri, base, u))
     if not flips:
         return tri, base, flips
-    base2 = {}
-    for e in tri2.edge_ids():
-        if e in base:
-            base2[e] = base[e]
-        else:
-            a, b = tri2.edge_vertices(e)
-            base2[e] = scaled2[e] * math.exp(-(u[a] + u[b]))
+    base2 = np.array(base, dtype=float)
+    for e in {info.edge for info in flips}:
+        a, b = tri2.edge_vertices(e)
+        base2[e] = scaled2[e] * math.exp(-(u[a] + u[b]))
     return tri2, base2, flips

@@ -2,8 +2,11 @@
 
 The central type is :class:`Triangulation`.  Faces are oriented vertex
 triples; edges are opaque integer ids rather than vertex pairs, because a
-flip can create two distinct edges joining the same pair of vertices.  The
-bookkeeping convention used everywhere:
+flip can create two distinct edges joining the same pair of vertices.
+Edge ids are the slots 0..E-1 and face ids the slots 0..F-1; a flip
+writes the new diagonal and the two new faces into the slots of the old
+ones, so ids are permanent and a metric is one float array indexed by
+edge id.  The bookkeeping convention used everywhere:
 
 * slot ``s`` of face ``f`` is the directed half-edge from ``faces[f][s]``
   to ``faces[f][(s + 1) % 3]``,
@@ -46,14 +49,10 @@ class FlipInfo:
 
     Attributes
     ----------
-    removed_edge : int
-        Edge id that no longer exists.
-    new_edge : int
-        Fresh id of the replacement diagonal.
-    removed_faces : tuple[int, int]
-        Face ids that were retired.
-    new_faces : tuple[int, int]
-        Face ids of the two new triangles.
+    edge : int
+        Id of the flipped edge; the new diagonal keeps it.
+    faces : tuple[int, int]
+        Ids of the two faces of the quad; the two new triangles keep them.
     quad : tuple[int, int, int, int]
         Vertices (i, j, k, l): the flipped edge joined i and j, the new
         one joins k and l.
@@ -63,10 +62,8 @@ class FlipInfo:
         Diagonal lengths, when given to :meth:`Triangulation.flip`.
     """
 
-    removed_edge: int
-    new_edge: int
-    removed_faces: tuple[int, int]
-    new_faces: tuple[int, int]
+    edge: int
+    faces: tuple[int, int]
     quad: tuple[int, int, int, int]
     rim: tuple[int, int, int, int]
     old_length: float | None = None
@@ -76,13 +73,11 @@ class FlipInfo:
 class IndexArrays(NamedTuple):
     """Index arrays for whole-mesh NumPy kernels.
 
-    Edges and faces are numbered by position in id order.  A corner
-    position ``3 * face position + slot`` indexes a flattened (F, 3) array.
+    Rows are edge or face ids.  A corner position ``3 * face + slot``
+    indexes a flattened (F, 3) array.
     """
 
-    edge_ids: list[int]     # edge id at each edge position
-    face_ids: list[int]     # face id at each face position
-    face_edges: np.ndarray  # (F, 3) edge position in each slot
+    face_edges: np.ndarray  # (F, 3) edge in each slot
     face_verts: np.ndarray  # (F, 3) vertex at each corner
     edge_verts: np.ndarray  # (E, 2) endpoints, ordered as edge_vertices()
     edge_sides: np.ndarray  # (E, 2) corner positions of the two sides
@@ -101,23 +96,18 @@ class Triangulation:
         "face_edges",
         "edge_sides",
         "chi",
-        "_next_edge",
-        "_next_face",
         "_vertex_corners",
         "_arrays",
     )
 
-    def __init__(self, vertex_count, faces, face_edges, edge_sides,
-                 next_edge, next_face):
+    def __init__(self, vertex_count, faces, face_edges, edge_sides):
         self.vertex_count = vertex_count
         self.faces = faces            # face id -> (i, j, k)
         self.face_edges = face_edges  # face id -> edge ids by slot
         self.edge_sides = edge_sides  # edge id -> (Side, Side)
         self.chi = vertex_count - len(edge_sides) + len(faces)
-        self._next_edge = next_edge
-        self._next_face = next_face
         corners: list[list[Side]] = [[] for _ in range(vertex_count)]
-        for f, tri in faces.items():
+        for f, tri in enumerate(faces):
             for c in range(3):
                 corners[tri[c]].append((f, c))
         self._vertex_corners = corners
@@ -133,11 +123,11 @@ class Triangulation:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def edge_ids(self) -> list[int]:
-        return list(self.edge_sides)
+    def edge_ids(self) -> range:
+        return range(len(self.edge_sides))
 
-    def face_ids(self) -> list[int]:
-        return list(self.faces)
+    def face_ids(self) -> range:
+        return range(len(self.faces))
 
     def edge_vertices(self, e: int) -> tuple[int, int]:
         """Endpoints of edge ``e`` in the direction of its first side."""
@@ -164,20 +154,13 @@ class Triangulation:
         only ever queried edge by edge.
         """
         if self._arrays is None:
-            edge_ids, face_ids = list(self.edge_sides), list(self.faces)
-            edge_pos = {e: k for k, e in enumerate(edge_ids)}
-            face_pos = {f: k for k, f in enumerate(face_ids)}
             self._arrays = IndexArrays(
-                edge_ids=edge_ids, face_ids=face_ids,
-                face_edges=np.array([[edge_pos[e] for e in self.face_edges[f]]
-                                     for f in face_ids], dtype=np.intp),
-                face_verts=np.array([self.faces[f] for f in face_ids],
+                face_edges=np.array(self.face_edges, dtype=np.intp),
+                face_verts=np.array(self.faces, dtype=np.intp),
+                edge_verts=np.array([self.edge_vertices(e) for e in self.edge_ids()],
                                     dtype=np.intp),
-                edge_verts=np.array([self.edge_vertices(e) for e in edge_ids],
-                                    dtype=np.intp),
-                edge_sides=np.array([[3 * face_pos[f] + s
-                                      for f, s in self.edge_sides[e]]
-                                     for e in edge_ids], dtype=np.intp))
+                edge_sides=np.array([[3 * f + s for f, s in sides]
+                                     for sides in self.edge_sides], dtype=np.intp))
         return self._arrays
 
     # --- flip ----------------------------------------------------------
@@ -186,10 +169,11 @@ class Triangulation:
              new_length: float | None = None) -> tuple["Triangulation", FlipInfo]:
         """Replace the diagonal ``e`` of its two-face quad by the other one.
 
-        Faces (i,j,k) and (j,i,l) become (i,l,k) and (l,j,k); the new edge
-        joining k and l receives a fresh id, as do the two new faces.  The
-        four rim edges keep their ids.  Diagonal lengths, when given, are
-        recorded on the FlipInfo.
+        Faces f1 = (i,j,k) and f2 = (j,i,l) become f1 = (l,j,k) and
+        f2 = (i,l,k), and the new edge joining k and l keeps the id ``e``:
+        every id survives the flip.  Each new face takes the slot of the
+        old face whose rim edge at j or i it keeps (jk or il).  Diagonal
+        lengths, when given, are recorded on the FlipInfo.
 
             k                 k
            / \\               /|\\
@@ -205,7 +189,7 @@ class Triangulation:
             If the two faces coincide or share all three vertices, so the
             flip would create a face with a repeated vertex.
         """
-        if e not in self.edge_sides:
+        if not 0 <= e < len(self.edge_sides):
             raise KeyError(f"no edge {e}")
         (f1, s1), (f2, s2) = self.edge_sides[e]
         if f1 == f2:
@@ -224,35 +208,25 @@ class Triangulation:
         e_il = e2[(s2 + 1) % 3]
         e_lj = e2[(s2 + 2) % 3]
 
-        g = self._next_edge
-        fa, fb = self._next_face, self._next_face + 1
+        faces = list(self.faces)
+        face_edges = list(self.face_edges)
+        edge_sides = list(self.edge_sides)
+        faces[f1] = (l, j, k)
+        faces[f2] = (i, l, k)
+        face_edges[f1] = (e_lj, e_jk, e)
+        face_edges[f2] = (e_il, e, e_ki)
+        edge_sides[e] = ((f2, 1), (f1, 2))
+        # Old sides map to new ones all at once: with the face ids reused,
+        # a side written for one rim edge can equal an old side of another.
+        moved = {(f1, (s1 + 1) % 3): (f1, 1), (f1, (s1 + 2) % 3): (f2, 2),
+                 (f2, (s2 + 1) % 3): (f2, 0), (f2, (s2 + 2) % 3): (f1, 0)}
+        for edge in {e_jk, e_ki, e_il, e_lj}:
+            a, b = self.edge_sides[edge]
+            edge_sides[edge] = (moved.get(a, a), moved.get(b, b))
 
-        faces = dict(self.faces)
-        face_edges = dict(self.face_edges)
-        edge_sides = dict(self.edge_sides)
-        del faces[f1], faces[f2]
-        del face_edges[f1], face_edges[f2]
-        del edge_sides[e]
-        faces[fa] = (i, l, k)
-        faces[fb] = (l, j, k)
-        face_edges[fa] = (e_il, g, e_ki)
-        face_edges[fb] = (e_lj, e_jk, g)
-        edge_sides[g] = ((fa, 1), (fb, 2))
-
-        def reanchor(edge: int, old: Side, new: Side) -> None:
-            a, b = edge_sides[edge]
-            edge_sides[edge] = (new, b) if a == old else (a, new)
-
-        reanchor(e_il, (f2, (s2 + 1) % 3), (fa, 0))
-        reanchor(e_ki, (f1, (s1 + 2) % 3), (fa, 2))
-        reanchor(e_lj, (f2, (s2 + 2) % 3), (fb, 0))
-        reanchor(e_jk, (f1, (s1 + 1) % 3), (fb, 1))
-
-        tri = Triangulation(self.vertex_count, faces, face_edges, edge_sides,
-                            g + 1, fb + 1)
-        info = FlipInfo(removed_edge=e, new_edge=g,
-                        removed_faces=(f1, f2), new_faces=(fa, fb),
-                        quad=(i, j, k, l), rim=(e_jk, e_ki, e_il, e_lj),
+        tri = Triangulation(self.vertex_count, faces, face_edges, edge_sides)
+        info = FlipInfo(edge=e, faces=(f1, f2), quad=(i, j, k, l),
+                        rim=(e_jk, e_ki, e_il, e_lj),
                         old_length=old_length, new_length=new_length)
         return tri, info
 
@@ -263,6 +237,24 @@ def flip_edge(tri: Triangulation, e: int) -> tuple[Triangulation, FlipInfo]:
 
 
 # --- construction ------------------------------------------------------
+
+def _vertex_triples(face_list, vertex_count: int | None) -> tuple[list, int]:
+    """Faces as int triples of distinct vertices, and the vertex count."""
+    faces: list[tuple[int, int, int]] = []
+    for idx, tri in enumerate(face_list):
+        tri = tuple(int(v) for v in tri)
+        if len(tri) != 3:
+            raise NonTriangularFace(f"face {idx} has {len(tri)} vertices")
+        if len(set(tri)) != 3:
+            raise NonManifold(f"face {idx} repeats a vertex: {tri}")
+        faces.append(tri)
+
+    seen = {v for tri in faces for v in tri}
+    n = vertex_count if vertex_count is not None else (max(seen) + 1 if seen else 0)
+    if seen and (min(seen) < 0 or max(seen) >= n):
+        raise ParseError(f"vertex index out of range 0..{n - 1}")
+    return faces, n
+
 
 def build_triangulation(face_list: list[tuple[int, int, int]],
                         vertex_count: int | None = None) -> Triangulation:
@@ -277,56 +269,44 @@ def build_triangulation(face_list: list[tuple[int, int, int]],
     Raises NonTriangularFace, NonManifold, OrientationConflict or
     Disconnected as appropriate.
     """
-    faces: dict[int, tuple[int, int, int]] = {}
-    for idx, tri in enumerate(face_list):
-        tri = tuple(int(v) for v in tri)
-        if len(tri) != 3:
-            raise NonTriangularFace(f"face {idx} has {len(tri)} vertices")
-        if len(set(tri)) != 3:
-            raise NonManifold(f"face {idx} repeats a vertex: {tri}")
-        faces[idx] = tri
+    faces, n = _vertex_triples(face_list, vertex_count)
+    return _glue(faces, n, None)
 
-    seen = {v for tri in faces.values() for v in tri}
-    n = vertex_count if vertex_count is not None else (max(seen) + 1 if seen else 0)
-    if seen and (min(seen) < 0 or max(seen) >= n):
-        raise ParseError(f"vertex index out of range 0..{n - 1}")
 
-    # Pair directed half-edges into undirected edges.
-    by_pair: dict[tuple[int, int], list[Side]] = {}
-    for f, tri in faces.items():
+def _glue(faces, vertex_count: int, slot_ids: dict[Side, int] | None) -> Triangulation:
+    """Glue half-edges into edges and validate the surface.
+
+    Half-edges join when they share a key: their vertex pair, led by
+    their id in ``slot_ids`` when given.  Within a key the i-th half-edge
+    from the smaller vertex pairs with the i-th one back, in face order,
+    and edges are numbered in key order, so ids 0..E-1 are kept.
+    """
+    groups: dict[object, tuple[list[Side], list[Side]]] = {}
+    for f, tri in enumerate(faces):
         for s in range(3):
             a, b = tri[s], tri[(s + 1) % 3]
-            by_pair.setdefault((min(a, b), max(a, b)), []).append((f, s))
-
-    def direction(side: Side) -> tuple[int, int]:
-        f, s = side
-        return faces[f][s], faces[f][(s + 1) % 3]
-
-    face_edges_mut: dict[int, list[int | None]] = {f: [None, None, None] for f in faces}
-    edge_sides: dict[int, tuple[Side, Side]] = {}
-    eid = 0
-    for pair in sorted(by_pair):
-        sides = by_pair[pair]
-        fwd = [s for s in sides if direction(s) == (pair[0], pair[1])]
-        rev = [s for s in sides if direction(s) != (pair[0], pair[1])]
+            pair = (min(a, b), max(a, b))
+            key = pair if slot_ids is None else (slot_ids[f, s], pair)
+            groups.setdefault(key, ([], []))[a > b].append((f, s))
+    edge_sides: list[tuple[Side, Side]] = []
+    for key in sorted(groups):
+        fwd, rev = groups[key]
         if len(fwd) != len(rev):
-            if len(sides) % 2 == 0:
+            if (len(fwd) + len(rev)) % 2 == 0:
                 raise OrientationConflict(
-                    f"half-edges of {pair} cannot be matched head-to-tail")
+                    f"half-edges of {key} cannot be matched head-to-tail")
             raise NonManifold(
-                f"edge {pair} is incident to {len(sides)} half-edges")
-        for a, b in zip(fwd, rev):
-            edge_sides[eid] = (a, b)
-            face_edges_mut[a[0]][a[1]] = eid
-            face_edges_mut[b[0]][b[1]] = eid
-            eid += 1
-    face_edges = {f: tuple(slots) for f, slots in face_edges_mut.items()}
-
-    tri = Triangulation(n, faces, face_edges, edge_sides, eid, len(faces))
+                f"edge {key} is incident to {len(fwd) + len(rev)} half-edges")
+        edge_sides.extend(zip(fwd, rev))
+    face_edges: list[list[int]] = [[0, 0, 0] for _ in faces]
+    for e, ((f, s), (g, t)) in enumerate(edge_sides):
+        face_edges[f][s] = face_edges[g][t] = e
+    tri = Triangulation(vertex_count, faces, [tuple(ids) for ids in face_edges],
+                        edge_sides)
     _check_vertex_links(tri)
     _check_connected(tri)
     log.debug("built triangulation: %d vertices, %d edges, %d faces, chi=%d",
-              n, tri.edge_count, tri.face_count, tri.chi)
+              vertex_count, tri.edge_count, tri.face_count, tri.chi)
     return tri
 
 
@@ -357,7 +337,7 @@ def _check_connected(tri: Triangulation) -> None:
     if not tri.faces:
         raise Disconnected("empty face list")
     seen: set[int] = set()
-    stack = [next(iter(tri.faces))]
+    stack = [0]
     while stack:
         f = stack.pop()
         if f in seen:
@@ -370,7 +350,7 @@ def _check_connected(tri: Triangulation) -> None:
     if len(seen) != len(tri.faces):
         raise Disconnected(
             f"only {len(seen)} of {len(tri.faces)} faces reachable")
-    touched = {v for t in tri.faces.values() for v in t}
+    touched = {v for t in tri.faces for v in t}
     if len(touched) != tri.vertex_count:
         raise Disconnected("isolated vertices present")
 
@@ -386,8 +366,8 @@ def infer_format(path: str) -> str:
     raise ParseError(f"cannot infer format of {path!r}; pass --format")
 
 
-def load_mesh(path: str, fmt: str | None = None) -> tuple[Triangulation, dict[int, float]]:
-    """Load a mesh file and return (triangulation, edge length map).
+def load_mesh(path: str, fmt: str | None = None) -> tuple[Triangulation, np.ndarray]:
+    """Load a mesh file and return (triangulation, lengths by edge id).
 
     ``fmt`` is one of ``"off"``, ``"obj"`` or ``"lengths"``; when omitted
     it is inferred from the file extension.  Coordinate formats (OFF, OBJ)
@@ -459,7 +439,7 @@ def _parse_obj(text: str):
 
 def _from_coordinates(verts, face_list):
     tri = build_triangulation(face_list, vertex_count=len(verts))
-    lengths: dict[int, float] = {}
+    lengths = []
     for e in tri.edge_ids():
         a, b = tri.edge_vertices(e)
         pa, pb = verts[a], verts[b]
@@ -469,17 +449,18 @@ def _from_coordinates(verts, face_list):
             raise NonFiniteValue(f"edge {a}-{b} has non-finite length {d!r}")
         if d <= 0.0:
             raise ZeroLengthEdge(f"vertices {a} and {b} coincide")
-        lengths[e] = d
-    return tri, lengths
+        lengths.append(d)
+    return tri, np.array(lengths)
 
 
-def parse_lengths_json(text: str) -> tuple[Triangulation, dict[int, float]]:
+def parse_lengths_json(text: str) -> tuple[Triangulation, np.ndarray]:
     """Parse the JSON length format.
 
     Two variants: ``"lengths"`` entries keyed by (face index, opposite
     vertex), which survives doubled edges, and a flat ``"edge_lengths"``
     list of [i, j, value] triples that is only accepted when every vertex
-    pair carries at most one edge.
+    pair carries at most one edge.  Per-face entries may also carry the
+    id of their edge; then half-edges are glued by id, not first come.
     """
     try:
         doc = json.loads(text)
@@ -493,35 +474,48 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, dict[int, float]]:
     for f in face_list:
         if len(f) != 3:
             raise NonTriangularFace(f"face {f} is not a triangle")
-    tri = build_triangulation(face_list, vertex_count=n)
 
-    lengths: dict[int, float] = {}
     if "lengths" in doc:
+        records: list[tuple[Side, float]] = []
+        slot_ids: dict[Side, int] = {}
         for rec in doc["lengths"]:
             try:
                 f = int(rec["face"])
                 opp = int(rec["opposite"])
                 val = float(rec["length"])
+                edge = int(rec["edge"]) if "edge" in rec else None
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad length record {rec!r}: {exc}") from exc
-            if f not in tri.faces:
+            if not 0 <= f < len(face_list):
                 raise ParseError(f"length record names unknown face {f}")
-            corners = tri.faces[f]
+            corners = face_list[f]
             if opp not in corners:
                 raise ParseError(
                     f"vertex {opp} is not a corner of face {f}")
-            slot = (corners.index(opp) + 1) % 3
-            e = tri.face_edges[f][slot]
+            side = (f, (corners.index(opp) + 1) % 3)
             if not math.isfinite(val):
                 raise NonFiniteValue(f"non-finite length for face {f}")
             if val <= 0.0:
                 raise ZeroLengthEdge(f"non-positive length for face {f}")
-            if e in lengths and abs(lengths[e] - val) > 1e-12 * max(lengths[e], val):
+            records.append((side, val))
+            if edge is not None:
+                if slot_ids.setdefault(side, edge) != edge:
+                    raise ParseError(f"face {f} gives two ids to one edge")
+        if slot_ids and len(slot_ids) != 3 * len(face_list):
+            raise ParseError("some face slot has no edge id")
+        tri = (_glue(*_vertex_triples(face_list, n), slot_ids) if slot_ids
+               else build_triangulation(face_list, vertex_count=n))
+        lengths: list[float | None] = [None] * tri.edge_count
+        for (f, slot), val in records:
+            e = tri.face_edges[f][slot]
+            if lengths[e] is not None and abs(lengths[e] - val) > 1e-12 * max(lengths[e], val):
                 raise ParseError(
                     f"edge {e} given inconsistent lengths "
                     f"{lengths[e]!r} and {val!r}")
             lengths[e] = val
     elif "edge_lengths" in doc:
+        tri = build_triangulation(face_list, vertex_count=n)
+        lengths = [None] * tri.edge_count
         pair_to_edge: dict[tuple[int, int], int] = {}
         for e in tri.edge_ids():
             a, b = tri.edge_vertices(e)
@@ -546,24 +540,29 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, dict[int, float]]:
     else:
         raise ParseError("need either 'lengths' or 'edge_lengths'")
 
-    missing = [e for e in tri.edge_ids() if e not in lengths]
+    missing = lengths.count(None)
     if missing:
-        raise ParseError(f"{len(missing)} edges have no length")
-    return tri, lengths
+        raise ParseError(f"{missing} edges have no length")
+    return tri, np.array(lengths)
 
 
-def lengths_json_doc(tri: Triangulation, lengths: dict[int, float]) -> dict:
-    """Serializable document in the per-face length format."""
-    face_ids = tri.face_ids()
-    order = {f: idx for idx, f in enumerate(face_ids)}
+def lengths_json_doc(tri: Triangulation, lengths: np.ndarray) -> dict:
+    """Serializable document in the per-face length format, faces by id.
+
+    When two edges join the same vertex pair, the first-come pairing of
+    the reader need not give back this gluing (flips put faces in any
+    order), so every record then also carries its edge id.
+    """
+    lengths = np.asarray(lengths, dtype=float).tolist()
+    doubled = len({frozenset(tri.edge_vertices(e)) for e in tri.edge_ids()}) < tri.edge_count
     recs = []
-    for f in face_ids:
-        corners = tri.faces[f]
+    for f, (corners, edges) in enumerate(zip(tri.faces, tri.face_edges)):
         for slot in range(3):
-            e = tri.face_edges[f][slot]
-            recs.append({"face": order[f],
-                         "opposite": corners[(slot + 2) % 3],
-                         "length": lengths[e]})
+            rec = {"face": f, "opposite": corners[(slot + 2) % 3],
+                   "length": lengths[edges[slot]]}
+            if doubled:
+                rec["edge"] = edges[slot]
+            recs.append(rec)
     return {"vertices": tri.vertex_count,
-            "faces": [list(tri.faces[f]) for f in face_ids],
+            "faces": [list(t) for t in tri.faces],
             "lengths": recs}

@@ -35,6 +35,7 @@ from .geometry import (
     curvature_jacobian,
     degenerate_faces,
     delaunay_surgery,
+    max3,
     opposite_cosines,
     scale_metric,
     side_lengths,
@@ -111,7 +112,7 @@ def _phi(base: np.ndarray, v: np.ndarray) -> np.ndarray:
     length lambda_a, is opposite corner a and picks up v_b + v_c.
     """
     lam = v[..., [1, 2, 0]] + v[..., [2, 0, 1]] + np.log(base)
-    theta = np.arccos(opposite_cosines(np.exp(lam - lam.max(axis=-1, keepdims=True))))
+    theta = np.arccos(opposite_cosines(np.exp(lam - max3(lam)[..., None])))
     return (math.pi * v.sum(axis=-1)
             - ((theta * lam).sum(axis=-1) + lobachevsky(theta).sum(axis=-1)))
 
@@ -204,7 +205,7 @@ class Target:
         return rbar, kind
 
 
-def energy_W_alpha(tri: Triangulation, base: dict[int, float], u: np.ndarray,
+def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
                    u_ref: np.ndarray, alpha: float, rbar: np.ndarray,
                    offset: float = 0.0, with_hessian: bool = True) -> EnergyReport:
     """Total curvature energy of the scaled metric, anchored at ``u_ref``.
@@ -261,12 +262,11 @@ class TraceRow:
 class NewtonResult:
     u: np.ndarray
     tri: Triangulation
-    base: dict[int, float]
+    base: np.ndarray
     report: EnergyReport
     curvature: CurvatureReport
     kind: str
     iterations: int
-    converged: bool
     flips: int
     trace: list[TraceRow] = field(default_factory=list)
 
@@ -286,7 +286,7 @@ def apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
     return u + math.log(conserved / float(np.sum(np.exp(alpha * u)))) / alpha
 
 
-def _first_wall(tri: Triangulation, base: dict[int, float], u: np.ndarray,
+def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
                 delta: np.ndarray) -> tuple[float, bool]:
     """Largest step fraction in (0, 1] before Delaunayness is lost.
 
@@ -301,14 +301,11 @@ def _first_wall(tri: Triangulation, base: dict[int, float], u: np.ndarray,
     One kernel call scores all panels, and one the next _BISECT_DEPTH
     bisection levels, with the result of probing point by point.
     """
-    base_e = geometry.edge_lengths(tri, base)
-
     def below(s: list[float]) -> np.ndarray:
         U = u + np.array(s)[:, None] * delta
         ok = np.abs(U).max(axis=1) <= geometry.LOG_FACTOR_BOUND  # False on NaN
         margin = np.full(len(s), -math.inf)
-        margin[ok] = geometry.delaunay_margin(
-            tri, geometry.scaled_lengths(tri, base_e, U[ok]))
+        margin[ok] = geometry.delaunay_margin(tri, scale_metric(tri, base, U[ok]))
         return margin < _WALL_MARGIN
 
     panels = [k / _WALL_PANELS for k in range(_WALL_PANELS + 1)]
@@ -332,9 +329,9 @@ def _first_wall(tri: Triangulation, base: dict[int, float], u: np.ndarray,
     return hi, True
 
 
-def carry_chart(tri: Triangulation, base: dict[int, float], u_from: np.ndarray,
+def carry_chart(tri: Triangulation, base: np.ndarray, u_from: np.ndarray,
                 u_to: np.ndarray, on_flip=None
-                ) -> tuple[Triangulation, dict[int, float], list[FlipInfo]]:
+                ) -> tuple[Triangulation, np.ndarray, list[FlipInfo]]:
     """Transport the chart along the straight segment from u_from to u_to.
 
     Walks the segment and performs each flip at the wall where the edge
@@ -366,7 +363,7 @@ def carry_chart(tri: Triangulation, base: dict[int, float], u_from: np.ndarray,
     return tri, base, flips
 
 
-def newton_solve(tri: Triangulation, base: dict[int, float], u0,
+def newton_solve(tri: Triangulation, base: np.ndarray, u0,
                  alpha: float, target: Target, tol: float = 1e-10,
                  max_iter: int = 100) -> NewtonResult:
     """Minimize the curvature energy until the gradient is below ``tol``.
@@ -380,6 +377,7 @@ def newton_solve(tri: Triangulation, base: dict[int, float], u0,
     gauge-carrying target class ("zero") steps are solved orthogonal to
     constants and the normalization sum(exp(alpha*u)) (sum(u) at
     alpha = 0) is restored by a closed-form shift after each step.
+    Returns only once converged: every way of stopping short raises.
     """
     u = np.asarray(u0, dtype=float).copy()
     n = tri.vertex_count
@@ -486,7 +484,7 @@ def newton_solve(tri: Triangulation, base: dict[int, float], u0,
              iterations, total_flips, grad_inf)
     return NewtonResult(u=u, tri=tri_c, base=base_c, report=rep,
                         curvature=curv, kind=kind, iterations=iterations,
-                        converged=True, flips=total_flips, trace=trace)
+                        flips=total_flips, trace=trace)
 
 
 # --- rigidity experiment ------------------------------------------------
@@ -507,7 +505,7 @@ class RigidityReport:
                 f"spread {self.spread:.3e}")
 
 
-def rigidity_check(tri: Triangulation, base: dict[int, float], alpha: float,
+def rigidity_check(tri: Triangulation, base: np.ndarray, alpha: float,
                    target: Target, trials: int = 5, tol: float = 1e-10,
                    seed: int = 0, spread: float = 0.3) -> RigidityReport:
     """Solve from several random starts and compare the solutions.

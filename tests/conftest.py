@@ -82,7 +82,7 @@ GENUS2_FACES = [
 
 
 def unit_lengths(tri):
-    return {e: 1.0 for e in tri.edge_ids()}
+    return np.ones(tri.edge_count)
 
 
 @pytest.fixture
@@ -104,11 +104,12 @@ def lattice_torus_lengths(torus9):
 def cube12():
     """Cube triangulation together with its coordinate edge lengths."""
     tri = build_triangulation(cube12_faces())
-    lens = {}
-    for e in tri.edge_ids():
-        a, b = tri.edge_vertices(e)
-        lens[e] = math.dist(CUBE_COORDS[a], CUBE_COORDS[b])
-    return tri, lens
+    return tri, cube_lengths(tri)
+
+
+def cube_lengths(tri):
+    return np.array([math.dist(*(CUBE_COORDS[v] for v in tri.edge_vertices(e)))
+                     for e in tri.edge_ids()])
 
 
 @pytest.fixture
@@ -118,7 +119,7 @@ def genus2():
 
 def random_lengths(tri, rng, spread=0.4):
     """Independent log-uniform lengths; faces may legitimately degenerate."""
-    return {e: math.exp(rng.uniform(-spread, spread)) for e in tri.edge_ids()}
+    return np.array([math.exp(rng.uniform(-spread, spread)) for _ in tri.edge_ids()])
 
 
 def all_fixture_meshes():
@@ -127,14 +128,7 @@ def all_fixture_meshes():
     for name, faces in [("tetra", TETRA_FACES), ("torus9", torus9_faces()),
                         ("cube12", cube12_faces()), ("genus2", GENUS2_FACES)]:
         tri = build_triangulation(faces)
-        if name == "cube12":
-            lens = {}
-            for e in tri.edge_ids():
-                a, b = tri.edge_vertices(e)
-                pa, pb = CUBE_COORDS[a], CUBE_COORDS[b]
-                lens[e] = math.dist(pa, pb)
-        else:
-            lens = unit_lengths(tri)
+        lens = cube_lengths(tri) if name == "cube12" else unit_lengths(tri)
         out.append((name, tri, lens))
     return out
 
@@ -212,8 +206,8 @@ def energy_value_quadrature(tri, base, u, u_ref, alpha, rbar):
 # --- point-by-point oracle for the wall search --------------------------------
 #
 # Production scores all panels, and several bisection levels, per kernel
-# call on edge arrays.  This is the reference it must reproduce: one
-# scale_metric and one dict delaunay_margin per probe point.
+# call on stacks of metrics.  This is the reference it must reproduce:
+# one scale_metric and one delaunay_margin per probe point.
 
 def first_wall_reference(tri, base, u, delta):
     """solver._first_wall probing one point of the segment at a time."""

@@ -129,12 +129,13 @@ def test_c03_flip_isometry():
         k0 = geometry.curvature(tri, lens)
         try:
             tri2, lens2, info = geometry.flip_with_length(tri, lens, e)
-            tri3, lens3, back = geometry.flip_with_length(
-                tri2, lens2, info.new_edge)
+            # the new diagonal keeps the id, so flipping e again undoes it
+            tri3, lens3, back = geometry.flip_with_length(tri2, lens2, e)
         except (NonConvexQuad, DegenerateFace, FlipDegeneratesComplex):
             continue
+        assert info.edge == back.edge == e
         dk = float(np.max(np.abs(geometry.curvature(tri2, lens2) - k0)))
-        dlen = abs(lens3[back.new_edge] - lens[e])
+        dlen = abs(lens3[e] - lens[e])
         worst_k = max(worst_k, dk)
         worst_len = max(worst_len, dlen)
         assert dk < 1e-9 and dlen < 1e-9

@@ -53,7 +53,7 @@ def torus_file(tmp_path):
 def kite_file(tmp_path):
     tri = build_triangulation(torus9_faces())
     lens = unit_lengths(tri)
-    lens[sorted(lens)[0]] = 1.9
+    lens[0] = 1.9
     return write_lengths(tmp_path / "kite.json", tri, lens)
 
 
@@ -316,6 +316,27 @@ class TestReplay:
         assert "RuntimeError" in message and "\n" not in message
 
 
+class TestSeed:
+    """Only solve draws random numbers, so only solve takes --seed."""
+
+    @pytest.mark.parametrize("command", [["curvature"], ["flow"],
+                                         ["delaunay", "--check"]])
+    def test_seed_rejected_off_solve(self, capsys, tetra_file, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command[0], tetra_file, *command[1:], "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_manifest_keeps_seed_zero(self, capsys, tmp_path, tetra_file):
+        man = tmp_path / "curvature.json"
+        code, _ = run_cli(capsys, ["curvature", tetra_file,
+                                   "--manifest", str(man)])
+        assert code == 0
+        assert json.loads(man.read_text())["seed"] == 0
+        code, _ = run_cli(capsys, ["replay", str(man)])
+        assert code == 0
+
+
 class TestExtremeInput:
     """A 1e200 edge is a valid metric whose faces are flat; inf and NaN are
     rejected at load.  main() must return the documented code: an
@@ -325,7 +346,7 @@ class TestExtremeInput:
     def torus_with_edge(tmp_path, value):
         tri = build_triangulation(torus9_faces())
         lens = unit_lengths(tri)
-        lens[sorted(lens)[0]] = value
+        lens[0] = value
         return write_lengths(tmp_path / "extreme.json", tri, lens)
 
     def test_huge_edge_curvature_keeps_gauss_bonnet(self, capsys, tmp_path):

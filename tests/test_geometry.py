@@ -83,7 +83,7 @@ class TestScaleMetric:
     def test_identity(self, tetra):
         lengths = unit_lengths(tetra)
         out = scale_metric(tetra, lengths, np.zeros(4))
-        assert out == lengths
+        assert np.array_equal(out, lengths)
 
     def test_single_edge_factor(self, tetra):
         lengths = unit_lengths(tetra)
@@ -99,7 +99,7 @@ class TestScaleMetric:
         lam = 1.7
         u = np.full(9, math.log(lam))
         out = scale_metric(torus9, lattice_torus_lengths, u)
-        for e, v in lattice_torus_lengths.items():
+        for e, v in enumerate(lattice_torus_lengths):
             assert out[e] == pytest.approx(lam * lam * v, rel=1e-14)
 
     def test_overflow_guard(self, tetra):
@@ -399,6 +399,14 @@ class TestFlipLength:
         with pytest.raises(errors.NonConvexQuad):
             flip_length(tri, lengths, e)
 
+    def test_reflex_quad_with_nondelaunay_verdict_raises(self, monkeypatch):
+        # A non-Delaunay edge cannot have a reflex quad in exact arithmetic;
+        # force the disagreement and expect a typed error, not an assert.
+        tri, lengths = tetra_metric({(1, 2): 1.9, (1, 3): 1.9})
+        monkeypatch.setattr(geometry, "is_delaunay", lambda *args: False)
+        with pytest.raises(errors.PredicateConflict):
+            flip_length(tri, lengths, edge_by_pair(tri, 0, 1))
+
     def test_nondelaunay_quads_are_convex(self):
         # every non-Delaunay edge over many random metrics must flip
         rng = np.random.default_rng(59)
@@ -437,12 +445,12 @@ class TestMakeDelaunay:
         tri2, lengths2, flips = make_delaunay(tetra, lengths)
         assert flips == []
         assert tri2 is tetra
-        assert lengths2 == lengths
+        assert np.array_equal(lengths2, lengths)
 
     def test_kite_in_torus_single_flip(self, torus9, lattice_torus_lengths):
         # lengthen one lattice diagonal to 2 and its quad rim to 1.2:
         # exactly that edge violates Delaunay and exactly one flip fixes it
-        lengths = dict(lattice_torus_lengths)
+        lengths = lattice_torus_lengths.copy()
         e_long = edge_by_pair(torus9, 1, 3)
         lengths[e_long] = 2.0
         for a, b in ((0, 1), (1, 4), (4, 3), (3, 0)):
@@ -450,8 +458,10 @@ class TestMakeDelaunay:
         assert is_delaunay_all(torus9, lengths) == [e_long]
         tri2, lengths2, flips = make_delaunay(torus9, lengths)
         assert len(flips) == 1
-        assert flips[0].removed_edge == e_long
-        assert lengths2[flips[0].new_edge] == pytest.approx(
+        # the new diagonal {0, 4} takes over the flipped edge's id
+        assert flips[0].edge == e_long
+        assert set(tri2.edge_vertices(e_long)) == {0, 4}
+        assert lengths2[e_long] == pytest.approx(
             2.0 * math.sqrt(0.44), rel=1e-12)
         assert is_delaunay_all(tri2, lengths2) == []
         assert curvature(tri2, lengths2) == pytest.approx(

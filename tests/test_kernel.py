@@ -2,8 +2,8 @@
 
 Metrics are random log-uniform edge lengths, wide enough that many faces
 degenerate.  Triangulations are the fixture meshes after random flips,
-so edge ids are non-contiguous and doubled edges occur (genus 2 has them
-from the start).
+so slots hold flipped-in edges and faces, and doubled edges occur
+(genus 2 has them from the start).
 """
 
 import math
@@ -44,7 +44,7 @@ def metrics(draw):
             pass
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     spread = draw(st.floats(0.05, 1.5))
-    lengths = {e: math.exp(rng.uniform(-spread, spread)) for e in tri.edge_ids()}
+    lengths = np.array([math.exp(rng.uniform(-spread, spread)) for _ in tri.edge_ids()])
     return tri, lengths
 
 

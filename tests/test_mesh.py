@@ -105,21 +105,26 @@ class TestFlip:
         assert tri2.edge_count == torus9.edge_count
         assert tri2.face_count == torus9.face_count
         assert tri2.chi == torus9.chi
-        assert info.new_edge not in torus9.edge_sides
+        # the new diagonal and faces take over the old ids
+        assert info.edge == e
         i, j, k, l = info.quad
-        assert set(tri2.edge_vertices(info.new_edge)) == {k, l}
+        assert set(tri2.edge_vertices(e)) == {k, l}
         assert {i, j} == set(torus9.edge_vertices(e))
+        assert {f for f, _ in tri2.edge_sides[e]} == set(info.faces)
+        assert {f for f, _ in torus9.edge_sides[e]} == set(info.faces)
 
     def test_flip_is_new_value(self, torus9):
         e = torus9.edge_ids()[0]
+        before = (list(torus9.faces), list(torus9.face_edges),
+                  list(torus9.edge_sides))
         tri2, _ = flip_edge(torus9, e)
-        assert e in torus9.edge_sides
-        assert e not in tri2.edge_sides
+        assert (torus9.faces, torus9.face_edges, torus9.edge_sides) == before
+        assert set(tri2.edge_vertices(e)) != set(torus9.edge_vertices(e))
 
     def test_flip_flip_back_isomorphic(self, torus9):
         e = torus9.edge_ids()[5]
         tri2, info = flip_edge(torus9, e)
-        tri3, info2 = flip_edge(tri2, info.new_edge)
+        tri3, info2 = flip_edge(tri2, e)
         assert face_multiset(tri3) == face_multiset(torus9)
         assert edge_pair_multiset(tri3) == edge_pair_multiset(torus9)
 
@@ -179,7 +184,7 @@ class TestLoad:
         p.write_text("\n".join(lines) + "\n")
         tri, lengths = load_mesh(str(p))
         assert tri.chi == 2
-        for v in lengths.values():
+        for v in lengths:
             assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_obj_cube(self, tmp_path):
@@ -191,7 +196,7 @@ class TestLoad:
         assert tri.vertex_count == 8
         assert tri.edge_count == 18
         assert tri.chi == 2
-        vals = sorted(set(round(v, 12) for v in lengths.values()))
+        vals = sorted(set(round(v, 12) for v in lengths))
         assert vals == [1.0, round(math.sqrt(2.0), 12)]
 
     def test_off_format_from_fixture_text(self, tmp_path):
@@ -205,7 +210,7 @@ class TestLoad:
                "edge_lengths": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
         tri, lengths = parse_lengths_json(json.dumps(doc))
         assert tri.chi == 2
-        assert all(v == 1.0 for v in lengths.values())
+        assert all(v == 1.0 for v in lengths)
 
     def test_lengths_json_per_face_form(self):
         doc = {"vertices": 4, "faces": [list(f) for f in TETRA_FACES],
@@ -216,7 +221,7 @@ class TestLoad:
                     {"face": fi, "opposite": opp, "length": 2.0})
         tri, lengths = parse_lengths_json(json.dumps(doc))
         assert len(lengths) == 6
-        assert all(v == 2.0 for v in lengths.values())
+        assert all(v == 2.0 for v in lengths)
 
     def test_pair_form_rejected_on_doubled_edges(self, tetra):
         e01 = next(e for e in tetra.edge_ids()
@@ -248,11 +253,11 @@ class TestLoad:
             parse_lengths_json(json.dumps(doc))
 
     def test_roundtrip_doc(self, torus9):
-        lengths = {e: 1.0 + 0.01 * i for i, e in enumerate(torus9.edge_ids())}
+        lengths = 1.0 + 0.01 * np.arange(torus9.edge_count)
         doc = lengths_json_doc(torus9, lengths)
         tri2, lengths2 = parse_lengths_json(json.dumps(doc))
         assert tri2.vertex_count == 9
-        assert sorted(lengths2.values()) == pytest.approx(sorted(lengths.values()))
+        assert sorted(lengths2) == pytest.approx(sorted(lengths))
 
     def test_bad_off(self, tmp_path):
         p = tmp_path / "x.off"

@@ -1,9 +1,9 @@
 """The array wall search against the point-by-point oracle, and chart transport.
 
 ``solver._first_wall`` scores the 16 panels, and then several bisection
-levels, per kernel call on stacked edge arrays.  It must return what
-probing one point at a time with ``scale_metric`` and the dict
-``delaunay_margin`` returns (``first_wall_reference`` in conftest).
+levels, per kernel call on stacked metrics.  It must return what
+probing one point at a time with ``scale_metric`` and ``delaunay_margin``
+on a single metric returns (``first_wall_reference`` in conftest).
 """
 
 import ast
@@ -56,7 +56,7 @@ def segments(draw):
             pass
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     spread = draw(st.floats(0.0, 0.5))
-    base = {e: math.exp(rng.uniform(-spread, spread)) for e in tri.edge_ids()}
+    base = np.array([math.exp(rng.uniform(-spread, spread)) for _ in tri.edge_ids()])
     n = tri.vertex_count
     u = rng.uniform(-0.3, 0.3, n) * draw(st.floats(0.0, 1.0))
     scale = draw(st.sampled_from([0.0, 1e-4, 0.05, 0.5, 2.0, 20.0]))
@@ -79,7 +79,7 @@ class TestWallCases:
         # one edge at 1.3: Delaunay, with a wall once its ends grow
         tri = build_triangulation(torus9_faces())
         base = unit_lengths(tri)
-        e = sorted(base)[0]
+        e = 0
         base[e] = 1.3
         ends = np.zeros(tri.vertex_count)
         ends[list(tri.edge_vertices(e))] = 1.0
@@ -110,13 +110,12 @@ class TestWallCases:
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, len(MESHES) - 1), st.integers(0, 2 ** 32 - 1),
        st.integers(0, 5))
-def test_stacked_margin_is_each_dict_margin(mesh, seed, count):
+def test_stacked_margin_is_each_single_margin(mesh, seed, count):
     tri = MESHES[mesh]
     rng = np.random.default_rng(seed)
-    base = {e: math.exp(rng.uniform(-0.5, 0.5)) for e in tri.edge_ids()}
+    base = np.array([math.exp(rng.uniform(-0.5, 0.5)) for _ in tri.edge_ids()])
     U = rng.uniform(-1.0, 1.0, (count, tri.vertex_count))
-    stacked = delaunay_margin(
-        tri, geometry.scaled_lengths(tri, geometry.edge_lengths(tri, base), U))
+    stacked = delaunay_margin(tri, scale_metric(tri, base, U))
     assert stacked.shape == (count,)
     for k in range(count):
         assert stacked[k] == delaunay_margin(tri, scale_metric(tri, base, U[k]))
@@ -135,19 +134,19 @@ class TestCarryChart:
         s, _ = _first_wall(tri, base, np.zeros(9), 0.3 * ends)
         assert np.array_equal(at, s * 0.3 * ends)
         info = infos[0]
-        assert info.old_length == scale_metric(tri, base, at)[info.removed_edge]
+        assert info.old_length == scale_metric(tri, base, at)[info.edge]
         assert info.new_length == pytest.approx(
-            scale_metric(out_tri, out_base, at)[info.new_edge], rel=1e-14)
+            scale_metric(out_tri, out_base, at)[info.edge], rel=1e-14)
         assert geometry.is_delaunay_all(
             out_tri, scale_metric(out_tri, out_base, 0.3 * ends)) == []
 
     def test_flip_with_length_reports_both_lengths(self):
         tri = build_triangulation(torus9_faces())
         lengths = unit_lengths(tri)
-        e = sorted(lengths)[0]
+        e = 0
         tri2, lengths2, info = geometry.flip_with_length(tri, lengths, e)
         assert info.old_length == 1.0
-        assert info.new_length == lengths2[info.new_edge]
+        assert info.new_length == lengths2[e]
 
     def test_flip_cap_raises_one_error_type(self, monkeypatch):
         # a cap of zero flips: the solver's and the flow's carry both trip it
@@ -155,7 +154,7 @@ class TestCarryChart:
         monkeypatch.setattr(geometry, "FLIP_CAP_FACTOR", 0)
         with pytest.raises(errors.FlipLimitExceeded):
             carry_chart(tri, base, np.zeros(9), 0.3 * ends)
-        base[sorted(base)[0]] = 1.9  # past the wall: the first step flips
+        base[0] = 1.9  # past the wall: the first step flips
         with pytest.raises(errors.FlipLimitExceeded):
             step(make_state(tri, base, np.zeros(9), 1.0),
                  FlowConfig(kind="yamabe", dt=1e-12))
