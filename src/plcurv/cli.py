@@ -2,8 +2,9 @@
 
 Every run is described by a RunManifest; ``plcurv replay manifest.json``
 re-executes the recorded command through the same code path, so outputs
-are byte-identical.  All floats are printed with 17 significant digits
-and files are written atomically (temp file + rename).
+are byte-identical; it refuses an input whose SHA-256 differs from the
+manifest's.  All floats are printed with 17 significant digits and files
+are written atomically (temp file + rename).
 
 Exit codes: 0 success/converged, 1 Delaunay violations found (--check),
 2 parse error, 3 validation error, 4 flow hit max-steps, 5 runtime
@@ -13,13 +14,14 @@ failure, 6 unsupported curvature target.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,11 +124,13 @@ class RunManifest:
     seed: int
     config: dict
     outputs: dict
+    input_sha256: str | None = None
 
     def to_doc(self) -> dict:
         return {"command": self.command,
                 "input": {"path": self.input_path,
-                          "format": self.input_format},
+                          "format": self.input_format,
+                          "sha256": self.input_sha256},
                 "alpha": self.alpha,
                 "seed": self.seed,
                 "config": self.config,
@@ -141,7 +145,8 @@ class RunManifest:
                       alpha=float(doc["alpha"]),
                       seed=int(doc["seed"]),
                       config=dict(doc["config"]),
-                      outputs=dict(doc["outputs"]))
+                      outputs=dict(doc["outputs"]),
+                      input_sha256=doc["input"].get("sha256"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed manifest: {exc}") from exc
         missing = [f"config.{k}" for k in _CONFIG_KEYS.get(man.command, ())
@@ -159,6 +164,14 @@ def _load_input(man: RunManifest):
         return mesh.load_mesh(man.input_path, fmt=man.input_format)
     except OSError as exc:
         raise ParseError(f"cannot read {man.input_path!r}: {exc}") from exc
+
+
+def _sha256(path: str) -> str:
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _read_json_file(path: str):
@@ -399,6 +412,7 @@ def _launch(args: argparse.Namespace, command: str, config: dict,
                       seed=getattr(args, "seed", 0),
                       config=config, outputs=outputs)
     if args.manifest:
+        man = replace(man, input_sha256=_sha256(args.input))
         _atomic_write(args.manifest, _json_text(man.to_doc()) + "\n")
     return _execute(man)
 
@@ -434,7 +448,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     doc = _read_json_file(args.manifest)
     if not isinstance(doc, dict):
         raise ParseError(f"{args.manifest!r} does not hold a manifest object")
-    return _execute(RunManifest.from_doc(doc))
+    man = RunManifest.from_doc(doc)
+    if _sha256(man.input_path) != man.input_sha256:  # also when none recorded
+        raise ParseError(f"input {man.input_path!r} does not match the "
+                         f"manifest's sha256 {man.input_sha256}")
+    return _execute(man)
 
 
 def main(argv=None) -> int:

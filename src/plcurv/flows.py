@@ -80,10 +80,10 @@ class FlowState:
     """Flow trajectory point plus the bookkeeping that travels with it.
 
     ``base`` holds lengths of the current triangulation at u = 0, so the
-    current metric is exp(u_i + u_j) * base_ij.  ``u_ref``/``w_offset``
-    anchor the energy chart (the offset keeps the reported energy
-    continuous across flips), ``rbar`` is the average curvature frozen
-    at the start (the conserved weight sum keeps it meaningful), and
+    current metric is exp(u_i + u_j) * base_ij.  ``w_offset`` is minus
+    the energy at the start, so ``w_value`` starts at 0; flips leave the
+    energy unchanged.  ``rbar`` is the average curvature frozen at the
+    start (the conserved weight sum keeps it meaningful), and
     ``conserved_target`` is the weight sum the renormalization restores.
     """
 
@@ -98,8 +98,7 @@ class FlowState:
     dt: float | None = None
     last_dt: float = 0.0
     accept_streak: int = 0
-    # energy chart
-    u_ref: np.ndarray | None = None
+    # energy
     w_offset: float = 0.0
     w_value: float = 0.0
     rbar: np.ndarray | None = None
@@ -145,15 +144,15 @@ def make_state(tri: Triangulation, base: np.ndarray, u0,
         raise ValueError(f"u0 has shape {u0.shape}, expected "
                          f"({tri.vertex_count},)")
     rbar, _ = Target.constant().resolve(alpha, tri.chi, u0)
+    start = energy_W_alpha(tri, base, u0, alpha, rbar, with_hessian=False)
     return FlowState(tri=tri, base=base, u=u0, alpha=float(alpha),
-                     u_ref=u0.copy(), rbar=rbar,
+                     w_offset=-start.value, rbar=rbar,
                      conserved_target=conserved_sum(u0, alpha))
 
 
-def _curvature_report(state: FlowState, u=None) -> geometry.CurvatureReport:
-    u_at = state.u if u is None else u
-    scaled = scale_metric(state.tri, state.base, u_at)
-    return alpha_curvature(curvature(state.tri, scaled), u_at, state.alpha,
+def _curvature_report(state: FlowState) -> geometry.CurvatureReport:
+    scaled = scale_metric(state.tri, state.base, state.u)
+    return alpha_curvature(curvature(state.tri, scaled), state.u, state.alpha,
                            chi=state.tri.chi)
 
 
@@ -177,8 +176,8 @@ def _rhs_at(state: FlowState, kind: str, u: np.ndarray) -> np.ndarray:
 
 
 def _energy_at(state: FlowState, u: np.ndarray) -> float:
-    rep = energy_W_alpha(state.tri, state.base, u, state.u_ref, state.alpha,
-                         state.rbar, offset=state.w_offset, with_hessian=False)
+    rep = energy_W_alpha(state.tri, state.base, u, state.alpha, state.rbar,
+                         offset=state.w_offset, with_hessian=False)
     return rep.value
 
 
@@ -200,26 +199,20 @@ def _wall_surgery(state: FlowState, u_to: np.ndarray, dt_used: float
     Each flip happens at the point where its edge turns cocircular,
     where the length carried to the new diagonal does not depend on the
     step size, so flows and Newton solves stay comparable in u down to
-    rigidity tolerances.  The energy anchor (u_ref, offset) is re-glued
-    at every event.  Returns ``state`` on the arrival chart and anchor,
-    and the flip records, timestamped by the fraction of the step walked.
+    rigidity tolerances.  Returns ``state`` on the arrival chart and the
+    flip records, timestamped by the fraction of the step walked.
     """
     records: list[FlipRecord] = []
-    u_ref, offset = state.u_ref, state.w_offset
     span = float(np.linalg.norm(u_to - state.u))
 
-    def glue(tri, base, cur, infos) -> None:
-        nonlocal u_ref, offset
+    def stamp(tri, base, cur, infos) -> None:
         done = 1.0 - float(np.linalg.norm(u_to - cur)) / span if span else 1.0
         t_ev = state.t + done * dt_used
         records.extend(FlipRecord(t_ev, i.edge, i.old_length, i.new_length)
                        for i in infos)
-        offset = energy_W_alpha(tri, base, cur, u_ref, state.alpha, state.rbar,
-                                offset=offset, with_hessian=False).value
-        u_ref = cur.copy()
 
-    tri, base, _ = carry_chart(state.tri, state.base, state.u, u_to, on_flip=glue)
-    return replace(state, tri=tri, base=base, u_ref=u_ref, w_offset=offset), records
+    tri, base, _ = carry_chart(state.tri, state.base, state.u, u_to, on_flip=stamp)
+    return replace(state, tri=tri, base=base), records
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -267,10 +260,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     u_final = u_try
     if config.renormalize:
         u_final = apply_gauge(u_try, state.alpha, state.conserved_target)
-    if records or not np.array_equal(u_final, u_try):
-        w_final = _energy_at(chart, u_final)
-    else:
-        w_final = w_try
+    w_final = (w_try if np.array_equal(u_final, u_try)
+               else _energy_at(chart, u_final))
 
     streak = 0 if halved else state.accept_streak + 1
     dt_next = dt

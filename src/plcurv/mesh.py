@@ -239,10 +239,10 @@ def flip_edge(tri: Triangulation, e: int) -> tuple[Triangulation, FlipInfo]:
 # --- construction ------------------------------------------------------
 
 def _vertex_triples(face_list, vertex_count: int | None) -> tuple[list, int]:
-    """Faces as int triples of distinct vertices, and the vertex count."""
+    """Faces as triples of distinct vertices, and the vertex count."""
     faces: list[tuple[int, int, int]] = []
     for idx, tri in enumerate(face_list):
-        tri = tuple(int(v) for v in tri)
+        tri = tuple(tri)
         if len(tri) != 3:
             raise NonTriangularFace(f"face {idx} has {len(tri)} vertices")
         if len(set(tri)) != 3:
@@ -257,20 +257,20 @@ def _vertex_triples(face_list, vertex_count: int | None) -> tuple[list, int]:
 
 
 def build_triangulation(face_list: list[tuple[int, int, int]],
-                        vertex_count: int | None = None) -> Triangulation:
-    """Assemble and validate a Triangulation from oriented vertex triples.
+                        vertex_count: int | None = None,
+                        slot_ids: dict[Side, int] | None = None) -> Triangulation:
+    """Assemble and validate a Triangulation from oriented int triples.
 
     Directed half-edges (a, b) are matched with opposite half-edges (b, a)
-    in order of appearance.  When the same ordered pair occurs more than
-    once (a doubled edge) the pairing is first-come first-served, which is
-    deterministic; the vertex-link check below still guarantees the result
-    is a closed surface.
+    by edge id when ``slot_ids`` names one per (face, slot), else in order
+    of appearance, first come first served for a doubled edge; the
+    vertex-link check still guarantees the result is a closed surface.
 
     Raises NonTriangularFace, NonManifold, OrientationConflict or
     Disconnected as appropriate.
     """
     faces, n = _vertex_triples(face_list, vertex_count)
-    return _glue(faces, n, None)
+    return _glue(faces, n, slot_ids)
 
 
 def _glue(faces, vertex_count: int, slot_ids: dict[Side, int] | None) -> Triangulation:
@@ -471,9 +471,6 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, np.ndarray]:
         face_list = [tuple(int(v) for v in f) for f in doc["faces"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
-    for f in face_list:
-        if len(f) != 3:
-            raise NonTriangularFace(f"face {f} is not a triangle")
 
     if "lengths" in doc:
         records: list[tuple[Side, float]] = []
@@ -503,8 +500,7 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, np.ndarray]:
                     raise ParseError(f"face {f} gives two ids to one edge")
         if slot_ids and len(slot_ids) != 3 * len(face_list):
             raise ParseError("some face slot has no edge id")
-        tri = (_glue(*_vertex_triples(face_list, n), slot_ids) if slot_ids
-               else build_triangulation(face_list, vertex_count=n))
+        tri = build_triangulation(face_list, n, slot_ids or None)
         lengths: list[float | None] = [None] * tri.edge_count
         for (f, slot), val in records:
             e = tri.face_edges[f][slot]

@@ -6,15 +6,16 @@ function of u once the angles are extended constantly past degeneracy.
 Summed with the linear and exponential vertex terms this yields a convex
 total energy whose gradient is exactly (deficit - target * weight); a
 damped Newton iteration with Delaunay surgery after each accepted step
-minimizes it.  Energies from different triangulations are glued with an
-additive offset so the reported value stays continuous across flips.
+minimizes it.  Written in the scaled log lengths, the energy takes the
+same value in every Delaunay triangulation of a metric, so flips leave
+it unchanged and need no correction.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -117,27 +118,24 @@ def _phi(base: np.ndarray, v: np.ndarray) -> np.ndarray:
             - ((theta * lam).sum(axis=-1) + lobachevsky(theta).sum(axis=-1)))
 
 
-def triangle_energy(base_lengths, u, u0) -> float:
-    """Line integral of the extended corner angles from u0 to u.
+def triangle_energy(base_lengths, u) -> float:
+    """Antiderivative in u of the extended corner angles.
 
-    ``base_lengths[a]`` is the side opposite corner a at u = 0; moving
-    along the straight segment in u-space, the integrand is
-    sum_a angle_a * du_a.  Concave in u; the partial derivative in u_a is
-    the extended angle at corner a.  Evaluated in closed form through
+    ``base_lengths[a]`` is the side opposite corner a at u = 0.  Concave
+    in u; the partial derivative in u_a is the extended angle at corner
+    a, so the difference of two values is the line integral of
+    sum_a angle_a * du_a between them.  Evaluated in closed form through
     :func:`lobachevsky`.  Batched: arrays of shape (3, F) give the sum
     over the F triangles, and shape (3,) is the single-triangle case.
     """
     base = np.asarray(base_lengths, dtype=float)
     u = np.asarray(u, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    if base.ndim not in (1, 2) or base.shape[0] != 3 \
-            or u.shape != base.shape or u0.shape != base.shape:
+    if base.ndim not in (1, 2) or base.shape[0] != 3 or u.shape != base.shape:
         raise ValueError("triangle_energy expects (3,) or (3, F) base lengths "
-                         "and u-arrays of the same shape")
+                         "and a u-array of the same shape")
     if not np.all(base > 0.0):
         raise geometry.NonPositiveLength(f"base lengths {base} not positive")
-    base, u, u0 = base.T, u.T, u0.T
-    return float(np.sum(_phi(base, u) - _phi(base, u0)))
+    return float(np.sum(_phi(base.T, u.T)))
 
 
 # --- total energy -------------------------------------------------------
@@ -163,7 +161,7 @@ class Target:
     """Prescribed per-vertex curvature values, or the constant target.
 
     The constant target's value is pinned by the total-deficit constraint
-    at resolve time: rho = 2*pi*chi / sum(exp(alpha*u_ref)).
+    at the u given to resolve: rho = 2*pi*chi / sum(exp(alpha*u)).
     """
 
     values: np.ndarray | None = None
@@ -176,7 +174,7 @@ class Target:
     def prescribed(cls, values) -> "Target":
         return cls(np.asarray(values, dtype=float))
 
-    def resolve(self, alpha: float, chi: int, u_ref: np.ndarray
+    def resolve(self, alpha: float, chi: int, u: np.ndarray
                 ) -> tuple[np.ndarray, str]:
         """Concrete target vector and its admissibility class.
 
@@ -185,10 +183,10 @@ class Target:
         somewhere: strictly convex energy, unique solution) and
         "unsupported" (some positive entry).
         """
-        u_ref = np.asarray(u_ref, dtype=float)
-        n = u_ref.shape[0]
+        u = np.asarray(u, dtype=float)
+        n = u.shape[0]
         if self.values is None:
-            rho = TWO_PI * chi / float(np.sum(np.exp(alpha * u_ref)))
+            rho = TWO_PI * chi / float(np.sum(np.exp(alpha * u)))
             rbar = np.full(n, rho)
         else:
             if self.values.shape != (n,):
@@ -206,32 +204,32 @@ class Target:
 
 
 def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
-                   u_ref: np.ndarray, alpha: float, rbar: np.ndarray,
-                   offset: float = 0.0, with_hessian: bool = True) -> EnergyReport:
-    """Total curvature energy of the scaled metric, anchored at ``u_ref``.
+                   alpha: float, rbar: np.ndarray, offset: float = 0.0,
+                   with_hessian: bool = True) -> EnergyReport:
+    """Total curvature energy of the scaled metric, plus ``offset``.
 
-    value = offset - sum_faces triangle_energy(u; u_ref)
-            + sum_i [2*pi*(u_i - u_ref_i) - rbar_i * (e^(a u_i) - e^(a u_ref_i)) / a]
-    (the last term degenerates to rbar_i * (u_i - u_ref_i) at alpha = 0).
-    Valid for any u, Delaunay or not; convex per fixed triangulation when
-    the target is admissible.  The Hessian requires nondegenerate faces.
+    value = offset - sum_faces triangle_energy(u) - pi * sum_edges log base
+            + sum_i [2*pi*u_i - rbar_i * e^(a u_i) / a]
+    (the last term is (2*pi - rbar_i) * u_i at alpha = 0).  The face and
+    edge terms together are a function of the scaled lengths that a flip
+    at a cocircular edge leaves unchanged, so the value is the same in
+    every Delaunay triangulation of the metric.  Valid for any u,
+    Delaunay or not; convex per fixed triangulation when the target is
+    admissible.  The Hessian requires nondegenerate faces.
     """
     u = np.asarray(u, dtype=float)
-    u_ref = np.asarray(u_ref, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
 
     # the side opposite corner a is the edge in slot (a + 1) % 3
     opposite = side_lengths(tri, base)[:, [1, 2, 0]].T
-    corners = tri.arrays.face_verts.T
-    total_faces = triangle_energy(opposite, u[corners], u_ref[corners])
+    total_faces = triangle_energy(opposite, u[tri.arrays.face_verts.T])
 
     if alpha == 0.0:
-        vertex_term = float(np.sum((TWO_PI - rbar) * (u - u_ref)))
+        vertex_term = float(np.sum((TWO_PI - rbar) * u))
     else:
-        vertex_term = float(np.sum(
-            TWO_PI * (u - u_ref)
-            - rbar * (np.exp(alpha * u) - np.exp(alpha * u_ref)) / alpha))
-    value = offset - total_faces + vertex_term
+        vertex_term = float(np.sum(TWO_PI * u - rbar * np.exp(alpha * u) / alpha))
+    value = (offset - total_faces - math.pi * float(np.sum(np.log(base)))
+             + vertex_term)
 
     scaled = scale_metric(tri, base, u)
     K = curvature(tri, scaled)
@@ -369,14 +367,14 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     """Minimize the curvature energy until the gradient is below ``tol``.
 
     Damped Newton with Armijo backtracking; every accepted step is
-    followed by Delaunay surgery, and the energy is re-anchored there
-    with an additive offset so reported values stay continuous.  Trial
-    steps are capped at the first point where an edge would go
-    non-Delaunay, so the flips happen at cocircular quads and the
-    transported base lengths do not depend on the route taken.  For the
-    gauge-carrying target class ("zero") steps are solved orthogonal to
-    constants and the normalization sum(exp(alpha*u)) (sum(u) at
-    alpha = 0) is restored by a closed-form shift after each step.
+    followed by Delaunay surgery, which leaves the energy unchanged, and
+    reported values are relative to the start.  Trial steps are capped
+    at the first point where an edge would go non-Delaunay, so the flips
+    happen at cocircular quads and the transported base lengths do not
+    depend on the route taken.  For the gauge-carrying target class
+    ("zero") steps are solved orthogonal to constants and the
+    normalization sum(exp(alpha*u)) (sum(u) at alpha = 0) is restored by
+    a closed-form shift after each step.
     Returns only once converged: every way of stopping short raises.
     """
     u = np.asarray(u0, dtype=float).copy()
@@ -389,7 +387,7 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
             "alpha * target has positive entries; the energy is not convex")
     conserved = float(np.sum(u)) if alpha == 0.0 else float(np.sum(np.exp(alpha * u)))
 
-    # Anchor the chart at u = 0 (shared by every solve on this mesh) and
+    # Start the chart at u = 0 (shared by every solve on this mesh) and
     # carry it to the start with flips at the walls; surgery directly at a
     # deeply non-Delaunay start would give each start its own transported
     # base lengths and solutions from different starts could not be
@@ -397,14 +395,14 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     tri_c, base_c, flips0 = delaunay_surgery(tri, base, np.zeros(n))
     tri_c, base_c, carried = carry_chart(tri_c, base_c, np.zeros(n), u)
     total_flips = len(flips0) + len(carried)
-    u_ref = u.copy()
-    offset = 0.0
+    start = energy_W_alpha(tri_c, base_c, u, alpha, rbar)
+    offset = -start.value
 
     def evaluate(u_at: np.ndarray, with_hessian: bool) -> EnergyReport:
-        return energy_W_alpha(tri_c, base_c, u_at, u_ref, alpha, rbar,
+        return energy_W_alpha(tri_c, base_c, u_at, alpha, rbar,
                               offset=offset, with_hessian=with_hessian)
 
-    rep = evaluate(u, with_hessian=True)
+    rep = replace(start, value=0.0)
     grad_inf = float(np.max(np.abs(rep.gradient)))
     trace = [TraceRow(0, grad_inf, rep.value, 0.0, total_flips)]
     ones = np.ones(n)
@@ -466,13 +464,8 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
         u = accepted
         if kind == "zero":
             u = apply_gauge(u, alpha, conserved)
-        tri_new, base_new, flips = delaunay_surgery(tri_c, base_c, u)
-        if flips:
-            # glue: new chart must report the same value at the flip point
-            offset = evaluate(u, with_hessian=False).value
-            tri_c, base_c = tri_new, base_new
-            u_ref = u.copy()
-            total_flips += len(flips)
+        tri_c, base_c, flips = delaunay_surgery(tri_c, base_c, u)
+        total_flips += len(flips)
         rep = evaluate(u, with_hessian=True)
         grad_inf = float(np.max(np.abs(rep.gradient)))
         trace.append(TraceRow(it, grad_inf, rep.value, step, len(flips)))

@@ -1,13 +1,20 @@
 """Shared mesh fixtures: small closed surfaces used across the test suite."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from plcurv import geometry, solver
 from plcurv.errors import LogFactorOverflow
 from plcurv.mesh import build_triangulation
+
+# A failing property prints the blob that reproduces it under the "ci"
+# profile (HYPOTHESIS_PROFILE=ci); each test keeps its own max_examples.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Oriented tetrahedron boundary.
 TETRA_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
@@ -16,24 +23,29 @@ TETRA_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
 SPHERE2_FACES = [(0, 1, 2), (0, 2, 1)]
 
 
-def torus9_faces():
-    """Flat 3x3 grid torus on the triangular lattice, 18 faces.
+def lattice_torus_faces(m):
+    """Flat m x m grid torus on the triangular lattice, 2*m*m faces.
 
     Cell (r, c) has corners P=(r,c) Q=(r,c+1) R=(r+1,c+1) S=(r+1,c) and is
-    split along Q-S, which keeps all 27 edges unit length on the lattice
-    spanned by (1,0) and (1/2, sqrt(3)/2).
+    split along Q-S, which keeps all 3*m*m edges unit length on the
+    lattice spanned by (1,0) and (1/2, sqrt(3)/2).
     """
     def v(r, c):
-        return 3 * (r % 3) + (c % 3)
+        return m * (r % m) + (c % m)
 
     faces = []
-    for r in range(3):
-        for c in range(3):
+    for r in range(m):
+        for c in range(m):
             p, q = v(r, c), v(r, c + 1)
             rr, s = v(r + 1, c + 1), v(r + 1, c)
             faces.append((p, q, s))
             faces.append((q, rr, s))
     return faces
+
+
+def torus9_faces():
+    """The 3x3 lattice torus: 9 vertices, 27 edges, 18 faces."""
+    return lattice_torus_faces(3)
 
 
 CUBE_QUADS = [
@@ -188,7 +200,7 @@ def triangle_energy_quadrature(base, u, u0, tol=QUADRATURE_TOL):
 
 
 def energy_value_quadrature(tri, base, u, u_ref, alpha, rbar):
-    """energy_W_alpha(...).value at offset 0, faces integrated by quadrature."""
+    """E(u) - E(u_ref) of energy_W_alpha, faces integrated by quadrature."""
     faces = 0.0
     for f in tri.face_ids():
         e0, e1, e2 = tri.face_edges[f]

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, manifests, replay."""
 
+import hashlib
 import json
 import math
 import os
@@ -283,6 +284,58 @@ class TestReplay:
         assert code == 0
         assert out.read_bytes() == first_out
         assert trace.read_bytes() == first_trace
+
+    @staticmethod
+    def fix_with_manifest(capsys, tmp_path, path):
+        out = tmp_path / "fixed.json"
+        man = tmp_path / "run.json"
+        code, _ = run_cli(capsys, ["delaunay", path, "--fix", "--out",
+                                   str(out), "--manifest", str(man)])
+        assert code == 0
+        first = out.read_bytes()
+        out.unlink()
+        return out, man, first
+
+    def test_manifest_records_input_hash_and_replays(self, capsys, tmp_path,
+                                                     kite_file):
+        out, man, first = self.fix_with_manifest(capsys, tmp_path, kite_file)
+        with open(kite_file, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert json.loads(man.read_text())["input"]["sha256"] == digest
+        code, _ = run_cli(capsys, ["replay", str(man)])
+        assert code == 0
+        assert out.read_bytes() == first
+
+    def test_changed_input_byte_exits_2(self, capsys, tmp_path, tetra_off):
+        out, man, first = self.fix_with_manifest(capsys, tmp_path, tetra_off)
+        with open(tetra_off, "rb") as fh:
+            data = fh.read()
+        with open(tetra_off, "wb") as fh:  # vertex 0 moves to (1, 1, 2)
+            fh.write(data.replace(b"\n1 1 1\n", b"\n1 1 2\n"))
+        code, _ = run_cli(capsys, ["replay", str(man)])
+        assert code == 2
+        assert not out.exists()
+        # the changed file is a valid input that would have diverged
+        code, _ = run_cli(capsys, ["delaunay", tetra_off, "--fix", "--out",
+                                   str(out)])
+        assert code == 0
+        assert out.read_bytes() != first
+
+    def test_manifest_without_input_hash_exits_2(self, capsys, tmp_path,
+                                                 kite_file):
+        _, man, _ = self.fix_with_manifest(capsys, tmp_path, kite_file)
+        doc = json.loads(man.read_text())
+        del doc["input"]["sha256"]
+        man.write_text(json.dumps(doc))
+        code, _ = run_cli(capsys, ["replay", str(man)])
+        assert code == 2
+
+    def test_no_manifest_hashes_nothing(self, capsys, monkeypatch, kite_file):
+        def refuse(path):
+            raise AssertionError("hashed without --manifest")
+        monkeypatch.setattr(cli, "_sha256", refuse)
+        code, _ = run_cli(capsys, ["curvature", kite_file])
+        assert code == 0
 
     def test_missing_manifest_exits_2(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["replay", str(tmp_path / "none.json")])

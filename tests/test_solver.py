@@ -62,10 +62,15 @@ class TestLobachevsky:
                 lobachevsky(x), abs=1e-12)
 
 
+def line_integral(base, u, u0):
+    """Integral of the extended angles from u0 to u, as two energy values."""
+    return triangle_energy(base, u) - triangle_energy(base, u0)
+
+
 class TestTriangleEnergy:
     def test_empty_path(self):
         u = np.array([0.3, -0.1, 0.2])
-        assert triangle_energy((1.0, 2.0, 1.5), u, u) == 0.0
+        assert line_integral((1.0, 2.0, 1.5), u, u) == 0.0
         assert triangle_energy_quadrature((1.0, 2.0, 1.5), u, u) == 0.0
 
     def test_equilateral_diagonal(self):
@@ -73,7 +78,7 @@ class TestTriangleEnergy:
         # is pi/3, and the integral is pi * delta_s
         base = (1.0, 1.0, 1.0)
         for s0, s1 in ((0.0, 0.25), (-0.4, 0.1)):
-            got = triangle_energy(base, np.full(3, s1), np.full(3, s0))
+            got = line_integral(base, np.full(3, s1), np.full(3, s0))
             assert got == pytest.approx(math.pi * (s1 - s0), abs=1e-12)
 
     def test_partials_are_extended_angles(self):
@@ -83,7 +88,6 @@ class TestTriangleEnergy:
                  np.array([0.0, 0.0, 0.0]),
                  np.array([2.0, -1.0, -1.0])]  # deeply degenerate: flat face
         base = np.array([1.0, 1.2, 0.9])
-        u0 = np.array([0.05, -0.02, 0.01])
         for u in cases + [rng.uniform(-0.5, 0.5, 3) for _ in range(5)]:
             lam = [u[(a + 1) % 3] + u[(a + 2) % 3] + math.log(base[a])
                    for a in range(3)]
@@ -94,8 +98,8 @@ class TestTriangleEnergy:
                 dp, dm = u.copy(), u.copy()
                 dp[a] += h
                 dm[a] -= h
-                fd = (triangle_energy(base, dp, u0)
-                      - triangle_energy(base, dm, u0)) / (2 * h)
+                fd = (triangle_energy(base, dp)
+                      - triangle_energy(base, dm)) / (2 * h)
                 assert fd == pytest.approx(theta[a], abs=2e-6)
 
     def test_closed_form_matches_quadrature(self):
@@ -105,7 +109,7 @@ class TestTriangleEnergy:
             u0 = rng.uniform(-0.8, 0.8, 3)
             u = rng.uniform(-0.8, 0.8, 3)
             q = triangle_energy_quadrature(base, u, u0)
-            c = triangle_energy(base, u, u0)
+            c = line_integral(base, u, u0)
             assert c == pytest.approx(q, abs=1e-9)
 
     def test_closed_form_matches_quadrature_across_degeneracy(self):
@@ -115,20 +119,19 @@ class TestTriangleEnergy:
         u0 = np.array([0.0, 0.0, 0.0])
         u = np.array([3.0, -1.5, -1.5])  # very flat at the far end
         q = triangle_energy_quadrature(base, u, u0)
-        c = triangle_energy(base, u, u0)
+        c = line_integral(base, u, u0)
         assert c == pytest.approx(q, abs=1e-8)
 
     def test_concavity(self):
         rng = np.random.default_rng(11)
         base = np.array([1.1, 0.9, 1.0])
-        u0 = np.zeros(3)
         for _ in range(60):
             a = rng.uniform(-1.5, 1.5, 3)
             b = rng.uniform(-1.5, 1.5, 3)
             s = rng.uniform(0.05, 0.95)
-            fa = triangle_energy(base, a, u0)
-            fb = triangle_energy(base, b, u0)
-            fm = triangle_energy(base, s * a + (1 - s) * b, u0)
+            fa = triangle_energy(base, a)
+            fb = triangle_energy(base, b)
+            fm = triangle_energy(base, s * a + (1 - s) * b)
             assert fm >= s * fa + (1 - s) * fb - 1e-9
 
 
@@ -136,8 +139,10 @@ class TestEnergyReport:
     def test_gradient_zero_at_solution(self, torus9, lattice_torus_lengths):
         n = 9
         rep = energy_W_alpha(torus9, lattice_torus_lengths, np.zeros(n),
-                             np.zeros(n), 1.0, np.zeros(n))
-        assert rep.value == 0.0
+                             1.0, np.zeros(n))
+        # 18 equilateral unit faces, each -phi = 3 * Lobachevsky(pi/3)
+        assert rep.value == pytest.approx(54 * lobachevsky(math.pi / 3),
+                                          abs=1e-12)
         assert np.max(np.abs(rep.gradient)) < 1e-12
         assert not rep.unsupported
 
@@ -145,20 +150,19 @@ class TestEnergyReport:
         tri, base = cube12
         rng = np.random.default_rng(13)
         n = 8
-        u_ref = np.zeros(n)
         for alpha, rbar in ((0.7, -np.abs(rng.normal(1, 0.3, n))),
                             (0.0, rng.normal(0, 1, n)),
                             (-1.0, np.abs(rng.normal(2, 0.5, n)))):
             u = rng.uniform(-0.15, 0.15, n)
-            rep = energy_W_alpha(tri, base, u, u_ref, alpha, rbar)
+            rep = energy_W_alpha(tri, base, u, alpha, rbar)
             h = 1e-6
             for i in range(n):
                 dp, dm = u.copy(), u.copy()
                 dp[i] += h
                 dm[i] -= h
-                fd = (energy_W_alpha(tri, base, dp, u_ref, alpha, rbar,
+                fd = (energy_W_alpha(tri, base, dp, alpha, rbar,
                                      with_hessian=False).value
-                      - energy_W_alpha(tri, base, dm, u_ref, alpha, rbar,
+                      - energy_W_alpha(tri, base, dm, alpha, rbar,
                                        with_hessian=False).value) / (2 * h)
                 assert fd == pytest.approx(rep.gradient[i], rel=1e-6, abs=1e-8)
 
@@ -169,7 +173,7 @@ class TestEnergyReport:
         alpha = 0.6
         rbar = -np.abs(rng.normal(1, 0.2, n))
         u = rng.uniform(-0.1, 0.1, n)
-        rep = energy_W_alpha(tri, base, u, np.zeros(n), alpha, rbar)
+        rep = energy_W_alpha(tri, base, u, alpha, rbar)
         H = rep.hessian.toarray()
         h = 1e-5
         fd = np.zeros_like(H)
@@ -177,9 +181,9 @@ class TestEnergyReport:
             dp, dm = u.copy(), u.copy()
             dp[j] += h
             dm[j] -= h
-            gp = energy_W_alpha(tri, base, dp, np.zeros(n), alpha, rbar,
+            gp = energy_W_alpha(tri, base, dp, alpha, rbar,
                                 with_hessian=False).gradient
-            gm = energy_W_alpha(tri, base, dm, np.zeros(n), alpha, rbar,
+            gm = energy_W_alpha(tri, base, dm, alpha, rbar,
                                 with_hessian=False).gradient
             fd[:, j] = (gp - gm) / (2 * h)
         assert np.max(np.abs(H - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
@@ -192,17 +196,17 @@ class TestEnergyReport:
         u = rng.uniform(-0.1, 0.1, n)
         alpha = 0.8
         rbar = -np.abs(rng.normal(1, 0.2, n))
-        rep = energy_W_alpha(tri, base, u, np.zeros(n), alpha, rbar)
+        rep = energy_W_alpha(tri, base, u, alpha, rbar)
         expect = -alpha * rbar * np.exp(alpha * u)
         assert rep.hessian @ np.ones(n) == pytest.approx(expect, rel=1e-10)
         # constant target on a flat-average surface: row sums vanish
-        rep0 = energy_W_alpha(tri, base, u, np.zeros(n), alpha, np.zeros(n))
+        rep0 = energy_W_alpha(tri, base, u, alpha, np.zeros(n))
         assert np.max(np.abs(rep0.hessian @ np.ones(n))) < 1e-12
 
     def test_unsupported_flag(self, tetra):
         base = unit_lengths(tetra)
         rbar = np.array([1.0, -1.0, -1.0, -1.0])
-        rep = energy_W_alpha(tetra, base, np.zeros(4), np.zeros(4), 1.0, rbar)
+        rep = energy_W_alpha(tetra, base, np.zeros(4), 1.0, rbar)
         assert rep.unsupported
 
     def test_methods_agree(self):
@@ -211,10 +215,12 @@ class TestEnergyReport:
             n = tri.vertex_count
             u = rng.uniform(-0.2, 0.2, n)
             rbar = -np.abs(rng.normal(0.5, 0.2, n))
-            a = energy_W_alpha(tri, base, u, np.zeros(n), 0.9, rbar,
-                               with_hessian=False)
+            a = (energy_W_alpha(tri, base, u, 0.9, rbar,
+                                with_hessian=False).value
+                 - energy_W_alpha(tri, base, np.zeros(n), 0.9, rbar,
+                                  with_hessian=False).value)
             b = energy_value_quadrature(tri, base, u, np.zeros(n), 0.9, rbar)
-            assert a.value == pytest.approx(b, abs=1e-9), name
+            assert a == pytest.approx(b, abs=1e-9), name
 
 
 class TestTarget:
