@@ -29,7 +29,7 @@ from .geometry import (
     scale_metric,
 )
 from .mesh import Triangulation
-from .solver import Target, apply_gauge, carry_chart, energy_W_alpha
+from .solver import ROUNDING_NOISE, Target, apply_gauge, carry_chart, energy_W_alpha
 
 log = logging.getLogger(__name__)
 
@@ -226,7 +226,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     """
     rhs0 = (yamabe_rhs if config.kind == "yamabe" else calabi_rhs)(state)
     dt = config.dt if state.dt is None else state.dt
-    noise = ENERGY_NOISE * (1.0 + abs(state.w_value))
+    noise = max(ENERGY_NOISE * (1.0 + abs(state.w_value)),
+                ROUNDING_NOISE * abs(state.w_offset))
 
     halved = False
     u_try = None
@@ -260,7 +261,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     u_final = u_try
     if config.renormalize:
         u_final = apply_gauge(u_try, state.alpha, state.conserved_target)
-    w_final = (w_try if np.array_equal(u_final, u_try)
+    # past a wall, w_try (departure chart) is not the Delaunay chart's energy
+    w_final = (w_try if not records and np.array_equal(u_final, u_try)
                else _energy_at(chart, u_final))
 
     streak = 0 if halved else state.accept_streak + 1
@@ -301,26 +303,21 @@ def run_flow(tri: Triangulation, base: np.ndarray, u0, alpha: float,
         log.warning("alpha*chi = %g > 0: convergence not guaranteed",
                     alpha * tri.chi)
 
-    rep = _curvature_report(state)
-    history.rows.append(HistoryRow(
-        t=0.0, max_dev=rep.max_dev,
-        conserved=conserved_sum(state.u, alpha),
-        energy=state.w_value, flips=len(infos0) + len(carried), dt=0.0))
+    def record(state: FlowState, flips: int) -> float:
+        max_dev = _curvature_report(state).max_dev
+        history.rows.append(HistoryRow(
+            t=state.t, max_dev=max_dev, conserved=conserved_sum(state.u, alpha),
+            energy=state.w_value, flips=flips, dt=state.last_dt))
+        return max_dev
 
-    max_dev = rep.max_dev
+    max_dev = record(state, len(infos0) + len(carried))
     while max_dev >= config.tol:
         if state.step_count >= config.max_steps:
             history.status = "max_steps"
             break
         seen = len(state.flips)
         state = step(state, config)
-        rep = _curvature_report(state)
-        max_dev = rep.max_dev
-        history.rows.append(HistoryRow(
-            t=state.t, max_dev=max_dev,
-            conserved=conserved_sum(state.u, alpha),
-            energy=state.w_value, flips=len(state.flips) - seen,
-            dt=state.last_dt))
+        max_dev = record(state, len(state.flips) - seen)
     else:
         history.status = "converged"
     log.info("run_flow(%s): %s after %d steps, t=%.6g, max_dev=%.3e",

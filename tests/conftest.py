@@ -1,7 +1,6 @@
 """Shared mesh fixtures: small closed surfaces used across the test suite."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -11,10 +10,10 @@ from plcurv import geometry, solver
 from plcurv.errors import LogFactorOverflow
 from plcurv.mesh import build_triangulation
 
-# A failing property prints the blob that reproduces it under the "ci"
-# profile (HYPOTHESIS_PROFILE=ci); each test keeps its own max_examples.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+# A failing property prints the blob that reproduces it; each test keeps
+# its own max_examples.
+settings.register_profile("plcurv", print_blob=True)
+settings.load_profile("plcurv")
 
 # Oriented tetrahedron boundary.
 TETRA_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcurv import errors
+from plcurv.flows import FlowConfig, make_state, step
 from plcurv.geometry import delaunay_surgery
 from plcurv.mesh import build_triangulation
 from plcurv.solver import Target, carry_chart, energy_W_alpha, newton_solve
@@ -88,3 +89,37 @@ def test_newton_trace_value_is_the_energy_difference(alpha):
     expected = value(res.tri, res.base, res.u) - value(tri_s, base_s, u0)
     assert res.trace[0].value == 0.0
     assert abs(res.trace[-1].value - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_flow_energy_after_a_flip_is_the_arrival_charts(renormalize):
+    # a step that crosses a wall stores the energy on the chart it lands in,
+    # not the departure chart's continuation past the wall
+    rng = np.random.default_rng(3)
+    tri, base = delaunay_start(build_triangulation(lattice_torus_faces(4)),
+                               rng, 0.15)
+    state = make_state(tri, base, rng.normal(0.0, 0.15, tri.vertex_count), -1.0)
+    config = FlowConfig(kind="yamabe", dt=0.2, renormalize=renormalize)
+    flipped = 0
+    for _ in range(40):
+        before = len(state.flips)
+        state = step(state, config)
+        if len(state.flips) > before:
+            flipped += 1
+            rep = energy_W_alpha(state.tri, state.base, state.u, state.alpha,
+                                 state.rbar, offset=state.w_offset,
+                                 with_hessian=False)
+            assert state.w_value == rep.value
+    assert flipped > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_newton_converges_quadratically_on_a_large_torus(seed):
+    # |E| grows with the mesh (about 1,200 at V = 576), and so does the
+    # rounding of each value; the line search's noise band must cover it,
+    # or full Newton steps near the solution read as increases
+    tri = build_triangulation(lattice_torus_faces(24))
+    u0 = 1e-5 * np.random.default_rng(seed).normal(size=tri.vertex_count)
+    res = newton_solve(tri, np.ones(tri.edge_count), u0, -1.0, Target.constant())
+    assert res.iterations <= 3
+    assert all(row.step == 1.0 for row in res.trace[1:])
