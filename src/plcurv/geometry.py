@@ -10,8 +10,8 @@ intrinsic edge flips that transport lengths.
 
 Whole-mesh queries share one NumPy kernel over the triangulation's
 cached index arrays; the kernel also scores stacks of edge-length
-arrays.  Single-edge queries stay scalar: the flip loop asks them one
-edge at a time, where array set-up would cost more.
+arrays.  Single-edge queries stay scalar, for the flip loop; the Delaunay
+pass and check ask them only about edges a kernel screen cannot clear.
 """
 
 from __future__ import annotations
@@ -319,10 +319,23 @@ def is_delaunay(tri: Triangulation, lengths, e: int) -> bool:
 def is_delaunay_all(tri: Triangulation, lengths: np.ndarray) -> list[int]:
     """Edge ids violating the Delaunay condition, in edge id order.
 
-    Per edge, so it agrees bit for bit with the make_delaunay verdict.
+    Kernel screen, then :func:`is_delaunay`: make_delaunay's verdict, bit for bit.
     """
     L = np.asarray(lengths, dtype=float).tolist()
-    return [e for e in tri.edge_ids() if not is_delaunay(tri, L, e)]
+    suspects = np.flatnonzero(~(edge_margins(tri, lengths) > 0.0)).tolist()
+    return [e for e in suspects if not is_delaunay(tri, L, e)]
+
+
+def edge_margins(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
+    """pi - (sum of the angles facing the edge) per edge, stacked as in delaunay_margin.
+
+    A positive margin passes :func:`is_delaunay`: NumPy and scalar angles
+    differ by an ulp or so, far inside DELAUNAY_SLACK.
+    """
+    theta = face_angles(tri, lengths)
+    theta = theta.reshape(theta.shape[:-2] + (3 * theta.shape[-2],))
+    sides = tri.arrays.edge_sides
+    return math.pi - theta[..., sides[:, 0]] - theta[..., sides[:, 1]]
 
 
 def delaunay_margin(tri: Triangulation, lengths: np.ndarray):
@@ -334,10 +347,7 @@ def delaunay_margin(tri: Triangulation, lengths: np.ndarray):
     A metric (E,) gives a float, a stack (..., E) an array (...) with the
     minimum of each metric.
     """
-    theta = face_angles(tri, lengths)
-    theta = theta.reshape(theta.shape[:-2] + (3 * theta.shape[-2],))
-    sides = tri.arrays.edge_sides
-    return (math.pi - theta[..., sides[:, 0]] - theta[..., sides[:, 1]]).min(-1)
+    return edge_margins(tri, lengths).min(-1)
 
 
 def flip_length(tri: Triangulation, lengths, e: int) -> float:
@@ -401,14 +411,18 @@ def make_delaunay(tri: Triangulation, lengths: np.ndarray
     edges of its quad.  The output metric is isometric to the input (same
     deficit at every vertex).  All input faces must be nondegenerate.
     The loop reads and rewrites the lengths as a list, in place.
+    A kernel screen skips edges of positive margin that no flip touched (they
+    pass :func:`is_delaunay`); the output carries the input's index arrays.
     """
+    start = tri
     cap = FLIP_CAP_FACTOR * tri.edge_count ** 2
+    cleared = (edge_margins(tri, lengths) > 0.0).tolist()  # False on NaN
     L = np.asarray(lengths, dtype=float).tolist()
     queue = deque(tri.edge_ids())
     flips: list[FlipInfo] = []
     while queue:
         e = queue.popleft()
-        if is_delaunay(tri, L, e):
+        if cleared[e] or is_delaunay(tri, L, e):
             continue
         if len(flips) >= cap:
             raise FlipLimitExceeded(
@@ -418,7 +432,10 @@ def make_delaunay(tri: Triangulation, lengths: np.ndarray
         L[e] = new_len
         flips.append(info)
         queue.extend(info.rim)
+        for x in info.rim:
+            cleared[x] = False
     if flips:
+        tri.carry_arrays(start, flips)
         log.debug("make_delaunay performed %d flips", len(flips))
     return tri, np.array(L), flips
 

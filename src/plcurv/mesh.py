@@ -151,7 +151,8 @@ class Triangulation:
         """Index arrays, built on first use and cached (the value is immutable).
 
         Lazy because flip sequences create many triangulations that are
-        only ever queried edge by edge.
+        only ever queried edge by edge.  The output of a Delaunay pass
+        that flipped comes with them: see :meth:`carry_arrays`.
         """
         if self._arrays is None:
             self._arrays = IndexArrays(
@@ -162,6 +163,20 @@ class Triangulation:
                 edge_sides=np.array([[3 * f + s for f, s in sides]
                                      for sides in self.edge_sides], dtype=np.intp))
         return self._arrays
+
+    def carry_arrays(self, source: "Triangulation", flips: list[FlipInfo]) -> None:
+        """Cache ``source``'s index arrays with the rows ``flips`` rewrote rebuilt.
+
+        ``flips`` must be the flips that made this triangulation from ``source``.
+        """
+        fs = sorted({f for info in flips for f in info.faces})
+        es = sorted({e for info in flips for e in (info.edge, *info.rim)})
+        A = IndexArrays(*(a.copy() for a in source.arrays))
+        A.face_edges[fs] = [self.face_edges[f] for f in fs]
+        A.face_verts[fs] = [self.faces[f] for f in fs]
+        A.edge_verts[es] = [self.edge_vertices(e) for e in es]
+        A.edge_sides[es] = [[3 * f + s for f, s in self.edge_sides[e]] for e in es]
+        self._arrays = A
 
     # --- flip ----------------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Shared mesh fixtures: small closed surfaces used across the test suite."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from plcurv import geometry, solver
-from plcurv.errors import LogFactorOverflow
+from plcurv.errors import FlipLimitExceeded, LogFactorOverflow
 from plcurv.mesh import build_triangulation
 
 # A failing property prints the blob that reproduces it; each test keeps
@@ -90,6 +91,27 @@ GENUS2_FACES = [
     (6, 1, 0), (5, 1, 0), (6, 2, 0), (5, 2, 0),
     (6, 3, 0), (5, 3, 0), (6, 4, 0), (5, 4, 0),
 ]
+
+
+def flat_torus_document(m, a, b):
+    """Lengths document of the flat m x m torus on the lattice spanned by a, b.
+
+    Faces are those of lattice_torus_faces(m); vertex (r, c) sits at
+    c*a + r*b, and each side is measured between its corners' positions
+    in the covering plane.  a = (1, 0), b = (0, 1) gives right isosceles
+    faces, cocircular across every diagonal; a long, flat b gives slivers.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    faces, records = lattice_torus_faces(m), []
+    for f, face in enumerate(faces):
+        r, c = divmod(f // 2, m)
+        cells = ([(r, c), (r, c + 1), (r + 1, c)] if f % 2 == 0
+                 else [(r, c + 1), (r + 1, c + 1), (r + 1, c)])
+        pts = [cc * a + rr * b for rr, cc in cells]
+        for s in range(3):
+            records.append({"face": f, "opposite": face[(s + 2) % 3],
+                            "length": float(np.linalg.norm(pts[(s + 1) % 3] - pts[s]))})
+    return {"vertices": m * m, "faces": [list(t) for t in faces], "lengths": records}
 
 
 def unit_lengths(tri):
@@ -247,3 +269,29 @@ def first_wall_reference(tri, base, u, delta):
         else:
             lo = mid
     return hi, True
+
+
+# --- scalar oracle for the Delaunay pass ---------------------------------------
+#
+# Production screens the seed queue with one kernel call and hands its
+# index arrays on to the output.  This is the reference it must reproduce
+# bit for bit: every queued edge asks the scalar is_delaunay.
+
+def make_delaunay_reference(tri, lengths):
+    """geometry.make_delaunay testing every queued edge with is_delaunay."""
+    cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
+    L = np.asarray(lengths, dtype=float).tolist()
+    queue = deque(tri.edge_ids())
+    flips = []
+    while queue:
+        e = queue.popleft()
+        if geometry.is_delaunay(tri, L, e):
+            continue
+        if len(flips) >= cap:
+            raise FlipLimitExceeded(f"{len(flips)} flips")
+        new_len = geometry.flip_length(tri, L, e)
+        tri, info = tri.flip(e, L[e], new_len)
+        L[e] = new_len
+        flips.append(info)
+        queue.extend(info.rim)
+    return tri, np.array(L), flips

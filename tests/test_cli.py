@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import TETRA_FACES, torus9_faces, unit_lengths
+from conftest import TETRA_FACES, flat_torus_document, torus9_faces, unit_lengths
 
 from plcurv import cli, geometry, mesh
 from plcurv.mesh import build_triangulation
@@ -435,6 +435,19 @@ class TestProcess:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["vertices"] == 4
+
+    def test_starts_on_sliver_torus_finish(self, tmp_path):
+        # Random starts are drawn for the Delaunay chart at u = 0, where
+        # the solve starts: on this input's own chart no draw is
+        # nondegenerate, and redrawing there never ended.
+        path = tmp_path / "sliver.json"
+        path.write_text(json.dumps(flat_torus_document(3, [1, 0], [6.5, 0.9])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plcurv.cli", "solve", str(path),
+             "--alpha", "-1", "--starts", "2"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["rigidity_pass"] is True
 
     def test_log_env_quiet_silences_warning(self, tetra_file):
         env = dict(os.environ, PLCURV_LOG="info")

@@ -3,12 +3,16 @@
 Metrics are random log-uniform edge lengths, wide enough that many faces
 degenerate.  Triangulations are the fixture meshes after random flips,
 so slots hold flipped-in edges and faces, and doubled edges occur
-(genus 2 has them from the start).
+(genus 2 has them from the start).  The kernel-screened Delaunay pass is
+checked against the scalar loop on flat tori and genus 2 at random
+conformal scalings.
 """
 
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +24,16 @@ from plcurv.geometry import (
     curvature_jacobian,
     degenerate_faces,
     delaunay_margin,
+    is_delaunay,
     is_delaunay_all,
+    make_delaunay,
+    scale_metric,
     triangle_angles,
 )
+from plcurv.mesh import IndexArrays, Triangulation, parse_lengths_json
 from plcurv.solver import triangle_energy
 
-from conftest import all_fixture_meshes
+from conftest import all_fixture_meshes, flat_torus_document, make_delaunay_reference
 
 MESHES = [tri for _, tri, _ in all_fixture_meshes()]
 
@@ -128,3 +136,45 @@ def test_batched_triangle_energy_is_sum_of_scalar_calls(faces, seed):
     u = rng.uniform(-1.0, 1.0, (3, faces))
     scalar = sum(triangle_energy(base[:, k], u[:, k]) for k in range(faces))
     assert abs(triangle_energy(base, u) - scalar) < 1e-12
+
+
+PASS_MESHES = (
+    [parse_lengths_json(json.dumps(flat_torus_document(m, a, b)))
+     for m in (3, 4) for a, b in (([1, 0], [0, 1]),           # cocircular diagonals
+                                  ([1, 0], [0.5, 0.75 ** 0.5]),  # equilateral
+                                  ([1, 0], [6.5, 0.9]))]       # slivers
+    + [(tri, lens) for name, tri, lens in all_fixture_meshes() if name == "genus2"])
+
+
+@st.composite
+def pass_inputs(draw):
+    """(triangulation, metric): a mesh above scaled at random log factors."""
+    tri, base = PASS_MESHES[draw(st.integers(0, len(PASS_MESHES) - 1))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = draw(st.sampled_from([0.0, 1e-11, 1e-3, 0.1, 0.3]))
+    return tri, scale_metric(tri, base, rng.normal(0.0, sigma, tri.vertex_count))
+
+
+@SETTINGS
+@given(pass_inputs())
+def test_screened_pass_matches_scalar_loop(case):
+    tri, lengths = case
+    L = lengths.tolist()
+    assert is_delaunay_all(tri, lengths) == [
+        e for e in tri.edge_ids() if not is_delaunay(tri, L, e)]
+    try:
+        ref_tri, ref_lengths, ref_flips = make_delaunay_reference(tri, lengths)
+    except errors.PLCurvError as exc:
+        with pytest.raises(type(exc)):
+            make_delaunay(tri, lengths)
+        return
+    out_tri, out_lengths, flips = make_delaunay(tri, lengths)
+    assert flips == ref_flips
+    assert out_tri.faces == ref_tri.faces
+    assert out_tri.face_edges == ref_tri.face_edges
+    assert out_tri.edge_sides == ref_tri.edge_sides
+    assert out_lengths.tolist() == ref_lengths.tolist()
+    fresh = Triangulation(out_tri.vertex_count, out_tri.faces,
+                          out_tri.face_edges, out_tri.edge_sides).arrays
+    for name, carried, built in zip(IndexArrays._fields, out_tri.arrays, fresh):
+        assert carried.dtype == built.dtype and np.array_equal(carried, built), name

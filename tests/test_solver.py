@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
 
 from plcurv import errors
 from plcurv.geometry import (
     alpha_curvature,
     curvature,
+    curvature_jacobian,
     degenerate_faces,
+    delaunay_surgery,
     is_delaunay_all,
     scale_metric,
 )
@@ -24,6 +27,7 @@ from plcurv.solver import (
 from conftest import (
     all_fixture_meshes,
     energy_value_quadrature,
+    random_lengths,
     triangle_energy_quadrature,
     unit_lengths,
 )
@@ -203,6 +207,21 @@ class TestEnergyReport:
         rep0 = energy_W_alpha(tri, base, u, alpha, np.zeros(n))
         assert np.max(np.abs(rep0.hessian @ np.ones(n))) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    def test_hessian_is_jacobian_minus_weighted_diagonal(self, alpha):
+        rng = np.random.default_rng(29)
+        for name, tri, base in all_fixture_meshes():
+            n = tri.vertex_count
+            u = rng.uniform(-0.1, 0.1, n)
+            tri, base, _ = delaunay_surgery(
+                tri, base * random_lengths(tri, rng, spread=0.1), u)
+            rbar = rng.normal(0.0, 1.0, n)
+            weights = np.exp(alpha * u)
+            H = energy_W_alpha(tri, base, u, alpha, rbar).hessian.toarray()
+            ref = (curvature_jacobian(tri, scale_metric(tri, base, u))
+                   - alpha * scipy.sparse.diags(rbar * weights))
+            assert np.array_equal(H, ref.toarray()), name
+
     def test_unsupported_flag(self, tetra):
         base = unit_lengths(tetra)
         rbar = np.array([1.0, -1.0, -1.0, -1.0])
@@ -370,6 +389,12 @@ class TestRigidity:
         assert rep.kind == "unsupported"
         assert rep.passed is None
         assert "no claim" in str(rep)
+
+    def test_start_draws_are_bounded(self, torus9, lattice_torus_lengths):
+        # at |u| up to 50 every draw leaves some face degenerate
+        with pytest.raises(errors.DegenerateFace):
+            rigidity_check(torus9, lattice_torus_lengths, -1.0,
+                           Target.constant(), trials=1, spread=50.0)
 
     def test_cube_alpha_zero_gauge(self, cube12):
         tri, base = cube12
