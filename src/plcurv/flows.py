@@ -7,7 +7,9 @@ sum and descend the same convex energy the Newton solver minimizes, so
 each explicit step is accept/reject guarded by that energy.  When an
 edge loses the Delaunay property along an accepted step it is flipped
 at the point where it turns cocircular and the base lengths are carried
-across, keeping u meaningful on the new triangulation.
+across, keeping u meaningful on the new triangulation.  Each accepted
+state carries its curvature report, evaluated once; the guard asks for
+energy values alone.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ class FlowState:
     energy unchanged.  ``rbar`` is the average curvature frozen at the
     start (the conserved weight sum keeps it meaningful), and
     ``conserved_target`` is the weight sum the renormalization restores.
+    ``report`` is the curvature report of this (tri, base, u), set by
+    :func:`make_state` and :func:`step`; ``replace(state, u=...)`` keeps
+    the old report and does not refresh it.
     """
 
     tri: Triangulation
@@ -103,6 +108,7 @@ class FlowState:
     w_value: float = 0.0
     rbar: np.ndarray | None = None
     conserved_target: float = 0.0
+    report: geometry.CurvatureReport | None = None
 
 
 @dataclass(frozen=True)
@@ -144,41 +150,48 @@ def make_state(tri: Triangulation, base: np.ndarray, u0,
         raise ValueError(f"u0 has shape {u0.shape}, expected "
                          f"({tri.vertex_count},)")
     rbar, _ = Target.constant().resolve(alpha, tri.chi, u0)
-    start = energy_W_alpha(tri, base, u0, alpha, rbar, with_hessian=False)
-    return FlowState(tri=tri, base=base, u=u0, alpha=float(alpha),
-                     w_offset=-start.value, rbar=rbar,
-                     conserved_target=conserved_sum(u0, alpha))
+    state = FlowState(tri=tri, base=base, u=u0, alpha=float(alpha), rbar=rbar,
+                      conserved_target=conserved_sum(u0, alpha))
+    state.report = _curvature_report(state)
+    state.w_offset = -_energy_at(state, u0)
+    return state
 
 
-def _curvature_report(state: FlowState) -> geometry.CurvatureReport:
-    scaled = scale_metric(state.tri, state.base, state.u)
+def _curvature_report(state: FlowState, scaled=None) -> geometry.CurvatureReport:
+    if scaled is None:
+        scaled = scale_metric(state.tri, state.base, state.u)
     return alpha_curvature(curvature(state.tri, scaled), state.u, state.alpha,
                            chi=state.tri.chi)
 
 
-def yamabe_rhs(state: FlowState) -> np.ndarray:
-    """du/dt pulling each weighted curvature toward the average."""
-    rep = _curvature_report(state)
-    return rep.R_av - rep.R_alpha
-
-
-def calabi_rhs(state: FlowState) -> np.ndarray:
-    """du/dt equal to the weighted Laplacian of the weighted curvature."""
-    rep = _curvature_report(state)
+def _rhs(state: FlowState, kind: str, rep=None) -> np.ndarray:
+    """du/dt at ``state``; ``rep``, when given, is its curvature report."""
+    if kind == "yamabe":
+        rep = rep or _curvature_report(state)
+        return rep.R_av - rep.R_alpha
     scaled = scale_metric(state.tri, state.base, state.u)
+    rep = rep or _curvature_report(state, scaled)
     return alpha_laplacian_apply(state.tri, scaled, state.u, state.alpha,
                                  rep.R_alpha)
 
 
+def yamabe_rhs(state: FlowState) -> np.ndarray:
+    """du/dt pulling each weighted curvature toward the average."""
+    return _rhs(state, "yamabe")
+
+
+def calabi_rhs(state: FlowState) -> np.ndarray:
+    """du/dt equal to the weighted Laplacian of the weighted curvature."""
+    return _rhs(state, "calabi")
+
+
 def _rhs_at(state: FlowState, kind: str, u: np.ndarray) -> np.ndarray:
-    probe = replace(state, u=u)
-    return yamabe_rhs(probe) if kind == "yamabe" else calabi_rhs(probe)
+    return _rhs(replace(state, u=u), kind)
 
 
 def _energy_at(state: FlowState, u: np.ndarray) -> float:
-    rep = energy_W_alpha(state.tri, state.base, u, state.alpha, state.rbar,
-                         offset=state.w_offset, with_hessian=False)
-    return rep.value
+    return energy_W_alpha(state.tri, state.base, u, state.alpha, state.rbar,
+                          offset=state.w_offset, order=0).value
 
 
 def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
@@ -193,14 +206,15 @@ def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
 
 
 def _wall_surgery(state: FlowState, u_to: np.ndarray, dt_used: float
-                  ) -> tuple[FlowState, list[FlipRecord]]:
+                  ) -> tuple[Triangulation, np.ndarray, list[FlipRecord]]:
     """Carry the chart along an accepted step, flipping at the walls.
 
     Each flip happens at the point where its edge turns cocircular,
     where the length carried to the new diagonal does not depend on the
     step size, so flows and Newton solves stay comparable in u down to
-    rigidity tolerances.  Returns ``state`` on the arrival chart and the
-    flip records, timestamped by the fraction of the step walked.
+    rigidity tolerances.  Returns the arrival chart (triangulation and
+    base lengths) and the flip records, timestamped by the fraction of
+    the step walked.
     """
     records: list[FlipRecord] = []
     span = float(np.linalg.norm(u_to - state.u))
@@ -212,7 +226,7 @@ def _wall_surgery(state: FlowState, u_to: np.ndarray, dt_used: float
                        for i in infos)
 
     tri, base, _ = carry_chart(state.tri, state.base, state.u, u_to, on_flip=stamp)
-    return replace(state, tri=tri, base=base), records
+    return tri, base, records
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -224,7 +238,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     never beyond config.dt.  With surgery on, flips happen at the points
     along the step where their edges turn cocircular.
     """
-    rhs0 = (yamabe_rhs if config.kind == "yamabe" else calabi_rhs)(state)
+    rhs0 = _rhs(state, config.kind, state.report)
     dt = config.dt if state.dt is None else state.dt
     noise = max(ENERGY_NOISE * (1.0 + abs(state.w_value)),
                 ROUNDING_NOISE * abs(state.w_offset))
@@ -256,14 +270,11 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         raise StepSizeUnderflow(
             f"dt fell below {DT_FLOOR} at t={state.t:.6g}: {blocker}")
 
-    chart, records = (_wall_surgery(state, u_try, dt) if config.surgery
-                      else (state, []))
+    tri, base, records = (_wall_surgery(state, u_try, dt) if config.surgery
+                          else (state.tri, state.base, []))
     u_final = u_try
     if config.renormalize:
         u_final = apply_gauge(u_try, state.alpha, state.conserved_target)
-    # past a wall, w_try (departure chart) is not the Delaunay chart's energy
-    w_final = (w_try if not records and np.array_equal(u_final, u_try)
-               else _energy_at(chart, u_final))
 
     streak = 0 if halved else state.accept_streak + 1
     dt_next = dt
@@ -271,9 +282,14 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         dt_next = min(dt * GROWTH_FACTOR, config.dt)
         streak = 0
 
-    return replace(chart, u=u_final, t=state.t + dt, flips=state.flips + records,
-                   step_count=state.step_count + 1, dt=dt_next, last_dt=dt,
-                   accept_streak=streak, w_value=w_final)
+    arrival = replace(state, tri=tri, base=base, u=u_final, t=state.t + dt,
+                      flips=state.flips + records, step_count=state.step_count + 1,
+                      dt=dt_next, last_dt=dt, accept_streak=streak)
+    # past a wall, w_try (departure chart) is not the Delaunay chart's energy
+    arrival.w_value = (w_try if not records and np.array_equal(u_final, u_try)
+                       else _energy_at(arrival, u_final))
+    arrival.report = _curvature_report(arrival)
+    return arrival
 
 
 def run_flow(tri: Triangulation, base: np.ndarray, u0, alpha: float,
@@ -304,7 +320,7 @@ def run_flow(tri: Triangulation, base: np.ndarray, u0, alpha: float,
                     alpha * tri.chi)
 
     def record(state: FlowState, flips: int) -> float:
-        max_dev = _curvature_report(state).max_dev
+        max_dev = state.report.max_dev
         history.rows.append(HistoryRow(
             t=state.t, max_dev=max_dev, conserved=conserved_sum(state.u, alpha),
             energy=state.w_value, flips=flips, dt=state.last_dt))
@@ -335,7 +351,7 @@ def curvature_evolution_residual(state: FlowState,
     the result is O(dt^2) small on nondegenerate states.
     """
     dt = config.dt
-    rhs0 = (yamabe_rhs if config.kind == "yamabe" else calabi_rhs)(state)
+    rhs0 = _rhs(state, config.kind)
 
     def r_at(u: np.ndarray) -> np.ndarray:
         scaled = scale_metric(state.tri, state.base, u)
@@ -343,8 +359,8 @@ def curvature_evolution_residual(state: FlowState,
 
     fd = (r_at(state.u + dt * rhs0) - r_at(state.u - dt * rhs0)) / (2.0 * dt)
 
-    rep = _curvature_report(state)
     scaled0 = scale_metric(state.tri, state.base, state.u)
+    rep = _curvature_report(state, scaled0)
     lap = alpha_laplacian_apply(state.tri, scaled0, state.u, state.alpha,
                                 rep.R_alpha)
     if config.kind == "yamabe":

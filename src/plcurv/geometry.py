@@ -181,9 +181,9 @@ def scale_metric(tri: Triangulation, base: np.ndarray, u: np.ndarray) -> np.ndar
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (tri.vertex_count,):
         raise ValueError(f"expected {tri.vertex_count} log factors, got {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise LogFactorOverflow("non-finite log conformal factor")
-    if np.any(np.abs(u) > LOG_FACTOR_BOUND):
+    if not np.abs(u).max(initial=0.0) <= LOG_FACTOR_BOUND:  # True on NaN
+        if not np.all(np.isfinite(u)):
+            raise LogFactorOverflow("non-finite log conformal factor")
         raise LogFactorOverflow(
             f"|u| exceeds {LOG_FACTOR_BOUND}; metric would overflow")
     ends = tri.arrays.edge_verts

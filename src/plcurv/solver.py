@@ -148,7 +148,7 @@ def triangle_energy(base_lengths, u) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Value, gradient and optional Hessian of the curvature energy.
+    """Value, optional gradient and optional Hessian of the curvature energy.
 
     gradient[i] = deficit_i - target_i * exp(alpha * u_i);
     hessian = curvature Jacobian - alpha * diag(target * exp(alpha * u)).
@@ -157,7 +157,7 @@ class EnergyReport:
     """
 
     value: float
-    gradient: np.ndarray
+    gradient: np.ndarray | None
     hessian: scipy.sparse.csr_matrix | None
     unsupported: bool
 
@@ -211,7 +211,7 @@ class Target:
 
 def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
                    alpha: float, rbar: np.ndarray, offset: float = 0.0,
-                   with_hessian: bool = True) -> EnergyReport:
+                   order: int = 2) -> EnergyReport:
     """Total curvature energy of the scaled metric, plus ``offset``.
 
     value = offset - sum_faces triangle_energy(u) - pi * sum_edges log base
@@ -221,7 +221,9 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     at a cocircular edge leaves unchanged, so the value is the same in
     every Delaunay triangulation of the metric.  Valid for any u,
     Delaunay or not; convex per fixed triangulation when the target is
-    admissible.  The Hessian requires nondegenerate faces.
+    admissible.  ``order`` picks the derivatives: 0 gives the value alone
+    (no metric is scaled and ``gradient`` is None), 1 adds the gradient
+    and 2 the Hessian, which requires nondegenerate faces.
     """
     u = np.asarray(u, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
@@ -237,13 +239,12 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     value = (offset - total_faces - math.pi * float(np.sum(np.log(base)))
              + vertex_term)
 
-    scaled = scale_metric(tri, base, u)
-    K = curvature(tri, scaled)
-    weights = np.exp(alpha * u)
-    grad = K - rbar * weights
-
-    hess = None
-    if with_hessian:
+    grad = hess = None
+    if order >= 1:
+        scaled = scale_metric(tri, base, u)
+        weights = np.exp(alpha * u)
+        grad = curvature(tri, scaled) - rbar * weights
+    if order >= 2:
         hess = curvature_jacobian(tri, scaled)
         hess.setdiag(hess.diagonal() - alpha * (rbar * weights))
 
@@ -404,9 +405,9 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     start = energy_W_alpha(tri_c, base_c, u, alpha, rbar)
     offset = -start.value
 
-    def evaluate(u_at: np.ndarray, with_hessian: bool) -> EnergyReport:
+    def evaluate(u_at: np.ndarray, order: int) -> EnergyReport:
         return energy_W_alpha(tri_c, base_c, u_at, alpha, rbar,
-                              offset=offset, with_hessian=with_hessian)
+                              offset=offset, order=order)
 
     rep = replace(start, value=0.0)
     grad_inf = float(np.max(np.abs(rep.gradient)))
@@ -452,12 +453,12 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
         for _ in range(MAX_BACKTRACKS + 1):
             u_try = u + step * delta
             try:
-                trial = evaluate(u_try, with_hessian=False)
+                scaled = scale_metric(tri_c, base_c, u_try)
+                trial = evaluate(u_try, order=0)
             except LogFactorOverflow:
                 trial = None
             if (trial is not None
-                    and not degenerate_faces(
-                        tri_c, scale_metric(tri_c, base_c, u_try))
+                    and not degenerate_faces(tri_c, scaled)
                     and (trial.value <= rep.value + ARMIJO_SLOPE * step * slope
                          or (abs(slope) * step <= noise
                              and trial.value <= rep.value + noise))):
@@ -473,7 +474,7 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
             u = apply_gauge(u, alpha, conserved)
         tri_c, base_c, flips = delaunay_surgery(tri_c, base_c, u)
         total_flips += len(flips)
-        rep = evaluate(u, with_hessian=True)
+        rep = evaluate(u, order=2)
         grad_inf = float(np.max(np.abs(rep.gradient)))
         trace.append(TraceRow(it, grad_inf, rep.value, step, len(flips)))
 
@@ -517,7 +518,8 @@ def rigidity_check(tri: Triangulation, base: np.ndarray, alpha: float,
     prescribed vector.  PASS means all solutions agree within 1e-6 in the
     max norm, modulo the additive gauge in the "zero" class; an
     unsupported target yields no claim.  Starts are drawn until no face of
-    the Delaunay chart at u = 0 degenerates, START_DRAWS times at most.
+    the Delaunay chart at u = 0 degenerates, START_DRAWS times at most;
+    each solve starts on that chart, so its own pass at u = 0 flips nothing.
     """
     n = tri.vertex_count
     rbar, kind = target.resolve(alpha, tri.chi, np.zeros(n))
@@ -534,7 +536,7 @@ def rigidity_check(tri: Triangulation, base: np.ndarray, alpha: float,
                 break
         else:
             raise DegenerateFace(f"{START_DRAWS} draws all leave a face degenerate")
-        res = newton_solve(tri, base, u0, alpha, fixed, tol=tol)
+        res = newton_solve(tri0, base0, u0, alpha, fixed, tol=tol)
         solutions.append(res.u - res.u.mean() if kind == "zero" else res.u)
     # the largest pairwise max-norm gap is the widest per-vertex range
     worst = float(np.ptp(solutions, axis=0).max()) if solutions else 0.0

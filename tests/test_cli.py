@@ -1,16 +1,28 @@
 """Command-line behavior: outputs, exit codes, manifests, replay."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import TETRA_FACES, flat_torus_document, torus9_faces, unit_lengths
+from conftest import (
+    GENUS2_FACES,
+    TETRA_FACES,
+    flat_torus_document,
+    lattice_torus_faces,
+    torus9_faces,
+    unit_lengths,
+)
 
 from plcurv import cli, geometry, mesh
 from plcurv.mesh import build_triangulation
@@ -123,6 +135,38 @@ class TestCurvature:
         assert code == 3
 
 
+GB_MESHES = ([build_triangulation(lattice_torus_faces(m)) for m in (3, 4, 5)]
+             + [build_triangulation(GENUS2_FACES)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(GB_MESHES) - 1), st.floats(0.0, 0.3),
+       st.floats(0.0, 3.0), st.sampled_from([-2.0, -1.0, 0.0, 0.5, 2.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_gauss_bonnet_through_the_cli(mesh, spread, u_spread, alpha, seed):
+    # Lengths within a factor e^0.6 keep every face a triangle; the
+    # conformal factors may flatten faces, whose extended angles still
+    # pin the deficit sum at 2*pi*chi.
+    rng = np.random.default_rng(seed)
+    tri = GB_MESHES[mesh]
+    lens = np.exp(rng.uniform(-spread, spread, tri.edge_count))
+    u = rng.uniform(-u_spread, u_spread, tri.vertex_count)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lengths(os.path.join(tmp, "metric.json"), tri, lens)
+        ufile = os.path.join(tmp, "u.json")
+        with open(ufile, "w", encoding="utf-8") as fh:
+            json.dump(u.tolist(), fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["curvature", path, "--u-file", ufile,
+                             "--alpha", str(alpha)])
+    assert code == 0
+    assert "Traceback" not in err.getvalue()
+    doc = json.loads(out.getvalue())
+    assert doc["chi"] == tri.chi
+    assert abs(sum(doc["K"]) - 2.0 * math.pi * tri.chi) < 1e-9
+
+
 class TestFlow:
     def test_flat_torus_converges_at_step_zero(self, capsys, torus_file):
         code, doc = run_cli(capsys, ["flow", torus_file, "--flow", "calabi",
@@ -207,6 +251,30 @@ class TestSolve:
         lines = trace.read_text().splitlines()
         assert lines[0] == "iter,grad_inf,value,step,flips"
         assert len(lines) == doc["iterations"] + 2
+
+    def test_starts_reuse_the_delaunay_pass_at_u0(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # The first solve and the rigidity check each make the input
+        # Delaunay at u = 0; the starts begin from the rigidity check's
+        # chart, so their own pass there flips nothing.
+        path = tmp_path / "sliver.json"
+        path.write_text(json.dumps(flat_torus_document(3, [1, 0], [6.5, 0.9])))
+        passes = []
+        make_delaunay = geometry.make_delaunay
+
+        def counted(tri, lengths):
+            out = make_delaunay(tri, lengths)
+            passes.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(geometry, "make_delaunay", counted)
+        code, doc = run_cli(capsys, ["solve", str(path), "--alpha", "-1",
+                                     "--starts", "2"])
+        assert code == 0
+        assert doc["rigidity_pass"] is True
+        flipping = [k for k in passes if k]
+        assert flipping.count(passes[0]) == 2
+        assert len(flipping) == 4
 
     def test_multi_start_rigidity(self, capsys, kite_file):
         code, doc = run_cli(capsys, ["solve", kite_file, "--alpha", "0",

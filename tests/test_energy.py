@@ -28,7 +28,7 @@ SETTINGS = settings(max_examples=100, deadline=None)
 
 def energy(tri, base, u, alpha=-1.0):
     rbar = np.ones(tri.vertex_count)
-    return energy_W_alpha(tri, base, u, alpha, rbar, with_hessian=False).value
+    return energy_W_alpha(tri, base, u, alpha, rbar, order=1).value
 
 
 def delaunay_start(tri, rng, spread):
@@ -84,7 +84,7 @@ def test_newton_trace_value_is_the_energy_difference(alpha):
     tri_s, base_s, _ = carry_chart(tri, base, np.zeros(tri.vertex_count), u0)
 
     def value(t, b, u):
-        return energy_W_alpha(t, b, u, alpha, rbar, with_hessian=False).value
+        return energy_W_alpha(t, b, u, alpha, rbar, order=1).value
 
     expected = value(res.tri, res.base, res.u) - value(tri_s, base_s, u0)
     assert res.trace[0].value == 0.0
@@ -108,7 +108,7 @@ def test_flow_energy_after_a_flip_is_the_arrival_charts(renormalize):
             flipped += 1
             rep = energy_W_alpha(state.tri, state.base, state.u, state.alpha,
                                  state.rbar, offset=state.w_offset,
-                                 with_hessian=False)
+                                 order=1)
             assert state.w_value == rep.value
     assert flipped > 0
 

@@ -1,14 +1,17 @@
 """Flow integration: right sides, stepping, surgery, history, rate fits."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_fixture_meshes, unit_lengths
+from conftest import GENUS2_FACES, all_fixture_meshes, lattice_torus_faces, unit_lengths
 
 from plcurv import geometry
-from plcurv.errors import InsufficientTail
+from plcurv.errors import FlipDegeneratesComplex, InsufficientTail
 from plcurv.flows import (
     FlowConfig,
     FlowHistory,
@@ -22,9 +25,9 @@ from plcurv.flows import (
     step,
     yamabe_rhs,
 )
-from plcurv.geometry import alpha_curvature, curvature, scale_metric
+from plcurv.geometry import alpha_curvature, curvature, delaunay_surgery, scale_metric
 from plcurv.mesh import build_triangulation
-from plcurv.solver import Target, newton_solve
+from plcurv.solver import Target, energy_W_alpha, newton_solve
 
 
 def state_report(state):
@@ -327,3 +330,45 @@ class TestRateProbe:
         _, hist = run_flow(tetra, base, u0, -1.0, cfg)
         slope = exponential_rate_probe(hist, -1.0, rep0.R_av)
         assert slope <= 0.8 * -1.0 * rep0.R_av
+
+
+# --- one evaluation per flow point -----------------------------------------
+
+FLOW_MESHES = ([build_triangulation(lattice_torus_faces(m)) for m in (3, 4)]
+               + [build_triangulation(GENUS2_FACES)])
+
+
+def _same_report(state):
+    """The carried report equals a fresh one bit for bit."""
+    fresh, carried = state_report(state), state.report
+    return all(np.array_equal(getattr(carried, f.name), getattr(fresh, f.name))
+               for f in dataclasses.fields(fresh))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(FLOW_MESHES) - 1), st.sampled_from(["yamabe", "calabi"]),
+       st.sampled_from(["euler", "rk4"]), st.booleans(), st.booleans(),
+       st.sampled_from([-1.0, 0.0, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_carried_report_and_energy_match_fresh_evaluations(
+        mesh, kind, integrator, surgery, renormalize, alpha, seed):
+    rng = np.random.default_rng(seed)
+    tri = FLOW_MESHES[mesh]
+    n = tri.vertex_count
+    base = np.exp(rng.uniform(-0.2, 0.2, tri.edge_count))
+    tri, base, _ = delaunay_surgery(tri, base, np.zeros(n))
+    u0 = rng.normal(0.0, 0.2, n)
+    assume(not geometry.degenerate_faces(tri, scale_metric(tri, base, u0)))
+    state = make_state(tri, base, u0, alpha)
+    config = FlowConfig(kind=kind, integrator=integrator, surgery=surgery,
+                        renormalize=renormalize, dt=0.2)
+    assert _same_report(state)
+    for _ in range(4):
+        try:
+            state = step(state, config)
+        except FlipDegeneratesComplex:
+            return  # a known refusal of the flip; the steps before it count
+        assert _same_report(state)
+        values = [energy_W_alpha(state.tri, state.base, state.u, state.alpha,
+                                 state.rbar, offset=state.w_offset,
+                                 order=order).value for order in (0, 1, 2)]
+        assert values == [state.w_value] * 3

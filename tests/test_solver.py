@@ -165,9 +165,9 @@ class TestEnergyReport:
                 dp[i] += h
                 dm[i] -= h
                 fd = (energy_W_alpha(tri, base, dp, alpha, rbar,
-                                     with_hessian=False).value
+                                     order=1).value
                       - energy_W_alpha(tri, base, dm, alpha, rbar,
-                                       with_hessian=False).value) / (2 * h)
+                                       order=1).value) / (2 * h)
                 assert fd == pytest.approx(rep.gradient[i], rel=1e-6, abs=1e-8)
 
     def test_hessian_matches_fd(self, cube12):
@@ -186,9 +186,9 @@ class TestEnergyReport:
             dp[j] += h
             dm[j] -= h
             gp = energy_W_alpha(tri, base, dp, alpha, rbar,
-                                with_hessian=False).gradient
+                                order=1).gradient
             gm = energy_W_alpha(tri, base, dm, alpha, rbar,
-                                with_hessian=False).gradient
+                                order=1).gradient
             fd[:, j] = (gp - gm) / (2 * h)
         assert np.max(np.abs(H - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(H - H.T)) < 1e-12
@@ -235,9 +235,9 @@ class TestEnergyReport:
             u = rng.uniform(-0.2, 0.2, n)
             rbar = -np.abs(rng.normal(0.5, 0.2, n))
             a = (energy_W_alpha(tri, base, u, 0.9, rbar,
-                                with_hessian=False).value
+                                order=1).value
                  - energy_W_alpha(tri, base, np.zeros(n), 0.9, rbar,
-                                  with_hessian=False).value)
+                                  order=1).value)
             b = energy_value_quadrature(tri, base, u, np.zeros(n), 0.9, rbar)
             assert a == pytest.approx(b, abs=1e-9), name
 
