@@ -28,7 +28,7 @@ from .geometry import (
     scale_metric,
     triangle_angles,
 )
-from .mesh import Triangulation, build_triangulation, flip_edge, load_mesh
+from .mesh import Triangulation, build_triangulation, load_mesh
 from .solver import (
     NewtonResult,
     Target,
@@ -43,7 +43,6 @@ __all__ = [
     "errors",
     "Triangulation",
     "build_triangulation",
-    "flip_edge",
     "load_mesh",
     "CurvatureReport",
     "alpha_curvature",

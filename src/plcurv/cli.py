@@ -224,7 +224,7 @@ def _exec_curvature(man: RunManifest) -> int:
     u = np.zeros(n)
     if man.config.get("u_file"):
         u = _read_vector_file(man.config["u_file"], n, "u")
-    scaled = geometry.scale_metric(tri, lengths, u) if np.any(u) else lengths
+    scaled = geometry.scale_metric(tri, lengths, u)
     K = geometry.curvature(tri, scaled)
     rep = geometry.alpha_curvature(K, u, man.alpha, chi=tri.chi)
     doc = {

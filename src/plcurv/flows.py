@@ -4,34 +4,35 @@ Two vertex-scaling flows drive a PL metric toward constant weighted
 curvature: du/dt = R_av - R (relaxation toward the average) and
 du/dt = laplacian(R) (smoothed relaxation).  Both conserve the weight
 sum and descend the same convex energy the Newton solver minimizes, so
-each explicit step is accept/reject guarded by that energy.  When an
-edge loses the Delaunay property along an accepted step it is flipped
-at the point where it turns cocircular and the base lengths are carried
-across, keeping u meaningful on the new triangulation.  Each accepted
-state carries its curvature report, evaluated once; the guard asks for
-energy values alone.
+each explicit step is accept/reject guarded by that energy.  The chart
+is started, tested and carried by the solver, as Newton's is: an edge
+that turns cocircular along an accepted step is flipped there and the
+base lengths are carried across.  Each accepted state carries its
+curvature report, evaluated once; the guard asks for energy values alone.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import geometry
-from .errors import InsufficientTail, LogFactorOverflow, StepSizeUnderflow
-from .geometry import (
-    alpha_curvature,
-    alpha_laplacian_apply,
-    curvature,
-    degenerate_faces,
-    delaunay_surgery,
-    scale_metric,
-)
+from .errors import DegenerateFace, InsufficientTail, LogFactorOverflow, StepSizeUnderflow
+from .geometry import alpha_curvature, alpha_laplacian_apply, curvature, scale_metric
 from .mesh import Triangulation
-from .solver import ROUNDING_NOISE, Target, apply_gauge, carry_chart, energy_W_alpha
+from .solver import (
+    ROUNDING_NOISE,
+    Target,
+    apply_gauge,
+    carry_chart,
+    conserved_sum,
+    energy_W_alpha,
+    start_chart,
+    trial_energy,
+    trial_fault,
+)
 
 log = logging.getLogger(__name__)
 
@@ -135,16 +136,12 @@ class FlowHistory:
         return "\n".join(lines) + "\n"
 
 
-def conserved_sum(u: np.ndarray, alpha: float) -> float:
-    """The flow invariant: sum of exp(alpha*u) (alpha != 0) or sum of u."""
-    if alpha == 0.0:
-        return float(np.sum(u))
-    return float(np.sum(np.exp(alpha * u)))
-
-
 def make_state(tri: Triangulation, base: np.ndarray, u0,
                alpha: float) -> FlowState:
-    """Assemble a FlowState at time zero (no surgery performed here)."""
+    """Assemble a FlowState at time zero (no surgery performed here).
+
+    Raises DegenerateFace, as Newton does, when a face of the start degenerates.
+    """
     u0 = np.asarray(u0, dtype=float).copy()
     if u0.shape != (tri.vertex_count,):
         raise ValueError(f"u0 has shape {u0.shape}, expected "
@@ -152,8 +149,11 @@ def make_state(tri: Triangulation, base: np.ndarray, u0,
     rbar, _ = Target.constant().resolve(alpha, tri.chi, u0)
     state = FlowState(tri=tri, base=base, u=u0, alpha=float(alpha), rbar=rbar,
                       conserved_target=conserved_sum(u0, alpha))
-    state.report = _curvature_report(state)
-    state.w_offset = -_energy_at(state, u0)
+    state.report = _curvature_report(state)  # raises on overflow first
+    w0 = trial_energy(tri, base, u0, state.alpha, rbar, 0.0)
+    if w0 is None:
+        raise DegenerateFace(f"flow start: {trial_fault(tri, base, u0)}")
+    state.w_offset = -w0
     return state
 
 
@@ -189,11 +189,6 @@ def _rhs_at(state: FlowState, kind: str, u: np.ndarray) -> np.ndarray:
     return _rhs(replace(state, u=u), kind)
 
 
-def _energy_at(state: FlowState, u: np.ndarray) -> float:
-    return energy_W_alpha(state.tri, state.base, u, state.alpha, state.rbar,
-                          offset=state.w_offset, order=0).value
-
-
 def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
              dt: float) -> np.ndarray:
     if config.integrator == "euler":
@@ -205,30 +200,6 @@ def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
     return state.u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _wall_surgery(state: FlowState, u_to: np.ndarray, dt_used: float
-                  ) -> tuple[Triangulation, np.ndarray, list[FlipRecord]]:
-    """Carry the chart along an accepted step, flipping at the walls.
-
-    Each flip happens at the point where its edge turns cocircular,
-    where the length carried to the new diagonal does not depend on the
-    step size, so flows and Newton solves stay comparable in u down to
-    rigidity tolerances.  Returns the arrival chart (triangulation and
-    base lengths) and the flip records, timestamped by the fraction of
-    the step walked.
-    """
-    records: list[FlipRecord] = []
-    span = float(np.linalg.norm(u_to - state.u))
-
-    def stamp(tri, base, cur, infos) -> None:
-        done = 1.0 - float(np.linalg.norm(u_to - cur)) / span if span else 1.0
-        t_ev = state.t + done * dt_used
-        records.extend(FlipRecord(t_ev, i.edge, i.old_length, i.new_length)
-                       for i in infos)
-
-    tri, base, _ = carry_chart(state.tri, state.base, state.u, u_to, on_flip=stamp)
-    return tri, base, records
-
-
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """One accepted integrator step: integrate, surger, renormalize.
 
@@ -236,7 +207,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     when a face would degenerate or the descent energy would visibly
     increase.  dt recovers by a factor 1.2 after 5 consecutive accepts,
     never beyond config.dt.  With surgery on, flips happen at the points
-    along the step where their edges turn cocircular.
+    along the step where their edges turn cocircular, at times t + s * dt.
     """
     rhs0 = _rhs(state, config.kind, state.report)
     dt = config.dt if state.dt is None else state.dt
@@ -245,18 +216,15 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
     halved = False
     u_try = None
-    w_try = math.inf
-    bad: list[int] | None = None
     for _ in range(MAX_HALVINGS + 1):
         try:
             candidate = _advance(state, config, rhs0, dt)
-            scaled = scale_metric(state.tri, state.base, candidate)
-            bad = degenerate_faces(state.tri, scaled)
-        except LogFactorOverflow:
-            bad = None
-        if bad == []:
-            w_try = _energy_at(state, candidate)
-            if w_try <= state.w_value + noise:
+        except LogFactorOverflow:  # an RK4 stage left the metric's range
+            candidate = None
+        else:
+            w_try = trial_energy(state.tri, state.base, candidate, state.alpha,
+                                 state.rbar, state.w_offset)
+            if w_try is not None and w_try <= state.w_value + noise:
                 u_try = candidate
                 break
         halved = True
@@ -264,14 +232,16 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         if dt < DT_FLOOR:
             break
     if u_try is None:
-        blocker = (f"faces {bad} degenerate" if bad
-                   else "metric overflow" if bad is None
-                   else "energy would increase")
+        blocker = ("metric overflow" if candidate is None
+                   else trial_fault(state.tri, state.base, candidate)
+                   or "energy would increase")
         raise StepSizeUnderflow(
             f"dt fell below {DT_FLOOR} at t={state.t:.6g}: {blocker}")
 
-    tri, base, records = (_wall_surgery(state, u_try, dt) if config.surgery
-                          else (state.tri, state.base, []))
+    tri, base, walk = (carry_chart(state.tri, state.base, state.u, u_try)
+                       if config.surgery else (state.tri, state.base, []))
+    records = [FlipRecord(state.t + s * dt, i.edge, i.old_length, i.new_length)
+               for s, i in walk]
     u_final = u_try
     if config.renormalize:
         u_final = apply_gauge(u_try, state.alpha, state.conserved_target)
@@ -287,7 +257,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
                       dt=dt_next, last_dt=dt, accept_streak=streak)
     # past a wall, w_try (departure chart) is not the Delaunay chart's energy
     arrival.w_value = (w_try if not records and np.array_equal(u_final, u_try)
-                       else _energy_at(arrival, u_final))
+                       else energy_W_alpha(tri, base, u_final, state.alpha, state.rbar,
+                                           offset=state.w_offset, order=0).value)
     arrival.report = _curvature_report(arrival)
     return arrival
 
@@ -296,11 +267,11 @@ def run_flow(tri: Triangulation, base: np.ndarray, u0, alpha: float,
              config: FlowConfig) -> tuple[FlowState, FlowHistory]:
     """Iterate ``step`` until max_dev < tol or the step budget runs out.
 
-    The start is canonicalized the same way the Newton solver does it:
-    surgery at u = 0, then the chart is carried along the segment to u0
-    with flips at the walls, so converged flows and Newton solves land
-    in comparable coordinates.  Those pre-flow flips are counted in the
-    first history row but not in the flip log (they happen before t=0).
+    The run starts on the chart Newton starts on
+    (:func:`~plcurv.solver.start_chart`), so converged flows and Newton
+    solves land in comparable coordinates.  The flips made to reach it
+    are counted in the first history row but not in the flip log (they
+    happen before t=0).
     History gains one row per accepted step; status is "converged" or
     "max_steps".  Runs with alpha*chi > 0 proceed but are flagged, since
     nothing is promised there.
@@ -309,8 +280,7 @@ def run_flow(tri: Triangulation, base: np.ndarray, u0, alpha: float,
     n = tri.vertex_count
     if u0.shape != (n,):
         raise ValueError(f"u0 has shape {u0.shape}, expected ({n},)")
-    tri0, base0, infos0 = delaunay_surgery(tri, base, np.zeros(n))
-    tri0, base0, carried = carry_chart(tri0, base0, np.zeros(n), u0)
+    tri0, base0, flips0 = start_chart(tri, base, u0)
     state = make_state(tri0, base0, u0, alpha)
 
     history = FlowHistory()
@@ -326,7 +296,7 @@ def run_flow(tri: Triangulation, base: np.ndarray, u0, alpha: float,
             energy=state.w_value, flips=flips, dt=state.last_dt))
         return max_dev
 
-    max_dev = record(state, len(infos0) + len(carried))
+    max_dev = record(state, flips0)
     while max_dev >= config.tol:
         if state.step_count >= config.max_steps:
             history.status = "max_steps"

@@ -14,7 +14,7 @@ edge id.  The bookkeeping convention used everywhere:
 * an edge stores its two sides as ``(face, slot)`` pairs, one per
   direction of traversal.
 
-A Triangulation is an immutable value; ``flip_edge`` returns a fresh one.
+A Triangulation is an immutable value; its ``flip`` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -244,11 +244,6 @@ class Triangulation:
                         rim=(e_jk, e_ki, e_il, e_lj),
                         old_length=old_length, new_length=new_length)
         return tri, info
-
-
-def flip_edge(tri: Triangulation, e: int) -> tuple[Triangulation, FlipInfo]:
-    """Functional alias for :meth:`Triangulation.flip`."""
-    return tri.flip(e)
 
 
 # --- construction ------------------------------------------------------

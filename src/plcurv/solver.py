@@ -8,7 +8,9 @@ total energy whose gradient is exactly (deficit - target * weight); a
 damped Newton iteration with Delaunay surgery after each accepted step
 minimizes it.  Written in the scaled log lengths, the energy takes the
 same value in every Delaunay triangulation of a metric, so flips leave
-it unchanged and need no correction.
+it unchanged and need no correction.  Newton and the flows move their
+chart only through :func:`start_chart`, :func:`trial_energy` and
+:func:`carry_chart`.
 """
 
 from __future__ import annotations
@@ -284,6 +286,13 @@ def trace_csv(rows: list[TraceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def conserved_sum(u: np.ndarray, alpha: float) -> float:
+    """The normalization the gauge keeps: sum of exp(alpha*u), or sum of u."""
+    if alpha == 0.0:
+        return float(np.sum(u))
+    return float(np.sum(np.exp(alpha * u)))
+
+
 def apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
     """Constant shift restoring the conserved normalization (exact form)."""
     if alpha == 0.0:
@@ -335,37 +344,66 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
 
 
 def carry_chart(tri: Triangulation, base: np.ndarray, u_from: np.ndarray,
-                u_to: np.ndarray, on_flip=None
-                ) -> tuple[Triangulation, np.ndarray, list[FlipInfo]]:
+                u_to: np.ndarray
+                ) -> tuple[Triangulation, np.ndarray, list[tuple[float, FlipInfo]]]:
     """Transport the chart along the straight segment from u_from to u_to.
 
     Walks the segment and performs each flip at the wall where the edge
     turns cocircular, so the arrival chart does not depend on where the
-    segment started.  ``on_flip(tri, base, u, infos)``, when given, sees
-    each surgery: the chart before it, the point u on the segment and
-    the flips made there.  Returns the arrival triangulation, base
-    lengths and the flips made on the way.
+    segment started.  Returns the arrival triangulation, base lengths
+    and the flips made on the way, each as (s, info): the surgery that
+    made it ran at u_from + s * (u_to - u_from).
     """
     cur = np.asarray(u_from, dtype=float).copy()
     u_to = np.asarray(u_to, dtype=float)
-    flips: list[FlipInfo] = []
+    flips: list[tuple[float, FlipInfo]] = []
+    walked = 0.0
     cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
     while np.any(delta := u_to - cur):
         s_cap, hit = _first_wall(tri, base, cur, delta)
         cur = cur + s_cap * delta
         if not hit:
             break
-        tri_new, base_new, infos = delaunay_surgery(tri, base, cur)
+        walked += s_cap * (1.0 - walked)
+        tri, base, infos = delaunay_surgery(tri, base, cur)
         if not infos:
             break
-        if on_flip is not None:
-            on_flip(tri, base, cur, infos)
-        tri, base = tri_new, base_new
-        flips.extend(infos)
+        flips.extend((walked, info) for info in infos)
         if len(flips) > cap:
             raise FlipLimitExceeded(
                 f"{len(flips)} flips while carrying the chart along one segment")
     return tri, base, flips
+
+
+def start_chart(tri: Triangulation, base: np.ndarray, u0: np.ndarray
+                ) -> tuple[Triangulation, np.ndarray, int]:
+    """The canonical chart at u0 and the number of flips made to reach it.
+
+    Surgery at u = 0, shared by every start on this mesh, then a walk to
+    u0 that flips at the walls: surgery directly at a deeply non-Delaunay
+    u0 would give each start its own transported base lengths.
+    """
+    zero = np.zeros(tri.vertex_count)
+    tri, base, flips0 = delaunay_surgery(tri, base, zero)
+    tri, base, carried = carry_chart(tri, base, zero, u0)
+    return tri, base, len(flips0) + len(carried)
+
+
+def trial_fault(tri: Triangulation, base: np.ndarray, u: np.ndarray) -> str | None:
+    """Why u cannot be a trial point on this chart, or None when it can."""
+    try:
+        bad = degenerate_faces(tri, scale_metric(tri, base, u))
+    except LogFactorOverflow:
+        return "metric overflow"
+    return f"faces {bad} degenerate" if bad else None
+
+
+def trial_energy(tri: Triangulation, base: np.ndarray, u: np.ndarray,
+                 alpha: float, rbar: np.ndarray, offset: float) -> float | None:
+    """Order-0 energy at u, or None when :func:`trial_fault` rules u out."""
+    if trial_fault(tri, base, u) is not None:
+        return None
+    return energy_W_alpha(tri, base, u, alpha, rbar, offset=offset, order=0).value
 
 
 def newton_solve(tri: Triangulation, base: np.ndarray, u0,
@@ -392,23 +430,11 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     if kind == "unsupported":
         raise UnsupportedTarget(
             "alpha * target has positive entries; the energy is not convex")
-    conserved = float(np.sum(u)) if alpha == 0.0 else float(np.sum(np.exp(alpha * u)))
+    conserved = conserved_sum(u, alpha)
 
-    # Start the chart at u = 0 (shared by every solve on this mesh) and
-    # carry it to the start with flips at the walls; surgery directly at a
-    # deeply non-Delaunay start would give each start its own transported
-    # base lengths and solutions from different starts could not be
-    # compared at rigidity tolerances.
-    tri_c, base_c, flips0 = delaunay_surgery(tri, base, np.zeros(n))
-    tri_c, base_c, carried = carry_chart(tri_c, base_c, np.zeros(n), u)
-    total_flips = len(flips0) + len(carried)
+    tri_c, base_c, total_flips = start_chart(tri, base, u)
     start = energy_W_alpha(tri_c, base_c, u, alpha, rbar)
     offset = -start.value
-
-    def evaluate(u_at: np.ndarray, order: int) -> EnergyReport:
-        return energy_W_alpha(tri_c, base_c, u_at, alpha, rbar,
-                              offset=offset, order=order)
-
     rep = replace(start, value=0.0)
     grad_inf = float(np.max(np.abs(rep.gradient)))
     trace = [TraceRow(0, grad_inf, rep.value, 0.0, total_flips)]
@@ -452,16 +478,10 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
         accepted = None
         for _ in range(MAX_BACKTRACKS + 1):
             u_try = u + step * delta
-            try:
-                scaled = scale_metric(tri_c, base_c, u_try)
-                trial = evaluate(u_try, order=0)
-            except LogFactorOverflow:
-                trial = None
-            if (trial is not None
-                    and not degenerate_faces(tri_c, scaled)
-                    and (trial.value <= rep.value + ARMIJO_SLOPE * step * slope
-                         or (abs(slope) * step <= noise
-                             and trial.value <= rep.value + noise))):
+            value = trial_energy(tri_c, base_c, u_try, alpha, rbar, offset)
+            if value is not None and (
+                    value <= rep.value + ARMIJO_SLOPE * step * slope
+                    or (abs(slope) * step <= noise and value <= rep.value + noise)):
                 accepted = u_try
                 break
             step *= BACKTRACK
@@ -474,7 +494,7 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
             u = apply_gauge(u, alpha, conserved)
         tri_c, base_c, flips = delaunay_surgery(tri_c, base_c, u)
         total_flips += len(flips)
-        rep = evaluate(u, order=2)
+        rep = energy_W_alpha(tri_c, base_c, u, alpha, rbar, offset=offset)
         grad_inf = float(np.max(np.abs(rep.gradient)))
         trace.append(TraceRow(it, grad_inf, rep.value, step, len(flips)))
 
@@ -527,7 +547,7 @@ def rigidity_check(tri: Triangulation, base: np.ndarray, alpha: float,
         return RigidityReport(kind=kind, passed=None, spread=None, solutions=[])
     fixed = Target.prescribed(rbar)
     rng = np.random.default_rng(seed)
-    tri0, base0, _ = delaunay_surgery(tri, base, np.zeros(n))
+    tri0, base0, _ = start_chart(tri, base, np.zeros(n))
     solutions = []
     for _ in range(trials):
         for _ in range(START_DRAWS):

@@ -5,13 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENUS2_FACES, all_fixture_meshes, lattice_torus_faces, unit_lengths
 
-from plcurv import geometry
-from plcurv.errors import FlipDegeneratesComplex, InsufficientTail
+from plcurv import flows, geometry
+from plcurv.errors import (
+    DegenerateFace,
+    FlipDegeneratesComplex,
+    InsufficientTail,
+    StepSizeUnderflow,
+)
 from plcurv.flows import (
     FlowConfig,
     FlowHistory,
@@ -27,7 +32,7 @@ from plcurv.flows import (
 )
 from plcurv.geometry import alpha_curvature, curvature, delaunay_surgery, scale_metric
 from plcurv.mesh import build_triangulation
-from plcurv.solver import Target, energy_W_alpha, newton_solve
+from plcurv.solver import Target, carry_chart, energy_W_alpha, newton_solve
 
 
 def state_report(state):
@@ -106,6 +111,13 @@ class TestStep:
         assert len(out.flips) == 1
         assert out.flips[0].edge == e
         assert out.flips[0].old_length == pytest.approx(1.9)
+        # the record carries the time of the wall: t + s * dt, with s the
+        # fraction of the step walked when the edge flipped
+        u_try = state.u + out.last_dt * yamabe_rhs(state)
+        _, _, walk = carry_chart(state.tri, state.base, state.u, u_try)
+        s = walk[0][0]
+        assert 0.0 < s < 1.0
+        assert out.flips[0].t == state.t + s * out.last_dt
         k_after = curvature(out.tri, scale_metric(out.tri, out.base, out.u))
         assert np.max(np.abs(k_after - k_before)) < 1e-9
         assert geometry.is_delaunay_all(
@@ -130,6 +142,22 @@ class TestStep:
             state = step(state, cfg)
             assert state.dt <= 16.0
         assert state.dt > shrunk
+
+    @pytest.mark.parametrize("integrator, dt, blocker", [
+        ("euler", 1e4, "metric overflow"),
+        ("rk4", 1e4, "metric overflow"),  # a stage overflows, not the trial
+        ("euler", 1.0, "faces [0, 1, 2, 3] degenerate"),
+        ("euler", 0.275, "energy would increase"),
+    ])
+    def test_underflow_names_the_blocker(self, tetra, monkeypatch,
+                                         integrator, dt, blocker):
+        # one trial and no halving: the error names what stopped that trial
+        monkeypatch.setattr(flows, "MAX_HALVINGS", 0)
+        u0 = np.array([0.3, -0.2, 0.1, 0.0])
+        state = make_state(tetra, unit_lengths(tetra), u0, -1.0)
+        with pytest.raises(StepSizeUnderflow) as err:
+            step(state, FlowConfig(kind="yamabe", integrator=integrator, dt=dt))
+        assert str(err.value).endswith(f": {blocker}")
 
     def test_renormalization_pins_conserved_sum(self, tetra):
         rng = np.random.default_rng(3)
@@ -357,7 +385,10 @@ def test_carried_report_and_energy_match_fresh_evaluations(
     base = np.exp(rng.uniform(-0.2, 0.2, tri.edge_count))
     tri, base, _ = delaunay_surgery(tri, base, np.zeros(n))
     u0 = rng.normal(0.0, 0.2, n)
-    assume(not geometry.degenerate_faces(tri, scale_metric(tri, base, u0)))
+    if geometry.degenerate_faces(tri, scale_metric(tri, base, u0)):
+        with pytest.raises(DegenerateFace):
+            make_state(tri, base, u0, alpha)
+        return
     state = make_state(tri, base, u0, alpha)
     config = FlowConfig(kind=kind, integrator=integrator, surgery=surgery,
                         renormalize=renormalize, dt=0.2)
@@ -372,3 +403,18 @@ def test_carried_report_and_energy_match_fresh_evaluations(
                                  state.rbar, offset=state.w_offset,
                                  order=order).value for order in (0, 1, 2)]
         assert values == [state.w_value] * 3
+
+
+def test_degenerate_start_is_refused_by_make_state():
+    # with surgery on, a step from this start used to die inside the wall
+    # walk while the same step without surgery succeeded
+    rng = np.random.default_rng(2)
+    tri = FLOW_MESHES[0]
+    base = np.exp(rng.uniform(-0.2, 0.2, tri.edge_count))
+    tri, base, _ = delaunay_surgery(tri, base, np.zeros(9))
+    u0 = rng.normal(0.0, 0.2, 9)
+    bad = geometry.degenerate_faces(tri, scale_metric(tri, base, u0))
+    assert bad
+    with pytest.raises(DegenerateFace) as err:
+        make_state(tri, base, u0, -1.0)
+    assert f"faces {bad} degenerate" in str(err.value)

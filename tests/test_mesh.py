@@ -7,7 +7,6 @@ import pytest
 from plcurv import errors
 from plcurv.mesh import (
     build_triangulation,
-    flip_edge,
     lengths_json_doc,
     load_mesh,
     parse_lengths_json,
@@ -100,7 +99,7 @@ class TestBuild:
 class TestFlip:
     def test_flip_preserves_counts(self, torus9):
         e = torus9.edge_ids()[0]
-        tri2, info = flip_edge(torus9, e)
+        tri2, info = torus9.flip(e)
         assert tri2.vertex_count == torus9.vertex_count
         assert tri2.edge_count == torus9.edge_count
         assert tri2.face_count == torus9.face_count
@@ -117,14 +116,14 @@ class TestFlip:
         e = torus9.edge_ids()[0]
         before = (list(torus9.faces), list(torus9.face_edges),
                   list(torus9.edge_sides))
-        tri2, _ = flip_edge(torus9, e)
+        tri2, _ = torus9.flip(e)
         assert (torus9.faces, torus9.face_edges, torus9.edge_sides) == before
         assert set(tri2.edge_vertices(e)) != set(torus9.edge_vertices(e))
 
     def test_flip_flip_back_isomorphic(self, torus9):
         e = torus9.edge_ids()[5]
-        tri2, info = flip_edge(torus9, e)
-        tri3, info2 = flip_edge(tri2, e)
+        tri2, info = torus9.flip(e)
+        tri3, info2 = tri2.flip(e)
         assert face_multiset(tri3) == face_multiset(torus9)
         assert edge_pair_multiset(tri3) == edge_pair_multiset(torus9)
 
@@ -133,7 +132,7 @@ class TestFlip:
         # (3,1,2); vertices 2 and 3 end up joined by two distinct edges.
         e01 = next(e for e in tetra.edge_ids()
                    if set(tetra.edge_vertices(e)) == {0, 1})
-        tri2, info = flip_edge(tetra, e01)
+        tri2, info = tetra.flip(e01)
         assert set(info.quad[:2]) == {0, 1}
         assert set(info.quad[2:]) == {2, 3}
         # survivors (0,2,3),(1,3,2) plus replacements (0,3,2),(3,1,2)
@@ -148,7 +147,7 @@ class TestFlip:
         tri = build_triangulation(SPHERE2_FACES)
         for e in tri.edge_ids():
             with pytest.raises(errors.FlipDegeneratesComplex):
-                flip_edge(tri, e)
+                tri.flip(e)
 
     def test_random_flip_walk_stays_valid(self, torus9):
         rng = np.random.default_rng(7)
@@ -156,7 +155,7 @@ class TestFlip:
         for _ in range(60):
             e = tri.edge_ids()[int(rng.integers(tri.edge_count))]
             try:
-                tri, _ = flip_edge(tri, e)
+                tri, _ = tri.flip(e)
             except errors.FlipDegeneratesComplex:
                 continue
             assert tri.vertex_count == 9
@@ -226,7 +225,7 @@ class TestLoad:
     def test_pair_form_rejected_on_doubled_edges(self, tetra):
         e01 = next(e for e in tetra.edge_ids()
                    if set(tetra.edge_vertices(e)) == {0, 1})
-        tri2, _ = flip_edge(tetra, e01)
+        tri2, _ = tetra.flip(e01)
         faces = [list(tri2.faces[f]) for f in tri2.face_ids()]
         doc = {"vertices": 4, "faces": faces,
                "edge_lengths": [[0, 1, 1.0]]}

@@ -122,23 +122,25 @@ def test_stacked_margin_is_each_single_margin(mesh, seed, count):
 
 
 class TestCarryChart:
-    def test_on_flip_sees_the_chart_before_each_surgery(self):
+    def test_each_flip_carries_the_fraction_walked(self):
         tri, base, ends = TestWallCases.stretched_torus()
-        events = []
-        out_tri, out_base, flips = carry_chart(
-            tri, base, np.zeros(9), 0.3 * ends,
-            on_flip=lambda *event: events.append(event))
-        assert len(events) == 1 and len(flips) == 1
-        before, before_base, at, infos = events[0]
-        assert before is tri and before_base is base
-        s, _ = _first_wall(tri, base, np.zeros(9), 0.3 * ends)
-        assert np.array_equal(at, s * 0.3 * ends)
-        info = infos[0]
+        u_to = 0.3 * ends
+        out_tri, out_base, flips = carry_chart(tri, base, np.zeros(9), u_to)
+        assert len(flips) == 1
+        s, info = flips[0]
+        assert s == _first_wall(tri, base, np.zeros(9), u_to)[0]
+        at = s * u_to
+        # the surgery ran on the input chart at the wall: replaying it there
+        # makes the same flip and gives the same chart
+        replay_tri, replay_base, infos = geometry.delaunay_surgery(tri, base, at)
+        assert infos == [info]
+        assert replay_tri.faces == out_tri.faces
+        assert np.array_equal(replay_base, out_base)
         assert info.old_length == scale_metric(tri, base, at)[info.edge]
         assert info.new_length == pytest.approx(
             scale_metric(out_tri, out_base, at)[info.edge], rel=1e-14)
         assert geometry.is_delaunay_all(
-            out_tri, scale_metric(out_tri, out_base, 0.3 * ends)) == []
+            out_tri, scale_metric(out_tri, out_base, u_to)) == []
 
     def test_flip_with_length_reports_both_lengths(self):
         tri = build_triangulation(torus9_faces())
