@@ -4,11 +4,11 @@ Two vertex-scaling flows drive a PL metric toward constant weighted
 curvature: du/dt = R_av - R (relaxation toward the average) and
 du/dt = laplacian(R) (smoothed relaxation).  Both conserve the weight
 sum and descend the same convex energy the Newton solver minimizes, so
-each explicit step is accept/reject guarded by that energy.  The chart
-is started, tested and carried by the solver, as Newton's is: an edge
-that turns cocircular along an accepted step is flipped there and the
-base lengths are carried across.  Each accepted state carries its
-curvature report, evaluated once; the guard asks for energy values alone.
+each renormalized trial point is accept/reject guarded by that energy.
+The chart is started, tested and carried by the solver, as Newton's is:
+an edge that turns cocircular along an accepted step is flipped there.
+A trial costs one energy evaluation and a flipping step one more; each
+accepted state gets one curvature report.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .solver import (
     Target,
     apply_gauge,
     carry_chart,
+    check_weights,
     conserved_sum,
     energy_W_alpha,
     start_chart,
@@ -140,20 +141,21 @@ def make_state(tri: Triangulation, base: np.ndarray, u0,
                alpha: float) -> FlowState:
     """Assemble a FlowState at time zero (no surgery performed here).
 
-    Raises DegenerateFace, as Newton does, when a face of the start degenerates.
+    Refuses an overflowing start (LogFactorOverflow) and, as Newton does, a degenerate one.
     """
     u0 = np.asarray(u0, dtype=float).copy()
     if u0.shape != (tri.vertex_count,):
         raise ValueError(f"u0 has shape {u0.shape}, expected "
                          f"({tri.vertex_count},)")
+    check_weights(u0, alpha)
     rbar, _ = Target.constant().resolve(alpha, tri.chi, u0)
     state = FlowState(tri=tri, base=base, u=u0, alpha=float(alpha), rbar=rbar,
                       conserved_target=conserved_sum(u0, alpha))
     state.report = _curvature_report(state)  # raises on overflow first
-    w0 = trial_energy(tri, base, u0, state.alpha, rbar, 0.0)
-    if w0 is None:
-        raise DegenerateFace(f"flow start: {trial_fault(tri, base, u0)}")
-    state.w_offset = -w0
+    start = trial_energy(tri, base, u0, state.alpha, rbar, 0.0)
+    if start is None:
+        raise DegenerateFace(f"flow start: {trial_fault(tri, base, u0, state.alpha)}")
+    state.w_offset = -start[0]
     return state
 
 
@@ -201,65 +203,60 @@ def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """One accepted integrator step: integrate, surger, renormalize.
+    """One accepted integrator step: integrate, renormalize, guard, carry.
 
-    A trial is rejected (dt halved, up to 40 times or the 1e-16 floor)
-    when a face would degenerate or the descent energy would visibly
-    increase.  dt recovers by a factor 1.2 after 5 consecutive accepts,
-    never beyond config.dt.  With surgery on, flips happen at the points
-    along the step where their edges turn cocircular, at times t + s * dt.
+    A renormalized trial is rejected (dt halved, at most MAX_HALVINGS times,
+    never below DT_FLOOR) when the metric would overflow, a face degenerate
+    or the energy visibly increase; the value it passes is the one kept.
+    dt recovers by a factor 1.2 after 5 consecutive accepts, never beyond
+    config.dt.  With surgery on, an edge turning cocircular flips there, at
+    t + s * dt, and the energy is evaluated once more on the arrival chart.
     """
     rhs0 = _rhs(state, config.kind, state.report)
     dt = config.dt if state.dt is None else state.dt
     noise = max(ENERGY_NOISE * (1.0 + abs(state.w_value)),
                 ROUNDING_NOISE * abs(state.w_offset))
 
-    halved = False
-    u_try = None
-    for _ in range(MAX_HALVINGS + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         try:
-            candidate = _advance(state, config, rhs0, dt)
-        except LogFactorOverflow:  # an RK4 stage left the metric's range
-            candidate = None
+            u_try = _advance(state, config, rhs0, dt)
+            if config.renormalize:
+                u_try = apply_gauge(u_try, state.alpha, state.conserved_target)
+        except LogFactorOverflow:  # an RK4 stage or the weights left their range
+            u_try = trial = None
         else:
-            w_try = trial_energy(state.tri, state.base, candidate, state.alpha,
+            trial = trial_energy(state.tri, state.base, u_try, state.alpha,
                                  state.rbar, state.w_offset)
-            if w_try is not None and w_try <= state.w_value + noise:
-                u_try = candidate
-                break
-        halved = True
-        dt *= 0.5
-        if dt < DT_FLOOR:
+        if trial is not None and trial[0] <= state.w_value + noise:
             break
-    if u_try is None:
-        blocker = ("metric overflow" if candidate is None
-                   else trial_fault(state.tri, state.base, candidate)
-                   or "energy would increase")
-        raise StepSizeUnderflow(
-            f"dt fell below {DT_FLOOR} at t={state.t:.6g}: {blocker}")
+        if halvings == MAX_HALVINGS or dt * 0.5 < DT_FLOOR:
+            limit = "MAX_HALVINGS" if halvings == MAX_HALVINGS else "DT_FLOOR"
+            blocker = ("metric overflow" if u_try is None
+                       else trial_fault(state.tri, state.base, u_try, state.alpha)
+                       or "energy would increase")
+            raise StepSizeUnderflow(f"no step accepted down to dt={dt:.6g} ({limit} "
+                                    f"reached) at t={state.t:.6g}: {blocker}")
+        dt *= 0.5
 
+    w_try, scaled = trial
     tri, base, walk = (carry_chart(state.tri, state.base, state.u, u_try)
                        if config.surgery else (state.tri, state.base, []))
     records = [FlipRecord(state.t + s * dt, i.edge, i.old_length, i.new_length)
                for s, i in walk]
-    u_final = u_try
-    if config.renormalize:
-        u_final = apply_gauge(u_try, state.alpha, state.conserved_target)
+    if records:  # past a wall, the trial's energy and metric are the departure chart's
+        w_try, scaled = energy_W_alpha(tri, base, u_try, state.alpha, state.rbar,
+                                       offset=state.w_offset, order=0).value, None
 
-    streak = 0 if halved else state.accept_streak + 1
+    streak = 0 if halvings else state.accept_streak + 1
     dt_next = dt
     if streak >= GROWTH_STREAK:
         dt_next = min(dt * GROWTH_FACTOR, config.dt)
         streak = 0
 
-    arrival = replace(state, tri=tri, base=base, u=u_final, t=state.t + dt,
+    arrival = replace(state, tri=tri, base=base, u=u_try, t=state.t + dt,
                       flips=state.flips + records, step_count=state.step_count + 1,
-                      dt=dt_next, last_dt=dt, accept_streak=streak)
-    # past a wall, w_try (departure chart) is not the Delaunay chart's energy
-    arrival.w_value = (w_try if not records and np.array_equal(u_final, u_try)
-                       else energy_W_alpha(tri, base, u_final, state.alpha, state.rbar,
-                                           offset=state.w_offset, order=0).value)
-    arrival.report = _curvature_report(arrival)
+                      dt=dt_next, last_dt=dt, accept_streak=streak, w_value=w_try)
+    arrival.report = _curvature_report(arrival, scaled)
     return arrival
 
 

@@ -54,9 +54,9 @@ FLIP_CAP_FACTOR = 100
 
 TWO_PI = 2.0 * math.pi
 
-# Column k of x[..., _NEXT] is column (k + 1) % 3 of x, of x[..., _PREV] (k + 2) % 3.
-_NEXT = [1, 2, 0]
-_PREV = [2, 0, 1]
+# Column k of x[..., NEXT] is column (k + 1) % 3 of x, of x[..., PREV] (k + 2) % 3.
+NEXT = np.array([1, 2, 0])
+PREV = np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,14 @@ def opposite_cosines(L: np.ndarray) -> np.ndarray:
     cosine facing side k, by the same arithmetic as :func:`_cos_opposite`.
     """
     n = L / max3(L)[..., None]
-    b, c = n[..., _NEXT], n[..., _PREV]
+    b, c = n[..., NEXT], n[..., PREV]
     num = b * b + c * c - n * n
     den = 2.0 * b * c
     flat = den == 0.0
     if flat.any():
         den = np.where(flat, 1.0, den)
         num = np.where(flat, np.sign(num), num)
-    return np.clip(num / den, -1.0, 1.0)
+    return np.minimum(np.maximum(num / den, -1.0), 1.0)
 
 
 def face_angles(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ def curvature(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     Degenerate faces contribute their extended angles, so the result is
     total and the deficit sum stays pinned at 2*pi*chi.
     """
-    at = tri.arrays.face_verts[:, _PREV]
+    at = tri.arrays.face_verts[:, PREV]
     return TWO_PI - np.bincount(at.ravel(), weights=face_angles(tri, lengths).ravel(),
                                 minlength=tri.vertex_count)
 

@@ -42,7 +42,6 @@ from .geometry import (
     max3,
     opposite_cosines,
     scale_metric,
-    side_lengths,
 )
 from .mesh import FlipInfo, Triangulation
 
@@ -64,6 +63,8 @@ VALUE_NOISE = 1e-13
 # so it carries rounding of about eps * |offset| (spread 1.7 eps * |offset|
 # at V = 144 and 576); the line search's and flows' bands stay above this.
 ROUNDING_NOISE = 16.0 * np.finfo(float).eps
+
+WEIGHT_LOG_BOUND = 700.0  # e^700 ~ 1e304: weights, reciprocals and their sums stay finite
 
 # The wall search scans 16 panels, then bisects 3 levels per kernel call.
 _WALL_PANELS = 16
@@ -111,8 +112,8 @@ def lobachevsky(x):
 
 # --- per-triangle energy ------------------------------------------------
 
-def _phi(base: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-face antiderivative of the angle 1-form; faces on leading axes.
+def _phi(base: np.ndarray, v: np.ndarray) -> float:
+    """Antiderivative of the angle 1-form, summed over faces on leading axes.
 
     phi(v) = pi * sum(v) - sum_a [theta_a * lambda_a + Л(theta_a)] is a
     global C1 antiderivative: its partial in v_a is the extended angle at
@@ -120,10 +121,9 @@ def _phi(base: np.ndarray, v: np.ndarray) -> np.ndarray:
     degenerate regions the angles are locally constant).  Side a, of log
     length lambda_a, is opposite corner a and picks up v_b + v_c.
     """
-    lam = v[..., [1, 2, 0]] + v[..., [2, 0, 1]] + np.log(base)
+    lam = v[..., geometry.NEXT] + v[..., geometry.PREV] + np.log(base)
     theta = np.arccos(opposite_cosines(np.exp(lam - max3(lam)[..., None])))
-    return (math.pi * v.sum(axis=-1)
-            - ((theta * lam).sum(axis=-1) + lobachevsky(theta).sum(axis=-1)))
+    return math.pi * v.sum() - ((theta * lam).sum() + lobachevsky(theta).sum())
 
 
 def triangle_energy(base_lengths, u) -> float:
@@ -143,7 +143,7 @@ def triangle_energy(base_lengths, u) -> float:
                          "and a u-array of the same shape")
     if not np.all(base > 0.0):
         raise geometry.NonPositiveLength(f"base lengths {base} not positive")
-    return float(np.sum(_phi(base.T, u.T)))
+    return float(_phi(base.T, u.T))
 
 
 # --- total energy -------------------------------------------------------
@@ -229,17 +229,14 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     """
     u = np.asarray(u, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
-
     # the side opposite corner a is the edge in slot (a + 1) % 3
-    opposite = side_lengths(tri, base)[:, [1, 2, 0]].T
-    total_faces = triangle_energy(opposite, u[tri.arrays.face_verts.T])
-
+    total_faces = triangle_energy(base[tri.arrays.face_edges[:, geometry.NEXT].T],
+                                  u[tri.arrays.face_verts.T])
     if alpha == 0.0:
-        vertex_term = float(np.sum((TWO_PI - rbar) * u))
+        vertex_term = float(((TWO_PI - rbar) * u).sum())
     else:
-        vertex_term = float(np.sum(TWO_PI * u - rbar * np.exp(alpha * u) / alpha))
-    value = (offset - total_faces - math.pi * float(np.sum(np.log(base)))
-             + vertex_term)
+        vertex_term = float((TWO_PI * u - rbar * np.exp(alpha * u) / alpha).sum())
+    value = offset - total_faces - math.pi * float(np.log(base).sum()) + vertex_term
 
     grad = hess = None
     if order >= 1:
@@ -293,11 +290,21 @@ def conserved_sum(u: np.ndarray, alpha: float) -> float:
     return float(np.sum(np.exp(alpha * u)))
 
 
+def check_weights(u: np.ndarray, alpha: float) -> None:
+    """Raise LogFactorOverflow unless |alpha*u| is within WEIGHT_LOG_BOUND."""
+    if not np.abs(alpha * u).max(initial=0.0) <= WEIGHT_LOG_BOUND:  # True on NaN
+        raise LogFactorOverflow(f"|alpha*u| exceeds {WEIGHT_LOG_BOUND}; weights overflow")
+
+
 def apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
     """Constant shift restoring the conserved normalization (exact form)."""
     if alpha == 0.0:
         return u + (conserved - float(np.sum(u))) / u.shape[0]
-    return u + math.log(conserved / float(np.sum(np.exp(alpha * u)))) / alpha
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = float(conserved / np.sum(np.exp(alpha * u)))
+    if not 0.0 < ratio < math.inf:  # False on NaN
+        raise LogFactorOverflow("weights exp(alpha*u) leave the float range")
+    return u + math.log(ratio) / alpha
 
 
 def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
@@ -389,21 +396,31 @@ def start_chart(tri: Triangulation, base: np.ndarray, u0: np.ndarray
     return tri, base, len(flips0) + len(carried)
 
 
-def trial_fault(tri: Triangulation, base: np.ndarray, u: np.ndarray) -> str | None:
-    """Why u cannot be a trial point on this chart, or None when it can."""
+def _trial_metric(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float
+                  ) -> tuple[str | None, np.ndarray | None]:
+    """What rules u out (overflowing metric or weights, degenerate faces) and its metric."""
     try:
-        bad = degenerate_faces(tri, scale_metric(tri, base, u))
+        check_weights(u, alpha)
+        scaled = scale_metric(tri, base, u)
     except LogFactorOverflow:
-        return "metric overflow"
-    return f"faces {bad} degenerate" if bad else None
+        return "metric overflow", None
+    bad = degenerate_faces(tri, scaled)
+    return (f"faces {bad} degenerate" if bad else None), scaled
 
 
-def trial_energy(tri: Triangulation, base: np.ndarray, u: np.ndarray,
-                 alpha: float, rbar: np.ndarray, offset: float) -> float | None:
-    """Order-0 energy at u, or None when :func:`trial_fault` rules u out."""
-    if trial_fault(tri, base, u) is not None:
+def trial_fault(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float
+                ) -> str | None:
+    """Why u cannot be a trial point on this chart, or None when it can."""
+    return _trial_metric(tri, base, u, alpha)[0]
+
+
+def trial_energy(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float,
+                 rbar: np.ndarray, offset: float) -> tuple[float, np.ndarray] | None:
+    """Order-0 energy at u and its metric, or None when :func:`trial_fault` rules u out."""
+    fault, scaled = _trial_metric(tri, base, u, alpha)
+    if fault is not None:
         return None
-    return energy_W_alpha(tri, base, u, alpha, rbar, offset=offset, order=0).value
+    return energy_W_alpha(tri, base, u, alpha, rbar, offset=offset, order=0).value, scaled
 
 
 def newton_solve(tri: Triangulation, base: np.ndarray, u0,
@@ -426,6 +443,7 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     n = tri.vertex_count
     if u.shape != (n,):
         raise ValueError(f"u0 has shape {u.shape}, expected ({n},)")
+    check_weights(u, alpha)
     rbar, kind = target.resolve(alpha, tri.chi, u)
     if kind == "unsupported":
         raise UnsupportedTarget(
@@ -478,10 +496,10 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
         accepted = None
         for _ in range(MAX_BACKTRACKS + 1):
             u_try = u + step * delta
-            value = trial_energy(tri_c, base_c, u_try, alpha, rbar, offset)
-            if value is not None and (
-                    value <= rep.value + ARMIJO_SLOPE * step * slope
-                    or (abs(slope) * step <= noise and value <= rep.value + noise)):
+            trial = trial_energy(tri_c, base_c, u_try, alpha, rbar, offset)
+            if trial is not None and (
+                    trial[0] <= rep.value + ARMIJO_SLOPE * step * slope
+                    or (abs(slope) * step <= noise and trial[0] <= rep.value + noise)):
                 accepted = u_try
                 break
             step *= BACKTRACK

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import GENUS2_FACES, all_fixture_meshes, lattice_torus_faces, unit_lengths
 
-from plcurv import flows, geometry
+from plcurv import flows, geometry, solver
 from plcurv.errors import (
     DegenerateFace,
     FlipDegeneratesComplex,
     InsufficientTail,
+    LogFactorOverflow,
     StepSizeUnderflow,
 )
 from plcurv.flows import (
@@ -158,6 +159,32 @@ class TestStep:
         with pytest.raises(StepSizeUnderflow) as err:
             step(state, FlowConfig(kind="yamabe", integrator=integrator, dt=dt))
         assert str(err.value).endswith(f": {blocker}")
+
+    @pytest.mark.parametrize("dt, halvings, limit", [
+        (0.05, 40, "MAX_HALVINGS"),  # 0.05 / 2**40 is far above the floor
+        (1e-15, 3, "DT_FLOOR"),      # 1e-15 / 2**4 would be below it
+    ])
+    def test_underflow_reports_the_dt_reached_and_the_limit(self, tetra, dt,
+                                                             halvings, limit):
+        # a state energy below every trial's, so every trial is rejected
+        u0 = np.array([0.3, -0.2, 0.1, 0.0])
+        state = make_state(tetra, unit_lengths(tetra), u0, -1.0)
+        state = dataclasses.replace(state, w_value=-1.0)
+        with pytest.raises(StepSizeUnderflow) as err:
+            step(state, FlowConfig(kind="yamabe", dt=dt))
+        assert str(err.value) == (
+            f"no step accepted down to dt={dt * 0.5 ** halvings:.6g} "
+            f"({limit} reached) at t=0: energy would increase")
+
+    def test_overflowing_weights_only_halve_dt(self, tetra):
+        # the first trial reaches u = 250, where the weights exp(3u) overflow:
+        # renormalizing it must reject the trial, not raise
+        u0 = np.array([0.3, -0.2, 0.1, 0.0])
+        state = make_state(tetra, unit_lengths(tetra), u0, 3.0)
+        out = step(state, FlowConfig(kind="yamabe", dt=390.0))
+        assert out.last_dt < 390.0
+        assert conserved_sum(out.u, 3.0) == pytest.approx(state.conserved_target,
+                                                          rel=1e-12)
 
     def test_renormalization_pins_conserved_sum(self, tetra):
         rng = np.random.default_rng(3)
@@ -418,3 +445,68 @@ def test_degenerate_start_is_refused_by_make_state():
     with pytest.raises(DegenerateFace) as err:
         make_state(tri, base, u0, -1.0)
     assert f"faces {bad} degenerate" in str(err.value)
+
+
+def test_overflowing_start_is_refused_by_make_state(tetra):
+    # exp(3 * 250) overflows before any face is looked at
+    with pytest.raises(LogFactorOverflow):
+        make_state(tetra, unit_lengths(tetra), np.full(4, 250.0), 3.0)
+
+
+# --- one energy evaluation per accepted step -------------------------------
+
+def test_renormalization_costs_no_energy_evaluation(monkeypatch):
+    calls = {"energy": 0, "trials": 0}
+    energy, trial = solver.energy_W_alpha, flows.trial_energy
+
+    def counted_energy(*args, **kwargs):
+        calls["energy"] += 1
+        return energy(*args, **kwargs)
+
+    def counted_trial(*args, **kwargs):
+        out = trial(*args, **kwargs)
+        calls["trials"] += out is not None  # a trial that reached the energy
+        return out
+
+    monkeypatch.setattr(solver, "energy_W_alpha", counted_energy)
+    monkeypatch.setattr(flows, "energy_W_alpha", counted_energy)
+    monkeypatch.setattr(flows, "trial_energy", counted_trial)
+    rng = np.random.default_rng(0)
+    tri = FLOW_MESHES[1]  # 4 x 4 lattice torus
+    base = np.exp(rng.uniform(-0.4, 0.4, tri.edge_count))
+    state, history = run_flow(tri, base, np.zeros(16), -1.0, FlowConfig())
+    flipping = sum(1 for row in history.rows[1:] if row.flips)
+    assert history.status == "converged" and flipping > 0
+    # the start counts as a trial (make_state), each step's accepted trial
+    # is its stored value, and only a flipping step evaluates once more
+    assert calls["energy"] == calls["trials"] + flipping
+    assert abs(conserved_sum(state.u, -1.0) - 16.0) < 1e-12
+
+
+def test_guard_tests_the_value_the_state_keeps(monkeypatch, cube12):
+    # alpha * chi = -2: the renormalizing shift changes the energy, so the
+    # guard must test the shifted point to keep the value it tested
+    tri, base = cube12
+    tested = []
+    trial = flows.trial_energy
+
+    def recorded_trial(*args, **kwargs):
+        tested.append(trial(*args, **kwargs))
+        return tested[-1]
+
+    monkeypatch.setattr(flows, "trial_energy", recorded_trial)
+    u0 = np.random.default_rng(5).uniform(-0.2, 0.2, tri.vertex_count)
+    state = make_state(tri, base, u0, -1.0)
+    config = FlowConfig(kind="yamabe", dt=0.1)
+    shifted = 0
+    for _ in range(40):
+        prev = state
+        state = step(state, config)
+        if len(state.flips) == len(prev.flips):
+            assert state.w_value == tested[-1][0]
+            # the unshifted point has another energy here, so testing it
+            # would store a value the guard never saw
+            raw = prev.u + state.last_dt * yamabe_rhs(prev)
+            shifted += energy_W_alpha(prev.tri, prev.base, raw, -1.0, prev.rbar,
+                                      offset=prev.w_offset, order=0).value != state.w_value
+    assert shifted > 0

@@ -17,11 +17,14 @@ from plcurv.geometry import (
 )
 from plcurv.solver import (
     Target,
+    apply_gauge,
     energy_W_alpha,
     lobachevsky,
     newton_solve,
     rigidity_check,
     triangle_energy,
+    trial_energy,
+    trial_fault,
 )
 
 from conftest import (
@@ -240,6 +243,40 @@ class TestEnergyReport:
                                   order=1).value)
             b = energy_value_quadrature(tri, base, u, np.zeros(n), 0.9, rbar)
             assert a == pytest.approx(b, abs=1e-9), name
+
+
+class TestTrialPoint:
+    def test_weight_overflow_is_a_trial_fault(self, tetra):
+        # |u| = 250 keeps the metric in range, but exp(3 * 250) overflows:
+        # the vertex term used to read -inf, which every guard accepts
+        base, u = unit_lengths(tetra), np.full(4, 250.0)
+        rbar, _ = Target.constant().resolve(3.0, tetra.chi, np.zeros(4))
+        assert trial_fault(tetra, base, u, 3.0) == "metric overflow"
+        assert trial_energy(tetra, base, u, 3.0, rbar, 0.0) is None
+        for sign in (1.0, -1.0):  # the weight sum overflows, or underflows to 0
+            with pytest.raises(errors.LogFactorOverflow):
+                apply_gauge(sign * u, 3.0, 4.0)
+
+    def test_finite_weights_past_alpha_two_are_trial_points(self, tetra):
+        # |alpha * u| = 660: the weights are finite, so the trial stands
+        base, u = unit_lengths(tetra), np.full(4, 300.0)
+        rbar, _ = Target.constant().resolve(2.2, tetra.chi, np.zeros(4))
+        assert trial_fault(tetra, base, u, 2.2) is None
+        assert np.isfinite(trial_energy(tetra, base, u, 2.2, rbar, 0.0)[0])
+
+    def test_overflowing_start_is_refused(self, tetra):
+        base, u0 = unit_lengths(tetra), np.full(4, 250.0)
+        with pytest.raises(errors.LogFactorOverflow):
+            newton_solve(tetra, base, u0, 3.0, Target.constant())
+
+    def test_trial_hands_over_its_metric(self, tetra):
+        base, u = unit_lengths(tetra), np.array([0.1, -0.2, 0.0, 0.05])
+        rbar, _ = Target.constant().resolve(-1.0, tetra.chi, np.zeros(4))
+        value, scaled = trial_energy(tetra, base, u, -1.0, rbar, 0.5)
+        assert value == energy_W_alpha(tetra, base, u, -1.0, rbar, offset=0.5,
+                                       order=0).value
+        assert np.array_equal(scaled, scale_metric(tetra, base, u))
+        assert trial_fault(tetra, base, u, -1.0) is None
 
 
 class TestTarget:
