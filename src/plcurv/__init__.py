@@ -18,7 +18,6 @@ from .geometry import (
     CurvatureReport,
     alpha_curvature,
     alpha_laplacian_apply,
-    cot_weight,
     curvature,
     curvature_jacobian,
     delaunay_surgery,
@@ -26,7 +25,6 @@ from .geometry import (
     is_delaunay,
     make_delaunay,
     scale_metric,
-    triangle_angles,
 )
 from .mesh import Triangulation, build_triangulation, load_mesh
 from .solver import (
@@ -47,7 +45,6 @@ __all__ = [
     "CurvatureReport",
     "alpha_curvature",
     "alpha_laplacian_apply",
-    "cot_weight",
     "curvature",
     "curvature_jacobian",
     "delaunay_surgery",
@@ -55,7 +52,6 @@ __all__ = [
     "is_delaunay",
     "make_delaunay",
     "scale_metric",
-    "triangle_angles",
     "FlowConfig",
     "FlowHistory",
     "FlowState",

@@ -4,25 +4,29 @@ Everything here is a pure function of a Triangulation plus a metric: a
 float array of positive edge lengths indexed by edge id.  Provided:
 corner angles with a constant extension past triangle-inequality
 failure, conformal vertex scaling of the metric, angle-deficit curvature
-and its weighted variants, cotangent edge weights, the curvature
-Jacobian, a weighted graph Laplacian, the Delaunay edge predicate, and
-intrinsic edge flips that transport lengths.
+and its weighted variants, the curvature Jacobian, a weighted graph
+Laplacian, the Delaunay edge predicate, and intrinsic edge flips that
+transport lengths.
 
 Whole-mesh queries share one NumPy kernel over the triangulation's
 cached index arrays; the kernel also scores stacks of edge-length
-arrays.  Single-edge queries stay scalar, for the flip loop; the Delaunay
-pass and check ask them only about edges a kernel screen cannot clear.
+arrays.  The Delaunay pass runs in rounds on those arrays: each round
+flips a face-disjoint set of violators at once.  Only the Delaunay
+predicate stays scalar, asked about the edges a kernel screen cannot
+clear, so that the pass and ``delaunay --check`` share one verdict.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
+
+if TYPE_CHECKING:  # scipy loads lazily; annotations only
+    import scipy.sparse
 
 from .errors import (
     DegenerateFace,
@@ -37,8 +41,8 @@ from .mesh import FlipInfo, Triangulation
 log = logging.getLogger(__name__)
 
 # Inclusive slack on the Delaunay angle test; cocircular edges (opposite
-# angles summing to exactly pi) must not be flipped or the flip loop can
-# cycle forever.
+# angles summing to exactly pi) must not be flipped or the Delaunay pass
+# can cycle forever.
 DELAUNAY_SLACK = 1e-12
 
 # Substitute for cot(0) / -cot(pi) on degenerate faces: large enough to be
@@ -48,7 +52,7 @@ COT_CLAMP = 1e12
 # Log conformal factors beyond this make exp() meaningless in float64.
 LOG_FACTOR_BOUND = 300.0
 
-# Safety factor for the flip loop: terminates mathematically, the cap only
+# Safety factor for the Delaunay pass: terminates mathematically, the cap only
 # guards against float pathologies.
 FLIP_CAP_FACTOR = 100
 
@@ -101,20 +105,6 @@ def _cos_opposite(a: float, b: float, c: float) -> float:
     return min(1.0, max(-1.0, num / den))
 
 
-def triangle_angles(l_i: float, l_j: float, l_k: float) -> tuple[float, float, float]:
-    """Angles of the triangle with side lengths (l_i, l_j, l_k).
-
-    Angle ``theta_i`` faces side ``l_i``.  For length triples violating a
-    triangle inequality the angles are extended constantly: the longest
-    side faces pi, the other two face 0.  The three values always sum to
-    pi (exactly so in the extended case).
-    """
-    _check_positive(l_i, l_j, l_k)
-    return (math.acos(_cos_opposite(l_i, l_j, l_k)),
-            math.acos(_cos_opposite(l_j, l_k, l_i)),
-            math.acos(_cos_opposite(l_k, l_i, l_j)))
-
-
 def side_lengths(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     """(..., F, 3) array of every face's edge lengths by slot, faces in id order.
 
@@ -159,7 +149,8 @@ def face_angles(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
 
     Lengths as for :func:`side_lengths`.  Faces are in id order; the
     angle facing slot s sits at corner (s + 2) % 3.  Extended past
-    degeneracy like :func:`triangle_angles`, so every row sums to pi.
+    degeneracy constantly (the longest side of a degenerate face faces pi,
+    the others 0), so every row sums to pi.
     """
     return np.arccos(opposite_cosines(side_lengths(tri, lengths)))
 
@@ -224,13 +215,6 @@ def alpha_curvature(K: np.ndarray, u: np.ndarray, alpha: float,
                            sum_K=sum_K, R_av=R_av, max_dev=max_dev)
 
 
-def _cot_from_cos(c: float) -> float:
-    s = math.sqrt(max(0.0, 1.0 - c * c))
-    if s == 0.0:
-        return COT_CLAMP if c > 0.0 else -COT_CLAMP
-    return c / s
-
-
 def _slot_cos(tri: Triangulation, lengths, face: int, slot: int) -> float:
     fe = tri.face_edges[face]
     a = lengths[fe[slot]]
@@ -240,23 +224,15 @@ def _slot_cos(tri: Triangulation, lengths, face: int, slot: int) -> float:
     return _cos_opposite(a, b, c)
 
 
-def cot_weight(tri: Triangulation, lengths: np.ndarray, e: int) -> float:
-    """Sum of the cotangents of the two angles facing edge ``e``.
-
-    Degenerate faces contribute +/-COT_CLAMP through the extended angles
-    (cot 0 and cot pi respectively).
-    """
-    (f1, s1), (f2, s2) = tri.edge_sides[e]
-    return (_cot_from_cos(_slot_cos(tri, lengths, f1, s1))
-            + _cot_from_cos(_slot_cos(tri, lengths, f2, s2)))
-
-
 def _cot_laplacian(tri: Triangulation, lengths: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Cot-weight graph Laplacian: -cot_weight off the diagonal, zero row sums.
+    """Cot-weight graph Laplacian: minus the edge's cot weight (the cotangents
+    of the two angles facing it, summed) off the diagonal, zero row sums.
 
-    Self-edges contribute nothing.  Degenerate faces give clamped weights
-    exactly as :func:`cot_weight` does.
+    Self-edges contribute nothing.  Degenerate faces contribute
+    +/-COT_CLAMP through the extended angles (cot 0 and cot pi).
     """
+    import scipy.sparse  # only the Jacobian and Laplacian need it
+
     cos = opposite_cosines(side_lengths(tri, lengths)).ravel()
     sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
     cot = np.divide(cos, sin, out=np.where(cos > 0.0, COT_CLAMP, -COT_CLAMP),
@@ -308,7 +284,7 @@ def is_delaunay(tri: Triangulation, lengths, e: int) -> bool:
 
     The test is inclusive with DELAUNAY_SLACK so cocircular edges count
     as Delaunay and are never flipped.  ``lengths`` may be a metric array
-    or the same lengths as a list, which the flip loop reads faster.
+    or the same lengths as a list, which is faster to read one by one.
     """
     (f1, s1), (f2, s2) = tri.edge_sides[e]
     return (math.acos(_slot_cos(tri, lengths, f1, s1))
@@ -321,8 +297,10 @@ def is_delaunay_all(tri: Triangulation, lengths: np.ndarray) -> list[int]:
 
     Kernel screen, then :func:`is_delaunay`: make_delaunay's verdict, bit for bit.
     """
+    suspects = np.flatnonzero(~(edge_margins(tri, lengths) > 0.0)).tolist()  # NaN too
+    if not suspects:
+        return []
     L = np.asarray(lengths, dtype=float).tolist()
-    suspects = np.flatnonzero(~(edge_margins(tri, lengths) > 0.0)).tolist()
     return [e for e in suspects if not is_delaunay(tri, L, e)]
 
 
@@ -350,94 +328,88 @@ def delaunay_margin(tri: Triangulation, lengths: np.ndarray):
     return edge_margins(tri, lengths).min(-1)
 
 
-def flip_length(tri: Triangulation, lengths, e: int) -> float:
+def flip_length(tri: Triangulation, lengths, e):
     """Length of the opposite diagonal of edge ``e``'s two-face quad.
 
     Lays the two faces out flat on either side of ``e`` and measures the
     distance between the far corners; the law-of-cosines form below is
-    that distance.  Requires both faces nondegenerate and the quad convex
-    at the shared diagonal.  A non-Delaunay edge always has a strictly
-    convex quad, so the flip needed to restore Delaunay never fails here;
-    should rounding make the two tests disagree, PredicateConflict says so.
-    Lengths as for :func:`is_delaunay`.
+    that distance, taken on the quad's lengths divided by its longest
+    side so that no square overflows or underflows.  Requires both faces
+    nondegenerate and the quad convex at the shared diagonal.  A
+    non-Delaunay edge always has a strictly convex quad, so the flip
+    needed to restore Delaunay never fails here; should rounding make the
+    two tests disagree, PredicateConflict says so.  ``e`` may be an array
+    of edge ids, giving an array of lengths; errors name the first edge
+    at fault.  ``lengths`` may be a metric array or a list.
     """
-    (f1, s1), (f2, s2) = tri.edge_sides[e]
-    fe1, fe2 = tri.face_edges[f1], tri.face_edges[f2]
-    for f, fe in ((f1, fe1), (f2, fe2)):
-        a, b, c = lengths[fe[0]], lengths[fe[1]], lengths[fe[2]]
-        _check_positive(a, b, c)
-        m = max(a, b, c)
-        if m >= (a + b + c) - m:
-            raise DegenerateFace(f"face {f} at edge {e} is degenerate")
-    # f1 = (i, j, k) with e in slot s1; f2 = (j, i, l) with e in slot s2
-    l_ij = lengths[e]
-    l_jk = lengths[fe1[(s1 + 1) % 3]]
-    l_ki = lengths[fe1[(s1 + 2) % 3]]
-    l_il = lengths[fe2[(s2 + 1) % 3]]
-    l_lj = lengths[fe2[(s2 + 2) % 3]]
-
-    at_i = (math.acos(_cos_opposite(l_jk, l_ki, l_ij))
-            + math.acos(_cos_opposite(l_lj, l_ij, l_il)))
-    at_j = (math.acos(_cos_opposite(l_ki, l_ij, l_jk))
-            + math.acos(_cos_opposite(l_il, l_lj, l_ij)))
-    if at_i >= math.pi or at_j >= math.pi:
-        if not is_delaunay(tri, lengths, e):
+    L = np.asarray(lengths, dtype=float)
+    es = np.array(e, dtype=np.intp, ndmin=1)
+    corners = tri.quad_corners(es)
+    # row x: side lengths (ij, jk, ki) of f1 and (ij, il, lj) of f2
+    sides = side_lengths(tri, L).reshape(-1)[corners]
+    m = max3(sides)
+    flat = m >= (sides[..., 0] + sides[..., 1] + sides[..., 2]) - m
+    if flat.any():
+        x, side = np.argwhere(flat)[0]
+        raise DegenerateFace(
+            f"face {corners[x, side, 0] // 3} at edge {es[x]} is degenerate")
+    theta = np.arccos(opposite_cosines(sides))
+    # corner sums at i (facing jk in f1, lj in f2) and at j (facing ki, il)
+    at = theta[:, 0, 1:] + theta[:, 1, :0:-1]
+    reflex = at >= math.pi
+    if reflex.any():
+        x = np.flatnonzero(reflex.any(axis=1))[0]
+        if not is_delaunay(tri, L, int(es[x])):
             raise PredicateConflict(
-                f"edge {e} is non-Delaunay but its quad is reflex")
+                f"edge {es[x]} is non-Delaunay but its quad is reflex")
         raise NonConvexQuad(
-            f"quad of edge {e} is reflex (corner sums {at_i:.6f}, {at_j:.6f})")
-    return math.sqrt(max(0.0, l_ki * l_ki + l_il * l_il
-                         - 2.0 * l_ki * l_il * math.cos(at_i)))
-
-
-def flip_with_length(tri: Triangulation, lengths: np.ndarray,
-                     e: int) -> tuple[Triangulation, np.ndarray, FlipInfo]:
-    """Flip edge ``e`` and transport the metric; FlipInfo gets both lengths.
-
-    The new diagonal's length goes into slot ``e`` of a copy of ``lengths``.
-    """
-    new_len = flip_length(tri, lengths, e)
-    tri2, info = tri.flip(e, float(lengths[e]), new_len)
-    lengths2 = np.array(lengths, dtype=float)
-    lengths2[e] = new_len
-    return tri2, lengths2, info
+            f"quad of edge {es[x]} is reflex (corner sums {at[x, 0]:.6f}, {at[x, 1]:.6f})")
+    scale = np.maximum(m[:, 0], m[:, 1])
+    l_ki, l_il = sides[:, 0, 2] / scale, sides[:, 1, 1] / scale
+    new = scale * np.sqrt(np.maximum(0.0, l_ki * l_ki + l_il * l_il
+                                     - 2.0 * l_ki * l_il * np.cos(at[:, 0])))
+    return float(new[0]) if np.ndim(e) == 0 else new
 
 
 def make_delaunay(tri: Triangulation, lengths: np.ndarray
                   ) -> tuple[Triangulation, np.ndarray, list[FlipInfo]]:
     """Flip edges until every edge passes the Delaunay test.
 
-    FIFO queue seeded with all edges; each flip re-enqueues the four rim
-    edges of its quad.  The output metric is isometric to the input (same
-    deficit at every vertex).  All input faces must be nondegenerate.
-    The loop reads and rewrites the lengths as a list, in place.
-    A kernel screen skips edges of positive margin that no flip touched (they
-    pass :func:`is_delaunay`); the output carries the input's index arrays.
+    Works in rounds.  A round takes the violators of
+    :func:`is_delaunay_all` (the verdict of ``delaunay --check``) and
+    keeps each one that is the most violated edge at both of its faces:
+    smallest kernel margin, ties to the smaller edge id.  Those quads
+    share no face, and a flip reads and writes only its own two faces and
+    diagonal, so they all flip at once, in one :func:`flip_length` and one
+    :meth:`Triangulation.flip` call.  Away from cocircular ties the
+    Delaunay triangulation is unique, so the result does not depend on
+    the order of the flips.  The output metric is isometric to the input
+    (same deficit at every vertex).  All input faces must be nondegenerate.
     """
-    start = tri
+    L = np.array(lengths, dtype=float)
     cap = FLIP_CAP_FACTOR * tri.edge_count ** 2
-    cleared = (edge_margins(tri, lengths) > 0.0).tolist()  # False on NaN
-    L = np.asarray(lengths, dtype=float).tolist()
-    queue = deque(tri.edge_ids())
     flips: list[FlipInfo] = []
-    while queue:
-        e = queue.popleft()
-        if cleared[e] or is_delaunay(tri, L, e):
-            continue
+    rounds = 0
+    while bad := is_delaunay_all(tri, L):
         if len(flips) >= cap:
             raise FlipLimitExceeded(
                 f"{len(flips)} flips without reaching a Delaunay state")
-        new_len = flip_length(tri, L, e)
-        tri, info = tri.flip(e, L[e], new_len)
-        L[e] = new_len
-        flips.append(info)
-        queue.extend(info.rim)
-        for x in info.rim:
-            cleared[x] = False
+        es = np.array(bad)
+        if len(es) > 1:
+            rank = np.empty_like(es)
+            rank[np.argsort(edge_margins(tri, L)[es], kind="stable")] = np.arange(len(es))
+            faces = tri.arrays.edge_sides[es] // 3
+            best = np.full(tri.face_count, len(es))
+            np.minimum.at(best, faces, rank[:, None])
+            es = es[(best[faces] == rank[:, None]).all(axis=1)]
+        new = flip_length(tri, L, es)
+        tri, infos = tri.flip(es, L[es], new)
+        L[es] = new
+        flips.extend(infos)
+        rounds += 1
     if flips:
-        tri.carry_arrays(start, flips)
-        log.debug("make_delaunay performed %d flips", len(flips))
-    return tri, np.array(L), flips
+        log.debug("make_delaunay performed %d flips in %d rounds", len(flips), rounds)
+    return tri, L, flips
 
 
 def delaunay_surgery(tri: Triangulation, base: np.ndarray, u: np.ndarray
@@ -452,8 +424,8 @@ def delaunay_surgery(tri: Triangulation, base: np.ndarray, u: np.ndarray
     tri2, scaled2, flips = make_delaunay(tri, scale_metric(tri, base, u))
     if not flips:
         return tri, base, flips
+    es = np.array([info.edge for info in flips])
+    ends = tri2.arrays.edge_verts[es]
     base2 = np.array(base, dtype=float)
-    for e in {info.edge for info in flips}:
-        a, b = tri2.edge_vertices(e)
-        base2[e] = scaled2[e] * math.exp(-(u[a] + u[b]))
+    base2[es] = scaled2[es] * np.exp(-(u[ends[:, 0]] + u[ends[:, 1]]))
     return tri2, base2, flips

@@ -106,11 +106,7 @@ class Triangulation:
         self.face_edges = face_edges  # face id -> edge ids by slot
         self.edge_sides = edge_sides  # edge id -> (Side, Side)
         self.chi = vertex_count - len(edge_sides) + len(faces)
-        corners: list[list[Side]] = [[] for _ in range(vertex_count)]
-        for f, tri in enumerate(faces):
-            for c in range(3):
-                corners[tri[c]].append((f, c))
-        self._vertex_corners = corners
+        self._vertex_corners = None
         self._arrays = None
 
     # --- queries -------------------------------------------------------
@@ -137,10 +133,13 @@ class Triangulation:
 
     def vertex_corners(self, v: int) -> list[Side]:
         """All (face, corner) incidences of vertex ``v``, in face order."""
+        if self._vertex_corners is None:
+            corners: list[list[Side]] = [[] for _ in range(self.vertex_count)]
+            for f, tri in enumerate(self.faces):
+                for c in range(3):
+                    corners[tri[c]].append((f, c))
+            self._vertex_corners = corners
         return self._vertex_corners[v]
-
-    def vertex_degree(self, v: int) -> int:
-        return len(self._vertex_corners[v])
 
     def other_side(self, e: int, side: Side) -> Side:
         a, b = self.edge_sides[e]
@@ -150,9 +149,8 @@ class Triangulation:
     def arrays(self) -> IndexArrays:
         """Index arrays, built on first use and cached (the value is immutable).
 
-        Lazy because flip sequences create many triangulations that are
-        only ever queried edge by edge.  The output of a Delaunay pass
-        that flipped comes with them: see :meth:`carry_arrays`.
+        A flip hands its output patched copies of these, so they are built
+        from the lists once per loaded mesh.
         """
         if self._arrays is None:
             self._arrays = IndexArrays(
@@ -164,24 +162,22 @@ class Triangulation:
                                      for sides in self.edge_sides], dtype=np.intp))
         return self._arrays
 
-    def carry_arrays(self, source: "Triangulation", flips: list[FlipInfo]) -> None:
-        """Cache ``source``'s index arrays with the rows ``flips`` rewrote rebuilt.
+    def quad_corners(self, e) -> np.ndarray:
+        """Corner positions of the faces on either side of edge ``e``: (..., 2, 3).
 
-        ``flips`` must be the flips that made this triangulation from ``source``.
+        Each face is read from the edge's own slot on, so in the notation
+        of :meth:`flip` the rows hold the corners of f1 at (i, j, k) and of
+        f2 at (j, i, l); at the same positions ``face_edges`` holds
+        (e, jk, ki) and (e, il, lj).  ``e`` may be an array of edge ids.
         """
-        fs = sorted({f for info in flips for f in info.faces})
-        es = sorted({e for info in flips for e in (info.edge, *info.rim)})
-        A = IndexArrays(*(a.copy() for a in source.arrays))
-        A.face_edges[fs] = [self.face_edges[f] for f in fs]
-        A.face_verts[fs] = [self.faces[f] for f in fs]
-        A.edge_verts[es] = [self.edge_vertices(e) for e in es]
-        A.edge_sides[es] = [[3 * f + s for f, s in self.edge_sides[e]] for e in es]
-        self._arrays = A
+        sides = self.arrays.edge_sides[e]
+        slot = sides % 3
+        return (sides - slot)[..., None] + (slot[..., None] + np.arange(3)) % 3
 
     # --- flip ----------------------------------------------------------
 
-    def flip(self, e: int, old_length: float | None = None,
-             new_length: float | None = None) -> tuple["Triangulation", FlipInfo]:
+    def flip(self, e, old_length=None, new_length=None
+             ) -> tuple[Triangulation, FlipInfo | list[FlipInfo]]:
         """Replace the diagonal ``e`` of its two-face quad by the other one.
 
         Faces f1 = (i,j,k) and f2 = (j,i,l) become f1 = (l,j,k) and
@@ -198,52 +194,72 @@ class Triangulation:
            \\ /               \\|/
             l                 l
 
+        ``e`` may also be an array of edge ids whose quads share no face;
+        then they all flip at once, the lengths are arrays alike, and the
+        result is the new Triangulation with one FlipInfo per edge, in the
+        order given.  An int ``e`` returns a single FlipInfo.
+
         Raises
         ------
         FlipDegeneratesComplex
             If the two faces coincide or share all three vertices, so the
             flip would create a face with a repeated vertex.
         """
-        if not 0 <= e < len(self.edge_sides):
-            raise KeyError(f"no edge {e}")
-        (f1, s1), (f2, s2) = self.edge_sides[e]
-        if f1 == f2:
-            raise FlipDegeneratesComplex(f"edge {e} has both sides on face {f1}")
-        t1, e1 = self.faces[f1], self.face_edges[f1]
-        t2, e2 = self.faces[f2], self.face_edges[f2]
-        i, j = t1[s1], t1[(s1 + 1) % 3]
-        k = t1[(s1 + 2) % 3]
-        l = t2[(s2 + 2) % 3]
-        if k == l:
+        es = np.array(e, dtype=np.intp, ndmin=1)
+        if not (es.min() >= 0 and es.max() < self.edge_count):
+            raise KeyError(f"no edge {es[(es < 0) | (es >= self.edge_count)][0]}")
+        A = self.arrays
+        corners = self.quad_corners(es).reshape(-1, 6)
+        verts = A.face_verts.reshape(-1)[corners]  # i j k j i l
+        edges = A.face_edges.reshape(-1)[corners]  # e jk ki e il lj
+        faces = corners[:, ::3] // 3               # f1 f2
+        stuck = (faces[:, 0] == faces[:, 1]) | (verts[:, 2] == verts[:, 5])
+        if stuck.any():
+            x = np.flatnonzero(stuck)[0]
+            (f1, f2), edge = faces[x].tolist(), es[x]
+            if f1 == f2:
+                raise FlipDegeneratesComplex(f"edge {edge} has both sides on face {f1}")
             raise FlipDegeneratesComplex(
                 f"faces {f1} and {f2} share all three vertices; flipping edge "
-                f"{e} would repeat a vertex")
-        e_jk = e1[(s1 + 1) % 3]
-        e_ki = e1[(s1 + 2) % 3]
-        e_il = e2[(s2 + 1) % 3]
-        e_lj = e2[(s2 + 2) % 3]
+                f"{edge} would repeat a vertex")
+        if len(es) > 1 and len(np.unique(faces)) < faces.size:
+            raise ValueError("edges flipped together must not share a face")
+        rim = edges[:, [1, 2, 4, 5]]  # jk ki il lj
 
-        faces = list(self.faces)
-        face_edges = list(self.face_edges)
-        edge_sides = list(self.edge_sides)
-        faces[f1] = (l, j, k)
-        faces[f2] = (i, l, k)
-        face_edges[f1] = (e_lj, e_jk, e)
-        face_edges[f2] = (e_il, e, e_ki)
-        edge_sides[e] = ((f2, 1), (f1, 2))
+        # f1 = (l, j, k) with edges (lj, jk, e); f2 = (i, l, k) with (il, e, ki)
+        new_verts = verts[:, [5, 1, 2, 0, 5, 2]].reshape(-1, 3)
+        new_edges = edges[:, [5, 1, 0, 4, 0, 2]].reshape(-1, 3)
+        fs = faces.reshape(-1)
+        face_verts, face_edges = A.face_verts.copy(), A.face_edges.copy()
+        face_verts[fs], face_edges[fs] = new_verts, new_edges
         # Old sides map to new ones all at once: with the face ids reused,
         # a side written for one rim edge can equal an old side of another.
-        moved = {(f1, (s1 + 1) % 3): (f1, 1), (f1, (s1 + 2) % 3): (f2, 2),
-                 (f2, (s2 + 1) % 3): (f2, 0), (f2, (s2 + 2) % 3): (f1, 0)}
-        for edge in {e_jk, e_ki, e_il, e_lj}:
-            a, b = self.edge_sides[edge]
-            edge_sides[edge] = (moved.get(a, a), moved.get(b, b))
+        moved = np.arange(3 * self.face_count)
+        moved[corners[:, [1, 2, 4, 5]]] = 3 * faces[:, [0, 1, 1, 0]] + [1, 2, 0, 0]
+        touched = np.concatenate([rim.reshape(-1), es])
+        edge_sides = A.edge_sides.copy()
+        edge_sides[touched] = moved[A.edge_sides[touched]]
+        edge_sides[es] = 3 * faces[:, ::-1] + [1, 2]
+        edge_verts = A.edge_verts.copy()
+        edge_verts[es] = verts[:, [5, 2]]
 
-        tri = Triangulation(self.vertex_count, faces, face_edges, edge_sides)
-        info = FlipInfo(edge=e, faces=(f1, f2), quad=(i, j, k, l),
-                        rim=(e_jk, e_ki, e_il, e_lj),
-                        old_length=old_length, new_length=new_length)
-        return tri, info
+        faces_l, face_edges_l, sides_l = (list(self.faces), list(self.face_edges),
+                                          list(self.edge_sides))
+        for f, t, ids in zip(fs.tolist(), new_verts.tolist(), new_edges.tolist()):
+            faces_l[f], face_edges_l[f] = tuple(t), tuple(ids)
+        for x, (a, b) in zip(touched.tolist(), edge_sides[touched].tolist()):
+            sides_l[x] = (divmod(a, 3), divmod(b, 3))
+        tri = Triangulation(self.vertex_count, faces_l, face_edges_l, sides_l)
+        tri._arrays = IndexArrays(face_edges, face_verts, edge_verts, edge_sides)
+
+        lengths = [[None] * len(es) if x is None else np.ravel(x).tolist()
+                   for x in (old_length, new_length)]
+        infos = [FlipInfo(edge=x, faces=tuple(f), quad=tuple(q), rim=tuple(r),
+                          old_length=lo, new_length=ln)
+                 for x, f, q, r, lo, ln in zip(es.tolist(), faces.tolist(),
+                                               verts[:, [0, 1, 2, 5]].tolist(),
+                                               rim.tolist(), *lengths)]
+        return tri, (infos[0] if np.ndim(e) == 0 else infos)
 
 
 # --- construction ------------------------------------------------------

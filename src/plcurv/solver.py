@@ -15,13 +15,16 @@ chart only through :func:`start_chart`, :func:`trial_energy` and
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.special
+
+if TYPE_CHECKING:  # scipy loads lazily; annotations only
+    import scipy.sparse
 
 from . import geometry
 from .errors import (
@@ -70,20 +73,22 @@ WEIGHT_LOG_BOUND = 700.0  # e^700 ~ 1e304: weights, reciprocals and their sums s
 _WALL_PANELS = 16
 _BISECT_DEPTH = 3
 
-# Twice the flip slack: the scan's NumPy angles may differ from the flip
-# loop's math.acos ones in the last place, and a wall found right at the
-# slack could be one the flip loop does not flip, pinning the solver.
+# Twice the flip slack: the scan's NumPy angles may differ from the
+# math.acos ones of is_delaunay in the last place, and a wall found right at
+# the slack could be one the Delaunay pass does not flip, pinning the solver.
 _WALL_MARGIN = -2.0 * geometry.DELAUNAY_SLACK
 
 
 # --- Lobachevsky function -----------------------------------------------
 
+@functools.cache
 def _clausen_coefficients(count: int = 28) -> np.ndarray:
+    """Power-series coefficients of Cl2, made on the first call: scipy.special
+    is imported only by runs that evaluate the energy."""
+    import scipy.special
+
     n = np.arange(1, count + 1, dtype=float)
     return scipy.special.zeta(2 * n) / ((2 * math.pi) ** (2 * n) * n * (2 * n + 1))
-
-
-_CL2_COEF = _clausen_coefficients()
 
 
 def _clausen(theta):
@@ -94,7 +99,7 @@ def _clausen(theta):
     t = np.where(t > math.pi, TWO_PI - t, t)
     t2 = t * t
     series = np.zeros_like(t)
-    for c in _CL2_COEF[::-1]:
+    for c in _clausen_coefficients()[::-1]:
         series = series * t2 + c
     log_t = np.log(np.where(t > 0.0, t, 1.0))
     return sign * (t * (1.0 - log_t) + series * t * t2)

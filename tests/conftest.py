@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from plcurv import geometry, solver
-from plcurv.errors import FlipLimitExceeded, LogFactorOverflow
+from plcurv.errors import FlipLimitExceeded, LogFactorOverflow, NonPositiveLength
 from plcurv.mesh import build_triangulation
 
 # A failing property prints the blob that reproduces it; each test keeps
@@ -166,6 +166,64 @@ def all_fixture_meshes():
     return out
 
 
+# --- scalar angle oracles -------------------------------------------------
+#
+# One triangle or one edge at a time, in plain floats: the references the
+# array kernel and the cot-weight Laplacian are tested against.
+
+def _cos_opposite(a, b, c):
+    """Clamped cosine of the angle facing ``a`` in triangle (a, b, c)."""
+    m = max(a, b, c)
+    a, b, c = a / m, b / m, c / m
+    num = b * b + c * c - a * a
+    den = 2.0 * b * c
+    if den == 0.0:
+        return math.copysign(1.0, num) if num else 0.0
+    return min(1.0, max(-1.0, num / den))
+
+
+def triangle_angles(l_i, l_j, l_k):
+    """Angles of the triangle with side lengths (l_i, l_j, l_k); theta_i faces l_i.
+
+    Past a triangle-inequality failure the longest side faces pi and the
+    other two face 0, so the angles always sum to pi.
+    """
+    for x in (l_i, l_j, l_k):
+        if not x > 0.0:
+            raise NonPositiveLength(f"edge length {x!r} is not positive")
+    return (math.acos(_cos_opposite(l_i, l_j, l_k)),
+            math.acos(_cos_opposite(l_j, l_k, l_i)),
+            math.acos(_cos_opposite(l_k, l_i, l_j)))
+
+
+def cot_weight(tri, lengths, e):
+    """Sum of the cotangents of the two angles facing edge ``e``; a degenerate
+    face contributes +/-COT_CLAMP (cot 0 and cot pi)."""
+    total = 0.0
+    for f, s in tri.edge_sides[e]:
+        fe = tri.face_edges[f]
+        c = _cos_opposite(lengths[fe[s]], lengths[fe[(s + 1) % 3]], lengths[fe[(s + 2) % 3]])
+        sin = math.sqrt(max(0.0, 1.0 - c * c))
+        if sin == 0.0:
+            total += geometry.COT_CLAMP if c > 0.0 else -geometry.COT_CLAMP
+        else:
+            total += c / sin
+    return total
+
+
+def flip_with_length(tri, lengths, e):
+    """Flip edge ``e`` and put the new diagonal's length in slot ``e`` of a copy."""
+    new_len = geometry.flip_length(tri, lengths, e)
+    tri2, info = tri.flip(e, float(lengths[e]), new_len)
+    lengths2 = np.array(lengths, dtype=float)
+    lengths2[e] = new_len
+    return tri2, lengths2, info
+
+
+def vertex_degree(tri, v):
+    return len(tri.vertex_corners(v))
+
+
 # --- quadrature oracle for the curvature energy ----------------------------
 #
 # Production evaluates the per-face energy in closed form (Lobachevsky
@@ -271,14 +329,14 @@ def first_wall_reference(tri, base, u, delta):
     return hi, True
 
 
-# --- scalar oracle for the Delaunay pass ---------------------------------------
+# --- one-flip-at-a-time oracle for the Delaunay pass ---------------------------
 #
-# Production screens the seed queue with one kernel call and hands its
-# index arrays on to the output.  This is the reference it must reproduce
-# bit for bit: every queued edge asks the scalar is_delaunay.
+# Production flips in rounds, many face-disjoint edges per array call.
+# This FIFO loop flips one edge at a time, every queued edge asking the
+# scalar is_delaunay; the rounds must reach its faces and curvature.
 
 def make_delaunay_reference(tri, lengths):
-    """geometry.make_delaunay testing every queued edge with is_delaunay."""
+    """A Delaunay pass flipping one queued edge at a time."""
     cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
     L = np.asarray(lengths, dtype=float).tolist()
     queue = deque(tri.edge_ids())

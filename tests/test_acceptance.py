@@ -17,8 +17,10 @@ import scipy.integrate
 from conftest import (
     TETRA_FACES,
     all_fixture_meshes,
+    flip_with_length,
     random_lengths,
     torus9_faces,
+    triangle_angles,
     unit_lengths,
 )
 
@@ -128,9 +130,9 @@ def test_c03_flip_isometry():
         e = int(rng.choice(list(tri.edge_ids())))
         k0 = geometry.curvature(tri, lens)
         try:
-            tri2, lens2, info = geometry.flip_with_length(tri, lens, e)
+            tri2, lens2, info = flip_with_length(tri, lens, e)
             # the new diagonal keeps the id, so flipping e again undoes it
-            tri3, lens3, back = geometry.flip_with_length(tri2, lens2, e)
+            tri3, lens3, back = flip_with_length(tri2, lens2, e)
         except (NonConvexQuad, DegenerateFace, FlipDegeneratesComplex):
             continue
         assert info.edge == back.edge == e
@@ -381,7 +383,7 @@ def test_c10_lobachevsky_and_triangle_energy_gradient():
         scaled = np.array([b[0] * math.exp(u[1] + u[2]),
                            b[1] * math.exp(u[2] + u[0]),
                            b[2] * math.exp(u[0] + u[1])])
-        angles = np.array(geometry.triangle_angles(*scaled))
+        angles = np.array(triangle_angles(*scaled))
         for i in range(3):
             up, dn = u.copy(), u.copy()
             up[i] += h

@@ -29,6 +29,8 @@ from plcurv.mesh import build_triangulation
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SURGERY_GAP = os.path.join(DATA_DIR, "torus_surgery_gap.json")
+# 4 x 4 flat torus on the lattice of (1, 0) and (6.5, 0.9): 96 flips to Delaunay.
+SLIVER = os.path.join(DATA_DIR, "sliver_4x4.json")
 
 # Regular tetrahedron: every corner angle pi/3, so K = pi at each vertex.
 REGULAR_TETRA_OFF = """OFF
@@ -488,6 +490,44 @@ class TestExtremeInput:
         code, _ = run_cli(capsys, [command, path])
         assert code == 3
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scaled_file_matches_unscaled(self, capsys, tmp_path, scale):
+        # Curvature is scale invariant: a file with every length scaled must
+        # flip the same edges and reach the same curvature as the original.
+        def scaled(path):
+            doc = json.loads(open(path, encoding="utf-8").read())
+            for rec in doc["lengths"]:
+                rec["length"] *= scale
+            out = tmp_path / f"scaled-{os.path.basename(path)}"
+            out.write_text(json.dumps(doc))
+            return str(out)
+
+        def run(args):
+            code, doc = run_cli(capsys, args)
+            assert code == 0, args
+            return doc
+
+        def solve_and_flow(path):
+            state = tmp_path / f"state-{os.path.basename(path)}"
+            solved = run(["solve", path, "--alpha", "-1"])
+            flowed = run(["flow", path, "--alpha", "-1", "--out-state", str(state)])
+            return solved, flowed, json.loads(state.read_text())["u"]
+
+        (solved0, flowed0, u0), (solved1, flowed1, u1) = (
+            solve_and_flow(path) for path in (SURGERY_GAP, scaled(SURGERY_GAP)))
+        assert solved1["flips"] == solved0["flips"] > 0
+        assert np.max(np.abs(np.subtract(solved1["K"], solved0["K"]))) < 1e-9
+        assert flowed1["flips"] == flowed0["flips"] > 0
+        assert np.max(np.abs(np.subtract(u1, u0))) < 1e-9
+
+        curvatures = []
+        for path in (SLIVER, scaled(SLIVER)):
+            fixed = tmp_path / f"fixed-{os.path.basename(path)}"
+            assert run(["delaunay", path, "--fix", "--out", str(fixed)])["flips"] == 96
+            run(["delaunay", str(fixed), "--check"])
+            curvatures.append(run(["curvature", str(fixed)])["K"])
+        assert np.max(np.abs(np.subtract(*curvatures))) < 1e-9
+
     def test_non_finite_coordinate_exits_3(self, capsys, tmp_path):
         path = tmp_path / "tetra.off"
         path.write_text(REGULAR_TETRA_OFF.replace("1 1 1\n", "1 inf 1\n"))
@@ -516,6 +556,20 @@ class TestProcess:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rigidity_pass"] is True
+
+    def test_delaunay_and_curvature_leave_scipy_unloaded(self, tmp_path):
+        # scipy.sparse and scipy.special load on first use, so the commands
+        # that need neither do not pay for them in time or memory.
+        script = ("import json, sys\n"
+                  "from plcurv import cli\n"
+                  "codes = [cli.main(['delaunay', sys.argv[1], '--fix', '--out', sys.argv[2]]),\n"
+                  "         cli.main(['curvature', sys.argv[2]])]\n"
+                  "print(json.dumps([codes, [m for m in ('scipy.sparse', 'scipy.special')\n"
+                  "                          if m in sys.modules]]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, SLIVER, str(tmp_path / "fixed.json")],
+            capture_output=True, text=True, timeout=60)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], []]
 
     def test_log_env_quiet_silences_warning(self, tetra_file):
         env = dict(os.environ, PLCURV_LOG="info")

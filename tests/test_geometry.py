@@ -8,18 +8,15 @@ from plcurv import errors, geometry
 from plcurv.geometry import (
     alpha_curvature,
     alpha_laplacian_apply,
-    cot_weight,
     curvature,
     curvature_jacobian,
     degenerate_faces,
     face_angles,
     flip_length,
-    flip_with_length,
     is_delaunay,
     is_delaunay_all,
     make_delaunay,
     scale_metric,
-    triangle_angles,
 )
 from plcurv.mesh import build_triangulation
 
@@ -27,8 +24,11 @@ from conftest import (
     CUBE_COORDS,
     TETRA_FACES,
     all_fixture_meshes,
+    cot_weight,
     cube12_faces,
+    flip_with_length,
     random_lengths,
+    triangle_angles,
     unit_lengths,
 )
 

@@ -3,8 +3,8 @@
 Metrics are random log-uniform edge lengths, wide enough that many faces
 degenerate.  Triangulations are the fixture meshes after random flips,
 so slots hold flipped-in edges and faces, and doubled edges occur
-(genus 2 has them from the start).  The kernel-screened Delaunay pass is
-checked against the scalar loop on flat tori and genus 2 at random
+(genus 2 has them from the start).  The Delaunay pass in rounds is
+checked against the scalar FIFO loop on flat tori and genus 2 at random
 conformal scalings.
 """
 
@@ -19,21 +19,27 @@ from hypothesis import strategies as st
 from plcurv import errors
 from plcurv.geometry import (
     DELAUNAY_SLACK,
-    cot_weight,
     curvature,
     curvature_jacobian,
     degenerate_faces,
     delaunay_margin,
+    edge_margins,
     is_delaunay,
     is_delaunay_all,
     make_delaunay,
     scale_metric,
-    triangle_angles,
 )
 from plcurv.mesh import IndexArrays, Triangulation, parse_lengths_json
 from plcurv.solver import triangle_energy
 
-from conftest import all_fixture_meshes, flat_torus_document, make_delaunay_reference
+from conftest import (
+    all_fixture_meshes,
+    cot_weight,
+    flat_torus_document,
+    make_delaunay_reference,
+    triangle_angles,
+)
+from test_mesh import face_multiset
 
 MESHES = [tri for _, tri, _ in all_fixture_meshes()]
 
@@ -158,23 +164,62 @@ def pass_inputs(draw):
 @SETTINGS
 @given(pass_inputs())
 def test_screened_pass_matches_scalar_loop(case):
+    """The round pass ends where the one-flip-at-a-time FIFO loop ends.
+
+    Flip for flip they differ (a round flips many edges at once), so the
+    comparison is of the outputs: the same surface, Delaunay, isometric,
+    and the same faces wherever the Delaunay triangulation is unique, that
+    is, no output margin lies within the slack.  Which quad first would
+    repeat a vertex depends on the order of the flips, so where the loop
+    refuses one the pass may end elsewhere.
+    """
     tri, lengths = case
     L = lengths.tolist()
     assert is_delaunay_all(tri, lengths) == [
         e for e in tri.edge_ids() if not is_delaunay(tri, L, e)]
     try:
-        ref_tri, ref_lengths, ref_flips = make_delaunay_reference(tri, lengths)
+        ref = make_delaunay_reference(tri, lengths)
+    except errors.FlipDegeneratesComplex:
+        ref = None
     except errors.PLCurvError as exc:
         with pytest.raises(type(exc)):
             make_delaunay(tri, lengths)
         return
-    out_tri, out_lengths, flips = make_delaunay(tri, lengths)
-    assert flips == ref_flips
-    assert out_tri.faces == ref_tri.faces
-    assert out_tri.face_edges == ref_tri.face_edges
-    assert out_tri.edge_sides == ref_tri.edge_sides
-    assert out_lengths.tolist() == ref_lengths.tolist()
+    try:
+        out_tri, out_lengths, _ = make_delaunay(tri, lengths)
+    except errors.PLCurvError:
+        if ref is None:
+            return
+        raise
+    ref_tri, ref_lengths, _ = ref or (tri, lengths, None)
+    assert ((out_tri.vertex_count, out_tri.face_count, out_tri.chi)
+            == (ref_tri.vertex_count, ref_tri.face_count, ref_tri.chi))
+    assert is_delaunay_all(out_tri, out_lengths) == []
+    gap = np.abs(curvature(out_tri, out_lengths) - curvature(ref_tri, ref_lengths))
+    assert gap.max() < 1e-12
+    if ref is not None and min(
+            np.abs(edge_margins(t, x)).min()
+            for t, x in ((out_tri, out_lengths), (ref_tri, ref_lengths))) > DELAUNAY_SLACK:
+        assert sorted(face_multiset(out_tri)) == sorted(face_multiset(ref_tri))
     fresh = Triangulation(out_tri.vertex_count, out_tri.faces,
                           out_tri.face_edges, out_tri.edge_sides).arrays
-    for name, carried, built in zip(IndexArrays._fields, out_tri.arrays, fresh):
-        assert carried.dtype == built.dtype and np.array_equal(carried, built), name
+    for name, patched, built in zip(IndexArrays._fields, out_tri.arrays, fresh):
+        assert patched.dtype == built.dtype and np.array_equal(patched, built), name
+
+
+def test_sliver_pass_converges_in_few_rounds(monkeypatch):
+    """A 24 x 24 sliver torus needs thousands of flips but few rounds."""
+    tri, lengths = parse_lengths_json(json.dumps(flat_torus_document(24, [1, 0], [6.5, 0.9])))
+    rounds = []
+    flip = Triangulation.flip
+
+    def counted(self, e, *args):
+        rounds.append(np.size(e))
+        return flip(self, e, *args)
+
+    monkeypatch.setattr(Triangulation, "flip", counted)
+    out_tri, out_lengths, flips = make_delaunay(tri, lengths)
+    assert 0 < len(rounds) <= 10
+    assert sum(rounds) == len(flips) > 1000
+    assert is_delaunay_all(out_tri, out_lengths) == []
+    assert np.abs(curvature(out_tri, out_lengths) - curvature(tri, lengths)).max() < 1e-12

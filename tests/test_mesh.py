@@ -20,6 +20,7 @@ from conftest import (
     cube12_faces,
     cube_off_text,
     torus9_faces,
+    vertex_degree,
 )
 
 
@@ -53,7 +54,7 @@ class TestBuild:
         assert torus9.face_count == 18
         assert torus9.edge_count == 27
         assert torus9.chi == 0
-        assert all(torus9.vertex_degree(v) == 6 for v in range(9))
+        assert all(vertex_degree(torus9, v) == 6 for v in range(9))
 
     def test_genus2_counts(self, genus2):
         assert genus2.vertex_count == 7
@@ -163,7 +164,7 @@ class TestFlip:
             assert tri.face_count == 18
             assert tri.chi == 0
             for v in range(9):
-                assert tri.vertex_degree(v) >= 1
+                assert vertex_degree(tri, v) >= 1
         # every edge still has two sides that traverse it oppositely
         for e in tri.edge_ids():
             (f1, s1), (f2, s2) = tri.edge_sides[e]

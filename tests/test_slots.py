@@ -14,10 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TETRA_FACES, all_fixture_meshes, torus9_faces, unit_lengths
+from conftest import (
+    TETRA_FACES,
+    all_fixture_meshes,
+    flip_with_length,
+    torus9_faces,
+    unit_lengths,
+)
 
 from plcurv import errors
-from plcurv.geometry import flip_with_length, scale_metric, side_lengths
+from plcurv.geometry import scale_metric, side_lengths
 from plcurv.mesh import build_triangulation, lengths_json_doc, parse_lengths_json
 
 from test_mesh import face_multiset

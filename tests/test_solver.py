@@ -31,6 +31,7 @@ from conftest import (
     all_fixture_meshes,
     energy_value_quadrature,
     random_lengths,
+    triangle_angles,
     triangle_energy_quadrature,
     unit_lengths,
 )
@@ -99,7 +100,6 @@ class TestTriangleEnergy:
             lam = [u[(a + 1) % 3] + u[(a + 2) % 3] + math.log(base[a])
                    for a in range(3)]
             ell = np.exp(lam)
-            from plcurv.geometry import triangle_angles
             theta = triangle_angles(*ell)
             for a in range(3):
                 dp, dm = u.copy(), u.copy()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_fixture_meshes,
     first_wall_reference,
+    flip_with_length,
     torus9_faces,
     unit_lengths,
 )
@@ -146,7 +147,7 @@ class TestCarryChart:
         tri = build_triangulation(torus9_faces())
         lengths = unit_lengths(tri)
         e = 0
-        tri2, lengths2, info = geometry.flip_with_length(tri, lengths, e)
+        tri2, lengths2, info = flip_with_length(tri, lengths, e)
         assert info.old_length == 1.0
         assert info.new_length == lengths2[e]
 
