@@ -9,9 +9,9 @@ Laplacian, the Delaunay edge predicate, and intrinsic edge flips that
 transport lengths.
 
 Whole-mesh queries share one NumPy kernel over the triangulation's
-cached index arrays; the kernel also scores stacks of edge-length
-arrays.  The Delaunay pass runs in rounds on those arrays: each round
-flips a face-disjoint set of violators at once.  Only the Delaunay
+index arrays; the kernel also scores stacks of edge-length arrays.  The
+Delaunay pass runs in rounds on those arrays: each round flips a
+face-disjoint set of violators at once.  Only the Delaunay
 predicate stays scalar, asked about the edges a kernel screen cannot
 clear, so that the pass and ``delaunay --check`` share one verdict.
 """
@@ -115,7 +115,7 @@ def side_lengths(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     if not ok.all():
         raise NonPositiveLength(
             f"edge length {float(flat[~ok][0])!r} is not positive")
-    return flat[..., tri.arrays.face_edges]
+    return flat[..., tri.face_edges]
 
 
 def max3(x: np.ndarray) -> np.ndarray:
@@ -177,7 +177,7 @@ def scale_metric(tri: Triangulation, base: np.ndarray, u: np.ndarray) -> np.ndar
             raise LogFactorOverflow("non-finite log conformal factor")
         raise LogFactorOverflow(
             f"|u| exceeds {LOG_FACTOR_BOUND}; metric would overflow")
-    ends = tri.arrays.edge_verts
+    ends = tri.edge_verts
     return np.exp(u[..., ends[:, 0]] + u[..., ends[:, 1]]) * base
 
 
@@ -187,7 +187,7 @@ def curvature(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     Degenerate faces contribute their extended angles, so the result is
     total and the deficit sum stays pinned at 2*pi*chi.
     """
-    at = tri.arrays.face_verts[:, PREV]
+    at = tri.faces[:, PREV]
     return TWO_PI - np.bincount(at.ravel(), weights=face_angles(tri, lengths).ravel(),
                                 minlength=tri.vertex_count)
 
@@ -215,8 +215,9 @@ def alpha_curvature(K: np.ndarray, u: np.ndarray, alpha: float,
                            sum_K=sum_K, R_av=R_av, max_dev=max_dev)
 
 
-def _slot_cos(tri: Triangulation, lengths, face: int, slot: int) -> float:
-    fe = tri.face_edges[face]
+def _slot_cos(tri: Triangulation, lengths, corner: int) -> float:
+    face, slot = divmod(corner, 3)
+    fe = tri.face_edges[face].tolist()
     a = lengths[fe[slot]]
     b = lengths[fe[(slot + 1) % 3]]
     c = lengths[fe[(slot + 2) % 3]]
@@ -237,10 +238,10 @@ def _cot_laplacian(tri: Triangulation, lengths: np.ndarray) -> scipy.sparse.csr_
     sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
     cot = np.divide(cos, sin, out=np.where(cos > 0.0, COT_CLAMP, -COT_CLAMP),
                     where=sin != 0.0)
-    A = tri.arrays
-    real = A.edge_verts[:, 0] != A.edge_verts[:, 1]
-    i, j = A.edge_verts[real].T
-    w = (cot[A.edge_sides[:, 0]] + cot[A.edge_sides[:, 1]])[real]
+    ends, sides = tri.edge_verts, tri.edge_sides
+    real = ends[:, 0] != ends[:, 1]
+    i, j = ends[real].T
+    w = (cot[sides[:, 0]] + cot[sides[:, 1]])[real]
     rows = np.stack([i, j, i, j], axis=1).ravel()
     cols = np.stack([j, i, i, j], axis=1).ravel()
     vals = np.stack([-w, -w, w, w], axis=1).ravel()
@@ -286,9 +287,9 @@ def is_delaunay(tri: Triangulation, lengths, e: int) -> bool:
     as Delaunay and are never flipped.  ``lengths`` may be a metric array
     or the same lengths as a list, which is faster to read one by one.
     """
-    (f1, s1), (f2, s2) = tri.edge_sides[e]
-    return (math.acos(_slot_cos(tri, lengths, f1, s1))
-            + math.acos(_slot_cos(tri, lengths, f2, s2))
+    c1, c2 = tri.edge_sides[e].tolist()
+    return (math.acos(_slot_cos(tri, lengths, c1))
+            + math.acos(_slot_cos(tri, lengths, c2))
             <= math.pi + DELAUNAY_SLACK)
 
 
@@ -312,7 +313,7 @@ def edge_margins(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     """
     theta = face_angles(tri, lengths)
     theta = theta.reshape(theta.shape[:-2] + (3 * theta.shape[-2],))
-    sides = tri.arrays.edge_sides
+    sides = tri.edge_sides
     return math.pi - theta[..., sides[:, 0]] - theta[..., sides[:, 1]]
 
 
@@ -398,7 +399,7 @@ def make_delaunay(tri: Triangulation, lengths: np.ndarray
         if len(es) > 1:
             rank = np.empty_like(es)
             rank[np.argsort(edge_margins(tri, L)[es], kind="stable")] = np.arange(len(es))
-            faces = tri.arrays.edge_sides[es] // 3
+            faces = tri.edge_sides[es] // 3
             best = np.full(tri.face_count, len(es))
             np.minimum.at(best, faces, rank[:, None])
             es = es[(best[faces] == rank[:, None]).all(axis=1)]
@@ -425,7 +426,7 @@ def delaunay_surgery(tri: Triangulation, base: np.ndarray, u: np.ndarray
     if not flips:
         return tri, base, flips
     es = np.array([info.edge for info in flips])
-    ends = tri2.arrays.edge_verts[es]
+    ends = tri2.edge_verts[es]
     base2 = np.array(base, dtype=float)
     base2[es] = scaled2[es] * np.exp(-(u[ends[:, 0]] + u[ends[:, 1]]))
     return tri2, base2, flips

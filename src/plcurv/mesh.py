@@ -8,13 +8,16 @@ writes the new diagonal and the two new faces into the slots of the old
 ones, so ids are permanent and a metric is one float array indexed by
 edge id.  The bookkeeping convention used everywhere:
 
-* slot ``s`` of face ``f`` is the directed half-edge from ``faces[f][s]``
-  to ``faces[f][(s + 1) % 3]``,
+* slot ``s`` of face ``f`` is the directed half-edge from ``faces[f, s]``
+  to ``faces[f, (s + 1) % 3]``; it starts at corner ``s``,
 * the corner opposite slot ``s`` is ``(s + 2) % 3``,
-* an edge stores its two sides as ``(face, slot)`` pairs, one per
-  direction of traversal.
+* a corner position ``3 * f + s`` names slot (and corner) ``s`` of face
+  ``f`` and indexes a flattened (F, 3) array,
+* an edge stores its two sides as corner positions, one per direction
+  of traversal.
 
-A Triangulation is an immutable value; its ``flip`` returns a fresh one.
+A Triangulation is its index arrays, all read-only, so it is an
+immutable value; its ``flip`` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,8 +42,6 @@ from .errors import (
 )
 
 log = logging.getLogger(__name__)
-
-Side = tuple[int, int]  # (face id, slot)
 
 
 @dataclass(frozen=True)
@@ -70,44 +71,35 @@ class FlipInfo:
     new_length: float | None = None
 
 
-class IndexArrays(NamedTuple):
-    """Index arrays for whole-mesh NumPy kernels.
-
-    Rows are edge or face ids.  A corner position ``3 * face + slot``
-    indexes a flattened (F, 3) array.
-    """
-
-    face_edges: np.ndarray  # (F, 3) edge in each slot
-    face_verts: np.ndarray  # (F, 3) vertex at each corner
-    edge_verts: np.ndarray  # (E, 2) endpoints, ordered as edge_vertices()
-    edge_sides: np.ndarray  # (E, 2) corner positions of the two sides
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.intp)
+    a.flags.writeable = False
+    return a
 
 
 class Triangulation:
     """Connected, consistently oriented, closed triangulated surface.
 
+    Four read-only index arrays: ``faces`` (F, 3) vertices by corner,
+    ``face_edges`` (F, 3) edge ids by slot, ``edge_sides`` (E, 2) corner
+    positions of each edge's two sides, and ``edge_verts`` (E, 2) the
+    endpoints of each edge in the direction of its first side, derived
+    from ``faces`` and ``edge_sides``.
+
     Construct through :func:`build_triangulation` or :func:`load_mesh`;
     the raw constructor trusts its arguments.
     """
 
-    __slots__ = (
-        "vertex_count",
-        "faces",
-        "face_edges",
-        "edge_sides",
-        "chi",
-        "_vertex_corners",
-        "_arrays",
-    )
+    __slots__ = ("vertex_count", "faces", "face_edges", "edge_sides", "edge_verts", "chi")
 
     def __init__(self, vertex_count, faces, face_edges, edge_sides):
         self.vertex_count = vertex_count
-        self.faces = faces            # face id -> (i, j, k)
-        self.face_edges = face_edges  # face id -> edge ids by slot
-        self.edge_sides = edge_sides  # edge id -> (Side, Side)
-        self.chi = vertex_count - len(edge_sides) + len(faces)
-        self._vertex_corners = None
-        self._arrays = None
+        self.faces = _frozen(faces)
+        self.face_edges = _frozen(face_edges)
+        self.edge_sides = _frozen(edge_sides)
+        # side 2 runs back along side 1, so it starts at side 1's head
+        self.edge_verts = _frozen(self.faces.reshape(-1)[self.edge_sides])
+        self.chi = vertex_count - len(self.edge_sides) + len(self.faces)
 
     # --- queries -------------------------------------------------------
 
@@ -127,40 +119,7 @@ class Triangulation:
 
     def edge_vertices(self, e: int) -> tuple[int, int]:
         """Endpoints of edge ``e`` in the direction of its first side."""
-        f, s = self.edge_sides[e][0]
-        tri = self.faces[f]
-        return tri[s], tri[(s + 1) % 3]
-
-    def vertex_corners(self, v: int) -> list[Side]:
-        """All (face, corner) incidences of vertex ``v``, in face order."""
-        if self._vertex_corners is None:
-            corners: list[list[Side]] = [[] for _ in range(self.vertex_count)]
-            for f, tri in enumerate(self.faces):
-                for c in range(3):
-                    corners[tri[c]].append((f, c))
-            self._vertex_corners = corners
-        return self._vertex_corners[v]
-
-    def other_side(self, e: int, side: Side) -> Side:
-        a, b = self.edge_sides[e]
-        return b if side == a else a
-
-    @property
-    def arrays(self) -> IndexArrays:
-        """Index arrays, built on first use and cached (the value is immutable).
-
-        A flip hands its output patched copies of these, so they are built
-        from the lists once per loaded mesh.
-        """
-        if self._arrays is None:
-            self._arrays = IndexArrays(
-                face_edges=np.array(self.face_edges, dtype=np.intp),
-                face_verts=np.array(self.faces, dtype=np.intp),
-                edge_verts=np.array([self.edge_vertices(e) for e in self.edge_ids()],
-                                    dtype=np.intp),
-                edge_sides=np.array([[3 * f + s for f, s in sides]
-                                     for sides in self.edge_sides], dtype=np.intp))
-        return self._arrays
+        return tuple(self.edge_verts[e].tolist())
 
     def quad_corners(self, e) -> np.ndarray:
         """Corner positions of the faces on either side of edge ``e``: (..., 2, 3).
@@ -170,7 +129,7 @@ class Triangulation:
         f2 at (j, i, l); at the same positions ``face_edges`` holds
         (e, jk, ki) and (e, il, lj).  ``e`` may be an array of edge ids.
         """
-        sides = self.arrays.edge_sides[e]
+        sides = self.edge_sides[e]
         slot = sides % 3
         return (sides - slot)[..., None] + (slot[..., None] + np.arange(3)) % 3
 
@@ -208,11 +167,10 @@ class Triangulation:
         es = np.array(e, dtype=np.intp, ndmin=1)
         if not (es.min() >= 0 and es.max() < self.edge_count):
             raise KeyError(f"no edge {es[(es < 0) | (es >= self.edge_count)][0]}")
-        A = self.arrays
         corners = self.quad_corners(es).reshape(-1, 6)
-        verts = A.face_verts.reshape(-1)[corners]  # i j k j i l
-        edges = A.face_edges.reshape(-1)[corners]  # e jk ki e il lj
-        faces = corners[:, ::3] // 3               # f1 f2
+        verts = self.faces.reshape(-1)[corners]       # i j k j i l
+        edges = self.face_edges.reshape(-1)[corners]  # e jk ki e il lj
+        faces = corners[:, ::3] // 3                  # f1 f2
         stuck = (faces[:, 0] == faces[:, 1]) | (verts[:, 2] == verts[:, 5])
         if stuck.any():
             x = np.flatnonzero(stuck)[0]
@@ -227,30 +185,17 @@ class Triangulation:
         rim = edges[:, [1, 2, 4, 5]]  # jk ki il lj
 
         # f1 = (l, j, k) with edges (lj, jk, e); f2 = (i, l, k) with (il, e, ki)
-        new_verts = verts[:, [5, 1, 2, 0, 5, 2]].reshape(-1, 3)
-        new_edges = edges[:, [5, 1, 0, 4, 0, 2]].reshape(-1, 3)
         fs = faces.reshape(-1)
-        face_verts, face_edges = A.face_verts.copy(), A.face_edges.copy()
-        face_verts[fs], face_edges[fs] = new_verts, new_edges
+        face_verts, face_edges = self.faces.copy(), self.face_edges.copy()
+        face_verts[fs] = verts[:, [5, 1, 2, 0, 5, 2]].reshape(-1, 3)
+        face_edges[fs] = edges[:, [5, 1, 0, 4, 0, 2]].reshape(-1, 3)
         # Old sides map to new ones all at once: with the face ids reused,
         # a side written for one rim edge can equal an old side of another.
         moved = np.arange(3 * self.face_count)
         moved[corners[:, [1, 2, 4, 5]]] = 3 * faces[:, [0, 1, 1, 0]] + [1, 2, 0, 0]
-        touched = np.concatenate([rim.reshape(-1), es])
-        edge_sides = A.edge_sides.copy()
-        edge_sides[touched] = moved[A.edge_sides[touched]]
+        edge_sides = moved[self.edge_sides]
         edge_sides[es] = 3 * faces[:, ::-1] + [1, 2]
-        edge_verts = A.edge_verts.copy()
-        edge_verts[es] = verts[:, [5, 2]]
-
-        faces_l, face_edges_l, sides_l = (list(self.faces), list(self.face_edges),
-                                          list(self.edge_sides))
-        for f, t, ids in zip(fs.tolist(), new_verts.tolist(), new_edges.tolist()):
-            faces_l[f], face_edges_l[f] = tuple(t), tuple(ids)
-        for x, (a, b) in zip(touched.tolist(), edge_sides[touched].tolist()):
-            sides_l[x] = (divmod(a, 3), divmod(b, 3))
-        tri = Triangulation(self.vertex_count, faces_l, face_edges_l, sides_l)
-        tri._arrays = IndexArrays(face_edges, face_verts, edge_verts, edge_sides)
+        tri = Triangulation(self.vertex_count, face_verts, face_edges, edge_sides)
 
         lengths = [[None] * len(es) if x is None else np.ravel(x).tolist()
                    for x in (old_length, new_length)]
@@ -264,33 +209,30 @@ class Triangulation:
 
 # --- construction ------------------------------------------------------
 
-def _vertex_triples(face_list, vertex_count: int | None) -> tuple[list, int]:
-    """Faces as triples of distinct vertices, and the vertex count."""
-    faces: list[tuple[int, int, int]] = []
+def _vertex_triples(face_list, vertex_count: int | None) -> tuple[np.ndarray, int]:
+    """Faces as an (F, 3) array of vertices in range, and the vertex count."""
     for idx, tri in enumerate(face_list):
-        tri = tuple(tri)
         if len(tri) != 3:
             raise NonTriangularFace(f"face {idx} has {len(tri)} vertices")
-        if len(set(tri)) != 3:
-            raise NonManifold(f"face {idx} repeats a vertex: {tri}")
-        faces.append(tri)
-
-    seen = {v for tri in faces for v in tri}
-    n = vertex_count if vertex_count is not None else (max(seen) + 1 if seen else 0)
-    if seen and (min(seen) < 0 or max(seen) >= n):
+    try:
+        faces = np.array(face_list, dtype=np.intp).reshape(-1, 3)
+    except OverflowError as exc:
+        raise ParseError(f"vertex index out of range: {exc}") from exc
+    top = int(faces.max(initial=-1))
+    n = top + 1 if vertex_count is None else vertex_count
+    if top >= n or faces.min(initial=0) < 0:
         raise ParseError(f"vertex index out of range 0..{n - 1}")
     return faces, n
 
 
-def build_triangulation(face_list: list[tuple[int, int, int]],
-                        vertex_count: int | None = None,
-                        slot_ids: dict[Side, int] | None = None) -> Triangulation:
+def build_triangulation(face_list, vertex_count: int | None = None,
+                        slot_ids=None) -> Triangulation:
     """Assemble and validate a Triangulation from oriented int triples.
 
     Directed half-edges (a, b) are matched with opposite half-edges (b, a)
-    by edge id when ``slot_ids`` names one per (face, slot), else in order
-    of appearance, first come first served for a doubled edge; the
-    vertex-link check still guarantees the result is a closed surface.
+    by edge id when ``slot_ids`` (F, 3) names one per face and slot, else
+    in order of appearance, first come first served for a doubled edge;
+    the vertex-link check still guarantees the result is a closed surface.
 
     Raises NonTriangularFace, NonManifold, OrientationConflict or
     Disconnected as appropriate.
@@ -299,7 +241,7 @@ def build_triangulation(face_list: list[tuple[int, int, int]],
     return _glue(faces, n, slot_ids)
 
 
-def _glue(faces, vertex_count: int, slot_ids: dict[Side, int] | None) -> Triangulation:
+def _glue(faces: np.ndarray, vertex_count: int, slot_ids) -> Triangulation:
     """Glue half-edges into edges and validate the surface.
 
     Half-edges join when they share a key: their vertex pair, led by
@@ -307,78 +249,94 @@ def _glue(faces, vertex_count: int, slot_ids: dict[Side, int] | None) -> Triangu
     from the smaller vertex pairs with the i-th one back, in face order,
     and edges are numbered in key order, so ids 0..E-1 are kept.
     """
-    groups: dict[object, tuple[list[Side], list[Side]]] = {}
-    for f, tri in enumerate(faces):
-        for s in range(3):
-            a, b = tri[s], tri[(s + 1) % 3]
-            pair = (min(a, b), max(a, b))
-            key = pair if slot_ids is None else (slot_ids[f, s], pair)
-            groups.setdefault(key, ([], []))[a > b].append((f, s))
-    edge_sides: list[tuple[Side, Side]] = []
-    for key in sorted(groups):
-        fwd, rev = groups[key]
-        if len(fwd) != len(rev):
-            if (len(fwd) + len(rev)) % 2 == 0:
-                raise OrientationConflict(
-                    f"half-edges of {key} cannot be matched head-to-tail")
-            raise NonManifold(
-                f"edge {key} is incident to {len(fwd) + len(rev)} half-edges")
-        edge_sides.extend(zip(fwd, rev))
-    face_edges: list[list[int]] = [[0, 0, 0] for _ in faces]
-    for e, ((f, s), (g, t)) in enumerate(edge_sides):
-        face_edges[f][s] = face_edges[g][t] = e
-    tri = Triangulation(vertex_count, faces, [tuple(ids) for ids in face_edges],
-                        edge_sides)
-    _check_vertex_links(tri)
-    _check_connected(tri)
+    if not faces.size:
+        raise Disconnected("empty face list")
+    tail = faces.reshape(-1)
+    head = faces[:, [1, 2, 0]].reshape(-1)
+    if (tail == head).any():
+        f = int((tail == head).argmax()) // 3
+        raise NonManifold(f"face {f} repeats a vertex: {tuple(faces[f].tolist())}")
+    back = tail > head
+    keys = [back, np.maximum(tail, head), np.minimum(tail, head)]
+    if slot_ids is not None:
+        keys.append(np.asarray(slot_ids, dtype=np.intp).reshape(-1))
+    # lexsort is stable, so half-edges with equal keys stay in face order
+    order = np.lexsort(keys)
+    back_sorted = back[order]
+    fwd, rev = order[~back_sorted], order[back_sorted]
+    # The i-th forward half-edge in key order meets the i-th backward one
+    # head to tail, with the same id, exactly when every key holds as many
+    # half-edges back as forth.
+    if not (len(fwd) == len(rev) and np.array_equal(tail[fwd], head[rev])
+            and np.array_equal(head[fwd], tail[rev])
+            and (slot_ids is None or np.array_equal(keys[3][fwd], keys[3][rev]))):
+        _raise_unmatched(keys)
+    face_edges = np.empty(tail.size, dtype=np.intp)
+    face_edges[fwd] = face_edges[rev] = np.arange(len(fwd))
+    partner = np.empty(tail.size, dtype=np.intp)
+    partner[fwd], partner[rev] = rev, fwd
+    _check_vertex_links(tail, partner, vertex_count)
+    _check_connected(partner)
+    tri = Triangulation(vertex_count, faces, face_edges.reshape(-1, 3),
+                        np.stack([fwd, rev], axis=1))
     log.debug("built triangulation: %d vertices, %d edges, %d faces, chi=%d",
               vertex_count, tri.edge_count, tri.face_count, tri.chi)
     return tri
 
 
-def _check_vertex_links(tri: Triangulation) -> None:
-    """Every vertex link must be a single cycle of corners."""
-    for v in range(tri.vertex_count):
-        corners = tri.vertex_corners(v)
-        if not corners:
+def _raise_unmatched(keys: list[np.ndarray]) -> NoReturn:
+    """Name the first key, in key order, whose half-edges do not pair up."""
+    columns = np.stack(keys[:0:-1], axis=1)  # (id,) low, high
+    unique, group, sizes = np.unique(columns, axis=0, return_inverse=True,
+                                     return_counts=True)
+    g = np.flatnonzero(2 * np.bincount(group.reshape(-1), weights=keys[0]) != sizes)[0]
+    *ids, low, high = unique[g].tolist()
+    key = (ids[0], (low, high)) if ids else (low, high)
+    if sizes[g] % 2 == 0:
+        raise OrientationConflict(f"half-edges of {key} cannot be matched head-to-tail")
+    raise NonManifold(f"edge {key} is incident to {sizes[g]} half-edges")
+
+
+def _check_vertex_links(corner_vertex: np.ndarray, partner: np.ndarray,
+                        vertex_count: int) -> None:
+    """Every vertex link must be a single cycle of corners.
+
+    Across the slot starting at a corner lies the slot ending at the same
+    vertex; the corner after that slot is the next corner around the
+    vertex.  This permutes the corners, and each of its cycles stays at
+    one vertex, so a vertex has one cycle exactly when its link is one
+    cycle.  Cycles are labelled by their smallest corner, each step
+    doubling the stretch of the cycle every label has seen; no cycle is
+    longer than the most corners at one vertex.
+    """
+    degree = np.bincount(corner_vertex, minlength=vertex_count)
+    corners = label = np.arange(corner_vertex.size)
+    step = partner - partner % 3 + (partner + 1) % 3
+    for _ in range(int(degree.max() - 1).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    cycles = np.bincount(corner_vertex[label == corners], minlength=vertex_count)
+    bad = np.flatnonzero(cycles != 1)
+    if bad.size:
+        v = bad[0]
+        if cycles[v] == 0:
             raise Disconnected(f"vertex {v} has no incident face")
-        start = corners[0]
-        f, c = start
-        reached = 0
-        while True:
-            reached += 1
-            e = tri.face_edges[f][c]
-            f2, s2 = tri.other_side(e, (f, c))
-            f, c = f2, (s2 + 1) % 3
-            if (f, c) == start:
-                break
-            if reached > len(corners):
-                raise NonManifold(f"vertex {v} has an inconsistent link")
-        if reached != len(corners):
-            raise NonManifold(
-                f"vertex {v} is pinched: link splits into several cycles")
+        raise NonManifold(f"vertex {v} is pinched: link splits into several cycles")
 
 
-def _check_connected(tri: Triangulation) -> None:
-    if not tri.faces:
-        raise Disconnected("empty face list")
-    seen: set[int] = set()
-    stack = [0]
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        for e in tri.face_edges[f]:
-            for g, _ in tri.edge_sides[e]:
-                if g not in seen:
-                    stack.append(g)
-    if len(seen) != len(tri.faces):
+def _check_connected(partner: np.ndarray) -> None:
+    """Every face must be reachable from face 0 across edges."""
+    neighbours = (partner // 3).reshape(-1, 3)
+    seen = np.zeros(len(neighbours), dtype=bool)
+    seen[0] = True
+    front = np.zeros(1, dtype=np.intp)
+    while front.size:
+        ahead = neighbours[front]
+        front = ahead[~seen[ahead]]
+        seen[front] = True
+    if not seen.all():
         raise Disconnected(
-            f"only {len(seen)} of {len(tri.faces)} faces reachable")
-    touched = {v for t in tri.faces for v in t}
-    if len(touched) != tri.vertex_count:
-        raise Disconnected("isolated vertices present")
+            f"only {np.count_nonzero(seen)} of {len(seen)} faces reachable")
 
 
 # --- file formats ------------------------------------------------------
@@ -465,18 +423,17 @@ def _parse_obj(text: str):
 
 def _from_coordinates(verts, face_list):
     tri = build_triangulation(face_list, vertex_count=len(verts))
-    lengths = []
-    for e in tri.edge_ids():
-        a, b = tri.edge_vertices(e)
-        pa, pb = verts[a], verts[b]
-        d = sum((x - y) ** 2 for x, y in zip(pa, pb)) ** 0.5
-        if not math.isfinite(d):
-            # every vertex is on an edge, so this also catches inf/NaN coordinates
-            raise NonFiniteValue(f"edge {a}-{b} has non-finite length {d!r}")
-        if d <= 0.0:
-            raise ZeroLengthEdge(f"vertices {a} and {b} coincide")
-        lengths.append(d)
-    return tri, np.array(lengths)
+    ends = np.array(verts, dtype=float)[tri.edge_verts]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.sqrt(np.square(ends[:, 0] - ends[:, 1]).sum(axis=1))
+    # every vertex is on an edge, so this also catches inf/NaN coordinates
+    bad = np.flatnonzero(~np.isfinite(d) | (d <= 0.0))
+    if bad.size:
+        (a, b), x = tri.edge_vertices(bad[0]), float(d[bad[0]])
+        if not math.isfinite(x):
+            raise NonFiniteValue(f"edge {a}-{b} has non-finite length {x!r}")
+        raise ZeroLengthEdge(f"vertices {a} and {b} coincide")
+    return tri, d
 
 
 def parse_lengths_json(text: str) -> tuple[Triangulation, np.ndarray]:
@@ -499,8 +456,8 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, np.ndarray]:
         raise ParseError(f"missing or malformed field: {exc}") from exc
 
     if "lengths" in doc:
-        records: list[tuple[Side, float]] = []
-        slot_ids: dict[Side, int] = {}
+        records: list[tuple[tuple[int, int], float]] = []
+        slot_ids: dict[tuple[int, int], int] = {}
         for rec in doc["lengths"]:
             try:
                 f = int(rec["face"])
@@ -524,12 +481,20 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, np.ndarray]:
             if edge is not None:
                 if slot_ids.setdefault(side, edge) != edge:
                     raise ParseError(f"face {f} gives two ids to one edge")
-        if slot_ids and len(slot_ids) != 3 * len(face_list):
-            raise ParseError("some face slot has no edge id")
-        tri = build_triangulation(face_list, n, slot_ids or None)
+        ids = None
+        if slot_ids:
+            if len(slot_ids) != 3 * len(face_list):
+                raise ParseError("some face slot has no edge id")
+            try:
+                ids = np.array([[slot_ids[f, s] for s in range(3)]
+                                for f in range(len(face_list))], dtype=np.intp)
+            except OverflowError as exc:
+                raise ParseError(f"edge id out of range: {exc}") from exc
+        tri = build_triangulation(face_list, n, ids)
         lengths: list[float | None] = [None] * tri.edge_count
+        face_edges = tri.face_edges.tolist()
         for (f, slot), val in records:
-            e = tri.face_edges[f][slot]
+            e = face_edges[f][slot]
             if lengths[e] is not None and abs(lengths[e] - val) > 1e-12 * max(lengths[e], val):
                 raise ParseError(
                     f"edge {e} given inconsistent lengths "
@@ -539,8 +504,7 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, np.ndarray]:
         tri = build_triangulation(face_list, vertex_count=n)
         lengths = [None] * tri.edge_count
         pair_to_edge: dict[tuple[int, int], int] = {}
-        for e in tri.edge_ids():
-            a, b = tri.edge_vertices(e)
+        for e, (a, b) in enumerate(tri.edge_verts.tolist()):
             key = (min(a, b), max(a, b))
             if key in pair_to_edge:
                 raise ParseError(
@@ -576,9 +540,10 @@ def lengths_json_doc(tri: Triangulation, lengths: np.ndarray) -> dict:
     order), so every record then also carries its edge id.
     """
     lengths = np.asarray(lengths, dtype=float).tolist()
-    doubled = len({frozenset(tri.edge_vertices(e)) for e in tri.edge_ids()}) < tri.edge_count
+    doubled = len({frozenset(p) for p in tri.edge_verts.tolist()}) < tri.edge_count
+    faces = tri.faces.tolist()
     recs = []
-    for f, (corners, edges) in enumerate(zip(tri.faces, tri.face_edges)):
+    for f, (corners, edges) in enumerate(zip(faces, tri.face_edges.tolist())):
         for slot in range(3):
             rec = {"face": f, "opposite": corners[(slot + 2) % 3],
                    "length": lengths[edges[slot]]}
@@ -586,5 +551,5 @@ def lengths_json_doc(tri: Triangulation, lengths: np.ndarray) -> dict:
                 rec["edge"] = edges[slot]
             recs.append(rec)
     return {"vertices": tri.vertex_count,
-            "faces": [list(t) for t in tri.faces],
+            "faces": faces,
             "lengths": recs}

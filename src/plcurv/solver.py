@@ -235,8 +235,8 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     u = np.asarray(u, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
     # the side opposite corner a is the edge in slot (a + 1) % 3
-    total_faces = triangle_energy(base[tri.arrays.face_edges[:, geometry.NEXT].T],
-                                  u[tri.arrays.face_verts.T])
+    total_faces = triangle_energy(base[tri.face_edges[:, geometry.NEXT].T],
+                                  u[tri.faces.T])
     if alpha == 0.0:
         vertex_term = float(((TWO_PI - rbar) * u).sum())
     else:

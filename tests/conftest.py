@@ -8,7 +8,14 @@ import pytest
 from hypothesis import settings
 
 from plcurv import geometry, solver
-from plcurv.errors import FlipLimitExceeded, LogFactorOverflow, NonPositiveLength
+from plcurv.errors import (
+    Disconnected,
+    FlipLimitExceeded,
+    LogFactorOverflow,
+    NonManifold,
+    NonPositiveLength,
+    OrientationConflict,
+)
 from plcurv.mesh import build_triangulation
 
 # A failing property prints the blob that reproduces it; each test keeps
@@ -200,8 +207,9 @@ def cot_weight(tri, lengths, e):
     """Sum of the cotangents of the two angles facing edge ``e``; a degenerate
     face contributes +/-COT_CLAMP (cot 0 and cot pi)."""
     total = 0.0
-    for f, s in tri.edge_sides[e]:
-        fe = tri.face_edges[f]
+    for corner in tri.edge_sides[e].tolist():
+        f, s = divmod(corner, 3)
+        fe = tri.face_edges[f].tolist()
         c = _cos_opposite(lengths[fe[s]], lengths[fe[(s + 1) % 3]], lengths[fe[(s + 2) % 3]])
         sin = math.sqrt(max(0.0, 1.0 - c * c))
         if sin == 0.0:
@@ -221,7 +229,81 @@ def flip_with_length(tri, lengths, e):
 
 
 def vertex_degree(tri, v):
-    return len(tri.vertex_corners(v))
+    """Number of corners at vertex ``v``."""
+    return int(np.count_nonzero(tri.faces == v))
+
+
+# --- dict-based oracle for the gluing ------------------------------------------
+#
+# Production glues half-edges with one lexsort and checks vertex links by
+# counting corner cycles on arrays.  This is the reference: half-edges
+# grouped in a dict, each vertex link walked corner by corner, faces
+# reached by a depth-first search.
+
+def glue_reference(faces, vertex_count, slot_ids=None):
+    """(face_edges, edge_sides, edge_verts) of build_triangulation, built in dicts.
+
+    ``faces`` are triples of distinct vertices and ``slot_ids`` (F, 3)
+    edge ids by face and slot, or None.  Sides are corner positions
+    3 * face + slot.  Raises what build_triangulation raises.
+    """
+    faces = [tuple(t) for t in faces]
+    groups = {}
+    for f, tri in enumerate(faces):
+        for s in range(3):
+            a, b = tri[s], tri[(s + 1) % 3]
+            pair = (min(a, b), max(a, b))
+            key = pair if slot_ids is None else (slot_ids[f][s], pair)
+            groups.setdefault(key, ([], []))[a > b].append((f, s))
+    edge_sides = []
+    for key in sorted(groups):
+        fwd, rev = groups[key]
+        if len(fwd) != len(rev):
+            if (len(fwd) + len(rev)) % 2 == 0:
+                raise OrientationConflict(f"half-edges of {key} cannot be matched")
+            raise NonManifold(f"edge {key} is incident to {len(fwd) + len(rev)} half-edges")
+        edge_sides.extend(zip(fwd, rev))
+    face_edges = [[0, 0, 0] for _ in faces]
+    other = {}
+    for e, (a, b) in enumerate(edge_sides):
+        face_edges[a[0]][a[1]] = face_edges[b[0]][b[1]] = e
+        other[a], other[b] = b, a
+
+    corners = [[] for _ in range(vertex_count)]
+    for f, tri in enumerate(faces):
+        for c in range(3):
+            corners[tri[c]].append((f, c))
+    for v in range(vertex_count):
+        if not corners[v]:
+            raise Disconnected(f"vertex {v} has no incident face")
+        start = f, c = corners[v][0]
+        reached = 0
+        while True:
+            reached += 1
+            f, s = other[f, c]
+            c = (s + 1) % 3
+            if (f, c) == start:
+                break
+        if reached != len(corners[v]):
+            raise NonManifold(f"vertex {v} is pinched")
+
+    if not faces:
+        raise Disconnected("empty face list")
+    seen, stack = {0}, [0]
+    while stack:
+        f = stack.pop()
+        for s in range(3):
+            g = other[f, s][0]
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    if len(seen) != len(faces):
+        raise Disconnected(f"only {len(seen)} of {len(faces)} faces reachable")
+
+    edge_verts = [(faces[f][s], faces[f][(s + 1) % 3]) for (f, s), _ in edge_sides]
+    sides = [[3 * f + s for f, s in pair] for pair in edge_sides]
+    return (np.array(face_edges).reshape(-1, 3), np.array(sides).reshape(-1, 2),
+            np.array(edge_verts).reshape(-1, 2))
 
 
 # --- quadrature oracle for the curvature energy ----------------------------

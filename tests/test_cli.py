@@ -534,6 +534,21 @@ class TestExtremeInput:
         code, _ = run_cli(capsys, ["curvature", str(path)])
         assert code == 3
 
+    def test_overflowing_coordinate_exits_3(self, capsys, tmp_path):
+        # 1e200 is finite, but the square of an edge's coordinate difference is not
+        path = tmp_path / "tetra.off"
+        path.write_text(REGULAR_TETRA_OFF.replace("1 1 1\n", "1e200 1 1\n"))
+        code, _ = run_cli(capsys, ["curvature", str(path)])
+        assert code == 3
+
+    def test_unused_vertex_exits_3(self, capsys, caplog, tmp_path):
+        path = tmp_path / "tetra.off"
+        path.write_text(REGULAR_TETRA_OFF.replace("4 4 6\n", "5 4 6\n")
+                        .replace("-1 -1 1\n", "-1 -1 1\n0 0 0\n"))
+        code, _ = run_cli(capsys, ["curvature", str(path)])
+        assert code == 3
+        assert "vertex 4 has no incident face" in caplog.text
+
 
 class TestProcess:
     def test_module_entry_point(self, tetra_off):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcurv import errors
 from plcurv.mesh import (
@@ -19,6 +21,8 @@ from conftest import (
     TETRA_FACES,
     cube12_faces,
     cube_off_text,
+    glue_reference,
+    lattice_torus_faces,
     torus9_faces,
     vertex_degree,
 )
@@ -96,6 +100,10 @@ class TestBuild:
         with pytest.raises(errors.NonTriangularFace):
             build_triangulation([(0, 1, 2, 3)])
 
+    def test_isolated_vertex_disconnected(self):
+        with pytest.raises(errors.Disconnected, match="vertex 4 has no incident face"):
+            build_triangulation(TETRA_FACES, vertex_count=5)
+
 
 class TestFlip:
     def test_flip_preserves_counts(self, torus9):
@@ -110,16 +118,21 @@ class TestFlip:
         i, j, k, l = info.quad
         assert set(tri2.edge_vertices(e)) == {k, l}
         assert {i, j} == set(torus9.edge_vertices(e))
-        assert {f for f, _ in tri2.edge_sides[e]} == set(info.faces)
-        assert {f for f, _ in torus9.edge_sides[e]} == set(info.faces)
+        assert {c // 3 for c in tri2.edge_sides[e].tolist()} == set(info.faces)
+        assert {c // 3 for c in torus9.edge_sides[e].tolist()} == set(info.faces)
 
     def test_flip_is_new_value(self, torus9):
         e = torus9.edge_ids()[0]
-        before = (list(torus9.faces), list(torus9.face_edges),
-                  list(torus9.edge_sides))
+        names = ("faces", "face_edges", "edge_sides", "edge_verts")
+        before = [getattr(torus9, name).copy() for name in names]
         tri2, _ = torus9.flip(e)
-        assert (torus9.faces, torus9.face_edges, torus9.edge_sides) == before
+        for name, old in zip(names, before):
+            assert np.array_equal(getattr(torus9, name), old), name
         assert set(tri2.edge_vertices(e)) != set(torus9.edge_vertices(e))
+        for tri in (torus9, tri2):
+            for name in names:
+                with pytest.raises(ValueError):
+                    getattr(tri, name)[0, 0] = 1
 
     def test_flip_flip_back_isomorphic(self, torus9):
         e = torus9.edge_ids()[5]
@@ -167,7 +180,7 @@ class TestFlip:
                 assert vertex_degree(tri, v) >= 1
         # every edge still has two sides that traverse it oppositely
         for e in tri.edge_ids():
-            (f1, s1), (f2, s2) = tri.edge_sides[e]
+            (f1, s1), (f2, s2) = (divmod(c, 3) for c in tri.edge_sides[e].tolist())
             a1 = tri.faces[f1][s1], tri.faces[f1][(s1 + 1) % 3]
             a2 = tri.faces[f2][s2], tri.faces[f2][(s2 + 1) % 3]
             assert a1 == (a2[1], a2[0])
@@ -227,8 +240,7 @@ class TestLoad:
         e01 = next(e for e in tetra.edge_ids()
                    if set(tetra.edge_vertices(e)) == {0, 1})
         tri2, _ = tetra.flip(e01)
-        faces = [list(tri2.faces[f]) for f in tri2.face_ids()]
-        doc = {"vertices": 4, "faces": faces,
+        doc = {"vertices": 4, "faces": tri2.faces.tolist(),
                "edge_lengths": [[0, 1, 1.0]]}
         with pytest.raises(errors.ParseError):
             parse_lengths_json(json.dumps(doc))
@@ -252,6 +264,17 @@ class TestLoad:
         with pytest.raises(errors.ZeroLengthEdge):
             parse_lengths_json(json.dumps(doc))
 
+    def test_indices_past_int64_are_parse_errors(self, tetra):
+        doc = {"vertices": 3, "faces": [[0, 1, 2], [0, 2, 2 ** 70]],
+               "edge_lengths": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
+        with pytest.raises(errors.ParseError, match="vertex index out of range"):
+            parse_lengths_json(json.dumps(doc))
+        tri2, _ = tetra.flip(0)
+        doc = lengths_json_doc(tri2, np.ones(tri2.edge_count))
+        doc["lengths"][0]["edge"] = 2 ** 70
+        with pytest.raises(errors.ParseError, match="edge id out of range"):
+            parse_lengths_json(json.dumps(doc))
+
     def test_roundtrip_doc(self, torus9):
         lengths = 1.0 + 0.01 * np.arange(torus9.edge_count)
         doc = lengths_json_doc(torus9, lengths)
@@ -269,9 +292,7 @@ class TestLoad:
         doc = {"vertices": 7, "faces": [list(f) for f in GENUS2_FACES],
                "lengths": []}
         tri = build_triangulation(GENUS2_FACES)
-        face_ids = tri.face_ids()
-        for idx, f in enumerate(face_ids):
-            corners = tri.faces[f]
+        for idx, corners in enumerate(tri.faces.tolist()):
             for slot in range(3):
                 doc["lengths"].append({"face": idx,
                                        "opposite": corners[(slot + 2) % 3],
@@ -279,3 +300,77 @@ class TestLoad:
         tri2, lengths = parse_lengths_json(json.dumps(doc))
         assert tri2.chi == -2
         assert len(lengths) == 27
+
+
+def relabelled(faces, rng):
+    """The same surface with new vertex ids, face order and corner rotations."""
+    faces = np.asarray(faces)
+    faces = rng.permutation(faces.max() + 1)[faces][rng.permutation(len(faces))]
+    return [tuple(np.roll(t, r).tolist()) for t, r in zip(faces, rng.integers(3, size=len(faces)))]
+
+
+def glued_arrays(tri):
+    return tri.face_edges, tri.edge_sides, tri.edge_verts
+
+
+def corrupt(kind, faces, n):
+    """A face list and vertex count that build_triangulation must refuse."""
+    a, b, _ = faces[0]
+    if kind == "reversed face":
+        return [faces[0][::-1]] + faces[1:], n
+    if kind == "third face on an edge":
+        return faces + [(a, b, n)], n + 1
+    if kind == "pinched vertex":
+        return faces + [tuple(v if v == a else v + n for v in t) for t in faces], 2 * n
+    if kind == "unused vertex":
+        return faces, n + 1
+    assert kind == "two components"
+    return faces + [tuple(v + n for v in t) for t in faces], 2 * n
+
+
+class TestGlueOracle:
+    """build_triangulation against the dict-based gluing of conftest."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
+    def test_relabelled_tori(self, m, seed):
+        faces = relabelled(lattice_torus_faces(m), np.random.default_rng(seed))
+        for got, want in zip(glued_arrays(build_triangulation(faces)),
+                             glue_reference(faces, m * m)):
+            assert got.dtype == np.intp and np.array_equal(got, want)
+
+    def test_genus2(self):
+        for got, want in zip(glued_arrays(build_triangulation(GENUS2_FACES)),
+                             glue_reference(GENUS2_FACES, 7)):
+            assert np.array_equal(got, want)
+
+    def test_doubled_edge_document_with_edge_ids(self, tetra):
+        e01 = next(e for e in tetra.edge_ids()
+                   if set(tetra.edge_vertices(e)) == {0, 1})
+        tri2, _ = tetra.flip(e01)
+        doc = lengths_json_doc(tri2, np.ones(tri2.edge_count))
+        ids = [[None] * 3 for _ in doc["faces"]]
+        for rec in doc["lengths"]:
+            corners = doc["faces"][rec["face"]]
+            ids[rec["face"]][(corners.index(rec["opposite"]) + 1) % 3] = rec["edge"]
+        tri3, _ = parse_lengths_json(json.dumps(doc))
+        for got, want in zip(glued_arrays(tri3), glue_reference(doc["faces"], 4, ids)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind, error", [
+        ("reversed face", errors.OrientationConflict),
+        ("third face on an edge", errors.NonManifold),
+        ("pinched vertex", errors.NonManifold),
+        ("unused vertex", errors.Disconnected),
+        ("two components", errors.Disconnected),
+    ])
+    @settings(max_examples=10, deadline=None)
+    @given(m=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_corrupt_meshes_raise_the_reference_error(self, kind, error, m, seed):
+        faces, n = corrupt(kind, relabelled(lattice_torus_faces(m),
+                                            np.random.default_rng(seed)), m * m)
+        with pytest.raises(error) as want:
+            glue_reference(faces, n)
+        with pytest.raises(errors.PLCurvError) as got:
+            build_triangulation(faces, n)
+        assert type(got.value) is type(want.value)
