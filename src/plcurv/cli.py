@@ -22,6 +22,8 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -64,21 +66,23 @@ def _json_text(obj, _indent: int = 0) -> str:
 
     The stdlib encoder uses repr() for floats; both round-trip, but the
     fixed format keeps every emitted digit count stable for replay
-    byte-comparisons.
+    byte-comparisons.  A list is formatted a column at a time (see
+    :func:`_item_texts`), so long lists of numbers or of records cost no
+    call per item.
     """
     pad = "  " * _indent
-    inner = "  " * (_indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        inner = pad + "  "
         parts = [f"{inner}{json.dumps(str(k))}: {_json_text(v, _indent + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [inner + _json_text(v, _indent + 1) for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        items = map(("  " + pad).__add__, _item_texts(obj, _indent + 1))
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -89,6 +93,34 @@ def _json_text(obj, _indent: int = 0) -> str:
             raise ValueError(f"cannot serialize non-finite float {x!r}")
         return format(x, ".17g")
     return json.dumps(obj)
+
+
+def _item_texts(items, indent: int):
+    """``_json_text(v, indent)`` for each of ``items``, in order.
+
+    Items all of type int, or all of type float, are formatted in one
+    pass.  Dicts that share one key tuple go through one template built
+    from those keys, a column per key.  Anything else goes item by item.
+    """
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return map(int.__repr__, items)
+    if kinds == {float}:
+        if not all(map(math.isfinite, items)):
+            x = next(x for x in items if not math.isfinite(x))
+            raise ValueError(f"cannot serialize non-finite float {x!r}")
+        return map(format, items, repeat(".17g"))
+    shapes = set(map(tuple, items)) if kinds == {dict} else set()
+    keys = shapes.pop() if len(shapes) == 1 else ()
+    if not keys:
+        return (_json_text(v, indent) for v in items)
+    inner = "  " * (indent + 1)
+    pieces = []
+    for lead, key in zip(["{"] + [","] * (len(keys) - 1), keys):
+        pieces.append(repeat(f"{lead}\n{inner}{json.dumps(str(key))}: "))
+        pieces.append(_item_texts(list(map(itemgetter(key), items)), indent + 1))
+    pieces.append(repeat("\n" + "  " * indent + "}"))
+    return map("".join, zip(*pieces))
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -12,8 +12,9 @@ Whole-mesh queries share one NumPy kernel over the triangulation's
 index arrays; the kernel also scores stacks of edge-length arrays.  The
 Delaunay pass runs in rounds on those arrays: each round flips a
 face-disjoint set of violators at once.  Only the Delaunay
-predicate stays scalar, asked about the edges a kernel screen cannot
-clear, so that the pass and ``delaunay --check`` share one verdict.
+predicate's ``acos`` stays scalar, applied to the kernel's cosines on
+the edges a kernel screen cannot clear, so that the pass and
+``delaunay --check`` share one verdict.
 """
 
 from __future__ import annotations
@@ -80,31 +81,6 @@ class CurvatureReport:
     max_dev: float
 
 
-def _check_positive(*lengths: float) -> None:
-    for x in lengths:
-        if not x > 0.0:
-            raise NonPositiveLength(f"edge length {x!r} is not positive")
-
-
-def _cos_opposite(a: float, b: float, c: float) -> float:
-    """Clamped cosine of the angle opposite ``a`` in triangle (a, b, c).
-
-    The clamp is the whole degeneracy story: when one length reaches the
-    sum of the others the raw ratio leaves [-1, 1] and clamping pins the
-    angles at exactly (pi, 0, 0), which is the continuous extension.
-    Lengths are normalized first so their squares cannot overflow.
-    """
-    m = max(a, b, c)
-    a, b, c = a / m, b / m, c / m
-    num = b * b + c * c - a * a
-    den = 2.0 * b * c
-    if den == 0.0:
-        # b*c underflowed, so some side is negligible: only the sign of num
-        # survives (0 for a needle face's long side: its limit angle pi/2).
-        return math.copysign(1.0, num) if num else 0.0
-    return min(1.0, max(-1.0, num / den))
-
-
 def side_lengths(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     """(..., F, 3) array of every face's edge lengths by slot, faces in id order.
 
@@ -131,7 +107,12 @@ def opposite_cosines(L: np.ndarray) -> np.ndarray:
     """Clamped cosines of the angles facing each side, sides on the last axis.
 
     ``L[..., k]`` are positive side lengths; entry k of the result is the
-    cosine facing side k, by the same arithmetic as :func:`_cos_opposite`.
+    cosine facing side k.  The clamp is the whole degeneracy story: when
+    one length reaches the sum of the others the raw ratio leaves
+    [-1, 1] and clamping pins the angles at exactly (pi, 0, 0), which is
+    the continuous extension.  Lengths are normalized first so their
+    squares cannot overflow.  The arithmetic is elementwise, so each entry
+    is the float the same formula gives on one triangle in plain floats.
     """
     n = L / max3(L)[..., None]
     b, c = n[..., NEXT], n[..., PREV]
@@ -139,6 +120,8 @@ def opposite_cosines(L: np.ndarray) -> np.ndarray:
     den = 2.0 * b * c
     flat = den == 0.0
     if flat.any():
+        # b*c underflowed, so some side is negligible: only the sign of num
+        # survives (0 for a needle face's long side: its limit angle pi/2).
         den = np.where(flat, 1.0, den)
         num = np.where(flat, np.sign(num), num)
     return np.minimum(np.maximum(num / den, -1.0), 1.0)
@@ -215,16 +198,6 @@ def alpha_curvature(K: np.ndarray, u: np.ndarray, alpha: float,
                            sum_K=sum_K, R_av=R_av, max_dev=max_dev)
 
 
-def _slot_cos(tri: Triangulation, lengths, corner: int) -> float:
-    face, slot = divmod(corner, 3)
-    fe = tri.face_edges[face].tolist()
-    a = lengths[fe[slot]]
-    b = lengths[fe[(slot + 1) % 3]]
-    c = lengths[fe[(slot + 2) % 3]]
-    _check_positive(a, b, c)
-    return _cos_opposite(a, b, c)
-
-
 def _cot_laplacian(tri: Triangulation, lengths: np.ndarray) -> scipy.sparse.csr_matrix:
     """Cot-weight graph Laplacian: minus the edge's cot weight (the cotangents
     of the two angles facing it, summed) off the diagonal, zero row sums.
@@ -280,29 +253,38 @@ def alpha_laplacian_apply(tri: Triangulation, lengths: np.ndarray,
     return -np.exp(-alpha * u) * (_cot_laplacian(tri, lengths) @ f)
 
 
-def is_delaunay(tri: Triangulation, lengths, e: int) -> bool:
+def is_delaunay(tri: Triangulation, lengths, e):
     """True when the angles facing edge ``e`` sum to at most pi.
 
     The test is inclusive with DELAUNAY_SLACK so cocircular edges count
-    as Delaunay and are never flipped.  ``lengths`` may be a metric array
-    or the same lengths as a list, which is faster to read one by one.
+    as Delaunay and are never flipped.  ``e`` may be an array of edge
+    ids, giving a bool array.  Cosines come from :func:`opposite_cosines`;
+    each angle is ``math.acos`` of one cosine, as the one-edge form takes
+    it: NumPy's arccos can differ in the last bit, and that bit can tip
+    an edge whose angles sum to pi + DELAUNAY_SLACK within rounding.
     """
-    c1, c2 = tri.edge_sides[e].tolist()
-    return (math.acos(_slot_cos(tri, lengths, c1))
-            + math.acos(_slot_cos(tri, lengths, c2))
-            <= math.pi + DELAUNAY_SLACK)
+    corners = tri.quad_corners(np.asarray(e, dtype=np.intp))
+    sides = np.asarray(lengths, dtype=float)[tri.face_edges.reshape(-1)[corners]]
+    ok = sides > 0.0
+    if not ok.all():
+        raise NonPositiveLength(f"edge length {float(sides[~ok][0])!r} is not positive")
+    # entry 0 of each face's row is the side on edge e
+    cos = opposite_cosines(sides)[..., 0]
+    theta = np.array(list(map(math.acos, cos.reshape(-1).tolist()))).reshape(cos.shape)
+    verdict = theta[..., 0] + theta[..., 1] <= math.pi + DELAUNAY_SLACK
+    return bool(verdict) if verdict.ndim == 0 else verdict
 
 
 def is_delaunay_all(tri: Triangulation, lengths: np.ndarray) -> list[int]:
     """Edge ids violating the Delaunay condition, in edge id order.
 
-    Kernel screen, then :func:`is_delaunay`: make_delaunay's verdict, bit for bit.
+    Kernel screen, then one :func:`is_delaunay` call on the edges it
+    cannot clear: make_delaunay's verdict, bit for bit.
     """
-    suspects = np.flatnonzero(~(edge_margins(tri, lengths) > 0.0)).tolist()  # NaN too
-    if not suspects:
+    suspects = np.flatnonzero(~(edge_margins(tri, lengths) > 0.0))  # NaN too
+    if not suspects.size:
         return []
-    L = np.asarray(lengths, dtype=float).tolist()
-    return [e for e in suspects if not is_delaunay(tri, L, e)]
+    return suspects[~is_delaunay(tri, lengths, suspects)].tolist()
 
 
 def edge_margins(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:

@@ -22,10 +22,13 @@ immutable value; its ``flip`` returns a fresh one.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import NoReturn
 
 import numpy as np
@@ -210,14 +213,21 @@ class Triangulation:
 # --- construction ------------------------------------------------------
 
 def _vertex_triples(face_list, vertex_count: int | None) -> tuple[np.ndarray, int]:
-    """Faces as an (F, 3) array of vertices in range, and the vertex count."""
-    for idx, tri in enumerate(face_list):
-        if len(tri) != 3:
-            raise NonTriangularFace(f"face {idx} has {len(tri)} vertices")
+    """Faces as an (F, 3) array of vertices in range, and the vertex count.
+
+    ``face_list`` is an (F, 3) array or a sequence of triples.
+    """
     try:
-        faces = np.array(face_list, dtype=np.intp).reshape(-1, 3)
+        faces = np.array(face_list, dtype=np.intp)
     except OverflowError as exc:
         raise ParseError(f"vertex index out of range: {exc}") from exc
+    except ValueError:  # ragged, named below
+        faces = None
+    if faces is None or faces.shape[1:] != (3,):
+        for idx, tri in enumerate(face_list):
+            if len(tri) != 3:
+                raise NonTriangularFace(f"face {idx} has {len(tri)} vertices")
+        faces = np.array(face_list, dtype=np.intp).reshape(-1, 3)
     top = int(faces.max(initial=-1))
     n = top + 1 if vertex_count is None else vertex_count
     if top >= n or faces.min(initial=0) < 0:
@@ -389,15 +399,23 @@ def _parse_off(text: str):
         parts = ln.split()
         if len(parts) < 3:
             raise ParseError(f"bad vertex line: {ln!r}")
-        verts.append(tuple(float(x) for x in parts[:3]))
+        verts.append(_numbers_of(ln, float, parts[:3]))
     faces = []
     for ln in lines[2 + nv:2 + nv + nf]:
         parts = ln.split()
-        cnt = int(parts[0])
+        cnt = _numbers_of(ln, int, parts[:1])[0]
         if cnt != 3 or len(parts) < 4:
             raise NonTriangularFace(f"face line {ln!r} is not a triangle")
-        faces.append(tuple(int(x) for x in parts[1:4]))
+        faces.append(_numbers_of(ln, int, parts[1:4]))
     return verts, faces
+
+
+def _numbers_of(line: str, kind, tokens) -> tuple:
+    """``tokens`` of a text-format line read as ``kind``; a bad token is a ParseError."""
+    try:
+        return tuple(kind(x) for x in tokens)
+    except ValueError as exc:
+        raise ParseError(f"bad line {line!r}: {exc}") from exc
 
 
 def _parse_obj(text: str):
@@ -410,12 +428,12 @@ def _parse_obj(text: str):
         if parts[0] == "v":
             if len(parts) < 4:
                 raise ParseError(f"bad OBJ vertex: {ln!r}")
-            verts.append(tuple(float(x) for x in parts[1:4]))
+            verts.append(_numbers_of(ln, float, parts[1:4]))
         elif parts[0] == "f":
             ids = [p.split("/")[0] for p in parts[1:]]
             if len(ids) != 3:
                 raise NonTriangularFace(f"face {ln!r} is not a triangle")
-            faces.append(tuple(int(x) - 1 for x in ids))
+            faces.append(tuple(x - 1 for x in _numbers_of(ln, int, ids)))
     if not faces:
         raise ParseError("OBJ file contains no faces")
     return verts, faces
@@ -444,92 +462,255 @@ def parse_lengths_json(text: str) -> tuple[Triangulation, np.ndarray]:
     list of [i, j, value] triples that is only accepted when every vertex
     pair carries at most one edge.  Per-face entries may also carry the
     id of their edge; then half-edges are glued by id, not first come.
+    The vertex count and vertex, face and edge ids must be JSON integers
+    and lengths JSON numbers.  Records are read as columns and checked as
+    masks; an error names the first record, in document order, that fails
+    a check, and where records of one edge differ within tolerance the
+    later one wins.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
-        n = int(doc["vertices"])
-        face_list = [tuple(int(v) for v in f) for f in doc["faces"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = doc["vertices"]
+        face_list = doc["faces"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
-
+    if type(n) is not int:
+        raise ParseError(f"missing or malformed field: 'vertices' {n!r} is not a JSON integer")
+    rows, present = _face_rows(face_list)
+    # ragged faces go to the builder as given, which names the first one
+    faces = rows if present is None else face_list
     if "lengths" in doc:
-        records: list[tuple[tuple[int, int], float]] = []
-        slot_ids: dict[tuple[int, int], int] = {}
-        for rec in doc["lengths"]:
-            try:
-                f = int(rec["face"])
-                opp = int(rec["opposite"])
-                val = float(rec["length"])
-                edge = int(rec["edge"]) if "edge" in rec else None
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad length record {rec!r}: {exc}") from exc
-            if not 0 <= f < len(face_list):
-                raise ParseError(f"length record names unknown face {f}")
-            corners = face_list[f]
-            if opp not in corners:
-                raise ParseError(
-                    f"vertex {opp} is not a corner of face {f}")
-            side = (f, (corners.index(opp) + 1) % 3)
-            if not math.isfinite(val):
-                raise NonFiniteValue(f"non-finite length for face {f}")
-            if val <= 0.0:
-                raise ZeroLengthEdge(f"non-positive length for face {f}")
-            records.append((side, val))
-            if edge is not None:
-                if slot_ids.setdefault(side, edge) != edge:
-                    raise ParseError(f"face {f} gives two ids to one edge")
-        ids = None
-        if slot_ids:
-            if len(slot_ids) != 3 * len(face_list):
-                raise ParseError("some face slot has no edge id")
-            try:
-                ids = np.array([[slot_ids[f, s] for s in range(3)]
-                                for f in range(len(face_list))], dtype=np.intp)
-            except OverflowError as exc:
-                raise ParseError(f"edge id out of range: {exc}") from exc
-        tri = build_triangulation(face_list, n, ids)
-        lengths: list[float | None] = [None] * tri.edge_count
-        face_edges = tri.face_edges.tolist()
-        for (f, slot), val in records:
-            e = face_edges[f][slot]
-            if lengths[e] is not None and abs(lengths[e] - val) > 1e-12 * max(lengths[e], val):
-                raise ParseError(
-                    f"edge {e} given inconsistent lengths "
-                    f"{lengths[e]!r} and {val!r}")
-            lengths[e] = val
+        tri, lengths = _face_keyed_lengths(doc["lengths"], rows, present, faces, n)
     elif "edge_lengths" in doc:
-        tri = build_triangulation(face_list, vertex_count=n)
-        lengths = [None] * tri.edge_count
-        pair_to_edge: dict[tuple[int, int], int] = {}
-        for e, (a, b) in enumerate(tri.edge_verts.tolist()):
-            key = (min(a, b), max(a, b))
-            if key in pair_to_edge:
-                raise ParseError(
-                    f"pair form cannot address doubled edge {key}")
-            pair_to_edge[key] = e
-        for rec in doc["edge_lengths"]:
-            try:
-                a, b, val = int(rec[0]), int(rec[1]), float(rec[2])
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ParseError(f"bad edge_lengths record {rec!r}") from exc
-            key = (min(a, b), max(a, b))
-            if key not in pair_to_edge:
-                raise ParseError(f"no edge joins {a} and {b}")
-            if not math.isfinite(val):
-                raise NonFiniteValue(f"non-finite length for edge {key}")
-            if val <= 0.0:
-                raise ZeroLengthEdge(f"non-positive length for edge {key}")
-            lengths[pair_to_edge[key]] = val
+        tri = build_triangulation(faces, vertex_count=n)
+        lengths = _pair_keyed_lengths(doc["edge_lengths"], tri)
     else:
         raise ParseError("need either 'lengths' or 'edge_lengths'")
+    return tri, lengths
 
-    missing = lengths.count(None)
-    if missing:
-        raise ParseError(f"{missing} edges have no length")
-    return tri, np.array(lengths)
+
+def _face_rows(face_list) -> tuple[np.ndarray, np.ndarray | None]:
+    """Faces of a lengths document as an (F, w) int64 array, and its real entries.
+
+    Rows are padded to the longest face (w >= 3); the mask of real
+    entries is None when every face has three vertices.
+    """
+    if type(face_list) is not list or not set(map(type, face_list)) <= {list}:
+        raise ParseError("missing or malformed field: 'faces' must be a list of lists")
+    if not set(map(type, chain.from_iterable(face_list))) <= {int}:
+        f = next(f for f, t in enumerate(face_list) if not set(map(type, t)) <= {int})
+        raise ParseError(f"missing or malformed field: face {f} {face_list[f]!r} "
+                         "has a vertex id that is not a JSON integer")
+    try:
+        if set(map(len, face_list)) <= {3}:
+            return np.array(face_list, dtype=np.int64).reshape(-1, 3), None
+        sizes = np.array(list(map(len, face_list)))
+        present = np.arange(max(3, sizes.max())) < sizes[:, None]
+        rows = np.zeros(present.shape, dtype=np.int64)
+        rows[present] = list(chain.from_iterable(face_list))
+        return rows, present
+    except OverflowError as exc:
+        raise ParseError(f"vertex index out of range: {exc}") from exc
+
+
+def _record_list(records, key: str) -> list:
+    if type(records) is not list:
+        raise ParseError(f"{key!r} must be a list of records")
+    return records
+
+
+def _numbers(col: list, integer: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``col`` as int64 (JSON integers) or float64 (JSON numbers), and its valid entries.
+
+    The mask is None when every entry is valid; invalid entries, of
+    another type or past the dtype's range, read 0.
+    """
+    kinds = {int} if integer else {int, float}
+    dtype = np.int64 if integer else np.float64
+    if set(map(type, col)) <= kinds:
+        try:
+            return np.array(col, dtype=dtype), None
+        except OverflowError:
+            pass
+
+    def fits(x) -> bool:
+        if type(x) not in kinds:
+            return False
+        try:
+            dtype(x)
+        except OverflowError:
+            return False
+        return True
+
+    ok = list(map(fits, col))
+    return (np.array([x if good else 0 for x, good in zip(col, ok)], dtype=dtype),
+            np.array(ok, dtype=bool))
+
+
+def _raise_first(checks) -> None:
+    """Raise for the first record, in order, that fails a check.
+
+    ``checks`` are (mask of passing records or None for all, error
+    class, message for record i), in the order one record is checked.
+    """
+    masks = [mask for mask, _, _ in checks if mask is not None]
+    passing = functools.reduce(operator.and_, masks)
+    if not passing.all():
+        i = int(passing.argmin())
+        error, message = next((error, message) for mask, error, message in checks
+                              if mask is not None and not mask[i])
+        raise error(message(i))
+
+
+def _lengths_by_edge(edge: np.ndarray, values: np.ndarray, edge_count: int,
+                     tolerance: float | None = None) -> np.ndarray:
+    """Lengths by edge id from records' edges and values, the last record winning.
+
+    With a ``tolerance``, each record must agree with the one before it
+    on its edge, as they are read, to that relative tolerance.  Every
+    edge must get a length.
+    """
+    order = np.lexsort([edge])  # stable: an edge's records stay in file order
+    sorted_edge = edge[order]
+    again = sorted_edge[1:] == sorted_edge[:-1]
+    if tolerance is not None:
+        sorted_values = values[order]
+        before, after = sorted_values[:-1], sorted_values[1:]
+        clash = again & (np.abs(before - after) > tolerance * np.maximum(before, after))
+        if clash.any():
+            k = np.flatnonzero(clash)
+            k = k[order[1:][k].argmin()]  # the first clash in file order
+            raise ParseError(f"edge {sorted_edge[k]} given inconsistent lengths "
+                             f"{before[k].item()!r} and {after[k].item()!r}")
+    last = np.ones(len(edge), dtype=bool)
+    last[:-1] = ~again
+    kept = order[last]  # the last record of each edge given, by edge id
+    if len(kept) < edge_count:
+        raise ParseError(f"{edge_count - len(kept)} edges have no length")
+    return values[kept]
+
+
+# (key, name in messages, JSON integer rather than number) of a per-face record
+_FACE_RECORD = (("face", "face id", True), ("opposite", "vertex id", True),
+                ("length", "length", False), ("edge", "edge id", True))
+
+
+def _face_keyed_lengths(records, rows, present, faces, n: int
+                        ) -> tuple[Triangulation, np.ndarray]:
+    """Triangulation and lengths of the per-face ``"lengths"`` records."""
+    records = _record_list(records, "lengths")
+    dicts = (records if set(map(type, records)) <= {dict}
+             else [r if type(r) is dict else {} for r in records])
+    # an absent field reads None, which fails the type test
+    (f, f_ok), (opp, opp_ok), (val, val_ok) = (
+        _numbers(list(map(dict.get, dicts, repeat(key))), integer)
+        for key, _, integer in _FACE_RECORD[:3])
+    has_id = list(map(operator.contains, dicts, repeat("edge")))
+    ided = eid_ok = None
+    if any(has_id):
+        ided = np.flatnonzero(has_id)
+        eid, eid_ok = _numbers(list(map(operator.itemgetter("edge"),
+                                        compress(dicts, has_id))), True)
+        if eid_ok is not None:
+            eid_ok = _scatter(eid_ok, ided, len(dicts))
+
+    def parse_fault(key: str):
+        _, name, integer = next(field for field in _FACE_RECORD if field[0] == key)
+        kind = "integer" if integer else "number"
+        return lambda i: (f"bad length record {records[i]!r}: {name} "
+                          f"out of range, missing or not a JSON {kind}")
+
+    F = len(rows)
+    known = (0 <= f) & (f < F)
+    at = np.where(known, f, 0)
+    table = rows if F else np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    match = table[at] == opp[:, None]
+    if present is not None:
+        match &= present[at]
+    side = 3 * at + (match.argmax(axis=1) + 1) % 3  # the side opposite the corner
+    agree = None
+    if ided is not None:
+        # each id-bearing record against the first one on its side
+        _, first, group = np.unique(side[ided], return_index=True, return_inverse=True)
+        agree = _scatter(eid == eid[first][group.reshape(-1)], ided, len(dicts))
+    _raise_first([(f_ok, ParseError, parse_fault("face")),
+                  (opp_ok, ParseError, parse_fault("opposite")),
+                  (val_ok, ParseError, parse_fault("length")),
+                  (eid_ok, ParseError, parse_fault("edge")),
+                  (known, ParseError, lambda i: f"length record names unknown face {f[i]}"),
+                  (match.any(axis=1), ParseError,
+                   lambda i: f"vertex {opp[i]} is not a corner of face {f[i]}"),
+                  ((-np.inf < val) & (val < np.inf), NonFiniteValue,
+                   lambda i: f"non-finite length for face {f[i]}"),
+                  (0.0 < val, ZeroLengthEdge,
+                   lambda i: f"non-positive length for face {f[i]}"),
+                  (agree, ParseError, lambda i: f"face {f[i]} gives two ids to one edge")])
+
+    ids = None
+    if ided is not None:
+        if len(first) != 3 * F:
+            raise ParseError("some face slot has no edge id")
+        ids = np.empty(3 * F, dtype=np.int64)
+        ids[side[ided]] = eid
+        ids = ids.reshape(-1, 3)
+    tri = build_triangulation(faces, n, ids)
+    edge = tri.face_edges.reshape(-1)[side]
+    return tri, _lengths_by_edge(edge, val, tri.edge_count, tolerance=1e-12)
+
+
+def _scatter(values: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """Bool mask of ``size`` records: ``values`` at positions ``at``, True elsewhere."""
+    mask = np.ones(size, dtype=bool)
+    mask[at] = values
+    return mask
+
+
+def _pair_keys(tri: Triangulation) -> np.ndarray:
+    """low * V + high for the endpoints of each edge: equal on edges that join one pair."""
+    ends = tri.edge_verts
+    return np.minimum(ends[:, 0], ends[:, 1]) * tri.vertex_count + np.maximum(ends[:, 0], ends[:, 1])
+
+
+def _pair_keyed_lengths(records, tri: Triangulation) -> np.ndarray:
+    """Lengths of the flat ``"edge_lengths"`` [i, j, value] records."""
+    records = _record_list(records, "edge_lengths")
+    n = tri.vertex_count
+    keys, first = np.unique(_pair_keys(tri), return_index=True)
+    if len(keys) < tri.edge_count:
+        doubled = np.ones(tri.edge_count, dtype=bool)
+        doubled[first] = False
+        key = tuple(sorted(tri.edge_vertices(doubled.argmax())))
+        raise ParseError(f"pair form cannot address doubled edge {key}")
+
+    triples = (records if set(map(type, records)) <= {list}
+               and min(map(len, records), default=3) >= 3
+               else [r if type(r) is list and len(r) >= 3 else [None] * 3
+                     for r in records])
+    (a, a_ok), (b, b_ok), (val, val_ok) = (
+        _numbers(list(map(operator.itemgetter(k), triples)), k < 2) for k in range(3))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    inside = (lo >= 0) & (hi < n)
+    code = np.where(inside, lo, 0) * n + np.where(inside, hi, 0)
+    at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
+
+    def bad_record(i: int) -> str:
+        return f"bad edge_lengths record {records[i]!r}"
+
+    def pair(i: int) -> tuple[int, int]:
+        return lo[i].item(), hi[i].item()
+
+    _raise_first([(a_ok, ParseError, bad_record), (b_ok, ParseError, bad_record),
+                  (val_ok, ParseError, bad_record),
+                  (inside & (keys[at] == code), ParseError,
+                   lambda i: f"no edge joins {a[i]} and {b[i]}"),
+                  ((-np.inf < val) & (val < np.inf), NonFiniteValue,
+                   lambda i: f"non-finite length for edge {pair(i)}"),
+                  (0.0 < val, ZeroLengthEdge,
+                   lambda i: f"non-positive length for edge {pair(i)}")])
+    return _lengths_by_edge(first[at], val, tri.edge_count)
 
 
 def lengths_json_doc(tri: Triangulation, lengths: np.ndarray) -> dict:
@@ -539,17 +720,13 @@ def lengths_json_doc(tri: Triangulation, lengths: np.ndarray) -> dict:
     the reader need not give back this gluing (flips put faces in any
     order), so every record then also carries its edge id.
     """
-    lengths = np.asarray(lengths, dtype=float).tolist()
-    doubled = len({frozenset(p) for p in tri.edge_verts.tolist()}) < tri.edge_count
-    faces = tri.faces.tolist()
-    recs = []
-    for f, (corners, edges) in enumerate(zip(faces, tri.face_edges.tolist())):
-        for slot in range(3):
-            rec = {"face": f, "opposite": corners[(slot + 2) % 3],
-                   "length": lengths[edges[slot]]}
-            if doubled:
-                rec["edge"] = edges[slot]
-            recs.append(rec)
+    doubled = len(np.unique(_pair_keys(tri))) < tri.edge_count
+    columns = {"face": np.arange(tri.face_count).repeat(3).tolist(),
+               "opposite": tri.faces[:, [2, 0, 1]].reshape(-1).tolist(),
+               "length": np.asarray(lengths, dtype=float)[tri.face_edges].reshape(-1).tolist()}
+    if doubled:
+        columns["edge"] = tri.face_edges.reshape(-1).tolist()
+    keys = tuple(columns)
     return {"vertices": tri.vertex_count,
-            "faces": faces,
-            "lengths": recs}
+            "faces": tri.faces.tolist(),
+            "lengths": [dict(zip(keys, row)) for row in zip(*columns.values())]}

@@ -1,5 +1,6 @@
 """Shared mesh fixtures: small closed surfaces used across the test suite."""
 
+import json
 import math
 from collections import deque
 
@@ -219,6 +220,24 @@ def cot_weight(tri, lengths, e):
     return total
 
 
+def is_delaunay_reference(tri, lengths, e):
+    """The Delaunay verdict on one edge in plain floats: scalar cosines, math.acos.
+
+    geometry.is_delaunay, asked about many edges at once, must give each
+    the same bool.
+    """
+    total = 0.0
+    for corner in tri.edge_sides[e].tolist():
+        f, s = divmod(corner, 3)
+        fe = tri.face_edges[f].tolist()
+        a, b, c = (lengths[fe[(s + k) % 3]] for k in range(3))
+        for x in (a, b, c):
+            if not x > 0.0:
+                raise NonPositiveLength(f"edge length {x!r} is not positive")
+        total += math.acos(_cos_opposite(a, b, c))
+    return total <= math.pi + geometry.DELAUNAY_SLACK
+
+
 def flip_with_length(tri, lengths, e):
     """Flip edge ``e`` and put the new diagonal's length in slot ``e`` of a copy."""
     new_len = geometry.flip_length(tri, lengths, e)
@@ -415,7 +434,8 @@ def first_wall_reference(tri, base, u, delta):
 #
 # Production flips in rounds, many face-disjoint edges per array call.
 # This FIFO loop flips one edge at a time, every queued edge asking the
-# scalar is_delaunay; the rounds must reach its faces and curvature.
+# scalar is_delaunay_reference; the rounds must reach its faces and
+# curvature.
 
 def make_delaunay_reference(tri, lengths):
     """A Delaunay pass flipping one queued edge at a time."""
@@ -425,7 +445,7 @@ def make_delaunay_reference(tri, lengths):
     flips = []
     while queue:
         e = queue.popleft()
-        if geometry.is_delaunay(tri, L, e):
+        if is_delaunay_reference(tri, L, e):
             continue
         if len(flips) >= cap:
             raise FlipLimitExceeded(f"{len(flips)} flips")
@@ -435,3 +455,35 @@ def make_delaunay_reference(tri, lengths):
         flips.append(info)
         queue.extend(info.rim)
     return tri, np.array(L), flips
+
+
+# --- recursive oracle for the JSON writer ---------------------------------------
+#
+# Production formats long lists a column at a time.  The reference makes
+# one recursive call per value.
+
+def json_text_reference(obj, _indent=0):
+    """cli._json_text one value at a time: floats with 17 significant digits."""
+    pad = "  " * _indent
+    inner = "  " * (_indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(k))}: {json_text_reference(v, _indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [inner + json_text_reference(v, _indent + 1) for v in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite float {x!r}")
+        return format(x, ".17g")
+    return json.dumps(obj)

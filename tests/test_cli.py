@@ -19,10 +19,12 @@ from conftest import (
     GENUS2_FACES,
     TETRA_FACES,
     flat_torus_document,
+    json_text_reference,
     lattice_torus_faces,
     torus9_faces,
     unit_lengths,
 )
+from test_mesh import SPOILS, spoiled
 
 from plcurv import cli, geometry, mesh
 from plcurv.mesh import build_triangulation
@@ -548,6 +550,117 @@ class TestExtremeInput:
         code, _ = run_cli(capsys, ["curvature", str(path)])
         assert code == 3
         assert "vertex 4 has no incident face" in caplog.text
+
+
+# --- the JSON writer against its recursive reference ---------------------------
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.0 ** 53, 0.1])
+KEYS = st.text(max_size=3)
+
+
+def json_documents(floats):
+    """Nested dicts, lists and tuples; record lists with equal or unequal keys."""
+    leaves = st.one_of(
+        st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(), st.text(max_size=4),
+        floats, floats.map(np.float64), st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+
+    def containers(children):
+        same_keys = st.lists(KEYS, min_size=1, max_size=3, unique=True).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, children)),
+                                  max_size=4))
+        same_length = st.integers(0, 3).flatmap(
+            lambda n: st.lists(st.lists(children, min_size=n, max_size=n)
+                               | st.tuples(*[children] * n), max_size=4))
+        return st.one_of(
+            st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(KEYS, children, max_size=3),
+            st.lists(st.dictionaries(KEYS, children, max_size=2), max_size=4),
+            same_keys, same_length,
+            st.lists(floats, max_size=6), st.lists(st.integers(), max_size=6))
+
+    return st.recursive(leaves, containers, max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents(FLOATS))
+def test_writer_matches_recursive_reference(doc):
+    assert cli._json_text(doc) == json_text_reference(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents(FLOATS | st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_writer_refuses_non_finite_floats_like_reference(doc):
+    try:
+        want = json_text_reference(doc)
+    except ValueError:
+        with pytest.raises(ValueError):
+            cli._json_text(doc)
+        return
+    assert cli._json_text(doc) == want
+
+
+def test_writer_refuses_every_non_finite_float():
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        for doc in ([1.0, bad], [{"a": 1, "b": bad}, {"a": 2, "b": 0.5}],
+                    [[0.5, bad]], {"x": bad}, bad):
+            with pytest.raises(ValueError):
+                json_text_reference(doc)
+            with pytest.raises(ValueError):
+                cli._json_text(doc)
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2 (parse) or 3 (validation), never 0."""
+
+    def test_float_vertex_id_exits_2(self, capsys, caplog, tmp_path):
+        # int(1.7) used to read this as the two-face sphere and exit 0
+        path = tmp_path / "float-id.json"
+        path.write_text(json.dumps({
+            "vertices": 3, "faces": [[0, 1, 2], [0, 2, 1.7]],
+            "edge_lengths": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}))
+        code, _ = run_cli(capsys, ["curvature", str(path)])
+        assert code == 2
+        assert "not a JSON integer" in caplog.text
+
+    def test_float_vertex_count_exits_2(self, capsys, caplog, tmp_path):
+        # int(3.9) used to read this as the two-face sphere on 3 vertices
+        path = tmp_path / "float-count.json"
+        path.write_text(json.dumps({
+            "vertices": 3.9, "faces": [[0, 1, 2], [0, 2, 1]],
+            "edge_lengths": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}))
+        code, _ = run_cli(capsys, ["curvature", str(path)])
+        assert code == 2
+        assert "not a JSON integer" in caplog.text
+
+    @pytest.mark.parametrize("name", SPOILS)
+    def test_spoiled_document_exit_code(self, capsys, caplog, tmp_path, name):
+        text, _, message, code = spoiled(name)
+        path = tmp_path / "spoiled.json"
+        path.write_text(text)
+        assert run_cli(capsys, ["delaunay", str(path), "--check"]) == (code, None)
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("old, new", [
+        ("3 0 1 2\n", "x 0 1 2\n"),  # face count
+        ("3 0 1 2\n", "3 0 1 y\n"),  # face vertex
+        ("1 1 1\n", "a 1 1\n"),      # coordinate
+    ])
+    def test_non_numeric_off_token_exits_2(self, capsys, tmp_path, old, new):
+        path = tmp_path / "tetra.off"
+        path.write_text(REGULAR_TETRA_OFF.replace(old, new, 1))
+        assert run_cli(capsys, ["curvature", str(path)]) == (2, None)
+
+    @pytest.mark.parametrize("line", ["f 1 x 3", "v 0 b 0", "f 1/1 2/2 z/3"])
+    def test_non_numeric_obj_token_exits_2(self, capsys, tmp_path, line):
+        text = "".join(f"v {row}\n" for row in REGULAR_TETRA_OFF.splitlines()[2:6])
+        text += "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n"
+        path = tmp_path / "tetra.obj"
+        path.write_text(text)
+        assert run_cli(capsys, ["curvature", str(path)])[0] == 0
+        path.write_text(text + line + "\n")
+        assert run_cli(capsys, ["curvature", str(path)]) == (2, None)
 
 
 class TestProcess:

@@ -36,6 +36,7 @@ from conftest import (
     all_fixture_meshes,
     cot_weight,
     flat_torus_document,
+    is_delaunay_reference,
     make_delaunay_reference,
     triangle_angles,
 )
@@ -110,6 +111,38 @@ def test_margin_matches_edge_loop_and_predicate(case):
     margin = delaunay_margin(tri, lengths)
     assert abs(margin - ref) < 1e-12
     assert (margin < -DELAUNAY_SLACK) == bool(is_delaunay_all(tri, lengths))
+
+
+@SETTINGS
+@given(metrics())
+def test_edge_array_verdict_matches_scalar_oracle(case):
+    """One is_delaunay call on every edge gives the scalar verdicts, bit for bit."""
+    tri, lengths = case
+    L = lengths.tolist()
+    ref = [is_delaunay_reference(tri, L, e) for e in tri.edge_ids()]
+    assert is_delaunay(tri, lengths, np.arange(tri.edge_count)).tolist() == ref
+    assert is_delaunay_all(tri, lengths) == [e for e, ok in enumerate(ref) if not ok]
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize("sigma", [0.0, 1e-14, 1e-12, 1e-10])
+def test_verdict_on_cocircular_square_torus(m, sigma):
+    """Right isosceles faces: every diagonal sits on the slack's edge.
+
+    Conformal noise far below, near and above DELAUNAY_SLACK moves the
+    diagonals' margins across it; array, int and scalar verdicts agree.
+    """
+    tri, base = parse_lengths_json(json.dumps(flat_torus_document(m, [1, 0], [0, 1])))
+    rng = np.random.default_rng(m)
+    lengths = scale_metric(tri, base, rng.normal(0.0, sigma, tri.vertex_count))
+    if sigma == 0.0:
+        assert np.count_nonzero(np.abs(edge_margins(tri, lengths)) <= DELAUNAY_SLACK) == m * m
+    L = lengths.tolist()
+    ref = [is_delaunay_reference(tri, L, e) for e in tri.edge_ids()]
+    assert is_delaunay(tri, lengths, np.arange(tri.edge_count)).tolist() == ref
+    assert [is_delaunay(tri, lengths, e) for e in tri.edge_ids()] == ref
+    assert all(type(is_delaunay(tri, lengths, e)) is bool for e in range(3))
+    assert is_delaunay_all(tri, lengths) == [e for e, ok in enumerate(ref) if not ok]
 
 
 @SETTINGS

@@ -374,3 +374,229 @@ class TestGlueOracle:
         with pytest.raises(errors.PLCurvError) as got:
             build_triangulation(faces, n)
         assert type(got.value) is type(want.value)
+
+
+# --- spoiled lengths documents -------------------------------------------------
+#
+# The reader checks records as columns.  Each spoil below breaks one check
+# of one record (record 4, on face 1) in a valid document and returns the
+# error it must raise: the class and message the record-by-record reader
+# gave, which name the same record.  The exit code is the one the CLI maps
+# that class to.
+
+def flipped_tetra_doc():
+    """Per-face records with edge ids: three flips give the tetrahedron doubled edges."""
+    tri = build_triangulation(TETRA_FACES)
+    for _ in range(3):
+        tri, _ = tri.flip(0)
+    return lengths_json_doc(tri, 1.0 + 0.125 * np.arange(tri.edge_count))
+
+
+def torus_pair_doc():
+    """The 3 x 3 torus in the flat [i, j, value] form."""
+    tri = build_triangulation(torus9_faces())
+    return {"vertices": 9, "faces": tri.faces.tolist(),
+            "edge_lengths": [[a, b, 1.0 + 0.125 * e]
+                             for e, (a, b) in enumerate(tri.edge_verts.tolist())]}
+
+
+SPOILS = {}
+
+
+def spoil(form, name, code):
+    def register(fn):
+        SPOILS[f"{form}: {name}"] = (form, fn, code)
+        return fn
+    return register
+
+
+@spoil("lengths", "missing key", 2)
+def _(doc):
+    rec = doc["lengths"][4]
+    del rec["length"]
+    return errors.ParseError, f"bad length record {rec!r}"
+
+
+@spoil("lengths", "non-numeric length", 2)
+def _(doc):
+    rec = doc["lengths"][4]
+    rec["length"] = "1.5x"
+    return errors.ParseError, f"bad length record {rec!r}"
+
+
+@spoil("lengths", "unknown face", 2)
+def _(doc):
+    doc["lengths"][4]["face"] = 9
+    return errors.ParseError, "length record names unknown face 9"
+
+
+@spoil("lengths", "opposite not a corner", 2)
+def _(doc):
+    v = next(v for v in range(4) if v not in doc["faces"][1])
+    doc["lengths"][4]["opposite"] = v
+    return errors.ParseError, f"vertex {v} is not a corner of face 1"
+
+
+@spoil("lengths", "non-finite", 3)
+def _(doc):
+    doc["lengths"][4]["length"] = math.inf
+    return errors.NonFiniteValue, "non-finite length for face 1"
+
+
+@spoil("lengths", "non-positive", 2)
+def _(doc):
+    doc["lengths"][4]["length"] = -1.0
+    return errors.ZeroLengthEdge, "non-positive length for face 1"
+
+
+@spoil("lengths", "inconsistent duplicate", 2)
+def _(doc):
+    rec = doc["lengths"][4]
+    doc["lengths"].append(dict(rec, length=rec["length"] * 1.5))
+    return (errors.ParseError, f"edge {rec['edge']} given inconsistent lengths "
+            f"{rec['length']!r} and {rec['length'] * 1.5!r}")
+
+
+@spoil("lengths", "partial edge ids", 2)
+def _(doc):
+    del doc["lengths"][4]["edge"]
+    return errors.ParseError, "some face slot has no edge id"
+
+
+@spoil("lengths", "conflicting edge ids", 2)
+def _(doc):
+    doc["lengths"].append(dict(doc["lengths"][4], edge=doc["lengths"][5]["edge"]))
+    return errors.ParseError, "face 1 gives two ids to one edge"
+
+
+@spoil("lengths", "ragged face, one vertex more", 2)
+def _(doc):
+    doc["faces"][1].append(doc["faces"][0][0])
+    return errors.NonTriangularFace, "face 1 has 4 vertices"
+
+
+@spoil("lengths", "ragged face, one vertex less", 2)
+def _(doc):
+    # record 3 keys face 1 by the corner that went missing
+    gone = doc["faces"][1].pop()
+    return errors.ParseError, f"vertex {gone} is not a corner of face 1"
+
+
+@spoil("lengths", "first record in order", 2)
+def _(doc):
+    # a later check on an earlier record beats an earlier check on a later one
+    doc["lengths"][4]["length"] = 0.0
+    del doc["lengths"][7]["face"]
+    return errors.ZeroLengthEdge, "non-positive length for face 1"
+
+
+@spoil("lengths", "no faces", 2)
+def _(doc):
+    # every record names an unknown face; record 0 is the first
+    doc["faces"] = []
+    return errors.ParseError, f"length record names unknown face {doc['lengths'][0]['face']}"
+
+
+@spoil("edge_lengths", "missing value", 2)
+def _(doc):
+    rec = doc["edge_lengths"][4]
+    rec.pop()
+    return errors.ParseError, f"bad edge_lengths record {rec!r}"
+
+
+@spoil("edge_lengths", "non-numeric length", 2)
+def _(doc):
+    rec = doc["edge_lengths"][4]
+    rec[2] = None
+    return errors.ParseError, f"bad edge_lengths record {rec!r}"
+
+
+@spoil("edge_lengths", "unknown edge", 2)
+def _(doc):
+    doc["edge_lengths"][4][1] = 99
+    return errors.ParseError, f"no edge joins {doc['edge_lengths'][4][0]} and 99"
+
+
+@spoil("edge_lengths", "non-finite", 3)
+def _(doc):
+    rec = doc["edge_lengths"][4]
+    rec[2] = math.nan
+    return errors.NonFiniteValue, f"non-finite length for edge {(min(rec[:2]), max(rec[:2]))}"
+
+
+@spoil("edge_lengths", "non-positive", 2)
+def _(doc):
+    rec = doc["edge_lengths"][4]
+    rec[2] = 0.0
+    return errors.ZeroLengthEdge, f"non-positive length for edge {(min(rec[:2]), max(rec[:2]))}"
+
+
+@spoil("edge_lengths", "ragged face", 2)
+def _(doc):
+    doc["faces"][1].append(doc["faces"][0][0])
+    return errors.NonTriangularFace, "face 1 has 4 vertices"
+
+
+@spoil("edge_lengths", "first record in order", 3)
+def _(doc):
+    doc["edge_lengths"][4][2] = math.inf
+    doc["edge_lengths"][7][1] = 99
+    rec = doc["edge_lengths"][4]
+    return errors.NonFiniteValue, f"non-finite length for edge {(min(rec[:2]), max(rec[:2]))}"
+
+
+def spoiled(name):
+    """(document text, error class, message, exit code) of one spoil."""
+    form, fn, code = SPOILS[name]
+    doc = flipped_tetra_doc() if form == "lengths" else torus_pair_doc()
+    error, message = fn(doc)
+    return json.dumps(doc), error, message, code
+
+
+@pytest.mark.parametrize("name", SPOILS)
+def test_spoiled_document_names_the_first_bad_record(name):
+    text, error, message, _ = spoiled(name)
+    with pytest.raises(errors.PLCurvError) as got:
+        parse_lengths_json(text)
+    assert type(got.value) is error
+    assert message in str(got.value)
+
+
+@pytest.mark.parametrize("form", ["lengths", "edge_lengths"])
+def test_duplicate_within_tolerance_later_record_wins(form):
+    doc = flipped_tetra_doc() if form == "lengths" else torus_pair_doc()
+    tri, before = parse_lengths_json(json.dumps(doc))
+    rec = doc[form][4]
+    if form == "lengths":
+        doc[form].append(dict(rec, length=rec["length"] * (1 + 2 ** -45)))
+        e, value = rec["edge"], doc[form][-1]["length"]
+    else:
+        doc[form].append([rec[1], rec[0], rec[2] * 1.5])  # this form never checked
+        e, value = 4, doc[form][-1][2]
+    _, lengths = parse_lengths_json(json.dumps(doc))
+    assert lengths[e] == value != before[e]
+    assert np.array_equal(np.delete(lengths, e), np.delete(before, e))
+
+
+@pytest.mark.parametrize("value", [1.7, 2.0, True, "2", None, 2 ** 70])
+@pytest.mark.parametrize("where", ["faces", "face", "opposite", "edge", "pair"])
+def test_ids_must_be_json_integers(value, where):
+    doc = torus_pair_doc() if where == "pair" else flipped_tetra_doc()
+    if where == "faces":
+        doc["faces"][1][2] = value
+    elif where == "pair":
+        doc["edge_lengths"][4][0] = value
+    else:
+        doc["lengths"][4][where] = value
+    with pytest.raises(errors.ParseError):
+        parse_lengths_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [3.9, 4.0, True, "4", None])
+@pytest.mark.parametrize("form", ["lengths", "edge_lengths"])
+def test_vertex_count_must_be_json_integer(value, form):
+    # int(3.9) used to read this count as 3
+    doc = flipped_tetra_doc() if form == "lengths" else torus_pair_doc()
+    doc["vertices"] = value
+    with pytest.raises(errors.ParseError, match="'vertices'"):
+        parse_lengths_json(json.dumps(doc))
