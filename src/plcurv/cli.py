@@ -14,6 +14,7 @@ failure, 6 unsupported curvature target.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -376,7 +377,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="also write a replayable run manifest")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after.
+
+    Parsing leaves no state in it, so one parser serves every ``main``
+    call; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="plcurv",
         description="Combinatorial curvature tools for PL surfaces")

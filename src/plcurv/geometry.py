@@ -253,6 +253,22 @@ def alpha_laplacian_apply(tri: Triangulation, lengths: np.ndarray,
     return -np.exp(-alpha * u) * (_cot_laplacian(tri, lengths) @ f)
 
 
+def _quad_sides(tri: Triangulation, lengths, e) -> np.ndarray:
+    """(..., m, 2, 3) side lengths of the two faces of each edge in ``e``.
+
+    Each face is read from the edge's own slot on (see
+    :meth:`Triangulation.quad_corners`), so entry 0 of a row is the side
+    on the edge.  ``lengths`` is a metric (E,) or a stack (..., E); only
+    the sides read must be positive.
+    """
+    corners = tri.quad_corners(np.asarray(e, dtype=np.intp))
+    sides = np.asarray(lengths, dtype=float)[..., tri.face_edges.reshape(-1)[corners]]
+    ok = sides > 0.0
+    if not ok.all():
+        raise NonPositiveLength(f"edge length {float(sides[~ok][0])!r} is not positive")
+    return sides
+
+
 def is_delaunay(tri: Triangulation, lengths, e):
     """True when the angles facing edge ``e`` sum to at most pi.
 
@@ -263,13 +279,8 @@ def is_delaunay(tri: Triangulation, lengths, e):
     it: NumPy's arccos can differ in the last bit, and that bit can tip
     an edge whose angles sum to pi + DELAUNAY_SLACK within rounding.
     """
-    corners = tri.quad_corners(np.asarray(e, dtype=np.intp))
-    sides = np.asarray(lengths, dtype=float)[tri.face_edges.reshape(-1)[corners]]
-    ok = sides > 0.0
-    if not ok.all():
-        raise NonPositiveLength(f"edge length {float(sides[~ok][0])!r} is not positive")
     # entry 0 of each face's row is the side on edge e
-    cos = opposite_cosines(sides)[..., 0]
+    cos = opposite_cosines(_quad_sides(tri, lengths, e))[..., 0]
     theta = np.array(list(map(math.acos, cos.reshape(-1).tolist()))).reshape(cos.shape)
     verdict = theta[..., 0] + theta[..., 1] <= math.pi + DELAUNAY_SLACK
     return bool(verdict) if verdict.ndim == 0 else verdict
@@ -299,16 +310,32 @@ def edge_margins(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     return math.pi - theta[..., sides[:, 0]] - theta[..., sides[:, 1]]
 
 
-def delaunay_margin(tri: Triangulation, lengths: np.ndarray):
-    """Smallest pi - (sum of opposite angles) over all edges.
+def delaunay_margin(tri: Triangulation, lengths: np.ndarray, edges=None):
+    """Smallest pi - (sum of opposite angles) over all edges, or over ``edges``.
 
     Positive means strictly Delaunay everywhere, zero a cocircular edge,
     negative a violation.  Used by the solver to stop steps just short of
     a flip so surgery happens at (numerically) cocircular configurations.
     A metric (E,) gives a float, a stack (..., E) an array (...) with the
     minimum of each metric.
+
+    The margin of edge ij, with angles alpha and beta facing it, is at
+    least 0 exactly when cos alpha + cos beta >= 0.  With the sides
+    e = ij, a = jk, b = ki of one face and c = il, d = lj of the other,
+    2abcd times that sum is (ac + bd)(ad + bc) - e^2 (ab + cd): with
+    lengths scaled conformally, a function linear in y = e^(-2u) whose
+    coefficients are Ptolemy products (the wall search's certificate).
+
+    ``edges``, an array of edge ids, restricts the minimum to those
+    edges (+inf when empty).  Only their two faces are scored
+    (:func:`_quad_sides`), by the same elementwise
+    :func:`opposite_cosines` and ``arccos``, so every margin is bit for
+    bit the one :func:`edge_margins` gives that edge.
     """
-    return edge_margins(tri, lengths).min(-1)
+    if edges is None:
+        return edge_margins(tri, lengths).min(-1)
+    theta = np.arccos(opposite_cosines(_quad_sides(tri, lengths, edges)))
+    return (math.pi - theta[..., 0, 0] - theta[..., 1, 0]).min(-1, initial=math.inf)
 
 
 def flip_length(tri: Triangulation, lengths, e):

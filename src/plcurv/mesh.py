@@ -318,14 +318,18 @@ def _check_vertex_links(corner_vertex: np.ndarray, partner: np.ndarray,
     cycle.  Cycles are labelled by their smallest corner, each step
     doubling the stretch of the cycle every label has seen; no cycle is
     longer than the most corners at one vertex.
+
+    Counts are sized by the largest face vertex, not by ``vertex_count``:
+    every vertex past it is unused, and one zero entry stands for them.
     """
-    degree = np.bincount(corner_vertex, minlength=vertex_count)
+    degree = np.bincount(corner_vertex)
     corners = label = np.arange(corner_vertex.size)
     step = partner - partner % 3 + (partner + 1) % 3
     for _ in range(int(degree.max() - 1).bit_length()):
         label = np.minimum(label, label[step])
         step = step[step]
-    cycles = np.bincount(corner_vertex[label == corners], minlength=vertex_count)
+    cycles = np.bincount(corner_vertex[label == corners],
+                         minlength=min(vertex_count, len(degree) + 1))
     bad = np.flatnonzero(cycles != 1)
     if bad.size:
         v = bad[0]

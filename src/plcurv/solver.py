@@ -78,6 +78,17 @@ _BISECT_DEPTH = 3
 # the slack could be one the Delaunay pass does not flip, pinning the solver.
 _WALL_MARGIN = -2.0 * geometry.DELAUNAY_SLACK
 
+# Relative clearance of the wall certificate: a cleared edge's cosines sum
+# to at least about 1e-6, and so does its margin.  The scan's arccos loses
+# about sqrt(eps) ~ 1.5e-8 where a cosine nears +-1, so a band near eps
+# could clear an edge the scan calls a wall.  Bands from 1e-9 to 1e-4
+# leave the same edges on the benchmark's Newton and Yamabe inputs.
+_CERT_BAND = 1e-6
+
+# The certificate runs only while every scaled length and every product
+# it forms stays within e^(+-690) (about 1e(+-300)): normal floats.
+_CERT_LOG_RANGE = 690.0
+
 
 # --- Lobachevsky function -----------------------------------------------
 
@@ -312,6 +323,56 @@ def apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
     return u + math.log(ratio) / alpha
 
 
+def _uncertified_edges(tri: Triangulation, base: np.ndarray, u: np.ndarray,
+                       delta: np.ndarray) -> np.ndarray | None:
+    """Edges the wall certificate cannot clear on u + s*delta, s in [0, 1].
+
+    The certificate is derived in :func:`_first_wall`.  Each positive
+    term of g and of the face inequalities is bounded below by its
+    smaller endpoint value and each negative term above by its larger
+    one; an edge is cleared when those bounds keep g, and every
+    inequality of its two faces, _CERT_BAND clear in relative terms.
+    The bounds hold on the whole box of endpoint values, so the rounding
+    of the probe points is covered too.
+
+    Returns None, clearing nothing, when a point of the segment passes
+    LOG_FACTOR_BOUND (a wall the scan must find) or a scaled length or a
+    product would leave _CERT_LOG_RANGE; else the ids of the edges not
+    cleared, possibly none.
+    """
+    end = u + delta
+    lo, hi = np.minimum(u, end), np.maximum(u, end)
+    low, high = float(lo.min()), float(hi.max())
+    reach = max(high, -low)
+    b_min, b_max = float(base.min()), float(base.max())
+    if not (reach <= geometry.LOG_FACTOR_BOUND and b_min > 0.0  # False on NaN
+            and 2.0 * reach + max(math.log(b_max), -math.log(b_min)) <= _CERT_LOG_RANGE
+            and 2.0 * (high - low) + 4.0 * math.log(b_max / b_min) <= _CERT_LOG_RANGE):
+        return None
+    # lengths normalized by the longest, factors shifted so that z <= 1
+    z_max, z_min = np.exp(low - lo), np.exp(low - hi)
+    y_max, y_min = z_max * z_max, z_min * z_min
+    b = base / b_max
+    keep = 1.0 - _CERT_BAND
+
+    # side opposite corner a (slot a + 1) times z at a, for each corner
+    opposite = b[tri.face_edges[:, geometry.NEXT]]
+    t_min, t_max = opposite * z_min[tri.faces], opposite * z_max[tri.faces]
+    rest = (t_min[:, 0] + t_min[:, 1] + t_min[:, 2])[:, None] - t_min
+    firm = keep * rest > t_max
+    face_ok = firm[:, 0] & firm[:, 1] & firm[:, 2]
+
+    corners = tri.quad_corners(slice(None))  # (E, 2, 3): (i, j, k), (j, i, l)
+    v = tri.faces.reshape(-1)[corners]
+    q = b[tri.face_edges.reshape(-1)[corners]]  # (E, A, B), (E, C, D)
+    e2, A, B, C, D = q[:, 0, 0] * q[:, 0, 0], q[:, 0, 1], q[:, 0, 2], q[:, 1, 1], q[:, 1, 2]
+    pos = (A * C + B * D) * (A * D * y_min[v[:, 0, 0]] + B * C * y_min[v[:, 0, 1]])
+    neg = e2 * (C * D * y_max[v[:, 0, 2]] + A * B * y_max[v[:, 1, 2]])
+    faces = corners[:, :, 0] // 3
+    cleared = (keep * pos > neg) & face_ok[faces[:, 0]] & face_ok[faces[:, 1]]
+    return np.flatnonzero(~cleared)
+
+
 def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
                 delta: np.ndarray) -> tuple[float, bool]:
     """Largest step fraction in (0, 1] before Delaunayness is lost.
@@ -326,12 +387,37 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     rigidity tolerance.  Points past LOG_FACTOR_BOUND count as walls.
     One kernel call scores all panels, and one the next _BISECT_DEPTH
     bisection levels, with the result of probing point by point.
+
+    Before the scan, a certificate (:func:`_uncertified_edges`) clears
+    in closed form every edge that stays Delaunay, with both faces
+    nondegenerate, on the whole segment.  Edge ij with faces (i, j, k)
+    and (j, i, l) has base lengths E = ij, A = jk, B = ki, C = il,
+    D = lj, each scaled by e^(u_a + u_b).  Its angles facing ij sum to
+    at most pi exactly when their cosines sum to >= 0, and with
+    y = e^(-2u) that sum has the sign of
+
+        g = (AC + BD) (AD y_i + BC y_j) - E^2 (CD y_k + AB y_l),
+
+    linear in y with Ptolemy products for coefficients (at y = 1 it is
+    the cyclic-quad diagonal formula).  A face is nondegenerate iff
+    L_a z_a < L_b z_b + L_c z_c at each corner a, with z = e^-u and L_a
+    the base side opposite a.  Each y_v and z_v is monotone in s, so the
+    endpoint values bound every term over the whole segment.  A cleared
+    edge keeps its margin about 1e-6 above _WALL_MARGIN at every s, so it
+    can never make a probe a wall; the scan scores only the edges left,
+    with the margins a full scan gives them (see
+    :func:`geometry.delaunay_margin`), and when none is left the search
+    returns (1.0, False) without scanning.
     """
+    edges = _uncertified_edges(tri, base, u, delta)
+    if edges is not None and not edges.size:
+        return 1.0, False
+
     def below(s: list[float]) -> np.ndarray:
         U = u + np.array(s)[:, None] * delta
         ok = np.abs(U).max(axis=1) <= geometry.LOG_FACTOR_BOUND  # False on NaN
         margin = np.full(len(s), -math.inf)
-        margin[ok] = geometry.delaunay_margin(tri, scale_metric(tri, base, U[ok]))
+        margin[ok] = geometry.delaunay_margin(tri, scale_metric(tri, base, U[ok]), edges)
         return margin < _WALL_MARGIN
 
     panels = [k / _WALL_PANELS for k in range(_WALL_PANELS + 1)]

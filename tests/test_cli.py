@@ -452,6 +452,18 @@ class TestSeed:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_one_parser_serves_consecutive_calls(self, capsys, tetra_file):
+        # the parser is built once; each call still parses only its own flags
+        assert cli.build_parser() is cli.build_parser()
+        assert run_cli(capsys, ["solve", tetra_file, "--seed", "3", "--tol", "1e-3"])[0] == 0
+        args = cli.build_parser().parse_args(["flow", tetra_file])
+        assert args.tol == 1e-10 and not hasattr(args, "seed")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flow", tetra_file, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert run_cli(capsys, ["delaunay", tetra_file, "--check"])[0] == 0
+
     def test_manifest_keeps_seed_zero(self, capsys, tmp_path, tetra_file):
         man = tmp_path / "curvature.json"
         code, _ = run_cli(capsys, ["curvature", tetra_file,
@@ -633,6 +645,17 @@ class TestMalformedInput:
         code, _ = run_cli(capsys, ["curvature", str(path)])
         assert code == 2
         assert "not a JSON integer" in caplog.text
+
+    @pytest.mark.parametrize("count", [5, 2 ** 40, 2 ** 62])
+    def test_vertex_count_past_the_faces_exits_3(self, capsys, caplog, tmp_path, count):
+        # the link check sizes its counts by the faces: a huge declared count
+        # is one more unused vertex, not an allocation of that size
+        path = tmp_path / "tetra.json"
+        path.write_text(json.dumps({
+            "vertices": count, "faces": [list(f) for f in TETRA_FACES],
+            "edge_lengths": [[i, j, 1.0] for i in range(4) for j in range(i + 1, 4)]}))
+        assert run_cli(capsys, ["curvature", str(path)]) == (3, None)
+        assert "vertex 4 has no incident face" in caplog.text
 
     @pytest.mark.parametrize("name", SPOILS)
     def test_spoiled_document_exit_code(self, capsys, caplog, tmp_path, name):

@@ -104,6 +104,13 @@ class TestBuild:
         with pytest.raises(errors.Disconnected, match="vertex 4 has no incident face"):
             build_triangulation(TETRA_FACES, vertex_count=5)
 
+    def test_first_unused_vertex_is_named_in_order(self):
+        # an unused vertex inside the face range comes before those past it
+        faces = [tuple(v + (v >= 2) for v in f) for f in TETRA_FACES]  # no vertex 2
+        for count in (5, 2 ** 40):
+            with pytest.raises(errors.Disconnected, match="vertex 2 has no incident face"):
+                build_triangulation(faces, vertex_count=count)
+
 
 class TestFlip:
     def test_flip_preserves_counts(self, torus9):

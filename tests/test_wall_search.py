@@ -4,9 +4,12 @@
 levels, per kernel call on stacked metrics.  It must return what
 probing one point at a time with ``scale_metric`` and ``delaunay_margin``
 on a single metric returns (``first_wall_reference`` in conftest).
+Before it scans, a closed-form certificate clears the edges that stay
+Delaunay on the whole segment, and only the rest are scanned.
 """
 
 import ast
+import json
 import math
 import pathlib
 
@@ -18,16 +21,31 @@ from hypothesis import strategies as st
 from conftest import (
     all_fixture_meshes,
     first_wall_reference,
+    flat_torus_document,
     flip_with_length,
+    lattice_torus_faces,
     torus9_faces,
     unit_lengths,
 )
 
-from plcurv import cli, errors, geometry
-from plcurv.flows import FlowConfig, make_state, step
-from plcurv.geometry import LOG_FACTOR_BOUND, delaunay_margin, scale_metric
-from plcurv.mesh import build_triangulation
-from plcurv.solver import _first_wall, carry_chart
+from plcurv import cli, errors, geometry, solver
+from plcurv.flows import FlowConfig, make_state, run_flow, step
+from plcurv.geometry import (
+    LOG_FACTOR_BOUND,
+    delaunay_margin,
+    edge_margins,
+    scale_metric,
+    side_lengths,
+)
+from plcurv.mesh import build_triangulation, parse_lengths_json
+from plcurv.solver import (
+    _WALL_MARGIN,
+    Target,
+    _first_wall,
+    _uncertified_edges,
+    carry_chart,
+    newton_solve,
+)
 
 MESHES = [tri for _, tri, _ in all_fixture_meshes()]
 
@@ -120,6 +138,145 @@ def test_stacked_margin_is_each_single_margin(mesh, seed, count):
     assert stacked.shape == (count,)
     for k in range(count):
         assert stacked[k] == delaunay_margin(tri, scale_metric(tri, base, U[k]))
+
+
+# --- the wall certificate -------------------------------------------------------
+
+def document_mesh(doc):
+    return parse_lengths_json(json.dumps(doc))
+
+
+SLIVER_TORI = [document_mesh(flat_torus_document(m, (1.0, 0.0), (6.5, 0.9))) for m in (3, 4)]
+SQUARE_TORI = [document_mesh(flat_torus_document(m, (1.0, 0.0), (0.0, 1.0))) for m in (3, 4)]
+CERTIFIED_MESHES = ([(tri, base) for _, tri, base in all_fixture_meshes()]
+                    + SLIVER_TORI + SQUARE_TORI)
+
+
+@st.composite
+def certificate_segments(draw):
+    """(tri, base, u, delta) on fixture meshes, sliver tori and cocircular square tori.
+
+    Bases keep their exact values (the square tori stay cocircular) or are
+    jittered, then scaled by 1, 1e200 or 1e-200.  On unscaled bases the
+    segment may start next to LOG_FACTOR_BOUND, and a shift of +400 or
+    -1000 takes the far end past it.
+    """
+    tri, base = CERTIFIED_MESHES[draw(st.integers(0, len(CERTIFIED_MESHES) - 1))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    jitter = draw(st.sampled_from([0.0, 0.0, 1e-9, 0.05, 0.3]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e200, 1e-200]))
+    base = base * np.exp(rng.uniform(-jitter, jitter, tri.edge_count)) * scale
+    n = tri.vertex_count
+    u = rng.uniform(-0.3, 0.3, n) * draw(st.sampled_from([0.0, 1e-6, 0.1, 1.0]))
+    step = draw(st.sampled_from([0.0, 1e-4, 0.05, 0.5, 2.0, 20.0]))
+    shift = 0.0
+    if scale == 1.0:
+        u += draw(st.sampled_from([0.0, 0.0, 0.0, LOG_FACTOR_BOUND - 1.0]))
+        shift = draw(st.sampled_from([0.0, 0.0, 400.0, -1000.0]))
+    return tri, base, u, step * rng.normal(size=n) + shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_segments())
+def test_certified_edges_stay_clear_on_the_whole_segment(case):
+    tri, base, u, delta = case
+    left = _uncertified_edges(tri, base, u, delta)
+    if left is None:
+        return
+    cleared = np.setdiff1d(np.arange(tri.edge_count), left)
+    s = np.linspace(0.0, 1.0, 65)
+    scaled = scale_metric(tri, base, u + s[:, None] * delta)
+    assert (edge_margins(tri, scaled)[:, cleared] > _WALL_MARGIN).all()
+    L = side_lengths(tri, scaled)
+    longest = geometry.max3(L)
+    flat = longest >= (L[..., 0] + L[..., 1] + L[..., 2]) - longest
+    assert not flat[:, tri.edge_sides[cleared] // 3].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificate_segments())
+def test_certified_search_matches_point_by_point_oracle(case):
+    agree(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(CERTIFIED_MESHES) - 1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, 0, 1, 3]), st.floats(0.0, 1.0))
+def test_restricted_margin_is_the_full_margin_bit_for_bit(mesh, seed, count, share):
+    tri, base = CERTIFIED_MESHES[mesh]
+    rng = np.random.default_rng(seed)
+    shape = (tri.vertex_count,) if count is None else (count, tri.vertex_count)
+    lengths = scale_metric(tri, base, rng.uniform(-1.0, 1.0, shape))  # faces may degenerate
+    edges = np.flatnonzero(rng.random(tri.edge_count) < share)
+    got = np.asarray(delaunay_margin(tri, lengths, edges))
+    if edges.size:
+        want = edge_margins(tri, lengths)[..., edges].min(-1)
+    else:
+        want = np.full(lengths.shape[:-1], math.inf)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestCertificate:
+    def test_short_step_clears_every_edge_and_scans_nothing(self, monkeypatch):
+        tri, base, ends = TestWallCases.stretched_torus()
+        assert _uncertified_edges(tri, base, np.zeros(9), 0.05 * ends).size == 0
+        monkeypatch.setattr(geometry, "delaunay_margin", None)  # a scan would fail
+        assert _first_wall(tri, base, np.zeros(9), 0.05 * ends) == (1.0, False)
+
+    def test_cocircular_diagonals_are_never_cleared(self):
+        tri, base = SQUARE_TORI[1]
+        diagonals = np.flatnonzero(np.abs(edge_margins(tri, base)) <= geometry.DELAUNAY_SLACK)
+        assert len(diagonals) == 16
+        delta = 1e-6 * np.random.default_rng(0).normal(size=tri.vertex_count)
+        assert np.array_equal(_uncertified_edges(tri, base, np.zeros(16), delta), diagonals)
+
+    def test_nothing_is_cleared_past_the_float_range(self):
+        tri, base, ends = TestWallCases.stretched_torus()
+        u = np.zeros(9)
+        assert _uncertified_edges(tri, base, u, np.full(9, 400.0)) is None
+        assert _uncertified_edges(tri, 1e300 * base, u, 0.05 * ends) is None
+        assert _uncertified_edges(tri, base, u, np.full(9, math.nan)) is None
+        # inside the float range but past LOG_FACTOR_BOUND: a wall to scan for
+        near = np.full(9, LOG_FACTOR_BOUND - 1.0)
+        assert _uncertified_edges(tri, base, near, 0.05 * ends + 2.0) is None
+        assert agree(tri, base, near, 0.05 * ends + 2.0)[1]
+        assert _uncertified_edges(tri, 1e200 * base, u, 0.05 * ends).size == 0
+
+
+def test_certificate_leaves_few_edges_to_scan(monkeypatch):
+    """Per search, the edge counts the scan's delaunay_margin calls receive.
+
+    A 12 x 12 lattice torus Newton solve (432 edges) and a 4 x 4 Yamabe
+    flow (48 edges), both from random metrics on seed 0.
+    """
+    searches = []
+    first_wall, margin = solver._first_wall, geometry.delaunay_margin
+
+    def counted_search(*args):
+        searches.append([])
+        return first_wall(*args)
+
+    def counted_margin(tri, lengths, edges=None):
+        searches[-1].append(tri.edge_count if edges is None else len(edges))
+        return margin(tri, lengths, edges)
+
+    monkeypatch.setattr(solver, "_first_wall", counted_search)
+    monkeypatch.setattr(geometry, "delaunay_margin", counted_margin)
+    tri = build_triangulation(lattice_torus_faces(12))
+    base = np.exp(np.random.default_rng(0).uniform(-0.25, 0.25, tri.edge_count))
+    newton_solve(tri, base, np.zeros(tri.vertex_count), -1.0, Target.constant())
+    newton, searches[:] = searches[:], []
+    tri = build_triangulation(lattice_torus_faces(4))
+    base = np.exp(np.random.default_rng(0).uniform(-0.4, 0.4, tri.edge_count))
+    state, history = run_flow(tri, base, np.zeros(tri.vertex_count), -1.0, FlowConfig())
+    assert history.status == "converged"
+
+    def summary(runs):
+        return (len(runs), sum(1 for calls in runs if not calls),
+                max(max(calls) for calls in runs if calls))
+
+    assert summary(newton) == (8, 3, 7)
+    assert summary(searches) == (112, 107, 2)
 
 
 class TestCarryChart:
