@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -82,8 +82,9 @@ def _json_text(obj, _indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = map(("  " + pad).__add__, _item_texts(obj, _indent + 1))
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        inner = pad + "  "
+        items = (",\n" + inner).join(_item_texts(obj, _indent + 1))
+        return "[\n" + inner + items + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -99,29 +100,54 @@ def _json_text(obj, _indent: int = 0) -> str:
 def _item_texts(items, indent: int):
     """``_json_text(v, indent)`` for each of ``items``, in order.
 
-    Items all of type int, or all of type float, are formatted in one
-    pass.  Dicts that share one key tuple go through one template built
-    from those keys, a column per key.  Anything else goes item by item.
+    Items all of type int, or all of type float, fill one ``%``
+    conversion each.  Lists and tuples of one nonzero length holding only
+    ints are rows: each fills one ``%d`` template.  Dicts that share one
+    key tuple fill one template built from those keys, a field per key (a
+    column): ``%d`` for a column of ints, ``%.17g`` for one of floats,
+    else ``%s`` for the column's texts.  Anything else goes item by item.
     """
+    conversion = _number_conversion(items)
+    if conversion:
+        return map(conversion.__mod__, items)
+    pad, inner = "  " * indent, "  " * (indent + 1)
     kinds = set(map(type, items))
-    if kinds == {int}:
-        return map(int.__repr__, items)
-    if kinds == {float}:
-        if not all(map(math.isfinite, items)):
-            x = next(x for x in items if not math.isfinite(x))
-            raise ValueError(f"cannot serialize non-finite float {x!r}")
-        return map(format, items, repeat(".17g"))
+    if kinds <= {list, tuple}:
+        widths = set(map(len, items))
+        if len(widths) == 1 and set(map(type, chain.from_iterable(items))) == {int}:
+            template = "[" + ",".join(repeat(f"\n{inner}%d", widths.pop())) + f"\n{pad}]"
+            return map(template.__mod__, map(tuple, items))
     shapes = set(map(tuple, items)) if kinds == {dict} else set()
     keys = shapes.pop() if len(shapes) == 1 else ()
     if not keys:
         return (_json_text(v, indent) for v in items)
-    inner = "  " * (indent + 1)
-    pieces = []
-    for lead, key in zip(["{"] + [","] * (len(keys) - 1), keys):
-        pieces.append(repeat(f"{lead}\n{inner}{json.dumps(str(key))}: "))
-        pieces.append(_item_texts(list(map(itemgetter(key), items)), indent + 1))
-    pieces.append(repeat("\n" + "  " * indent + "}"))
-    return map("".join, zip(*pieces))
+    fields, columns = [], []
+    for key in keys:
+        column = list(map(itemgetter(key), items))
+        conversion = _number_conversion(column)
+        # a key may hold "%", which the template must print as itself
+        fields.append(f"\n{inner}{json.dumps(str(key))}: ".replace("%", "%%")
+                      + (conversion or "%s"))
+        columns.append(column if conversion else _item_texts(column, indent + 1))
+    template = "{" + ",".join(fields) + f"\n{pad}}}"
+    return map(template.__mod__, zip(*columns))
+
+
+def _number_conversion(items) -> str | None:
+    """``"%d"`` when ``items`` are all ints, ``"%.17g"`` when all floats, else None.
+
+    Either prints each item as :func:`_json_text` does; a non-finite
+    float raises ValueError.
+    """
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return "%d"
+    if kinds != {float}:
+        return None
+    if not all(map(math.isfinite, items)):
+        x = next(x for x in items if not math.isfinite(x))
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return "%.17g"
 
 
 def _atomic_write(path: str, text: str) -> None:

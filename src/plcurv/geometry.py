@@ -37,7 +37,7 @@ from .errors import (
     NonPositiveLength,
     PredicateConflict,
 )
-from .mesh import FlipInfo, Triangulation
+from .mesh import Flips, Triangulation
 
 log = logging.getLogger(__name__)
 
@@ -289,13 +289,19 @@ def is_delaunay(tri: Triangulation, lengths, e):
 def is_delaunay_all(tri: Triangulation, lengths: np.ndarray) -> list[int]:
     """Edge ids violating the Delaunay condition, in edge id order.
 
-    Kernel screen, then one :func:`is_delaunay` call on the edges it
-    cannot clear: make_delaunay's verdict, bit for bit.
+    Kernel screen (:func:`edge_margins`), then one :func:`is_delaunay`
+    call on the edges it cannot clear.  make_delaunay's rounds take the
+    same verdict, bit for bit, from the same margins.
     """
-    suspects = np.flatnonzero(~(edge_margins(tri, lengths) > 0.0))  # NaN too
+    return _violators(tri, lengths, edge_margins(tri, lengths)).tolist()
+
+
+def _violators(tri: Triangulation, lengths: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """:func:`is_delaunay_all` as an array, given the :func:`edge_margins` of ``lengths``."""
+    suspects = np.flatnonzero(~(margins > 0.0))  # NaN too
     if not suspects.size:
-        return []
-    return suspects[~is_delaunay(tri, lengths, suspects)].tolist()
+        return suspects
+    return suspects[~is_delaunay(tri, lengths, suspects)]
 
 
 def edge_margins(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
@@ -382,48 +388,56 @@ def flip_length(tri: Triangulation, lengths, e):
 
 
 def make_delaunay(tri: Triangulation, lengths: np.ndarray
-                  ) -> tuple[Triangulation, np.ndarray, list[FlipInfo]]:
+                  ) -> tuple[Triangulation, np.ndarray, Flips]:
     """Flip edges until every edge passes the Delaunay test.
 
-    Works in rounds.  A round takes the violators of
-    :func:`is_delaunay_all` (the verdict of ``delaunay --check``) and
-    keeps each one that is the most violated edge at both of its faces:
-    smallest kernel margin, ties to the smaller edge id.  Those quads
-    share no face, and a flip reads and writes only its own two faces and
-    diagonal, so they all flip at once, in one :func:`flip_length` and one
-    :meth:`Triangulation.flip` call.  Away from cocircular ties the
-    Delaunay triangulation is unique, so the result does not depend on
-    the order of the flips.  The output metric is isometric to the input
-    (same deficit at every vertex).  All input faces must be nondegenerate.
+    Works in rounds.  A round scores every edge once with
+    :func:`edge_margins`, takes the violators that
+    :func:`is_delaunay_all` would report from those margins (the verdict
+    of ``delaunay --check``) and keeps each one that is the most violated
+    edge at both of its faces: smallest margin, ties to the smaller edge
+    id.  Those quads share no face, and a flip reads and writes only its
+    own two faces and diagonal, so they all flip at once, in one
+    :func:`flip_length` and one :meth:`Triangulation.flip` call.  Away
+    from cocircular ties the Delaunay triangulation is unique, so the
+    result does not depend on the order of the flips.  The output metric
+    is isometric to the input (same deficit at every vertex).  All input
+    faces must be nondegenerate.
+
+    Returns the triangulation, the metric and one :class:`Flips` record:
+    the rounds' records joined in order (empty when nothing flipped).
     """
     L = np.array(lengths, dtype=float)
     cap = FLIP_CAP_FACTOR * tri.edge_count ** 2
-    flips: list[FlipInfo] = []
-    rounds = 0
-    while bad := is_delaunay_all(tri, L):
-        if len(flips) >= cap:
+    rounds: list[Flips] = []
+    flipped = 0
+    while True:
+        margins = edge_margins(tri, L)
+        es = _violators(tri, L, margins)
+        if not es.size:
+            break
+        if flipped >= cap:
             raise FlipLimitExceeded(
-                f"{len(flips)} flips without reaching a Delaunay state")
-        es = np.array(bad)
+                f"{flipped} flips without reaching a Delaunay state")
         if len(es) > 1:
             rank = np.empty_like(es)
-            rank[np.argsort(edge_margins(tri, L)[es], kind="stable")] = np.arange(len(es))
+            rank[np.argsort(margins[es], kind="stable")] = np.arange(len(es))
             faces = tri.edge_sides[es] // 3
             best = np.full(tri.face_count, len(es))
             np.minimum.at(best, faces, rank[:, None])
             es = es[(best[faces] == rank[:, None]).all(axis=1)]
         new = flip_length(tri, L, es)
-        tri, infos = tri.flip(es, L[es], new)
+        tri, flips = tri.flip(es, L[es], new)
         L[es] = new
-        flips.extend(infos)
-        rounds += 1
-    if flips:
-        log.debug("make_delaunay performed %d flips in %d rounds", len(flips), rounds)
-    return tri, L, flips
+        rounds.append(flips)
+        flipped += len(es)
+    if rounds:
+        log.debug("make_delaunay performed %d flips in %d rounds", flipped, len(rounds))
+    return tri, L, Flips.join(rounds)
 
 
 def delaunay_surgery(tri: Triangulation, base: np.ndarray, u: np.ndarray
-                     ) -> tuple[Triangulation, np.ndarray, list[FlipInfo]]:
+                     ) -> tuple[Triangulation, np.ndarray, Flips]:
     """make_delaunay in the metric scaled by ``u``, transporting base lengths.
 
     The conformal factors stay attached to vertices, so a flipped-in edge
@@ -434,7 +448,7 @@ def delaunay_surgery(tri: Triangulation, base: np.ndarray, u: np.ndarray
     tri2, scaled2, flips = make_delaunay(tri, scale_metric(tri, base, u))
     if not flips:
         return tri, base, flips
-    es = np.array([info.edge for info in flips])
+    es = flips.edge
     ends = tri2.edge_verts[es]
     base2 = np.array(base, dtype=float)
     base2[es] = scaled2[es] * np.exp(-(u[ends[:, 0]] + u[ends[:, 1]]))

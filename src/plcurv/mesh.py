@@ -74,10 +74,76 @@ class FlipInfo:
     new_length: float | None = None
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.intp)
+# Row s lists slots s, s + 1, s + 2 (mod 3): a face read from slot s on.
+_ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def _frozen(a, dtype=np.intp) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+class Flips:
+    """Edge flips as one record of read-only arrays, a row per flip.
+
+    The columns are those of :class:`FlipInfo` with a leading axis of
+    length k: ``edge`` (k,), ``faces`` (k, 2), ``quad`` (k, 4), ``rim``
+    (k, 4), and ``old_length``/``new_length`` (k,) floats or None.
+    ``len``, iteration and indexing by int give FlipInfo views, and a
+    Flips equals another Flips, or a list of FlipInfos, with the same
+    rows in the same order.
+    """
+
+    __slots__ = ("edge", "faces", "quad", "rim", "old_length", "new_length")
+
+    def __init__(self, edge, faces, quad, rim, old_length=None, new_length=None):
+        # copies: freezing must not reach the caller's arrays
+        self.edge, self.faces, self.quad, self.rim = (
+            _frozen(np.array(x, dtype=np.intp)) for x in (edge, faces, quad, rim))
+        self.old_length, self.new_length = (
+            None if x is None else _frozen(np.array(x, dtype=float, ndmin=1), float)
+            for x in (old_length, new_length))
+
+    @classmethod
+    def join(cls, parts) -> Flips:
+        """The rows of ``parts``, in order, as one record.
+
+        A length column is None when it is None in any part.
+        """
+        parts = list(parts)
+        if not parts:
+            empty = np.empty(0)
+            return cls(empty, empty.reshape(0, 2), empty.reshape(0, 4),
+                       empty.reshape(0, 4), empty, empty)
+        columns = [[getattr(p, name) for p in parts] for name in cls.__slots__]
+        return cls(*(None if any(c is None for c in col) else np.concatenate(col)
+                     for col in columns))
+
+    def __len__(self) -> int:
+        return len(self.edge)
+
+    def __iter__(self):
+        lengths = [repeat(None) if x is None else x.tolist()
+                   for x in (self.old_length, self.new_length)]
+        return map(FlipInfo, self.edge.tolist(), map(tuple, self.faces.tolist()),
+                   map(tuple, self.quad.tolist()), map(tuple, self.rim.tolist()),
+                   *lengths)
+
+    def __getitem__(self, i: int) -> FlipInfo:
+        lengths = [None if x is None else x[i].item()
+                   for x in (self.old_length, self.new_length)]
+        return FlipInfo(self.edge[i].item(), tuple(self.faces[i].tolist()),
+                        tuple(self.quad[i].tolist()), tuple(self.rim[i].tolist()),
+                        *lengths)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Flips, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Flips({list(self)!r})"
 
 
 class Triangulation:
@@ -134,19 +200,19 @@ class Triangulation:
         """
         sides = self.edge_sides[e]
         slot = sides % 3
-        return (sides - slot)[..., None] + (slot[..., None] + np.arange(3)) % 3
+        return (sides - slot)[..., None] + _ROTATIONS[slot]
 
     # --- flip ----------------------------------------------------------
 
     def flip(self, e, old_length=None, new_length=None
-             ) -> tuple[Triangulation, FlipInfo | list[FlipInfo]]:
+             ) -> tuple[Triangulation, FlipInfo | Flips]:
         """Replace the diagonal ``e`` of its two-face quad by the other one.
 
         Faces f1 = (i,j,k) and f2 = (j,i,l) become f1 = (l,j,k) and
         f2 = (i,l,k), and the new edge joining k and l keeps the id ``e``:
         every id survives the flip.  Each new face takes the slot of the
         old face whose rim edge at j or i it keeps (jk or il).  Diagonal
-        lengths, when given, are recorded on the FlipInfo.
+        lengths, when given, are recorded with the flip.
 
             k                 k
            / \\               /|\\
@@ -156,10 +222,11 @@ class Triangulation:
            \\ /               \\|/
             l                 l
 
+        An int ``e`` returns the new Triangulation and one FlipInfo.
         ``e`` may also be an array of edge ids whose quads share no face;
         then they all flip at once, the lengths are arrays alike, and the
-        result is the new Triangulation with one FlipInfo per edge, in the
-        order given.  An int ``e`` returns a single FlipInfo.
+        flips come back as one :class:`Flips` record, a row per edge in
+        the order given.
 
         Raises
         ------
@@ -183,12 +250,11 @@ class Triangulation:
             raise FlipDegeneratesComplex(
                 f"faces {f1} and {f2} share all three vertices; flipping edge "
                 f"{edge} would repeat a vertex")
-        if len(es) > 1 and len(np.unique(faces)) < faces.size:
+        fs = faces.reshape(-1)
+        if len(es) > 1 and np.bincount(fs).max() > 1:
             raise ValueError("edges flipped together must not share a face")
-        rim = edges[:, [1, 2, 4, 5]]  # jk ki il lj
 
         # f1 = (l, j, k) with edges (lj, jk, e); f2 = (i, l, k) with (il, e, ki)
-        fs = faces.reshape(-1)
         face_verts, face_edges = self.faces.copy(), self.face_edges.copy()
         face_verts[fs] = verts[:, [5, 1, 2, 0, 5, 2]].reshape(-1, 3)
         face_edges[fs] = edges[:, [5, 1, 0, 4, 0, 2]].reshape(-1, 3)
@@ -200,14 +266,10 @@ class Triangulation:
         edge_sides[es] = 3 * faces[:, ::-1] + [1, 2]
         tri = Triangulation(self.vertex_count, face_verts, face_edges, edge_sides)
 
-        lengths = [[None] * len(es) if x is None else np.ravel(x).tolist()
-                   for x in (old_length, new_length)]
-        infos = [FlipInfo(edge=x, faces=tuple(f), quad=tuple(q), rim=tuple(r),
-                          old_length=lo, new_length=ln)
-                 for x, f, q, r, lo, ln in zip(es.tolist(), faces.tolist(),
-                                               verts[:, [0, 1, 2, 5]].tolist(),
-                                               rim.tolist(), *lengths)]
-        return tri, (infos[0] if np.ndim(e) == 0 else infos)
+        # rim: jk ki il lj
+        flips = Flips(es, faces, verts[:, [0, 1, 2, 5]], edges[:, [1, 2, 4, 5]],
+                      old_length, new_length)
+        return tri, (flips[0] if np.ndim(e) == 0 else flips)
 
 
 # --- construction ------------------------------------------------------
@@ -339,14 +401,18 @@ def _check_vertex_links(corner_vertex: np.ndarray, partner: np.ndarray,
 
 
 def _check_connected(partner: np.ndarray) -> None:
-    """Every face must be reachable from face 0 across edges."""
+    """Every face must be reachable from face 0 across edges.
+
+    A breadth-first search; each front holds every newly reached face
+    once, so no level is larger than the mesh.
+    """
     neighbours = (partner // 3).reshape(-1, 3)
     seen = np.zeros(len(neighbours), dtype=bool)
     seen[0] = True
     front = np.zeros(1, dtype=np.intp)
     while front.size:
         ahead = neighbours[front]
-        front = ahead[~seen[ahead]]
+        front = np.unique(ahead[~seen[ahead]])
         seen[front] = True
     if not seen.all():
         raise Disconnected(
@@ -725,12 +791,13 @@ def lengths_json_doc(tri: Triangulation, lengths: np.ndarray) -> dict:
     order), so every record then also carries its edge id.
     """
     doubled = len(np.unique(_pair_keys(tri))) < tri.edge_count
-    columns = {"face": np.arange(tri.face_count).repeat(3).tolist(),
-               "opposite": tri.faces[:, [2, 0, 1]].reshape(-1).tolist(),
-               "length": np.asarray(lengths, dtype=float)[tri.face_edges].reshape(-1).tolist()}
+    face = np.arange(tri.face_count).repeat(3).tolist()
+    opposite = tri.faces[:, [2, 0, 1]].reshape(-1).tolist()
+    length = np.asarray(lengths, dtype=float)[tri.face_edges].reshape(-1).tolist()
     if doubled:
-        columns["edge"] = tri.face_edges.reshape(-1).tolist()
-    keys = tuple(columns)
-    return {"vertices": tri.vertex_count,
-            "faces": tri.faces.tolist(),
-            "lengths": [dict(zip(keys, row)) for row in zip(*columns.values())]}
+        records = [{"face": f, "opposite": o, "length": x, "edge": e} for f, o, x, e
+                   in zip(face, opposite, length, tri.face_edges.reshape(-1).tolist())]
+    else:
+        records = [{"face": f, "opposite": o, "length": x}
+                   for f, o, x in zip(face, opposite, length)]
+    return {"vertices": tri.vertex_count, "faces": tri.faces.tolist(), "lengths": records}

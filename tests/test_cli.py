@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -33,6 +33,9 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SURGERY_GAP = os.path.join(DATA_DIR, "torus_surgery_gap.json")
 # 4 x 4 flat torus on the lattice of (1, 0) and (6.5, 0.9): 96 flips to Delaunay.
 SLIVER = os.path.join(DATA_DIR, "sliver_4x4.json")
+# The bytes delaunay --fix must write for SLIVER, generated by the writer
+# that formatted each item on its own, before the templates.
+SLIVER_FIXED = os.path.join(DATA_DIR, "sliver_4x4_fixed.json")
 
 # Regular tetrahedron: every corner angle pi/3, so K = pi at each vertex.
 REGULAR_TETRA_OFF = """OFF
@@ -318,6 +321,13 @@ class TestDelaunay:
         code, _ = run_cli(capsys, ["delaunay", kite_file, "--fix"])
         assert code == 2
 
+    def test_fix_writes_the_golden_bytes(self, capsys, tmp_path):
+        fixed = tmp_path / "fixed.json"
+        code, doc = run_cli(capsys, ["delaunay", SLIVER, "--fix", "--out", str(fixed)])
+        assert (code, doc["flips"]) == (0, 96)
+        with open(SLIVER_FIXED, "rb") as fh:
+            assert fixed.read_bytes() == fh.read()
+
 
 class TestReplay:
     def test_flow_replay_is_byte_identical(self, capsys, tmp_path, kite_file):
@@ -568,7 +578,9 @@ class TestExtremeInput:
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.0 ** 53, 0.1])
-KEYS = st.text(max_size=3)
+# keys that a %-template or a str.format template would misread
+KEYS = st.text(max_size=3) | st.sampled_from(["%", "%s", "%d", "%%", "{", "{}", "{0}", "}"])
+INTS = st.integers(-2 ** 70, 2 ** 70)
 
 
 def json_documents(floats):
@@ -585,11 +597,21 @@ def json_documents(floats):
         same_length = st.integers(0, 3).flatmap(
             lambda n: st.lists(st.lists(children, min_size=n, max_size=n)
                                | st.tuples(*[children] * n), max_size=4))
+        # rows of ints: of one length (the writer's row template), of
+        # several lengths, or mixing in bools and np.int64 (neither may
+        # take the template)
+        int64 = st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+        int_like = INTS | st.booleans() | int64
+        int_rows = st.sampled_from([INTS, int_like]).flatmap(lambda entries: st.one_of(
+            st.integers(0, 4).flatmap(lambda n: st.lists(
+                st.lists(entries, min_size=n, max_size=n) | st.tuples(*[entries] * n),
+                min_size=1, max_size=5)),
+            st.lists(st.lists(entries, max_size=4), min_size=1, max_size=5)))
         return st.one_of(
             st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
             st.dictionaries(KEYS, children, max_size=3),
             st.lists(st.dictionaries(KEYS, children, max_size=2), max_size=4),
-            same_keys, same_length,
+            same_keys, same_length, int_rows,
             st.lists(floats, max_size=6), st.lists(st.integers(), max_size=6))
 
     return st.recursive(leaves, containers, max_leaves=24)
@@ -597,6 +619,10 @@ def json_documents(floats):
 
 @settings(max_examples=300, deadline=None)
 @given(json_documents(FLOATS))
+@example([{"%": []}])
+@example([{"%s": 1, "{}": [2, 3]}, {"%s": 4, "{}": [5, 6]}])
+@example({"faces": [[0, 1, 2], [3, 4, 5]], "rows": [[1, 2], [3]],
+          "mixed": [[1, True], [np.int64(2), 3]]})
 def test_writer_matches_recursive_reference(doc):
     assert cli._json_text(doc) == json_text_reference(doc)
 

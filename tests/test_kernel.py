@@ -29,7 +29,7 @@ from plcurv.geometry import (
     make_delaunay,
     scale_metric,
 )
-from plcurv.mesh import Triangulation, build_triangulation, parse_lengths_json
+from plcurv.mesh import Flips, Triangulation, build_triangulation, parse_lengths_json
 from plcurv.solver import triangle_energy
 
 from conftest import (
@@ -259,3 +259,32 @@ def test_sliver_pass_converges_in_few_rounds(monkeypatch):
     assert sum(rounds) == len(flips) > 1000
     assert is_delaunay_all(out_tri, out_lengths) == []
     assert np.abs(curvature(out_tri, out_lengths) - curvature(tri, lengths)).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 6]), st.floats(0.0, 6.5), st.floats(0.5, 1.5))
+def test_pass_record_is_its_rounds_joined_in_order(m, shear, height):
+    """make_delaunay's record holds each round's flips, rounds in order.
+
+    Flat tori on the lattice of (1, 0) and (shear, height) take up to
+    six rounds.
+    """
+    doc = flat_torus_document(m, [1, 0], [shear, height])
+    tri, lengths = parse_lengths_json(json.dumps(doc))
+    rounds = []
+    flip = Triangulation.flip
+
+    def recorded(self, e, *args):
+        out = flip(self, e, *args)
+        rounds.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Triangulation, "flip", recorded)
+        _, _, flips = make_delaunay(tri, lengths)
+    assert isinstance(flips, Flips) and all(isinstance(r, Flips) for r in rounds)
+    assert len(flips) == sum(map(len, rounds))
+    for name in Flips.__slots__ if rounds else ():
+        assert np.array_equal(getattr(flips, name),
+                              np.concatenate([getattr(r, name) for r in rounds]))
+    assert flips == Flips.join(rounds) == [info for r in rounds for info in r]

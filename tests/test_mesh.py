@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plcurv import errors
 from plcurv.mesh import (
+    FlipInfo,
+    Flips,
     build_triangulation,
     lengths_json_doc,
     load_mesh,
@@ -16,6 +21,7 @@ from plcurv.mesh import (
 
 from conftest import (
     CUBE_COORDS,
+    all_fixture_meshes,
     GENUS2_FACES,
     SPHERE2_FACES,
     TETRA_FACES,
@@ -110,6 +116,26 @@ class TestBuild:
         for count in (5, 2 ** 40):
             with pytest.raises(errors.Disconnected, match="vertex 2 has no incident face"):
                 build_triangulation(faces, vertex_count=count)
+
+    def test_large_lattice_torus_loads_in_bounded_memory(self):
+        # The connectivity search once kept every duplicate face in its
+        # front, which grew about 1.5x per level: this 4,608-face torus
+        # asked for 1.1 GiB.  A child process loads it under a 1 GiB
+        # address-space limit.
+        child = (
+            "import json, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from plcurv.mesh import build_triangulation\n"
+            "tri = build_triangulation(json.load(sys.stdin))\n"
+            "print(tri.face_count, tri.chi)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", child],
+                              input=json.dumps(lattice_torus_faces(48)),
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["4608", "0"]
 
 
 class TestFlip:
@@ -607,3 +633,66 @@ def test_vertex_count_must_be_json_integer(value, form):
     doc["vertices"] = value
     with pytest.raises(errors.ParseError, match="'vertices'"):
         parse_lengths_json(json.dumps(doc))
+
+
+# --- flips as one record --------------------------------------------------
+
+FLIP_MESHES = [tri for _, tri, _ in all_fixture_meshes()] + [
+    build_triangulation(lattice_torus_faces(m)) for m in (4, 5)]
+
+
+@st.composite
+def disjoint_flips(draw):
+    """(triangulation, face-disjoint flippable edges, old and new lengths or None).
+
+    A fixture mesh or lattice torus after up to six random flips, so
+    slots hold flipped-in edges and faces and doubled edges occur.
+    """
+    tri = draw(st.sampled_from(FLIP_MESHES))
+    for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=6)):
+        try:
+            tri, _ = tri.flip(pick % tri.edge_count)
+        except errors.FlipDegeneratesComplex:
+            pass
+    order = draw(st.permutations(range(tri.edge_count)))
+    wanted = draw(st.integers(1, tri.edge_count))
+    chosen, used = [], set()
+    for e in order[:wanted]:
+        faces = set((tri.edge_sides[e] // 3).tolist())
+        k, l = tri.faces.reshape(-1)[tri.quad_corners(e)][:, 2].tolist()
+        if len(faces) == 2 and k != l and not faces & used:
+            chosen.append(e)
+            used |= faces
+    assume(chosen)
+    if not draw(st.booleans()):
+        return tri, chosen, None, None
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return tri, chosen, *np.exp(rng.uniform(-1.0, 1.0, (2, len(chosen))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(disjoint_flips())
+def test_flip_record_matches_flips_one_at_a_time(case):
+    tri, chosen, old, new = case
+    out, record = tri.flip(np.array(chosen), old, new)
+    one, infos = tri, []
+    for x, e in enumerate(chosen):
+        lengths = (None, None) if old is None else (float(old[x]), float(new[x]))
+        one, info = one.flip(e, *lengths)
+        infos.append(info)
+    assert isinstance(record, Flips) and all(type(i) is FlipInfo for i in infos)
+    assert record.edge.tolist() == [i.edge for i in infos]
+    for name in ("faces", "quad", "rim"):
+        column = list(map(tuple, getattr(record, name).tolist()))
+        assert column == [getattr(i, name) for i in infos]
+    for name in ("old_length", "new_length"):
+        column = getattr(record, name)
+        assert (None if column is None else column.tolist()) == (
+            None if old is None else [getattr(i, name) for i in infos])
+    assert len(record) == len(infos)
+    assert list(record) == [record[x] for x in range(len(record))] == infos
+    assert record == infos and record == Flips.join([record])
+    for name in ("faces", "face_edges", "edge_sides"):
+        assert np.array_equal(getattr(out, name), getattr(one, name)), name
+    with pytest.raises(ValueError):
+        record.edge[0] = 0
