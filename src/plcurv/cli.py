@@ -215,6 +215,8 @@ class RunManifest:
             missing.append("outputs.lengths")
         if missing:
             raise ParseError(f"malformed manifest: no {', '.join(missing)}")
+        if man.command == "flow" and type(man.config["surgery"]) is not bool:
+            raise ParseError("malformed manifest: config.surgery is not a JSON bool")
         return man
 
 
@@ -308,7 +310,7 @@ def _exec_flow(man: RunManifest) -> int:
                            dt=float(man.config["dt"]),
                            tol=float(man.config["tol"]),
                            max_steps=int(man.config["max_steps"]),
-                           surgery=bool(man.config["surgery"]),
+                           surgery=man.config["surgery"],
                            integrator=man.config.get("integrator", "euler"))
     state, history = flows.run_flow(tri, lengths,
                                     np.zeros(tri.vertex_count),
@@ -386,10 +388,10 @@ def _exec_delaunay(man: RunManifest) -> int:
         print(_json_text({"violations": _edge_records(tri, bad),
                           "count": len(bad)}))
         return 1 if bad else 0
-    tri2, lengths2, infos = geometry.make_delaunay(tri, lengths)
+    tri2, lengths2, flips = geometry.make_delaunay(tri, lengths)
     out = man.outputs["lengths"]
     _atomic_write(out, _json_text(mesh.lengths_json_doc(tri2, lengths2)) + "\n")
-    print(_json_text({"flips": len(infos), "out": out}))
+    print(_json_text({"flips": len(flips), "out": out}))
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry
 from .errors import DegenerateFace, InsufficientTail, LogFactorOverflow, StepSizeUnderflow
 from .geometry import alpha_curvature, alpha_laplacian_apply, curvature, scale_metric
-from .mesh import Triangulation
+from .mesh import Flips, Triangulation
 from .solver import (
     ROUNDING_NOISE,
     Target,
@@ -46,16 +46,6 @@ GROWTH_STREAK = 5
 # without this allowance a converged flow would reject every step and
 # drive dt to underflow instead of reporting convergence.
 ENERGY_NOISE = 1e-12
-
-
-@dataclass(frozen=True)
-class FlipRecord:
-    """One surgery event: edge replaced by the opposite diagonal, same id."""
-
-    t: float
-    edge: int
-    old_length: float
-    new_length: float
 
 
 @dataclass(frozen=True)
@@ -89,6 +79,8 @@ class FlowState:
     energy unchanged.  ``rbar`` is the average curvature frozen at the
     start (the conserved weight sum keeps it meaningful), and
     ``conserved_target`` is the weight sum the renormalization restores.
+    ``flips`` logs every flip since t = 0 as one :class:`~plcurv.mesh.Flips`
+    record, and ``flip_times`` (k,) the time of each row's surgery.
     ``report`` is the curvature report of this (tri, base, u), set by
     :func:`make_state` and :func:`step`; ``replace(state, u=...)`` keeps
     the old report and does not refresh it.
@@ -99,7 +91,8 @@ class FlowState:
     u: np.ndarray
     alpha: float
     t: float = 0.0
-    flips: list[FlipRecord] = field(default_factory=list)
+    flips: Flips = field(default_factory=lambda: Flips.join([]))
+    flip_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_count: int = 0
     # adaptive stepping
     dt: float | None = None
@@ -239,13 +232,14 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         dt *= 0.5
 
     w_try, scaled = trial
-    tri, base, walk = (carry_chart(state.tri, state.base, state.u, u_try)
-                       if config.surgery else (state.tri, state.base, []))
-    records = [FlipRecord(state.t + s * dt, i.edge, i.old_length, i.new_length)
-               for s, i in walk]
-    if records:  # past a wall, the trial's energy and metric are the departure chart's
-        w_try, scaled = energy_W_alpha(tri, base, u_try, state.alpha, state.rbar,
-                                       offset=state.w_offset, order=0).value, None
+    tri, base, flips, times = state.tri, state.base, state.flips, state.flip_times
+    if config.surgery:
+        tri, base, walk, s = carry_chart(tri, base, state.u, u_try)
+        if walk:  # past a wall, the trial's energy and metric are the departure chart's
+            w_try, scaled = energy_W_alpha(tri, base, u_try, state.alpha, state.rbar,
+                                           offset=state.w_offset, order=0).value, None
+            flips = Flips.join([flips, walk])
+            times = np.concatenate([times, state.t + s * dt])
 
     streak = 0 if halvings else state.accept_streak + 1
     dt_next = dt
@@ -254,7 +248,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         streak = 0
 
     arrival = replace(state, tri=tri, base=base, u=u_try, t=state.t + dt,
-                      flips=state.flips + records, step_count=state.step_count + 1,
+                      flips=flips, flip_times=times, step_count=state.step_count + 1,
                       dt=dt_next, last_dt=dt, accept_streak=streak, w_value=w_try)
     arrival.report = _curvature_report(arrival, scaled)
     return arrival

@@ -27,7 +27,6 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from typing import NoReturn
 
@@ -47,33 +46,6 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class FlipInfo:
-    """What a single edge flip did.
-
-    Attributes
-    ----------
-    edge : int
-        Id of the flipped edge; the new diagonal keeps it.
-    faces : tuple[int, int]
-        Ids of the two faces of the quad; the two new triangles keep them.
-    quad : tuple[int, int, int, int]
-        Vertices (i, j, k, l): the flipped edge joined i and j, the new
-        one joins k and l.
-    rim : tuple[int, int, int, int]
-        Edge ids of the quad boundary (jk, ki, il, lj).
-    old_length, new_length : float or None
-        Diagonal lengths, when given to :meth:`Triangulation.flip`.
-    """
-
-    edge: int
-    faces: tuple[int, int]
-    quad: tuple[int, int, int, int]
-    rim: tuple[int, int, int, int]
-    old_length: float | None = None
-    new_length: float | None = None
-
-
 # Row s lists slots s, s + 1, s + 2 (mod 3): a face read from slot s on.
 _ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
@@ -87,12 +59,13 @@ def _frozen(a, dtype=np.intp) -> np.ndarray:
 class Flips:
     """Edge flips as one record of read-only arrays, a row per flip.
 
-    The columns are those of :class:`FlipInfo` with a leading axis of
-    length k: ``edge`` (k,), ``faces`` (k, 2), ``quad`` (k, 4), ``rim``
-    (k, 4), and ``old_length``/``new_length`` (k,) floats or None.
-    ``len``, iteration and indexing by int give FlipInfo views, and a
-    Flips equals another Flips, or a list of FlipInfos, with the same
-    rows in the same order.
+    Row x flipped edge ``edge[x]`` (k,), whose id the new diagonal keeps,
+    in the quad of faces ``faces[x]`` (k, 2), whose ids the new triangles
+    keep.  ``quad[x]`` (k, 4) holds its vertices (i, j, k, l): the flipped
+    edge joined i and j, the new one joins k and l; ``rim[x]`` (k, 4) its
+    boundary edges (jk, ki, il, lj).  ``old_length``/``new_length`` (k,)
+    hold the diagonal lengths given to :meth:`Triangulation.flip`, else
+    None.  ``len`` counts the flips.
     """
 
     __slots__ = ("edge", "faces", "quad", "rim", "old_length", "new_length")
@@ -113,9 +86,7 @@ class Flips:
         """
         parts = list(parts)
         if not parts:
-            empty = np.empty(0)
-            return cls(empty, empty.reshape(0, 2), empty.reshape(0, 4),
-                       empty.reshape(0, 4), empty, empty)
+            return _NO_FLIPS
         columns = [[getattr(p, name) for p in parts] for name in cls.__slots__]
         return cls(*(None if any(c is None for c in col) else np.concatenate(col)
                      for col in columns))
@@ -123,27 +94,8 @@ class Flips:
     def __len__(self) -> int:
         return len(self.edge)
 
-    def __iter__(self):
-        lengths = [repeat(None) if x is None else x.tolist()
-                   for x in (self.old_length, self.new_length)]
-        return map(FlipInfo, self.edge.tolist(), map(tuple, self.faces.tolist()),
-                   map(tuple, self.quad.tolist()), map(tuple, self.rim.tolist()),
-                   *lengths)
 
-    def __getitem__(self, i: int) -> FlipInfo:
-        lengths = [None if x is None else x[i].item()
-                   for x in (self.old_length, self.new_length)]
-        return FlipInfo(self.edge[i].item(), tuple(self.faces[i].tolist()),
-                        tuple(self.quad[i].tolist()), tuple(self.rim[i].tolist()),
-                        *lengths)
-
-    def __eq__(self, other):
-        if not isinstance(other, (Flips, list)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"Flips({list(self)!r})"
+_NO_FLIPS = Flips(*(np.empty((0, *shape)) for shape in ((), (2,), (4,), (4,), (), ())))
 
 
 class Triangulation:
@@ -204,8 +156,7 @@ class Triangulation:
 
     # --- flip ----------------------------------------------------------
 
-    def flip(self, e, old_length=None, new_length=None
-             ) -> tuple[Triangulation, FlipInfo | Flips]:
+    def flip(self, e, old_length=None, new_length=None) -> tuple[Triangulation, Flips]:
         """Replace the diagonal ``e`` of its two-face quad by the other one.
 
         Faces f1 = (i,j,k) and f2 = (j,i,l) become f1 = (l,j,k) and
@@ -222,11 +173,11 @@ class Triangulation:
            \\ /               \\|/
             l                 l
 
-        An int ``e`` returns the new Triangulation and one FlipInfo.
-        ``e`` may also be an array of edge ids whose quads share no face;
-        then they all flip at once, the lengths are arrays alike, and the
-        flips come back as one :class:`Flips` record, a row per edge in
-        the order given.
+        ``e`` is an edge id or an array of edge ids whose quads share no
+        face; they all flip at once, and the lengths are floats or arrays
+        alike.  Returns the new Triangulation and one :class:`Flips`
+        record, a row per edge in the order given (one row for an int,
+        none for an empty array).
 
         Raises
         ------
@@ -235,6 +186,8 @@ class Triangulation:
             flip would create a face with a repeated vertex.
         """
         es = np.array(e, dtype=np.intp, ndmin=1)
+        if not es.size:
+            return self, Flips.join([])
         if not (es.min() >= 0 and es.max() < self.edge_count):
             raise KeyError(f"no edge {es[(es < 0) | (es >= self.edge_count)][0]}")
         corners = self.quad_corners(es).reshape(-1, 6)
@@ -267,9 +220,8 @@ class Triangulation:
         tri = Triangulation(self.vertex_count, face_verts, face_edges, edge_sides)
 
         # rim: jk ki il lj
-        flips = Flips(es, faces, verts[:, [0, 1, 2, 5]], edges[:, [1, 2, 4, 5]],
-                      old_length, new_length)
-        return tri, (flips[0] if np.ndim(e) == 0 else flips)
+        return tri, Flips(es, faces, verts[:, [0, 1, 2, 5]], edges[:, [1, 2, 4, 5]],
+                          old_length, new_length)
 
 
 # --- construction ------------------------------------------------------

@@ -46,7 +46,7 @@ from .geometry import (
     opposite_cosines,
     scale_metric,
 )
-from .mesh import FlipInfo, Triangulation
+from .mesh import Flips, Triangulation
 
 log = logging.getLogger(__name__)
 
@@ -442,19 +442,20 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
 
 
 def carry_chart(tri: Triangulation, base: np.ndarray, u_from: np.ndarray,
-                u_to: np.ndarray
-                ) -> tuple[Triangulation, np.ndarray, list[tuple[float, FlipInfo]]]:
+                u_to: np.ndarray) -> tuple[Triangulation, np.ndarray, Flips, np.ndarray]:
     """Transport the chart along the straight segment from u_from to u_to.
 
     Walks the segment and performs each flip at the wall where the edge
     turns cocircular, so the arrival chart does not depend on where the
-    segment started.  Returns the arrival triangulation, base lengths
-    and the flips made on the way, each as (s, info): the surgery that
-    made it ran at u_from + s * (u_to - u_from).
+    segment started.  Returns the arrival triangulation, base lengths,
+    the flips made on the way as one :class:`~plcurv.mesh.Flips` record,
+    and a (k,) array ``s``: the surgery that made row x ran at
+    u_from + s[x] * (u_to - u_from).
     """
     cur = np.asarray(u_from, dtype=float).copy()
     u_to = np.asarray(u_to, dtype=float)
-    flips: list[tuple[float, FlipInfo]] = []
+    surgeries: list[Flips] = []
+    walls: list[float] = []
     walked = 0.0
     cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
     while np.any(delta := u_to - cur):
@@ -463,14 +464,15 @@ def carry_chart(tri: Triangulation, base: np.ndarray, u_from: np.ndarray,
         if not hit:
             break
         walked += s_cap * (1.0 - walked)
-        tri, base, infos = delaunay_surgery(tri, base, cur)
-        if not infos:
+        tri, base, flips = delaunay_surgery(tri, base, cur)
+        if not flips:
             break
-        flips.extend((walked, info) for info in infos)
-        if len(flips) > cap:
+        surgeries.append(flips)
+        walls += [walked] * len(flips)
+        if len(walls) > cap:
             raise FlipLimitExceeded(
-                f"{len(flips)} flips while carrying the chart along one segment")
-    return tri, base, flips
+                f"{len(walls)} flips while carrying the chart along one segment")
+    return tri, base, Flips.join(surgeries), np.array(walls)
 
 
 def start_chart(tri: Triangulation, base: np.ndarray, u0: np.ndarray
@@ -483,7 +485,7 @@ def start_chart(tri: Triangulation, base: np.ndarray, u0: np.ndarray
     """
     zero = np.zeros(tri.vertex_count)
     tri, base, flips0 = delaunay_surgery(tri, base, zero)
-    tri, base, carried = carry_chart(tri, base, zero, u0)
+    tri, base, carried, _ = carry_chart(tri, base, zero, u0)
     return tri, base, len(flips0) + len(carried)
 
 

@@ -17,7 +17,7 @@ from plcurv.errors import (
     NonPositiveLength,
     OrientationConflict,
 )
-from plcurv.mesh import build_triangulation
+from plcurv.mesh import Flips, build_triangulation
 
 # A failing property prints the blob that reproduces it; each test keeps
 # its own max_examples.
@@ -239,12 +239,21 @@ def is_delaunay_reference(tri, lengths, e):
 
 
 def flip_with_length(tri, lengths, e):
-    """Flip edge ``e`` and put the new diagonal's length in slot ``e`` of a copy."""
+    """Flip edge ``e`` and put the new diagonal's length in slot ``e`` of a copy.
+
+    Returns the triangulation, the lengths and the flip's one-row record.
+    """
     new_len = geometry.flip_length(tri, lengths, e)
-    tri2, info = tri.flip(e, float(lengths[e]), new_len)
+    tri2, flip = tri.flip(e, float(lengths[e]), new_len)
     lengths2 = np.array(lengths, dtype=float)
     lengths2[e] = new_len
-    return tri2, lengths2, info
+    return tri2, lengths2, flip
+
+
+def flip_columns(flips):
+    """A Flips record's columns as lists by name, None for an absent length column."""
+    return {name: None if getattr(flips, name) is None else getattr(flips, name).tolist()
+            for name in Flips.__slots__}
 
 
 def vertex_degree(tri, v):
@@ -450,11 +459,11 @@ def make_delaunay_reference(tri, lengths):
         if len(flips) >= cap:
             raise FlipLimitExceeded(f"{len(flips)} flips")
         new_len = geometry.flip_length(tri, L, e)
-        tri, info = tri.flip(e, L[e], new_len)
+        tri, flip = tri.flip(e, L[e], new_len)
         L[e] = new_len
-        flips.append(info)
-        queue.extend(info.rim)
-    return tri, np.array(L), flips
+        flips.append(flip)
+        queue.extend(flip.rim[0].tolist())
+    return tri, np.array(L), Flips.join(flips)
 
 
 # --- recursive oracle for the JSON writer ---------------------------------------

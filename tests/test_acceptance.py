@@ -135,7 +135,7 @@ def test_c03_flip_isometry():
             tri3, lens3, back = flip_with_length(tri2, lens2, e)
         except (NonConvexQuad, DegenerateFace, FlipDegeneratesComplex):
             continue
-        assert info.edge == back.edge == e
+        assert info.edge.tolist() == back.edge.tolist() == [e]
         dk = float(np.max(np.abs(geometry.curvature(tri2, lens2) - k0)))
         dlen = abs(lens3[e] - lens[e])
         worst_k = max(worst_k, dk)

@@ -412,6 +412,19 @@ class TestReplay:
         code, _ = run_cli(capsys, ["replay", str(man)])
         assert code == 2
 
+    @pytest.mark.parametrize("surgery", ["false", 0, None])
+    def test_flow_surgery_must_be_a_json_bool(self, capsys, tmp_path, surgery):
+        # read as a truth value, "false" replayed a surgery-off run with surgery on
+        man = tmp_path / "run.json"
+        code, _ = run_cli(capsys, ["flow", SURGERY_GAP, "--flow", "yamabe", "--alpha", "-1",
+                                   "--surgery", "off", "--manifest", str(man)])
+        assert code == 5
+        doc = json.loads(man.read_text())
+        assert doc["config"]["surgery"] is False
+        doc["config"]["surgery"] = surgery
+        man.write_text(json.dumps(doc))
+        assert run_cli(capsys, ["replay", str(man)]) == (2, None)
+
     def test_no_manifest_hashes_nothing(self, capsys, monkeypatch, kite_file):
         def refuse(path):
             raise AssertionError("hashed without --manifest")

@@ -50,16 +50,17 @@ def test_energy_is_the_same_across_every_surgery(mesh, spread, seed):
     u = rng.normal(0.0, 0.15, tri.vertex_count)
     while True:
         try:
-            out_tri, out_base, flips = carry_chart(
+            out_tri, out_base, flips, walls = carry_chart(
                 tri, base, np.zeros(tri.vertex_count), u)
             break
         except errors.FlipDegeneratesComplex:
             u = 0.5 * u  # a known refusal: check the walk short of it
     gaps = []
-    for s, group in itertools.groupby(flips, key=lambda flip: flip[0]):
+    rows = zip(walls.tolist(), flips.edge.tolist())
+    for s, group in itertools.groupby(rows, key=lambda row: row[0]):
         at = s * u
-        tri_a, base_a, infos = delaunay_surgery(tri, base, at)
-        assert [i.edge for i in infos] == [info.edge for _, info in group]
+        tri_a, base_a, made = delaunay_surgery(tri, base, at)
+        assert made.edge.tolist() == [e for _, e in group]
         before = energy(tri, base, at)
         gaps.append(abs(energy(tri_a, base_a, at) - before) / (1.0 + abs(before)))
         tri, base = tri_a, base_a
@@ -74,8 +75,8 @@ def test_surgeries_happen_on_the_drawn_segments():
     flipped = 0
     for tri0 in MESHES[:4]:
         tri, base = delaunay_start(tri0, rng, 0.15)
-        _, _, flips = carry_chart(tri, base, np.zeros(tri.vertex_count),
-                                  rng.normal(0.0, 0.15, tri.vertex_count))
+        _, _, flips, _ = carry_chart(tri, base, np.zeros(tri.vertex_count),
+                                     rng.normal(0.0, 0.15, tri.vertex_count))
         flipped += bool(flips)
     assert flipped >= 2
 
@@ -89,7 +90,7 @@ def test_newton_trace_value_is_the_energy_difference(alpha):
     res = newton_solve(tri, base, u0, alpha, Target.constant())
     assert sum(row.flips for row in res.trace[1:]) > 0  # flips after the start
     rbar, _ = Target.constant().resolve(alpha, tri.chi, u0)
-    tri_s, base_s, _ = carry_chart(tri, base, np.zeros(tri.vertex_count), u0)
+    tri_s, base_s, _, _ = carry_chart(tri, base, np.zeros(tri.vertex_count), u0)
 
     def value(t, b, u):
         return energy_W_alpha(t, b, u, alpha, rbar, order=1).value

@@ -95,7 +95,7 @@ class TestStep:
         assert out.step_count == 1
         # the flat start is stationary to roundoff (K itself carries ~1e-16)
         assert np.max(np.abs(out.u - state.u)) < 1e-15
-        assert out.flips == []
+        assert len(out.flips) == len(out.flip_times) == 0
 
     def test_yamabe_step_decreases_deviation(self, tetra):
         u0 = np.array([0.1, 0.0, 0.0, 0.0])
@@ -109,16 +109,15 @@ class TestStep:
         k_before = curvature(state.tri,
                              scale_metric(state.tri, state.base, state.u))
         out = step(state, FlowConfig(kind="yamabe", dt=1e-12))
-        assert len(out.flips) == 1
-        assert out.flips[0].edge == e
-        assert out.flips[0].old_length == pytest.approx(1.9)
-        # the record carries the time of the wall: t + s * dt, with s the
+        assert out.flips.edge.tolist() == [e]
+        assert out.flips.old_length[0] == pytest.approx(1.9)
+        # the log carries the time of the wall: t + s * dt, with s the
         # fraction of the step walked when the edge flipped
         u_try = state.u + out.last_dt * yamabe_rhs(state)
-        _, _, walk = carry_chart(state.tri, state.base, state.u, u_try)
-        s = walk[0][0]
+        _, _, _, walls = carry_chart(state.tri, state.base, state.u, u_try)
+        s = walls[0]
         assert 0.0 < s < 1.0
-        assert out.flips[0].t == state.t + s * out.last_dt
+        assert out.flip_times.tolist() == [state.t + s * out.last_dt]
         k_after = curvature(out.tri, scale_metric(out.tri, out.base, out.u))
         assert np.max(np.abs(k_after - k_before)) < 1e-9
         assert geometry.is_delaunay_all(
@@ -266,7 +265,7 @@ class TestRunFlow:
         cfg = FlowConfig(kind="yamabe", dt=0.1, tol=1e-8, max_steps=5000,
                          surgery=False)
         state, hist = run_flow(torus9, unit_lengths(torus9), u0, 1.0, cfg)
-        assert state.flips == []
+        assert len(state.flips) == len(state.flip_times) == 0
         assert state.tri.face_count == torus9.face_count
 
     def test_history_csv_round_trip(self, torus9):
@@ -481,6 +480,43 @@ def test_renormalization_costs_no_energy_evaluation(monkeypatch):
     # is its stored value, and only a flipping step evaluates once more
     assert calls["energy"] == calls["trials"] + flipping
     assert abs(conserved_sum(state.u, -1.0) - 16.0) < 1e-12
+
+
+def test_flow_flip_log_holds_every_flip_at_its_time(monkeypatch):
+    # the log is each flipping step's record joined in order, stamped with
+    # the time of its wall, and each row's old length is the edge's length
+    # in the metric of that time
+    steps = []
+    plain = flows.step
+
+    def recorded(state, config):
+        steps.append((state, plain(state, config)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(flows, "step", recorded)
+    rng = np.random.default_rng(0)
+    tri = FLOW_MESHES[1]  # 4 x 4 lattice torus
+    base = np.exp(rng.uniform(-0.4, 0.4, tri.edge_count))
+    state, history = run_flow(tri, base, np.zeros(16), -1.0, FlowConfig())
+    times = state.flip_times
+    assert len(state.flips) == len(times) == sum(row.flips for row in history.rows[1:]) > 0
+    assert np.all(np.diff(times) >= 0.0) and 0.0 < times[0] and times[-1] <= state.t
+    checked = 0
+    for prev, out in steps:
+        rows = slice(len(prev.flips), len(out.flips))
+        _, _, walk, walls = carry_chart(prev.tri, prev.base, prev.u, out.u)
+        assert walk.edge.tolist() == out.flips.edge[rows].tolist()
+        assert times[rows].tolist() == (prev.t + walls * out.last_dt).tolist()
+        chart, chart_base = prev.tri, prev.base
+        for s in np.unique(walls):
+            at = prev.u + s * (out.u - prev.u)
+            mine = walls == s
+            scaled = scale_metric(chart, chart_base, at)
+            assert out.flips.old_length[rows][mine] == pytest.approx(
+                scaled[walk.edge[mine]], rel=1e-12)
+            chart, chart_base, _ = delaunay_surgery(chart, chart_base, at)
+            checked += np.count_nonzero(mine)
+    assert checked == len(state.flips)
 
 
 def test_guard_tests_the_value_the_state_keeps(monkeypatch, cube12):

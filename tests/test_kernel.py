@@ -287,4 +287,3 @@ def test_pass_record_is_its_rounds_joined_in_order(m, shear, height):
     for name in Flips.__slots__ if rounds else ():
         assert np.array_equal(getattr(flips, name),
                               np.concatenate([getattr(r, name) for r in rounds]))
-    assert flips == Flips.join(rounds) == [info for r in rounds for info in r]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from plcurv import errors
 from plcurv.mesh import (
-    FlipInfo,
     Flips,
     build_triangulation,
     lengths_json_doc,
@@ -22,6 +21,7 @@ from plcurv.mesh import (
 from conftest import (
     CUBE_COORDS,
     all_fixture_meshes,
+    flip_columns,
     GENUS2_FACES,
     SPHERE2_FACES,
     TETRA_FACES,
@@ -146,13 +146,22 @@ class TestFlip:
         assert tri2.edge_count == torus9.edge_count
         assert tri2.face_count == torus9.face_count
         assert tri2.chi == torus9.chi
-        # the new diagonal and faces take over the old ids
-        assert info.edge == e
-        i, j, k, l = info.quad
+        # an int flips as a one-row record; the new diagonal and faces
+        # take over the old ids
+        assert len(info) == 1 and info.edge.tolist() == [e]
+        i, j, k, l = info.quad[0].tolist()
         assert set(tri2.edge_vertices(e)) == {k, l}
         assert {i, j} == set(torus9.edge_vertices(e))
-        assert {c // 3 for c in tri2.edge_sides[e].tolist()} == set(info.faces)
-        assert {c // 3 for c in torus9.edge_sides[e].tolist()} == set(info.faces)
+        faces = set(info.faces[0].tolist())
+        assert {c // 3 for c in tri2.edge_sides[e].tolist()} == faces
+        assert {c // 3 for c in torus9.edge_sides[e].tolist()} == faces
+
+    def test_empty_edge_array_flips_nothing(self, torus9):
+        for lengths in ((), (np.empty(0), np.empty(0))):
+            tri2, record = torus9.flip(np.array([], dtype=int), *lengths)
+            assert tri2 is torus9
+            assert len(record) == 0
+            assert flip_columns(record) == flip_columns(Flips.join([]))
 
     def test_flip_is_new_value(self, torus9):
         e = torus9.edge_ids()[0]
@@ -180,8 +189,8 @@ class TestFlip:
         e01 = next(e for e in tetra.edge_ids()
                    if set(tetra.edge_vertices(e)) == {0, 1})
         tri2, info = tetra.flip(e01)
-        assert set(info.quad[:2]) == {0, 1}
-        assert set(info.quad[2:]) == {2, 3}
+        assert set(info.quad[0, :2].tolist()) == {0, 1}
+        assert set(info.quad[0, 2:].tolist()) == {2, 3}
         # survivors (0,2,3),(1,3,2) plus replacements (0,3,2),(3,1,2)
         assert face_multiset(tri2) == [(0, 2, 3), (0, 3, 2), (1, 2, 3), (1, 3, 2)]
         pairs = edge_pair_multiset(tri2)
@@ -675,23 +684,23 @@ def disjoint_flips(draw):
 def test_flip_record_matches_flips_one_at_a_time(case):
     tri, chosen, old, new = case
     out, record = tri.flip(np.array(chosen), old, new)
-    one, infos = tri, []
+    one, rows = tri, []
     for x, e in enumerate(chosen):
         lengths = (None, None) if old is None else (float(old[x]), float(new[x]))
-        one, info = one.flip(e, *lengths)
-        infos.append(info)
-    assert isinstance(record, Flips) and all(type(i) is FlipInfo for i in infos)
-    assert record.edge.tolist() == [i.edge for i in infos]
-    for name in ("faces", "quad", "rim"):
-        column = list(map(tuple, getattr(record, name).tolist()))
-        assert column == [getattr(i, name) for i in infos]
-    for name in ("old_length", "new_length"):
-        column = getattr(record, name)
-        assert (None if column is None else column.tolist()) == (
-            None if old is None else [getattr(i, name) for i in infos])
-    assert len(record) == len(infos)
-    assert list(record) == [record[x] for x in range(len(record))] == infos
-    assert record == infos and record == Flips.join([record])
+        one, row = one.flip(e, *lengths)
+        rows.append(row)
+    assert isinstance(record, Flips) and all(len(row) == 1 for row in rows)
+    assert len(record) == len(chosen) and record.edge.tolist() == chosen
+    assert flip_columns(record) == flip_columns(Flips.join(rows))
+    if old is None:
+        assert record.old_length is None and record.new_length is None
+    # each row reads its quad off the input: ij is the flipped edge, kl the
+    # new one, and the rim edges join jk, ki, il and lj
+    i, j, k, l = record.quad.T
+    assert np.array_equal(np.sort(record.quad[:, :2]), np.sort(tri.edge_verts[chosen]))
+    assert np.array_equal(np.sort(record.quad[:, 2:]), np.sort(out.edge_verts[chosen]))
+    rim_ends = np.stack([j, k, k, i, i, l, l, j], axis=1).reshape(-1, 4, 2)
+    assert np.array_equal(np.sort(tri.edge_verts[record.rim]), np.sort(rim_ends))
     for name in ("faces", "face_edges", "edge_sides"):
         assert np.array_equal(getattr(out, name), getattr(one, name)), name
     with pytest.raises(ValueError):

@@ -160,14 +160,15 @@ def test_flips_keep_ids_and_undo_in_reverse(case):
                 errors.FlipDegeneratesComplex):
             continue
         assert (tri2.edge_count, tri2.face_count) == (tri.edge_count, tri.face_count)
-        assert info.edge == e
-        for r in info.rim:
+        assert info.edge.tolist() == [e]
+        rim, faces = info.rim[0].tolist(), info.faces[0].tolist()
+        for r in rim:
             assert set(tri2.edge_vertices(r)) == set(tri.edge_vertices(r))
-        f1, f2 = info.faces
-        quad = {e, *info.rim}
+        f1, f2 = faces
+        quad = {e, *rim}
         assert set(tri2.face_edges[f1]) | set(tri2.face_edges[f2]) == quad
         for f in tri.face_ids():
-            if f not in info.faces:
+            if f not in faces:
                 assert np.array_equal(tri2.faces[f], tri.faces[f])
                 assert np.array_equal(tri2.face_edges[f], tri.face_edges[f])
         for g in tri.edge_ids():
