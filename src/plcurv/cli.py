@@ -167,9 +167,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 # --- run manifests ---------------------------------------------------------
 
-# Config keys each command body reads without a default.
+# Config keys each command body reads without a default, and JSON types of numbers and switches.
 _CONFIG_KEYS = {"flow": ("kind", "dt", "tol", "max_steps", "surgery"),
                 "delaunay": ("mode",)}
+_CONFIG_TYPES = {"dt": "number", "tol": "number", "max_steps": "integer",
+                 "max_iter": "integer", "starts": "integer", "surgery": "bool"}
+_JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -215,8 +218,9 @@ class RunManifest:
             missing.append("outputs.lengths")
         if missing:
             raise ParseError(f"malformed manifest: no {', '.join(missing)}")
-        if man.command == "flow" and type(man.config["surgery"]) is not bool:
-            raise ParseError("malformed manifest: config.surgery is not a JSON bool")
+        for key, kind in _CONFIG_TYPES.items():
+            if key in man.config and type(man.config[key]) not in _JSON_TYPES[kind]:
+                raise ParseError(f"malformed manifest: config.{key} is not a JSON {kind}")
         return man
 
 
@@ -307,9 +311,9 @@ def _exec_curvature(man: RunManifest) -> int:
 def _exec_flow(man: RunManifest) -> int:
     tri, lengths = _load_input(man)
     cfg = flows.FlowConfig(kind=man.config["kind"],
-                           dt=float(man.config["dt"]),
-                           tol=float(man.config["tol"]),
-                           max_steps=int(man.config["max_steps"]),
+                           dt=man.config["dt"],
+                           tol=man.config["tol"],
+                           max_steps=man.config["max_steps"],
                            surgery=man.config["surgery"],
                            integrator=man.config.get("integrator", "euler"))
     state, history = flows.run_flow(tri, lengths,
@@ -345,12 +349,11 @@ def _exec_solve(man: RunManifest) -> int:
     else:
         target = solver.Target.prescribed(
             _read_vector_file(spec, n, "target"))
-    tol = float(man.config.get("tol", 1e-10))
-    max_iter = int(man.config.get("max_iter", 100))
-    starts = int(man.config.get("starts", 1))
+    tol = man.config.get("tol", 1e-10)
+    starts = man.config.get("starts", 1)
 
     res = solver.newton_solve(tri, lengths, np.zeros(n), man.alpha, target,
-                              tol=tol, max_iter=max_iter)
+                              tol=tol, max_iter=man.config.get("max_iter", 100))
     doc = {
         "alpha": man.alpha,
         "target": spec,

@@ -111,7 +111,8 @@ class Triangulation:
     the raw constructor trusts its arguments.
     """
 
-    __slots__ = ("vertex_count", "faces", "face_edges", "edge_sides", "edge_verts", "chi")
+    __slots__ = ("vertex_count", "faces", "face_edges", "edge_sides", "edge_verts", "chi",
+                 "__weakref__")
 
     def __init__(self, vertex_count, faces, face_edges, edge_sides):
         self.vertex_count = vertex_count
@@ -364,7 +365,8 @@ def _check_connected(partner: np.ndarray) -> None:
     front = np.zeros(1, dtype=np.intp)
     while front.size:
         ahead = neighbours[front]
-        front = np.unique(ahead[~seen[ahead]])
+        reached = np.sort(ahead[~seen[ahead]])
+        front = np.concatenate((reached[:1], reached[1:][reached[1:] != reached[:-1]]))
         seen[front] = True
     if not seen.all():
         raise Disconnected(
@@ -742,7 +744,7 @@ def lengths_json_doc(tri: Triangulation, lengths: np.ndarray) -> dict:
     the reader need not give back this gluing (flips put faces in any
     order), so every record then also carries its edge id.
     """
-    doubled = len(np.unique(_pair_keys(tri))) < tri.edge_count
+    doubled = bool((np.diff(np.sort(_pair_keys(tri))) == 0).any())
     face = np.arange(tri.face_count).repeat(3).tolist()
     opposite = tri.faces[:, [2, 0, 1]].reshape(-1).tolist()
     length = np.asarray(lengths, dtype=float)[tri.face_edges].reshape(-1).tolist()

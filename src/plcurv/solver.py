@@ -15,9 +15,9 @@ chart only through :func:`start_chart`, :func:`trial_energy` and
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -92,35 +92,39 @@ _CERT_LOG_RANGE = 690.0
 
 # --- Lobachevsky function -----------------------------------------------
 
-@functools.cache
-def _clausen_coefficients(count: int = 28) -> np.ndarray:
-    """Power-series coefficients of Cl2, made on the first call: scipy.special
-    is imported only by runs that evaluate the energy."""
-    import scipy.special
-
-    n = np.arange(1, count + 1, dtype=float)
-    return scipy.special.zeta(2 * n) / ((2 * math.pi) ** (2 * n) * n * (2 * n + 1))
+# Cl2(t) = t (1 - log t) + t^3 sum_n c_n x^(n-1) on [0, pi], x = t^2, with
+# c_n = zeta(2n) / ((2 pi)^(2n) n (2n + 1)): the sum to 40 terms, economized
+# to degree 12 on [0, pi^2] (Chebyshev-expanded there, cut, and turned back
+# into powers of x).  The Chebyshev terms cut are below 5e-18 on [0, pi].
+_CLAUSEN_SERIES = np.array([
+    0.01388888888888889, 6.944444444443966e-05, 7.873519778550746e-07,
+    1.1482216284111264e-08, 1.8978876742949168e-10, 3.3872556802430397e-12,
+    6.374611508131478e-14, 1.2405211533806996e-15, 2.6215120782602716e-17,
+    3.712313114415675e-19, 2.3646660010260784e-20, -4.501181374909624e-22,
+    2.3803080331783184e-23])
 
 
 def _clausen(theta):
-    """Clausen integral Cl2 (the 2pi-periodic odd antiderivative of -ln|2 sin(t/2)|)."""
-    t = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
-    t = np.where(t < 0.0, t + TWO_PI, t)
-    sign = np.where(t > math.pi, -1.0, 1.0)
-    t = np.where(t > math.pi, TWO_PI - t, t)
+    """Clausen integral Cl2 (the 2pi-periodic odd antiderivative of -ln|2 sin(t/2)|);
+    its series part has degree 12 in t^2 (_CLAUSEN_SERIES, cut below 5e-18) and
+    is within 2.2e-16 of the 40-term series on [0, pi]."""
+    t = np.remainder(np.asarray(theta, dtype=float), TWO_PI)
+    over = t > math.pi
+    t = np.where(over, TWO_PI - t, t)
     t2 = t * t
     series = np.zeros_like(t)
-    for c in _clausen_coefficients()[::-1]:
+    for c in _CLAUSEN_SERIES[::-1]:
         series = series * t2 + c
     log_t = np.log(np.where(t > 0.0, t, 1.0))
-    return sign * (t * (1.0 - log_t) + series * t * t2)
+    cl2 = t * (1.0 - log_t) + series * t * t2
+    return np.where(over, -cl2, cl2)
 
 
 def lobachevsky(x):
     """Milnor's function: minus the integral of ln|2 sin t| from 0 to x.
 
-    Odd and pi-periodic; accurate to about 1e-14 absolute via the power
-    series of the Clausen integral (lobachevsky(x) = Cl2(2x) / 2).
+    Odd and pi-periodic; within 5e-16 absolute of the 40-term power series
+    of the Clausen integral (lobachevsky(x) = Cl2(2x) / 2).
     Elementwise on arrays.
     """
     return 0.5 * _clausen(2.0 * np.asarray(x, dtype=float))
@@ -323,6 +327,61 @@ def apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
     return u + math.log(ratio) / alpha
 
 
+class _Chart:
+    """Wall-certificate constants of one chart, and (centre, radius) of the box
+    it last cleared whole (radius -inf: none).  Made by :func:`_chart`."""
+
+    def __init__(self, tri: Triangulation, base: np.ndarray, key: bytes):
+        self.faces, self.key, self.box = tri.faces, key, (0.0, -math.inf)
+        with np.errstate(all="ignore"):  # a NaN or nonpositive base is never in range
+            self.base_reach = np.maximum(np.log(base.max()), -np.log(base.min()))
+            self.base_spread = 4.0 * np.log(base.max() / base.min())
+            b = base / base.max()  # normalized by the longest
+            self.opposite = b[tri.face_edges[:, geometry.NEXT]]  # side opposite each corner
+            corners = tri.quad_corners(slice(None))  # (E, 2, 3): (i, j, k), (j, i, l)
+            q = b[tri.face_edges.reshape(-1)[corners]]  # (E, A, B), (E, C, D)
+            e2, A, B, C, D = q[:, 0, 0] ** 2, q[:, 0, 1], q[:, 0, 2], q[:, 1, 1], q[:, 1, 2]
+            self.ptolemy, self.AD, self.BC = A * C + B * D, A * D, B * C
+            self.E2CD, self.E2AB = e2 * C * D, e2 * A * B
+        self.quad_verts = tri.faces.reshape(-1)[corners[:, [0, 0, 0, 1], [0, 1, 2, 2]]].T
+        self.quad_faces = corners[:, :, 0].T // 3
+
+    def terms(self, z_lo: np.ndarray, z_hi: np.ndarray):
+        """At z = e^-u, the sides (rest, t) of each corner's triangle inequality
+        and the parts (pos, neg) of each edge's g: positive at z_lo, negative at z_hi."""
+        t_lo, t = self.opposite * z_lo[self.faces], self.opposite * z_hi[self.faces]
+        y_lo, y_hi = z_lo * z_lo, z_hi * z_hi
+        i, j, k, l = self.quad_verts
+        pos = self.ptolemy * (self.AD * y_lo[i] + self.BC * y_lo[j])
+        return t_lo.sum(axis=1)[:, None] - t_lo, t, pos, self.E2CD * y_hi[k] + self.E2AB * y_hi[l]
+
+    def certified_box(self, centre: np.ndarray) -> tuple[np.ndarray, float]:
+        """The largest in-range L-inf box about ``centre`` the certificate clears whole."""
+        low, high = float(centre.min()), float(centre.max())
+        reach = max(high, -low)
+        z = np.exp(low - centre)
+        rest, t, pos, neg = self.terms(z, z)
+        keep = 1.0 - _CERT_BAND
+        radius = min(0.25 * math.log(keep * float((pos / neg).min())),
+                     0.5 * math.log(keep * float((rest / t).min())),
+                     geometry.LOG_FACTOR_BOUND - reach,
+                     0.5 * (_CERT_LOG_RANGE - self.base_reach) - reach,
+                     0.25 * (_CERT_LOG_RANGE - self.base_spread) - 0.5 * (high - low))
+        return centre, radius
+
+
+_CHARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # dies with its Triangulation
+
+
+def _chart(tri: Triangulation, base: np.ndarray) -> _Chart:
+    """The chart of tri and ``base``, compared by value: an in-place edit is a new chart."""
+    key = np.asarray(base, dtype=float).tobytes()
+    chart = _CHARTS.get(tri)
+    if chart is None or chart.key != key:
+        chart = _CHARTS[tri] = _Chart(tri, np.frombuffer(key), key)
+    return chart
+
+
 def _uncertified_edges(tri: Triangulation, base: np.ndarray, u: np.ndarray,
                        delta: np.ndarray) -> np.ndarray | None:
     """Edges the wall certificate cannot clear on u + s*delta, s in [0, 1].
@@ -340,37 +399,20 @@ def _uncertified_edges(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     product would leave _CERT_LOG_RANGE; else the ids of the edges not
     cleared, possibly none.
     """
+    chart = _chart(tri, base)
     end = u + delta
     lo, hi = np.minimum(u, end), np.maximum(u, end)
     low, high = float(lo.min()), float(hi.max())
     reach = max(high, -low)
-    b_min, b_max = float(base.min()), float(base.max())
-    if not (reach <= geometry.LOG_FACTOR_BOUND and b_min > 0.0  # False on NaN
-            and 2.0 * reach + max(math.log(b_max), -math.log(b_min)) <= _CERT_LOG_RANGE
-            and 2.0 * (high - low) + 4.0 * math.log(b_max / b_min) <= _CERT_LOG_RANGE):
+    if not (reach <= geometry.LOG_FACTOR_BOUND  # False on NaN
+            and 2.0 * reach + chart.base_reach <= _CERT_LOG_RANGE
+            and 2.0 * (high - low) + chart.base_spread <= _CERT_LOG_RANGE):
         return None
-    # lengths normalized by the longest, factors shifted so that z <= 1
-    z_max, z_min = np.exp(low - lo), np.exp(low - hi)
-    y_max, y_min = z_max * z_max, z_min * z_min
-    b = base / b_max
+    # factors shifted so that z <= 1
+    rest, t, pos, neg = chart.terms(np.exp(low - hi), np.exp(low - lo))
     keep = 1.0 - _CERT_BAND
-
-    # side opposite corner a (slot a + 1) times z at a, for each corner
-    opposite = b[tri.face_edges[:, geometry.NEXT]]
-    t_min, t_max = opposite * z_min[tri.faces], opposite * z_max[tri.faces]
-    rest = (t_min[:, 0] + t_min[:, 1] + t_min[:, 2])[:, None] - t_min
-    firm = keep * rest > t_max
-    face_ok = firm[:, 0] & firm[:, 1] & firm[:, 2]
-
-    corners = tri.quad_corners(slice(None))  # (E, 2, 3): (i, j, k), (j, i, l)
-    v = tri.faces.reshape(-1)[corners]
-    q = b[tri.face_edges.reshape(-1)[corners]]  # (E, A, B), (E, C, D)
-    e2, A, B, C, D = q[:, 0, 0] * q[:, 0, 0], q[:, 0, 1], q[:, 0, 2], q[:, 1, 1], q[:, 1, 2]
-    pos = (A * C + B * D) * (A * D * y_min[v[:, 0, 0]] + B * C * y_min[v[:, 0, 1]])
-    neg = e2 * (C * D * y_max[v[:, 0, 2]] + A * B * y_max[v[:, 1, 2]])
-    faces = corners[:, :, 0] // 3
-    cleared = (keep * pos > neg) & face_ok[faces[:, 0]] & face_ok[faces[:, 1]]
-    return np.flatnonzero(~cleared)
+    face_ok = (keep * rest > t).all(axis=1)
+    return np.flatnonzero(~((keep * pos > neg) & face_ok[chart.quad_faces].all(axis=0)))
 
 
 def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
@@ -408,9 +450,22 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     with the margins a full scan gives them (see
     :func:`geometry.delaunay_margin`), and when none is left the search
     returns (1.0, False) without scanning.
+
+    The bounds hold on any box of u.  On |u - c|_inf <= r they are the terms
+    at c times e^(-+2r) (pos, neg) and e^(-+r) (rest, t), so the certificate
+    clears the box of radius r = min(1/4 min_e log(keep pos_e / neg_e),
+    1/2 min_(f,a) log(keep rest / t)), keep = 1 - _CERT_BAND, capped to stay
+    inside LOG_FACTOR_BOUND and _CERT_LOG_RANGE.  A search that clears a whole
+    segment keeps the box about its end with the chart; a later segment with
+    both ends in it gets (1.0, False), as the certificate and scan would.
     """
+    chart = _chart(tri, base)
+    centre, radius = chart.box
+    if np.abs(u - centre).max() <= radius and np.abs(u + delta - centre).max() <= radius:
+        return 1.0, False
     edges = _uncertified_edges(tri, base, u, delta)
     if edges is not None and not edges.size:
+        chart.box = chart.certified_box(u + delta)
         return 1.0, False
 
     def below(s: list[float]) -> np.ndarray:

@@ -36,6 +36,9 @@ SLIVER = os.path.join(DATA_DIR, "sliver_4x4.json")
 # The bytes delaunay --fix must write for SLIVER, generated by the writer
 # that formatted each item on its own, before the templates.
 SLIVER_FIXED = os.path.join(DATA_DIR, "sliver_4x4_fixed.json")
+# The bytes flow --flow yamabe --alpha -1 --out-state must write for
+# SURGERY_GAP, generated by the wall search that certified every segment.
+SURGERY_GAP_STATE = os.path.join(DATA_DIR, "torus_surgery_gap_yamabe_state.json")
 
 # Regular tetrahedron: every corner angle pi/3, so K = pi at each vertex.
 REGULAR_TETRA_OFF = """OFF
@@ -212,6 +215,14 @@ class TestFlow:
                                         "--alpha", "1", "--surgery", "on"])
         assert code_on == 0
         assert doc["flips"] > 0
+
+    def test_state_is_the_golden_bytes(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        code, doc = run_cli(capsys, ["flow", SURGERY_GAP, "--flow", "yamabe", "--alpha", "-1",
+                                     "--out-state", str(state)])
+        assert (code, doc["flips"]) == (0, 15)
+        with open(SURGERY_GAP_STATE, "rb") as fh:
+            assert state.read_bytes() == fh.read()
 
     def test_max_steps_exits_4(self, capsys, kite_file):
         code, doc = run_cli(capsys, ["flow", kite_file, "--alpha", "1",
@@ -422,6 +433,24 @@ class TestReplay:
         doc = json.loads(man.read_text())
         assert doc["config"]["surgery"] is False
         doc["config"]["surgery"] = surgery
+        man.write_text(json.dumps(doc))
+        assert run_cli(capsys, ["replay", str(man)]) == (2, None)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("flow", "max_steps", 3.9), ("flow", "max_steps", True), ("flow", "dt", "0.05"),
+        ("flow", "tol", None), ("solve", "tol", "1e-10"), ("solve", "max_iter", 2.5),
+        ("solve", "starts", "2")])
+    def test_config_numbers_must_have_their_json_type(self, capsys, tmp_path, command,
+                                                      key, value):
+        # cast on replay, 3.9 ran 3 steps and "0.05" was accepted as a number
+        man = tmp_path / "run.json"
+        argv = {"flow": ["flow", SURGERY_GAP, "--flow", "yamabe", "--max-steps", "3"],
+                "solve": ["solve", SURGERY_GAP]}[command]
+        code, _ = run_cli(capsys, argv + ["--alpha", "-1", "--manifest", str(man)])
+        assert code in (0, 4)
+        doc = json.loads(man.read_text())
+        assert type(doc["config"][key]) is (float if key in ("dt", "tol") else int)
+        doc["config"][key] = value
         man.write_text(json.dumps(doc))
         assert run_cli(capsys, ["replay", str(man)]) == (2, None)
 

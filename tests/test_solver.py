@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.sparse
 
-from plcurv import errors
+from plcurv import errors, solver
 from plcurv.geometry import (
     alpha_curvature,
     curvature,
@@ -68,6 +69,34 @@ class TestLobachevsky:
             assert lobachevsky(-x) == pytest.approx(-lobachevsky(x), abs=1e-12)
             assert lobachevsky(x + math.pi) == pytest.approx(
                 lobachevsky(x), abs=1e-12)
+
+    def test_matches_the_40_term_series(self):
+        # lobachevsky(x) = Cl2(2x) / 2, and on [0, pi]
+        # Cl2(t) = t (1 - log t) + sum_n zeta(2n) t^(2n+1) / ((2 pi)^(2n) n (2n + 1))
+        x = np.concatenate([np.linspace(-2 * math.pi, 2 * math.pi, 40001),
+                            [k * math.pi / 2 for k in range(-4, 5)]])
+        t = np.mod(2.0 * x, 2 * math.pi)
+        sign = np.where(t > math.pi, -1.0, 1.0)
+        t = np.where(t > math.pi, 2 * math.pi - t, t)
+        n = np.arange(1, 41)
+        c = scipy.special.zeta(2 * n) / ((2 * math.pi) ** (2 * n) * n * (2 * n + 1))
+        series = (c * t[:, None] ** (2 * n + 1)).sum(axis=1)
+        head = t * (1.0 - np.log(np.where(t > 0.0, t, 1.0)))
+        assert np.abs(lobachevsky(x) - sign * 0.5 * (head + series)).max() <= 5e-16
+
+    def test_series_is_the_economized_zeta_series(self):
+        # the 40-term sum in x = t^2, Chebyshev-expanded on [0, pi^2] and cut
+        # to degree 12; what is cut, times t^3 <= pi^3, stays below 5e-18
+        n = np.arange(1, 41)
+        taylor = np.polynomial.Polynomial(
+            scipy.special.zeta(2 * n) / ((2 * math.pi) ** (2 * n) * n * (2 * n + 1)))
+        cheb = taylor.convert(kind=np.polynomial.Chebyshev, domain=[0.0, math.pi ** 2])
+        assert math.pi ** 3 * np.abs(cheb.coef[13:]).sum() < 5e-18
+        derived = cheb.truncate(13).convert(kind=np.polynomial.Polynomial).coef
+        x = np.linspace(0.0, math.pi ** 2, 1001)
+        gap = (np.polynomial.polynomial.polyval(x, solver._CLAUSEN_SERIES)
+               - np.polynomial.polynomial.polyval(x, derived))
+        assert math.pi ** 3 * np.abs(gap).max() < 1e-17
 
 
 def line_integral(base, u, u0):

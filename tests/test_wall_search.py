@@ -12,6 +12,7 @@ import ast
 import json
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,6 +279,82 @@ def test_certificate_leaves_few_edges_to_scan(monkeypatch):
 
     assert summary(newton) == (8, 3, 7)
     assert summary(searches) == (112, 107, 2)
+
+
+# --- the certified box ----------------------------------------------------------
+
+BOX_MESHES = ([build_triangulation(lattice_torus_faces(m)) for m in (3, 4, 5)]
+              + [tri for name, tri, _ in all_fixture_meshes() if name == "genus2"])
+
+
+def certified_box(tri, base, centre):
+    """(centre, radius) of the box a search ending at ``centre`` leaves with
+    the chart; radius -inf when it leaves none."""
+    _first_wall(tri, base, centre, np.zeros(tri.vertex_count))
+    return solver._chart(tri, base).box
+
+
+def no_certificate(*args):
+    raise AssertionError("the certificate ran inside a certified box")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(BOX_MESHES) - 1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.05, 0.2]), st.sampled_from([0.0, 0.1, 0.3]))
+def test_segments_in_a_certified_box_find_no_wall(mesh, seed, jitter, spread):
+    tri = BOX_MESHES[mesh]
+    rng = np.random.default_rng(seed)
+    base = np.exp(rng.uniform(-jitter, jitter, tri.edge_count))
+    n = tri.vertex_count
+    centre, radius = certified_box(tri, base, rng.uniform(-spread, spread, n))
+    if radius < 1e-9:
+        return
+    # half the coordinates on the box's faces; a margin of 1e-6 r covers rounding
+    sides = rng.choice([-1.0, 1.0], (6, n)) * np.where(rng.random((6, n)) < 0.5, 1.0,
+                                                       rng.random((6, n)))
+    points = centre + (1.0 - 1e-6) * radius * sides
+    for p, q in zip(points[::2], points[1::2]):
+        with mock.patch.object(solver, "_uncertified_edges", no_certificate):
+            assert _first_wall(tri, base, p, q - p) == (1.0, False)
+        assert first_wall_reference(tri, base, p, q - p) == (1.0, False)
+    for p in points:
+        assert geometry.degenerate_faces(tri, scale_metric(tri, base, p)) == []
+    delta = np.zeros(n)
+    delta[0] = math.nan  # from inside the box to nowhere: the scan's wall, not the box
+    assert agree(tri, base, points[0], delta)[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(BOX_MESHES) - 1), st.integers(0, 2 ** 32 - 1))
+def test_a_box_lives_for_one_chart(mesh, seed):
+    tri = BOX_MESHES[mesh]
+    rng = np.random.default_rng(seed)
+    base = np.exp(rng.uniform(-0.05, 0.05, tri.edge_count))
+    n = tri.vertex_count
+    centre, radius = certified_box(tri, base, rng.uniform(-0.1, 0.1, n))
+    step = 0.5 * radius * rng.uniform(-1.0, 1.0, n)
+    searched = []
+
+    def spy(*args):
+        searched.append(args[0])
+        return _uncertified_edges(*args)
+
+    with mock.patch.object(solver, "_uncertified_edges", spy):
+        assert _first_wall(tri, base, centre, step) == (1.0, False)
+        assert searched == []  # the box is reused on its own chart
+        for e in rng.permutation(tri.edge_count):
+            try:
+                flipped, flipped_base, _ = flip_with_length(tri, base, e)
+                break
+            except errors.FlipDegeneratesComplex:
+                pass
+        agree(flipped, flipped_base, centre, step)  # after a surgery
+        assert searched == [flipped]
+        certified_box(tri, base, centre)
+        searched.clear()
+        base[e] *= 1.0 + 1e-3  # an in-place edit of the writable base
+        assert agree(tri, base, centre, step) == (1.0, False)
+        assert searched == [tri]
 
 
 class TestCarryChart:
