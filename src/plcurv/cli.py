@@ -23,8 +23,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -60,95 +58,7 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-# --- serialization helpers ------------------------------------------------
-
-def _json_text(obj, _indent: int = 0) -> str:
-    """json.dumps lookalike that prints floats with 17 significant digits.
-
-    The stdlib encoder uses repr() for floats; both round-trip, but the
-    fixed format keeps every emitted digit count stable for replay
-    byte-comparisons.  A list is formatted a column at a time (see
-    :func:`_item_texts`), so long lists of numbers or of records cost no
-    call per item.
-    """
-    pad = "  " * _indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        parts = [f"{inner}{json.dumps(str(k))}: {_json_text(v, _indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        items = (",\n" + inner).join(_item_texts(obj, _indent + 1))
-        return "[\n" + inner + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite float {x!r}")
-        return format(x, ".17g")
-    return json.dumps(obj)
-
-
-def _item_texts(items, indent: int):
-    """``_json_text(v, indent)`` for each of ``items``, in order.
-
-    Items all of type int, or all of type float, fill one ``%``
-    conversion each.  Lists and tuples of one nonzero length holding only
-    ints are rows: each fills one ``%d`` template.  Dicts that share one
-    key tuple fill one template built from those keys, a field per key (a
-    column): ``%d`` for a column of ints, ``%.17g`` for one of floats,
-    else ``%s`` for the column's texts.  Anything else goes item by item.
-    """
-    conversion = _number_conversion(items)
-    if conversion:
-        return map(conversion.__mod__, items)
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    kinds = set(map(type, items))
-    if kinds <= {list, tuple}:
-        widths = set(map(len, items))
-        if len(widths) == 1 and set(map(type, chain.from_iterable(items))) == {int}:
-            template = "[" + ",".join(repeat(f"\n{inner}%d", widths.pop())) + f"\n{pad}]"
-            return map(template.__mod__, map(tuple, items))
-    shapes = set(map(tuple, items)) if kinds == {dict} else set()
-    keys = shapes.pop() if len(shapes) == 1 else ()
-    if not keys:
-        return (_json_text(v, indent) for v in items)
-    fields, columns = [], []
-    for key in keys:
-        column = list(map(itemgetter(key), items))
-        conversion = _number_conversion(column)
-        # a key may hold "%", which the template must print as itself
-        fields.append(f"\n{inner}{json.dumps(str(key))}: ".replace("%", "%%")
-                      + (conversion or "%s"))
-        columns.append(column if conversion else _item_texts(column, indent + 1))
-    template = "{" + ",".join(fields) + f"\n{pad}}}"
-    return map(template.__mod__, zip(*columns))
-
-
-def _number_conversion(items) -> str | None:
-    """``"%d"`` when ``items`` are all ints, ``"%.17g"`` when all floats, else None.
-
-    Either prints each item as :func:`_json_text` does; a non-finite
-    float raises ValueError.
-    """
-    kinds = set(map(type, items))
-    if kinds == {int}:
-        return "%d"
-    if kinds != {float}:
-        return None
-    if not all(map(math.isfinite, items)):
-        x = next(x for x in items if not math.isfinite(x))
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return "%.17g"
-
+# --- output files ----------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
@@ -204,8 +114,8 @@ class RunManifest:
             man = cls(command=str(doc["command"]),
                       input_path=str(doc["input"]["path"]),
                       input_format=str(doc["input"]["format"]),
-                      alpha=float(doc["alpha"]),
-                      seed=int(doc["seed"]),
+                      alpha=doc["alpha"],
+                      seed=doc["seed"],
                       config=dict(doc["config"]),
                       outputs=dict(doc["outputs"]),
                       input_sha256=doc["input"].get("sha256"))
@@ -218,10 +128,15 @@ class RunManifest:
             missing.append("outputs.lengths")
         if missing:
             raise ParseError(f"malformed manifest: no {', '.join(missing)}")
-        for key, kind in _CONFIG_TYPES.items():
-            if key in man.config and type(man.config[key]) not in _JSON_TYPES[kind]:
-                raise ParseError(f"malformed manifest: config.{key} is not a JSON {kind}")
-        return man
+        typed = [("alpha", man.alpha, "number"), ("seed", man.seed, "integer")] + [
+            (f"config.{k}", man.config[k], kind) for k, kind in _CONFIG_TYPES.items() if k in man.config]
+        for name, value, kind in typed:
+            if type(value) not in _JSON_TYPES[kind]:
+                raise ParseError(f"malformed manifest: {name} is not a JSON {kind}")
+        try:
+            return replace(man, alpha=float(man.alpha))
+        except OverflowError as exc:
+            raise ParseError(f"malformed manifest: alpha is out of range: {exc}") from exc
 
 
 def _load_input(man: RunManifest):
@@ -250,18 +165,23 @@ def _read_json_file(path: str):
 
 
 def _read_vector_file(path: str, n: int, key: str) -> np.ndarray:
-    """Load n reals from a JSON file: a list, a scalar, or {key: list}."""
+    """Load n finite reals from a JSON file: a list, a scalar, or {key: list}."""
     doc = _read_json_file(path)
     if isinstance(doc, dict):
         if key not in doc:
             raise ParseError(f"{path!r} has no {key!r} entry")
         doc = doc[key]
-    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
-        return np.full(n, float(doc))
+    entries = doc if type(doc) is list else [doc]
+    if not set(map(type, entries)) <= {int, float}:
+        raise ParseError(f"{path!r} is not a number or a list of JSON numbers")
     try:
-        vec = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path!r} is not a list of numbers: {exc}") from exc
+        vec = np.array(entries, dtype=float)
+    except OverflowError as exc:
+        raise ParseError(f"{path!r} holds a number out of range: {exc}") from exc
+    if not np.isfinite(vec).all():
+        raise NonFiniteValue(f"{path!r} holds a non-finite number")
+    if type(doc) is not list:
+        return np.full(n, vec[0])
     if vec.shape != (n,):
         raise ValueError(
             f"{path!r} has {vec.shape} entries, mesh has {n} vertices")
@@ -280,6 +200,8 @@ def _execute(man: RunManifest) -> int:
               "solve": _exec_solve, "delaunay": _exec_delaunay}.get(man.command)
     if runner is None:
         raise ParseError(f"manifest names unknown command {man.command!r}")
+    if not math.isfinite(man.alpha):
+        raise NonFiniteValue(f"alpha must be finite, not {man.alpha!r}")
     return runner(man)
 
 
@@ -304,7 +226,7 @@ def _exec_curvature(man: RunManifest) -> int:
         "delaunay_violations": _edge_records(
             tri, geometry.is_delaunay_all(tri, scaled)),
     }
-    print(_json_text(doc))
+    print(mesh.json_text(doc))
     return 0
 
 
@@ -322,13 +244,10 @@ def _exec_flow(man: RunManifest) -> int:
     if man.outputs.get("history"):
         _atomic_write(man.outputs["history"], history.to_csv())
     if man.outputs.get("state"):
-        doc = mesh.lengths_json_doc(state.tri, state.base)
-        doc["u"] = [float(x) for x in state.u]
-        doc["alpha"] = man.alpha
-        doc["t"] = state.t
-        _atomic_write(man.outputs["state"], _json_text(doc) + "\n")
+        _atomic_write(man.outputs["state"], mesh.lengths_json_text(
+            state.tri, state.base, u=state.u.tolist(), alpha=man.alpha, t=state.t) + "\n")
     last = history.rows[-1]
-    print(_json_text({
+    print(mesh.json_text({
         "status": history.status,
         "steps": state.step_count,
         "t": state.t,
@@ -377,10 +296,10 @@ def _exec_solve(man: RunManifest) -> int:
         doc["rigidity_pass"] = rig.passed
         log.info("%s", rig)
     if man.outputs.get("report"):
-        _atomic_write(man.outputs["report"], _json_text(doc) + "\n")
+        _atomic_write(man.outputs["report"], mesh.json_text(doc) + "\n")
     if man.outputs.get("trace"):
         _atomic_write(man.outputs["trace"], solver.trace_csv(res.trace))
-    print(_json_text(doc))
+    print(mesh.json_text(doc))
     return 0
 
 
@@ -388,13 +307,13 @@ def _exec_delaunay(man: RunManifest) -> int:
     tri, lengths = _load_input(man)
     if man.config["mode"] == "check":
         bad = geometry.is_delaunay_all(tri, lengths)
-        print(_json_text({"violations": _edge_records(tri, bad),
-                          "count": len(bad)}))
+        print(mesh.json_text({"violations": _edge_records(tri, bad),
+                              "count": len(bad)}))
         return 1 if bad else 0
     tri2, lengths2, flips = geometry.make_delaunay(tri, lengths)
     out = man.outputs["lengths"]
-    _atomic_write(out, _json_text(mesh.lengths_json_doc(tri2, lengths2)) + "\n")
-    print(_json_text({"flips": len(flips), "out": out}))
+    _atomic_write(out, mesh.lengths_json_text(tri2, lengths2) + "\n")
+    print(mesh.json_text({"flips": len(flips), "out": out}))
     return 0
 
 
@@ -483,7 +402,7 @@ def _launch(args: argparse.Namespace, command: str, config: dict,
                       config=config, outputs=outputs)
     if args.manifest:
         man = replace(man, input_sha256=_sha256(args.input))
-        _atomic_write(args.manifest, _json_text(man.to_doc()) + "\n")
+        _atomic_write(args.manifest, mesh.json_text(man.to_doc()) + "\n")
     return _execute(man)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry
 from .errors import DegenerateFace, InsufficientTail, LogFactorOverflow, StepSizeUnderflow
 from .geometry import alpha_curvature, alpha_laplacian_apply, curvature, scale_metric
-from .mesh import Flips, Triangulation
+from .mesh import Flips, Triangulation, csv_text
 from .solver import (
     ROUNDING_NOISE,
     Target,
@@ -63,10 +63,10 @@ class FlowConfig:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass
@@ -123,11 +123,9 @@ class FlowHistory:
     unsupported_regime: bool = False
 
     def to_csv(self) -> str:
-        lines = ["t,max_dev,conserved,energy,flips,dt"]
-        for r in self.rows:
-            lines.append(f"{r.t:.17g},{r.max_dev:.17g},{r.conserved:.17g},"
-                         f"{r.energy:.17g},{r.flips},{r.dt:.17g}")
-        return "\n".join(lines) + "\n"
+        return csv_text("t,max_dev,conserved,energy,flips,dt",
+                        ((r.t, r.max_dev, r.conserved, r.energy, r.flips, r.dt)
+                         for r in self.rows))
 
 
 def make_state(tri: Triangulation, base: np.ndarray, u0,

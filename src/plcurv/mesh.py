@@ -737,21 +737,74 @@ def _pair_keyed_lengths(records, tri: Triangulation) -> np.ndarray:
     return _lengths_by_edge(first[at], val, tri.edge_count)
 
 
-def lengths_json_doc(tri: Triangulation, lengths: np.ndarray) -> dict:
-    """Serializable document in the per-face length format, faces by id.
+# --- output text -------------------------------------------------------
 
-    When two edges join the same vertex pair, the first-come pairing of
-    the reader need not give back this gluing (flips put faces in any
-    order), so every record then also carries its edge id.
+def json_text(obj, _indent: int = 0) -> str:
+    """json.dumps lookalike that prints floats with 17 significant digits.
+
+    The fixed format keeps every digit count stable for replay
+    byte-comparisons; a non-finite float raises ValueError.  A list of
+    only finite floats fills one ``%`` conversion per item.
     """
-    doubled = bool((np.diff(np.sort(_pair_keys(tri))) == 0).any())
-    face = np.arange(tri.face_count).repeat(3).tolist()
-    opposite = tri.faces[:, [2, 0, 1]].reshape(-1).tolist()
-    length = np.asarray(lengths, dtype=float)[tri.face_edges].reshape(-1).tolist()
-    if doubled:
-        records = [{"face": f, "opposite": o, "length": x, "edge": e} for f, o, x, e
-                   in zip(face, opposite, length, tri.face_edges.reshape(-1).tolist())]
-    else:
-        records = [{"face": f, "opposite": o, "length": x}
-                   for f, o, x in zip(face, opposite, length)]
-    return {"vertices": tri.vertex_count, "faces": tri.faces.tolist(), "lengths": records}
+    pad = "  " * _indent
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(k))}: {json_text(v, _indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            items = map("%.17g".__mod__, obj)
+        else:
+            items = (json_text(v, _indent + 1) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite float {x!r}")
+        return format(x, ".17g")
+    return json.dumps(obj)
+
+
+def csv_text(header: str, rows) -> str:
+    """``header``, then a line per row of numbers to 17 significant digits (ints < 1e17 exactly)."""
+    row = ",".join(["%.17g"] * len(header.split(",")))
+    return "\n".join([header, *map(row.__mod__, rows)]) + "\n"
+
+
+_FACE_TEXT = "\n    [\n      %d,\n      %d,\n      %d\n    ]"
+_RECORD_TEXT = '\n    {\n      "face": %d,\n      "opposite": %d,\n      "length": %.17g'
+
+
+def lengths_json_text(tri: Triangulation, lengths: np.ndarray, **extra) -> str:
+    """The per-face length document of (tri, lengths), faces by id, as JSON text.
+
+    The text is :func:`json_text` of the document, with the ``extra``
+    keys after ``"lengths"``.  When two edges join the same vertex pair,
+    the first-come pairing of the reader need not give back this gluing
+    (flips put faces in any order), so every record then also carries
+    its edge id.  A non-finite length raises ValueError.
+    """
+    length = np.asarray(lengths, dtype=float)[tri.face_edges].reshape(-1)
+    if not np.isfinite(length).all():
+        raise ValueError(f"cannot serialize non-finite length {length[~np.isfinite(length)][0]}")
+    columns = [np.arange(tri.face_count).repeat(3).tolist(),
+               tri.faces[:, [2, 0, 1]].reshape(-1).tolist(), length.tolist()]
+    record = _RECORD_TEXT
+    if (np.diff(np.sort(_pair_keys(tri))) == 0).any():
+        columns.append(tri.face_edges.reshape(-1).tolist())
+        record += ',\n      "edge": %d'
+    return "".join([
+        '{\n  "vertices": %d,\n  "faces": [' % tri.vertex_count,
+        ",".join([_FACE_TEXT] * tri.face_count) % tuple(tri.faces.reshape(-1).tolist()),
+        '\n  ],\n  "lengths": [',
+        ",".join([record + "\n    }"] * len(length)) % tuple(chain.from_iterable(zip(*columns))),
+        "\n  ]",
+        *(f",\n  {json.dumps(key)}: {json_text(value, 1)}" for key, value in extra.items()),
+        "\n}"])

@@ -46,7 +46,7 @@ from .geometry import (
     opposite_cosines,
     scale_metric,
 )
-from .mesh import Flips, Triangulation
+from .mesh import Flips, Triangulation, csv_text
 
 log = logging.getLogger(__name__)
 
@@ -296,11 +296,8 @@ class NewtonResult:
 
 
 def trace_csv(rows: list[TraceRow]) -> str:
-    lines = ["iter,grad_inf,value,step,flips"]
-    for r in rows:
-        lines.append(f"{r.iteration},{r.grad_inf:.17g},{r.value:.17g},"
-                     f"{r.step:.17g},{r.flips}")
-    return "\n".join(lines) + "\n"
+    return csv_text("iter,grad_inf,value,step,flips",
+                    ((r.iteration, r.grad_inf, r.value, r.step, r.flips) for r in rows))
 
 
 def conserved_sum(u: np.ndarray, alpha: float) -> float:
@@ -587,6 +584,8 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     a closed-form shift after each step.
     Returns only once converged: every way of stopping short raises.
     """
+    if not (0.0 < tol < math.inf and max_iter >= 0):
+        raise ValueError(f"need 0 < tol < inf and max_iter >= 0, not {tol!r} and {max_iter!r}")
     u = np.asarray(u0, dtype=float).copy()
     n = tri.vertex_count
     if u.shape != (n,):

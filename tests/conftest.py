@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from plcurv import geometry, solver
+from plcurv import geometry, mesh, solver
 from plcurv.errors import (
     Disconnected,
     FlipLimitExceeded,
@@ -468,11 +468,11 @@ def make_delaunay_reference(tri, lengths):
 
 # --- recursive oracle for the JSON writer ---------------------------------------
 #
-# Production formats long lists a column at a time.  The reference makes
-# one recursive call per value.
+# Production fills one template per list of numbers and writes the lengths
+# document from its arrays.  The reference makes one recursive call per value.
 
 def json_text_reference(obj, _indent=0):
-    """cli._json_text one value at a time: floats with 17 significant digits."""
+    """mesh.json_text one value at a time: floats with 17 significant digits."""
     pad = "  " * _indent
     inner = "  " * (_indent + 1)
     if isinstance(obj, dict):
@@ -496,3 +496,8 @@ def json_text_reference(obj, _indent=0):
             raise ValueError(f"cannot serialize non-finite float {x!r}")
         return format(x, ".17g")
     return json.dumps(obj)
+
+
+def lengths_doc(tri, lengths):
+    """The lengths document that mesh.lengths_json_text writes, parsed back."""
+    return json.loads(mesh.lengths_json_text(tri, lengths))

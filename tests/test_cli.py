@@ -21,6 +21,7 @@ from conftest import (
     flat_torus_document,
     json_text_reference,
     lattice_torus_faces,
+    lengths_doc,
     torus9_faces,
     unit_lengths,
 )
@@ -62,7 +63,7 @@ def run_cli(capsys, args):
 
 def write_lengths(path, tri, lens):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mesh.lengths_json_doc(tri, lens), fh)
+        json.dump(lengths_doc(tri, lens), fh)
     return str(path)
 
 
@@ -256,6 +257,15 @@ class TestSolve:
         assert code_a == code_b == 0
         assert doc_a["u"] == doc_b["u"]
         assert doc_a["K"] == doc_b["K"]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),
+        ("--max-iter", "-1")])
+    def test_stopping_rule_must_be_valid(self, capsys, option, value):
+        # --tol nan or inf printed "converged": true after 0 iterations at
+        # grad_inf 9.06; --tol -1 and --max-iter -1 ran to exit 5
+        assert run_cli(capsys, ["solve", SURGERY_GAP, "--alpha", "-1", option,
+                                value]) == (3, None)
 
     def test_report_and_trace_files(self, capsys, tmp_path, tetra_file):
         out = tmp_path / "report.json"
@@ -454,6 +464,34 @@ class TestReplay:
         man.write_text(json.dumps(doc))
         assert run_cli(capsys, ["replay", str(man)]) == (2, None)
 
+    @staticmethod
+    def solve_manifest(capsys, tmp_path):
+        man = tmp_path / "run.json"
+        code, _ = run_cli(capsys, ["solve", SURGERY_GAP, "--alpha", "-1",
+                                   "--manifest", str(man)])
+        assert code == 0
+        return man, json.loads(man.read_text())
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "-1"), ("alpha", True), ("alpha", None), ("seed", 2.7), ("seed", True),
+        ("seed", "0"), pytest.param("alpha", 10**400, id="alpha-int-past-float-range")])
+    def test_alpha_and_seed_must_have_their_json_type(self, capsys, tmp_path, key, value):
+        # cast on replay, "-1" ran at alpha = -1, true at alpha = 1 and 2.7 with seed 2
+        man, doc = self.solve_manifest(capsys, tmp_path)
+        assert (doc["alpha"], doc["seed"]) == (-1, 0)
+        doc[key] = value
+        man.write_text(json.dumps(doc))
+        assert run_cli(capsys, ["replay", str(man)]) == (2, None)
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("tol", math.nan)])
+    def test_non_finite_numbers_exit_3(self, capsys, tmp_path, key, value):
+        # json reads NaN and Infinity; a NaN tol replayed as converged at iteration 0
+        man, doc = self.solve_manifest(capsys, tmp_path)
+        (doc["config"] if key == "tol" else doc)[key] = value
+        man.write_text(json.dumps(doc))
+        assert run_cli(capsys, ["replay", str(man)]) == (3, None)
+
     def test_no_manifest_hashes_nothing(self, capsys, monkeypatch, kite_file):
         def refuse(path):
             raise AssertionError("hashed without --manifest")
@@ -533,10 +571,19 @@ class TestExtremeInput:
 
     @staticmethod
     def torus_with_edge(tmp_path, value):
+        # the writer refuses a non-finite length, so edge 0 is written at
+        # 1.5 and its records are patched; json writes inf and NaN as
+        # Infinity and NaN
         tri = build_triangulation(torus9_faces())
         lens = unit_lengths(tri)
-        lens[0] = value
-        return write_lengths(tmp_path / "extreme.json", tri, lens)
+        lens[0] = 1.5
+        doc = lengths_doc(tri, lens)
+        for rec in doc["lengths"]:
+            if rec["length"] == 1.5:
+                rec["length"] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
 
     def test_huge_edge_curvature_keeps_gauss_bonnet(self, capsys, tmp_path):
         path = self.torus_with_edge(tmp_path, 1e200)
@@ -555,6 +602,37 @@ class TestExtremeInput:
         path = self.torus_with_edge(tmp_path, value)
         code, _ = run_cli(capsys, [command, path])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--alpha", "nan"], ["flow", "--alpha", "nan"],
+        ["flow", "--alpha=-inf"], ["solve", "--alpha", "inf"],
+        ["flow", "--alpha", "-1", "--dt", "inf"], ["flow", "--alpha", "-1", "--tol", "inf"]])
+    def test_non_finite_option_exits_3(self, capsys, argv):
+        # flow exited 5 on these (--tol inf exited 0 as converged at step 0),
+        # and solve --alpha inf warned on stderr first
+        assert run_cli(capsys, [argv[0], SURGERY_GAP, *argv[1:]]) == (3, None)
+
+    @pytest.mark.parametrize("text, code", [
+        ("[true, 0, 0, 0]", 2), ('["0.1", 0, 0, 0]', 2), ("[[0.1], 0, 0, 0]", 2),
+        ("false", 2), ('{"u": [0, 0, null, 0]}', 2),
+        pytest.param("[1" + "0" * 400 + ", 0, 0, 0]", 2, id="int-past-float-range-2"),
+        ("[NaN, 0, 0, 0]", 3), ("[0, Infinity, 0, 0]", 3), ("-1e999", 3)])
+    def test_u_file_entries_are_finite_json_numbers(self, capsys, tmp_path, tetra_file,
+                                                    text, code):
+        # [true, ...] ran with u0 = 1 and a NaN u exited 5
+        ufile = tmp_path / "u.json"
+        ufile.write_text(text)
+        assert run_cli(capsys, ["curvature", tetra_file, "--u-file", str(ufile)]) == (code, None)
+
+    @pytest.mark.parametrize("text, code", [("[true" + ", 0" * 8 + "]", 2),
+                                            ("[NaN" + ", 0" * 8 + "]", 3), ("NaN", 3)])
+    def test_target_entries_are_finite_json_numbers(self, capsys, tmp_path, kite_file,
+                                                    text, code):
+        # a NaN target at alpha = 0 exited 6, "unsupported target"
+        tfile = tmp_path / "target.json"
+        tfile.write_text(text)
+        assert run_cli(capsys, ["solve", kite_file, "--alpha", "0",
+                                "--target", str(tfile)]) == (code, None)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_scaled_file_matches_unscaled(self, capsys, tmp_path, scale):
@@ -639,9 +717,8 @@ def json_documents(floats):
         same_length = st.integers(0, 3).flatmap(
             lambda n: st.lists(st.lists(children, min_size=n, max_size=n)
                                | st.tuples(*[children] * n), max_size=4))
-        # rows of ints: of one length (the writer's row template), of
-        # several lengths, or mixing in bools and np.int64 (neither may
-        # take the template)
+        # rows of ints: of one length, of several lengths, or mixing in
+        # bools and np.int64 (neither may take the int fast path)
         int64 = st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
         int_like = INTS | st.booleans() | int64
         int_rows = st.sampled_from([INTS, int_like]).flatmap(lambda entries: st.one_of(
@@ -666,7 +743,7 @@ def json_documents(floats):
 @example({"faces": [[0, 1, 2], [3, 4, 5]], "rows": [[1, 2], [3]],
           "mixed": [[1, True], [np.int64(2), 3]]})
 def test_writer_matches_recursive_reference(doc):
-    assert cli._json_text(doc) == json_text_reference(doc)
+    assert mesh.json_text(doc) == json_text_reference(doc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -676,9 +753,9 @@ def test_writer_refuses_non_finite_floats_like_reference(doc):
         want = json_text_reference(doc)
     except ValueError:
         with pytest.raises(ValueError):
-            cli._json_text(doc)
+            mesh.json_text(doc)
         return
-    assert cli._json_text(doc) == want
+    assert mesh.json_text(doc) == want
 
 
 def test_writer_refuses_every_non_finite_float():
@@ -688,7 +765,7 @@ def test_writer_refuses_every_non_finite_float():
             with pytest.raises(ValueError):
                 json_text_reference(doc)
             with pytest.raises(ValueError):
-                cli._json_text(doc)
+                mesh.json_text(doc)
 
 
 class TestMalformedInput:

@@ -13,7 +13,6 @@ from plcurv import errors
 from plcurv.mesh import (
     Flips,
     build_triangulation,
-    lengths_json_doc,
     load_mesh,
     parse_lengths_json,
 )
@@ -29,6 +28,7 @@ from conftest import (
     cube_off_text,
     glue_reference,
     lattice_torus_faces,
+    lengths_doc,
     torus9_faces,
     vertex_degree,
 )
@@ -312,14 +312,14 @@ class TestLoad:
         with pytest.raises(errors.ParseError, match="vertex index out of range"):
             parse_lengths_json(json.dumps(doc))
         tri2, _ = tetra.flip(0)
-        doc = lengths_json_doc(tri2, np.ones(tri2.edge_count))
+        doc = lengths_doc(tri2, np.ones(tri2.edge_count))
         doc["lengths"][0]["edge"] = 2 ** 70
         with pytest.raises(errors.ParseError, match="edge id out of range"):
             parse_lengths_json(json.dumps(doc))
 
     def test_roundtrip_doc(self, torus9):
         lengths = 1.0 + 0.01 * np.arange(torus9.edge_count)
-        doc = lengths_json_doc(torus9, lengths)
+        doc = lengths_doc(torus9, lengths)
         tri2, lengths2 = parse_lengths_json(json.dumps(doc))
         assert tri2.vertex_count == 9
         assert sorted(lengths2) == pytest.approx(sorted(lengths))
@@ -390,7 +390,7 @@ class TestGlueOracle:
         e01 = next(e for e in tetra.edge_ids()
                    if set(tetra.edge_vertices(e)) == {0, 1})
         tri2, _ = tetra.flip(e01)
-        doc = lengths_json_doc(tri2, np.ones(tri2.edge_count))
+        doc = lengths_doc(tri2, np.ones(tri2.edge_count))
         ids = [[None] * 3 for _ in doc["faces"]]
         for rec in doc["lengths"]:
             corners = doc["faces"][rec["face"]]
@@ -431,7 +431,7 @@ def flipped_tetra_doc():
     tri = build_triangulation(TETRA_FACES)
     for _ in range(3):
         tri, _ = tri.flip(0)
-    return lengths_json_doc(tri, 1.0 + 0.125 * np.arange(tri.edge_count))
+    return lengths_doc(tri, 1.0 + 0.125 * np.arange(tri.edge_count))
 
 
 def torus_pair_doc():

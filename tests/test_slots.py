@@ -18,13 +18,15 @@ from conftest import (
     TETRA_FACES,
     all_fixture_meshes,
     flip_with_length,
+    json_text_reference,
+    lengths_doc,
     torus9_faces,
     unit_lengths,
 )
 
 from plcurv import errors
 from plcurv.geometry import scale_metric, side_lengths
-from plcurv.mesh import build_triangulation, lengths_json_doc, parse_lengths_json
+from plcurv.mesh import build_triangulation, lengths_json_text, parse_lengths_json
 
 from test_mesh import face_multiset
 
@@ -56,13 +58,16 @@ def flipped_metrics(draw):
 
 
 def assert_round_trip(tri, lengths):
-    doc = lengths_json_doc(tri, lengths)
-    tri2, lengths2 = parse_lengths_json(json.dumps(doc))
+    text = lengths_json_text(tri, lengths)
+    # the text is the one-value-at-a-time layout of the document it holds
+    assert text == json_text_reference(json.loads(text))
+    tri2, lengths2 = parse_lengths_json(text)
     assert np.array_equal(tri2.faces, tri.faces)
     assert gluing(tri2) == gluing(tri)
     assert np.array_equal(side_lengths(tri2, lengths2), side_lengths(tri, lengths))
     if has_doubled_edge(tri):
         # the records carry edge ids, and parsing keeps them
+        assert all("edge" in rec for rec in json.loads(text)["lengths"])
         assert np.array_equal(tri2.face_edges, tri.face_edges)
         assert np.array_equal(lengths2, lengths)
 
@@ -84,11 +89,31 @@ def test_round_trip_where_first_come_pairing_fails():
     assert_round_trip(tri, 1.0 + 0.1 * np.arange(tri.edge_count))
 
 
+def test_extra_keys_follow_the_lengths():
+    tri = build_triangulation(torus9_faces())
+    extra = {"u": [0.5, -0.25] + [0.0] * 7, "alpha": -1.0, "t": 0.1, "flips": 3}
+    text = lengths_json_text(tri, unit_lengths(tri), **extra)
+    doc = json.loads(text)
+    assert list(doc) == ["vertices", "faces", "lengths", *extra]
+    assert text == json_text_reference(doc)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_length_is_not_written(value):
+    tri = build_triangulation(torus9_faces())
+    lengths = unit_lengths(tri)
+    lengths[4] = value
+    with pytest.raises(ValueError, match="non-finite length"):
+        lengths_json_text(tri, lengths)
+    with pytest.raises(ValueError, match="non-finite float"):
+        lengths_json_text(tri, unit_lengths(tri), u=[value])
+
+
 def tetra_flipped_doc():
     tri = build_triangulation(TETRA_FACES)
     for _ in range(3):
         tri, _ = tri.flip(0)
-    return lengths_json_doc(tri, np.ones(tri.edge_count))
+    return lengths_doc(tri, np.ones(tri.edge_count))
 
 
 @pytest.mark.parametrize("spoil, error", [
@@ -130,12 +155,12 @@ def test_ids_must_join_the_same_vertex_pair():
 def test_ids_only_in_documents_with_doubled_edges():
     tri = build_triangulation(torus9_faces())
     assert not has_doubled_edge(tri)
-    assert "edge" not in lengths_json_doc(tri, unit_lengths(tri))["lengths"][0]
+    assert "edge" not in lengths_doc(tri, unit_lengths(tri))["lengths"][0]
     tri2, _ = tri.flip(0)
     tri2, _ = tri2.flip(1)
     tri2, _ = tri2.flip(2)
     assert has_doubled_edge(tri2)
-    assert "edge" in lengths_json_doc(tri2, unit_lengths(tri2))["lengths"][0]
+    assert "edge" in lengths_doc(tri2, unit_lengths(tri2))["lengths"][0]
 
 
 @st.composite
