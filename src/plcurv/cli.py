@@ -1,10 +1,11 @@
 """Command-line front door: curvature reports, flows, solves, Delaunay tools.
 
-Every run is described by a RunManifest; ``plcurv replay manifest.json``
-re-executes the recorded command through the same code path, so outputs
-are byte-identical; it refuses an input whose SHA-256 differs from the
-manifest's.  All floats are printed with 17 significant digits and files
-are written atomically (temp file + rename).
+``--manifest PATH`` records a run as its command line and the SHA-256 of
+every file it reads.  ``plcurv replay PATH`` parses that line with the
+same parser and runs it through the same dispatch, so outputs are
+byte-identical; it refuses a file whose SHA-256 differs from the record.
+All floats are printed with 17 significant digits and files are written
+atomically (temp file + rename).
 
 Exit codes: 0 success/converged, 1 Delaunay violations found (--check),
 2 parse error, 3 validation error, 4 flow hit max-steps, 5 runtime
@@ -22,7 +23,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,75 +75,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-# --- run manifests ---------------------------------------------------------
+# --- input files -----------------------------------------------------------
 
-# Config keys each command body reads without a default, and JSON types of numbers and switches.
-_CONFIG_KEYS = {"flow": ("kind", "dt", "tol", "max_steps", "surgery"),
-                "delaunay": ("mode",)}
-_CONFIG_TYPES = {"dt": "number", "tol": "number", "max_steps": "integer",
-                 "max_iter": "integer", "starts": "integer", "surgery": "bool"}
-_JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,)}
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to repeat a run: command, input, knobs, outputs."""
-
-    command: str
-    input_path: str
-    input_format: str
-    alpha: float
-    seed: int
-    config: dict
-    outputs: dict
-    input_sha256: str | None = None
-
-    def to_doc(self) -> dict:
-        return {"command": self.command,
-                "input": {"path": self.input_path,
-                          "format": self.input_format,
-                          "sha256": self.input_sha256},
-                "alpha": self.alpha,
-                "seed": self.seed,
-                "config": self.config,
-                "outputs": self.outputs}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RunManifest":
-        try:
-            man = cls(command=str(doc["command"]),
-                      input_path=str(doc["input"]["path"]),
-                      input_format=str(doc["input"]["format"]),
-                      alpha=doc["alpha"],
-                      seed=doc["seed"],
-                      config=dict(doc["config"]),
-                      outputs=dict(doc["outputs"]),
-                      input_sha256=doc["input"].get("sha256"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed manifest: {exc}") from exc
-        missing = [f"config.{k}" for k in _CONFIG_KEYS.get(man.command, ())
-                   if k not in man.config]
-        if (man.command == "delaunay" and man.config.get("mode") != "check"
-                and not man.outputs.get("lengths")):
-            missing.append("outputs.lengths")
-        if missing:
-            raise ParseError(f"malformed manifest: no {', '.join(missing)}")
-        typed = [("alpha", man.alpha, "number"), ("seed", man.seed, "integer")] + [
-            (f"config.{k}", man.config[k], kind) for k, kind in _CONFIG_TYPES.items() if k in man.config]
-        for name, value, kind in typed:
-            if type(value) not in _JSON_TYPES[kind]:
-                raise ParseError(f"malformed manifest: {name} is not a JSON {kind}")
-        try:
-            return replace(man, alpha=float(man.alpha))
-        except OverflowError as exc:
-            raise ParseError(f"malformed manifest: alpha is out of range: {exc}") from exc
-
-
-def _load_input(man: RunManifest):
+def _load_input(args: argparse.Namespace):
     try:
-        return mesh.load_mesh(man.input_path, fmt=man.input_format)
+        return mesh.load_mesh(args.input, fmt=args.format)
     except OSError as exc:
-        raise ParseError(f"cannot read {man.input_path!r}: {exc}") from exc
+        raise ParseError(f"cannot read {args.input!r}: {exc}") from exc
 
 
 def _sha256(path: str) -> str:
@@ -152,6 +90,14 @@ def _sha256(path: str) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
+
+
+def _input_hashes(args: argparse.Namespace) -> dict:
+    """SHA-256 of every file the command reads, keyed by its path."""
+    paths = [args.input, getattr(args, "u_file", None)]
+    if getattr(args, "target", "const") != "const":
+        paths.append(args.target)
+    return {path: _sha256(path) for path in paths if path}
 
 
 def _read_json_file(path: str):
@@ -195,27 +141,17 @@ def _edge_records(tri, edges) -> list[dict]:
 
 # --- command bodies (shared by direct invocation and replay) ---------------
 
-def _execute(man: RunManifest) -> int:
-    runner = {"curvature": _exec_curvature, "flow": _exec_flow,
-              "solve": _exec_solve, "delaunay": _exec_delaunay}.get(man.command)
-    if runner is None:
-        raise ParseError(f"manifest names unknown command {man.command!r}")
-    if not math.isfinite(man.alpha):
-        raise NonFiniteValue(f"alpha must be finite, not {man.alpha!r}")
-    return runner(man)
-
-
-def _exec_curvature(man: RunManifest) -> int:
-    tri, lengths = _load_input(man)
+def _exec_curvature(args: argparse.Namespace) -> int:
+    tri, lengths = _load_input(args)
     n = tri.vertex_count
     u = np.zeros(n)
-    if man.config.get("u_file"):
-        u = _read_vector_file(man.config["u_file"], n, "u")
+    if args.u_file:
+        u = _read_vector_file(args.u_file, n, "u")
     scaled = geometry.scale_metric(tri, lengths, u)
     K = geometry.curvature(tri, scaled)
-    rep = geometry.alpha_curvature(K, u, man.alpha, chi=tri.chi)
+    rep = geometry.alpha_curvature(K, u, args.alpha, chi=tri.chi)
     doc = {
-        "alpha": man.alpha,
+        "alpha": args.alpha,
         "chi": tri.chi,
         "vertices": n,
         "K": [float(x) for x in rep.K],
@@ -230,22 +166,20 @@ def _exec_curvature(man: RunManifest) -> int:
     return 0
 
 
-def _exec_flow(man: RunManifest) -> int:
-    tri, lengths = _load_input(man)
-    cfg = flows.FlowConfig(kind=man.config["kind"],
-                           dt=man.config["dt"],
-                           tol=man.config["tol"],
-                           max_steps=man.config["max_steps"],
-                           surgery=man.config["surgery"],
-                           integrator=man.config.get("integrator", "euler"))
+def _exec_flow(args: argparse.Namespace) -> int:
+    tri, lengths = _load_input(args)
+    cfg = flows.FlowConfig(kind=args.flow, dt=args.dt, tol=args.tol,
+                           max_steps=args.max_steps,
+                           surgery=args.surgery == "on",
+                           integrator=args.integrator)
     state, history = flows.run_flow(tri, lengths,
                                     np.zeros(tri.vertex_count),
-                                    man.alpha, cfg)
-    if man.outputs.get("history"):
-        _atomic_write(man.outputs["history"], history.to_csv())
-    if man.outputs.get("state"):
-        _atomic_write(man.outputs["state"], mesh.lengths_json_text(
-            state.tri, state.base, u=state.u.tolist(), alpha=man.alpha, t=state.t) + "\n")
+                                    args.alpha, cfg)
+    if args.out_history:
+        _atomic_write(args.out_history, history.to_csv())
+    if args.out_state:
+        _atomic_write(args.out_state, mesh.lengths_json_text(
+            state.tri, state.base, u=state.u.tolist(), alpha=args.alpha, t=state.t) + "\n")
     last = history.rows[-1]
     print(mesh.json_text({
         "status": history.status,
@@ -259,23 +193,22 @@ def _exec_flow(man: RunManifest) -> int:
     return 0 if history.status == "converged" else 4
 
 
-def _exec_solve(man: RunManifest) -> int:
-    tri, lengths = _load_input(man)
+def _exec_solve(args: argparse.Namespace) -> int:
+    if args.starts < 1:
+        raise ValueError(f"--starts must be at least 1, not {args.starts}")
+    tri, lengths = _load_input(args)
     n = tri.vertex_count
-    spec = man.config.get("target", "const")
-    if spec == "const":
+    if args.target == "const":
         target = solver.Target.constant()
     else:
         target = solver.Target.prescribed(
-            _read_vector_file(spec, n, "target"))
-    tol = man.config.get("tol", 1e-10)
-    starts = man.config.get("starts", 1)
+            _read_vector_file(args.target, n, "target"))
 
-    res = solver.newton_solve(tri, lengths, np.zeros(n), man.alpha, target,
-                              tol=tol, max_iter=man.config.get("max_iter", 100))
+    res = solver.newton_solve(tri, lengths, np.zeros(n), args.alpha, target,
+                              tol=args.tol, max_iter=args.max_iter)
     doc = {
-        "alpha": man.alpha,
-        "target": spec,
+        "alpha": args.alpha,
+        "target": args.target,
         "kind": res.kind,
         "converged": True,  # newton_solve raises rather than stop short
         "iterations": res.iterations,
@@ -287,34 +220,67 @@ def _exec_solve(man: RunManifest) -> int:
         "R_av": res.curvature.R_av,
         "max_dev": res.curvature.max_dev,
     }
-    if starts > 1:
-        rig = solver.rigidity_check(tri, lengths, man.alpha, target,
-                                    trials=starts, tol=tol, seed=man.seed)
-        doc["starts"] = starts
-        doc["seed"] = man.seed
+    if args.starts > 1:
+        rig = solver.rigidity_check(tri, lengths, args.alpha, target,
+                                    trials=args.starts, tol=args.tol,
+                                    seed=args.seed)
+        doc["starts"] = args.starts
+        doc["seed"] = args.seed
         doc["spread"] = rig.spread
         doc["rigidity_pass"] = rig.passed
         log.info("%s", rig)
-    if man.outputs.get("report"):
-        _atomic_write(man.outputs["report"], mesh.json_text(doc) + "\n")
-    if man.outputs.get("trace"):
-        _atomic_write(man.outputs["trace"], solver.trace_csv(res.trace))
+    if args.out:
+        _atomic_write(args.out, mesh.json_text(doc) + "\n")
+    if args.out_trace:
+        _atomic_write(args.out_trace, solver.trace_csv(res.trace))
     print(mesh.json_text(doc))
     return 0
 
 
-def _exec_delaunay(man: RunManifest) -> int:
-    tri, lengths = _load_input(man)
-    if man.config["mode"] == "check":
+def _exec_delaunay(args: argparse.Namespace) -> int:
+    tri, lengths = _load_input(args)
+    if args.check:
         bad = geometry.is_delaunay_all(tri, lengths)
         print(mesh.json_text({"violations": _edge_records(tri, bad),
                               "count": len(bad)}))
         return 1 if bad else 0
     tri2, lengths2, flips = geometry.make_delaunay(tri, lengths)
-    out = man.outputs["lengths"]
-    _atomic_write(out, mesh.lengths_json_text(tri2, lengths2) + "\n")
-    print(mesh.json_text({"flips": len(flips), "out": out}))
+    _atomic_write(args.out, mesh.lengths_json_text(tri2, lengths2) + "\n")
+    print(mesh.json_text({"flips": len(flips), "out": args.out}))
     return 0
+
+
+def _exec_replay(args: argparse.Namespace) -> int:
+    doc = _read_json_file(args.path)
+    argv = doc.get("argv") if isinstance(doc, dict) else None
+    if type(argv) is not list or not all(type(a) is str for a in argv):
+        raise ParseError(f"malformed manifest {args.path!r}: "
+                         "no argv list of strings")
+    try:
+        run = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed why
+        raise ParseError(f"malformed manifest {args.path!r}: "
+                         "its argv does not parse") from exc
+    if run.command == "replay":
+        raise ParseError(f"malformed manifest {args.path!r}: "
+                         "it records a replay")
+    if _input_hashes(run) != doc.get("sha256"):  # also when none recorded
+        raise ParseError(f"the files {args.path!r} records do not match "
+                         "its sha256 entries")
+    run.manifest = None
+    return _run(run, argv)
+
+
+def _run(args: argparse.Namespace, argv: list[str]) -> int:
+    """Check what the parser cannot, record the run if asked, and run it."""
+    if args.command == "delaunay" and args.fix and not args.out:
+        raise ParseError("--fix requires --out")
+    if not math.isfinite(getattr(args, "alpha", 0.0)):
+        raise NonFiniteValue(f"alpha must be finite, not {args.alpha!r}")
+    if getattr(args, "manifest", None):
+        doc = {"argv": argv, "sha256": _input_hashes(args)}
+        _atomic_write(args.manifest, mesh.json_text(doc) + "\n")
+    return globals()[f"_exec_{args.command}"](args)
 
 
 # --- argument parsing -------------------------------------------------------
@@ -332,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after.
 
     Parsing leaves no state in it, so one parser serves every ``main``
-    call; callers must not modify it.
+    call and every replay; callers must not modify it.
     """
     parser = argparse.ArgumentParser(
         prog="plcurv",
@@ -345,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--u-file", dest="u_file", metavar="PATH",
                    help="JSON list of per-vertex log conformal factors")
-    p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("flow", help="run a curvature flow from u = 0")
     _add_common(p)
@@ -358,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integrator", choices=("euler", "rk4"), default="euler")
     p.add_argument("--out-history", metavar="PATH", help="history CSV")
     p.add_argument("--out-state", metavar="PATH", help="final state JSON")
-    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("solve",
                        help="Newton solve for a constant or prescribed target")
@@ -374,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the random starts (default 0)")
     p.add_argument("--out", metavar="PATH", help="report JSON")
     p.add_argument("--out-trace", metavar="PATH", help="iteration trace CSV")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("delaunay", help="check or restore the Delaunay property")
     _add_common(p)
@@ -384,71 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--fix", action="store_true",
                       help="flip to Delaunay and write the result")
     p.add_argument("--out", metavar="PATH", help="lengths JSON (with --fix)")
-    p.set_defaults(func=cmd_delaunay)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
-    p.add_argument("manifest", help="path to a run manifest JSON")
-    p.set_defaults(func=cmd_replay)
+    p.add_argument("path", metavar="manifest", help="path to a run manifest JSON")
 
     return parser
 
 
-def _launch(args: argparse.Namespace, command: str, config: dict,
-            outputs: dict) -> int:
-    man = RunManifest(command=command, input_path=args.input,
-                      input_format=args.format or mesh.infer_format(args.input),
-                      alpha=getattr(args, "alpha", 0.0),
-                      seed=getattr(args, "seed", 0),
-                      config=config, outputs=outputs)
-    if args.manifest:
-        man = replace(man, input_sha256=_sha256(args.input))
-        _atomic_write(args.manifest, mesh.json_text(man.to_doc()) + "\n")
-    return _execute(man)
-
-
-def cmd_curvature(args: argparse.Namespace) -> int:
-    return _launch(args, "curvature", {"u_file": args.u_file}, {})
-
-
-def cmd_flow(args: argparse.Namespace) -> int:
-    return _launch(args, "flow",
-                   {"kind": args.flow, "dt": args.dt, "tol": args.tol,
-                    "max_steps": args.max_steps,
-                    "surgery": args.surgery == "on",
-                    "integrator": args.integrator},
-                   {"history": args.out_history, "state": args.out_state})
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    return _launch(args, "solve",
-                   {"target": args.target, "tol": args.tol,
-                    "max_iter": args.max_iter, "starts": args.starts},
-                   {"report": args.out, "trace": args.out_trace})
-
-
-def cmd_delaunay(args: argparse.Namespace) -> int:
-    if args.fix and not args.out:
-        raise ParseError("--fix requires --out")
-    return _launch(args, "delaunay", {"mode": "fix" if args.fix else "check"},
-                   {"lengths": args.out})
-
-
-def cmd_replay(args: argparse.Namespace) -> int:
-    doc = _read_json_file(args.manifest)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{args.manifest!r} does not hold a manifest object")
-    man = RunManifest.from_doc(doc)
-    if _sha256(man.input_path) != man.input_sha256:  # also when none recorded
-        raise ParseError(f"input {man.input_path!r} does not match the "
-                         f"manifest's sha256 {man.input_sha256}")
-    return _execute(man)
-
-
 def main(argv=None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args, argv)
     except ParseError as exc:
         log.error("parse error: %s", exc)
         return 2

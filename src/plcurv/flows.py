@@ -67,6 +67,8 @@ class FlowConfig:
             raise ValueError("dt must be positive and finite")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be at least 0, not {self.max_steps}")
 
 
 @dataclass

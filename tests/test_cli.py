@@ -351,6 +351,44 @@ class TestDelaunay:
 
 
 class TestReplay:
+    """A manifest is the recorded argv plus the SHA-256 of every file it
+    reads; replay parses that argv as the command line and refuses any
+    entry the parser refuses, and any changed file."""
+
+    @staticmethod
+    def tamper(man, flag, value):
+        """Set the argv entry after ``flag`` in the manifest ``man`` to ``value``."""
+        doc = json.loads(man.read_text())
+        doc["argv"][doc["argv"].index(flag) + 1] = value
+        man.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["curvature", "{kite}", "--alpha", "-1", "--u-file", "{d}/u.json"], []),
+        (["flow", "{kite}", "--flow", "yamabe", "--integrator", "rk4", "--alpha", "-1",
+          "--out-history", "{d}/h.csv", "--out-state", "{d}/s.json"], ["h.csv", "s.json"]),
+        (["solve", "{kite}", "--alpha", "-1", "--target", "{d}/t.json", "--starts", "2",
+          "--seed", "3", "--out", "{d}/r.json"], ["r.json"]),
+        (["delaunay", SLIVER, "--fix", "--out", "{d}/f.json"], ["f.json"]),
+    ], ids=["curvature-u-file", "flow-rk4", "solve-target-starts-seed", "delaunay-fix"])
+    def test_round_trip_is_byte_identical(self, capsys, tmp_path, kite_file, argv,
+                                          outputs):
+        (tmp_path / "u.json").write_text("[0.1, 0, 0, 0, -0.05, 0, 0, 0, 0]")
+        (tmp_path / "t.json").write_text("[0, 0, 0, 0, 0, 0, 0, 0, 0]")
+        man = tmp_path / "run.json"
+        argv = [a.format(d=tmp_path, kite=kite_file) for a in argv]
+        code = cli.main(argv + ["--manifest", str(man)])
+        stdout = capsys.readouterr().out
+        files = {name: (tmp_path / name).read_bytes() for name in outputs}
+        for name in outputs:
+            (tmp_path / name).unlink()
+        assert json.loads(man.read_text())["argv"] == argv + ["--manifest", str(man)]
+        inode = man.stat().st_ino
+
+        assert cli.main(["replay", str(man)]) == code == 0
+        assert capsys.readouterr().out == stdout
+        assert {name: (tmp_path / name).read_bytes() for name in outputs} == files
+        assert man.stat().st_ino == inode  # replay does not record itself again
+
     def test_flow_replay_is_byte_identical(self, capsys, tmp_path, kite_file):
         hist = tmp_path / "h.csv"
         state = tmp_path / "s.json"
@@ -404,7 +442,7 @@ class TestReplay:
         out, man, first = self.fix_with_manifest(capsys, tmp_path, kite_file)
         with open(kite_file, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert json.loads(man.read_text())["input"]["sha256"] == digest
+        assert json.loads(man.read_text())["sha256"] == {kite_file: digest}
         code, _ = run_cli(capsys, ["replay", str(man)])
         assert code == 0
         assert out.read_bytes() == first
@@ -424,73 +462,91 @@ class TestReplay:
         assert code == 0
         assert out.read_bytes() != first
 
+    @pytest.mark.parametrize("argv", [
+        ["curvature", SURGERY_GAP, "--u-file"],
+        ["solve", SURGERY_GAP, "--alpha", "-1", "--out", "{d}/r.json", "--target"]])
+    def test_changed_vector_file_exits_2(self, capsys, tmp_path, argv):
+        # replay hashed only the input: an edited --target ran to exit 0
+        vec = tmp_path / "v.json"
+        vec.write_text("[0, 0, 0, 0, 0, 0, 0, 0, 0]")
+        man = tmp_path / "run.json"
+        argv = [a.format(d=tmp_path) for a in argv] + [str(vec), "--manifest", str(man)]
+        assert run_cli(capsys, argv)[0] == 0
+        assert str(vec) in json.loads(man.read_text())["sha256"]
+        (tmp_path / "r.json").unlink(missing_ok=True)
+        vec.write_text("[0.25, 0, 0, 0, 0, 0, 0, 0, 0]")
+        assert run_cli(capsys, ["replay", str(man)]) == (2, None)
+        assert not (tmp_path / "r.json").exists()
+
     def test_manifest_without_input_hash_exits_2(self, capsys, tmp_path,
                                                  kite_file):
         _, man, _ = self.fix_with_manifest(capsys, tmp_path, kite_file)
         doc = json.loads(man.read_text())
-        del doc["input"]["sha256"]
+        del doc["sha256"]
         man.write_text(json.dumps(doc))
         code, _ = run_cli(capsys, ["replay", str(man)])
         assert code == 2
 
     @pytest.mark.parametrize("surgery", ["false", 0, None])
     def test_flow_surgery_must_be_a_json_bool(self, capsys, tmp_path, surgery):
-        # read as a truth value, "false" replayed a surgery-off run with surgery on
+        # a manifest once held surgery as a JSON bool, and read as a truth
+        # value "false" replayed with surgery on; now --surgery takes on or
+        # off, and an argv entry must be a JSON string
         man = tmp_path / "run.json"
         code, _ = run_cli(capsys, ["flow", SURGERY_GAP, "--flow", "yamabe", "--alpha", "-1",
                                    "--surgery", "off", "--manifest", str(man)])
         assert code == 5
-        doc = json.loads(man.read_text())
-        assert doc["config"]["surgery"] is False
-        doc["config"]["surgery"] = surgery
-        man.write_text(json.dumps(doc))
+        self.tamper(man, "--surgery", surgery)
         assert run_cli(capsys, ["replay", str(man)]) == (2, None)
 
     @pytest.mark.parametrize("command, key, value", [
-        ("flow", "max_steps", 3.9), ("flow", "max_steps", True), ("flow", "dt", "0.05"),
-        ("flow", "tol", None), ("solve", "tol", "1e-10"), ("solve", "max_iter", 2.5),
-        ("solve", "starts", "2")])
+        ("flow", "max_steps", "3.9"), ("flow", "max_steps", True), ("flow", "dt", 0.05),
+        ("flow", "dt", "x"), ("flow", "tol", None), ("solve", "tol", 1e-10),
+        ("solve", "max_iter", "2.5"), ("solve", "starts", 2)])
     def test_config_numbers_must_have_their_json_type(self, capsys, tmp_path, command,
                                                       key, value):
-        # cast on replay, 3.9 ran 3 steps and "0.05" was accepted as a number
+        # once cast on replay, 3.9 ran 3 steps and "0.05" was accepted as a
+        # number; now an entry is a string the option's type must parse
         man = tmp_path / "run.json"
-        argv = {"flow": ["flow", SURGERY_GAP, "--flow", "yamabe", "--max-steps", "3"],
-                "solve": ["solve", SURGERY_GAP]}[command]
+        argv = {"flow": ["flow", SURGERY_GAP, "--flow", "yamabe", "--max-steps", "3",
+                         "--dt", "0.05", "--tol", "1e-10"],
+                "solve": ["solve", SURGERY_GAP, "--tol", "1e-10", "--max-iter", "100",
+                          "--starts", "1"]}[command]
         code, _ = run_cli(capsys, argv + ["--alpha", "-1", "--manifest", str(man)])
         assert code in (0, 4)
-        doc = json.loads(man.read_text())
-        assert type(doc["config"][key]) is (float if key in ("dt", "tol") else int)
-        doc["config"][key] = value
-        man.write_text(json.dumps(doc))
+        self.tamper(man, "--" + key.replace("_", "-"), value)
         assert run_cli(capsys, ["replay", str(man)]) == (2, None)
 
     @staticmethod
     def solve_manifest(capsys, tmp_path):
         man = tmp_path / "run.json"
-        code, _ = run_cli(capsys, ["solve", SURGERY_GAP, "--alpha", "-1",
-                                   "--manifest", str(man)])
+        code, _ = run_cli(capsys, ["solve", SURGERY_GAP, "--alpha", "-1", "--seed", "0",
+                                   "--tol", "1e-10", "--manifest", str(man)])
         assert code == 0
-        return man, json.loads(man.read_text())
+        return man
 
     @pytest.mark.parametrize("key, value", [
-        ("alpha", "-1"), ("alpha", True), ("alpha", None), ("seed", 2.7), ("seed", True),
-        ("seed", "0"), pytest.param("alpha", 10**400, id="alpha-int-past-float-range")])
+        ("alpha", -1), ("alpha", True), ("alpha", None), ("seed", "2.7"), ("seed", True),
+        ("seed", 0), pytest.param("alpha", 10**400, id="alpha-int-past-float-range")])
     def test_alpha_and_seed_must_have_their_json_type(self, capsys, tmp_path, key, value):
-        # cast on replay, "-1" ran at alpha = -1, true at alpha = 1 and 2.7 with seed 2
-        man, doc = self.solve_manifest(capsys, tmp_path)
-        assert (doc["alpha"], doc["seed"]) == (-1, 0)
-        doc[key] = value
-        man.write_text(json.dumps(doc))
+        # once cast on replay, "-1" ran at alpha = -1, true at alpha = 1 and
+        # 2.7 with seed 2; now a number entry is refused, and --seed takes an int
+        man = self.solve_manifest(capsys, tmp_path)
+        self.tamper(man, "--" + key, value)
         assert run_cli(capsys, ["replay", str(man)]) == (2, None)
 
     @pytest.mark.parametrize("key, value", [
-        ("alpha", math.nan), ("alpha", math.inf), ("tol", math.nan)])
+        ("alpha", "nan"), ("alpha", "inf"), ("alpha", "1e400"), ("tol", "nan")])
     def test_non_finite_numbers_exit_3(self, capsys, tmp_path, key, value):
-        # json reads NaN and Infinity; a NaN tol replayed as converged at iteration 0
-        man, doc = self.solve_manifest(capsys, tmp_path)
-        (doc["config"] if key == "tol" else doc)[key] = value
-        man.write_text(json.dumps(doc))
+        # as on the command line; a NaN tol once replayed as converged at iteration 0
+        man = self.solve_manifest(capsys, tmp_path)
+        self.tamper(man, "--" + key, value)
         assert run_cli(capsys, ["replay", str(man)]) == (3, None)
+
+    def test_recorded_replay_exits_2(self, capsys, tmp_path):
+        man = tmp_path / "run.json"
+        man.write_text(json.dumps({"argv": ["replay", str(man)], "sha256": {}}))
+        assert run_cli(capsys, ["replay", str(man)]) == (2, None)
 
     def test_no_manifest_hashes_nothing(self, capsys, monkeypatch, kite_file):
         def refuse(path):
@@ -503,6 +559,7 @@ class TestReplay:
         code, _ = run_cli(capsys, ["replay", str(tmp_path / "none.json")])
         assert code == 2
 
+    # manifests in the earlier form, without argv, are malformed
     @pytest.mark.parametrize("command, config, outputs", [
         ("flow", {}, {"history": None, "state": None}),
         ("delaunay", {"mode": "fix"}, {}),
@@ -522,7 +579,7 @@ class TestReplay:
 
     def test_unexpected_exception_exits_5_with_one_line(
             self, capsys, caplog, monkeypatch, tetra_file):
-        def broken(man):
+        def broken(args):
             raise RuntimeError("unexpected\nfailure")
         monkeypatch.setattr(cli, "_exec_curvature", broken)
         code, _ = run_cli(capsys, ["curvature", tetra_file])
@@ -555,13 +612,13 @@ class TestSeed:
         assert run_cli(capsys, ["delaunay", tetra_file, "--check"])[0] == 0
 
     def test_manifest_keeps_seed_zero(self, capsys, tmp_path, tetra_file):
-        man = tmp_path / "curvature.json"
-        code, _ = run_cli(capsys, ["curvature", tetra_file,
-                                   "--manifest", str(man)])
-        assert code == 0
-        assert json.loads(man.read_text())["seed"] == 0
-        code, _ = run_cli(capsys, ["replay", str(man)])
-        assert code == 0
+        # the argv records no --seed, and replay parses the same default
+        man = tmp_path / "solve.json"
+        argv = ["solve", tetra_file, "--alpha", "-1", "--starts", "2"]
+        code, doc = run_cli(capsys, argv + ["--manifest", str(man)])
+        assert (code, doc["seed"]) == (0, 0)
+        assert "--seed" not in json.loads(man.read_text())["argv"]
+        assert run_cli(capsys, ["replay", str(man)]) == (code, doc)
 
 
 class TestExtremeInput:
@@ -611,6 +668,12 @@ class TestExtremeInput:
         # flow exited 5 on these (--tol inf exited 0 as converged at step 0),
         # and solve --alpha inf warned on stderr first
         assert run_cli(capsys, [argv[0], SURGERY_GAP, *argv[1:]]) == (3, None)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--starts", "0"], ["solve", "--starts", "-1"], ["flow", "--max-steps", "-1"]])
+    def test_count_below_its_range_exits_3(self, capsys, argv):
+        # --starts 0 ran the one-start report; --max-steps -1 exited 4 after 0 steps
+        assert run_cli(capsys, [argv[0], SURGERY_GAP, "--alpha", "-1", *argv[1:]]) == (3, None)
 
     @pytest.mark.parametrize("text, code", [
         ("[true, 0, 0, 0]", 2), ('["0.1", 0, 0, 0]', 2), ("[[0.1], 0, 0, 0]", 2),
