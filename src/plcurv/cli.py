@@ -147,6 +147,9 @@ def _exec_curvature(args: argparse.Namespace) -> int:
     u = np.zeros(n)
     if args.u_file:
         u = _read_vector_file(args.u_file, n, "u")
+        if np.abs(u).max() > geometry.LOG_FACTOR_BOUND:
+            raise ValueError(f"{args.u_file!r} holds an entry with |u| above "
+                             f"LOG_FACTOR_BOUND = {geometry.LOG_FACTOR_BOUND}")
     scaled = geometry.scale_metric(tri, lengths, u)
     K = geometry.curvature(tri, scaled)
     rep = geometry.alpha_curvature(K, u, args.alpha, chi=tri.chi)

@@ -5,7 +5,7 @@ the log conformal factors, which extends to a globally concave C1
 function of u once the angles are extended constantly past degeneracy.
 Summed with the linear and exponential vertex terms this yields a convex
 total energy whose gradient is exactly (deficit - target * weight); a
-damped Newton iteration with Delaunay surgery after each accepted step
+damped Newton iteration that carries its chart along each accepted step
 minimizes it.  Written in the scaled log lengths, the energy takes the
 same value in every Delaunay triangulation of a metric, so flips leave
 it unchanged and need no correction.  Newton and the flows move their
@@ -419,13 +419,13 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     Scans the segment u + s*delta in 16 panels and bisects the first sign
     change of the worst edge margin.  Returns (s_cap, hit): when ``hit``
     the metric at s_cap is just past cocircular on some edge (beyond the
-    flip slack), so the surgery that follows an accepted full step flips
-    at the wall instead of deep inside the non-Delaunay region.  Flipping
-    deep would transport base lengths along a path-dependent chart and
-    solves from different starts could disagree by far more than the
-    rigidity tolerance.  Points past LOG_FACTOR_BOUND count as walls.
-    One kernel call scores all panels, and one the next _BISECT_DEPTH
-    bisection levels, with the result of probing point by point.
+    flip slack), so :func:`carry_chart` flips at the wall instead of deep
+    inside the non-Delaunay region.  Flipping deep would transport base
+    lengths along a path-dependent chart and solves from different starts
+    could disagree by far more than the rigidity tolerance.  Points past
+    LOG_FACTOR_BOUND count as walls.  One kernel call scores all panels,
+    and one the next _BISECT_DEPTH bisection levels, with the result of
+    probing point by point.
 
     Before the scan, a certificate (:func:`_uncertified_edges`) clears
     in closed form every edge that stays Delaunay, with both faces
@@ -573,12 +573,12 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
                  max_iter: int = 100) -> NewtonResult:
     """Minimize the curvature energy until the gradient is below ``tol``.
 
-    Damped Newton with Armijo backtracking; every accepted step is
-    followed by Delaunay surgery, which leaves the energy unchanged, and
-    reported values are relative to the start.  Trial steps are capped
-    at the first point where an edge would go non-Delaunay, so the flips
-    happen at cocircular quads and the transported base lengths do not
-    depend on the route taken.  For the gauge-carrying target class
+    Damped Newton with Armijo backtracking from the full step, each trial
+    scored on the departure chart; reported values are relative to the
+    start.  :func:`carry_chart` carries the chart along every accepted
+    step, flipping where an edge turns cocircular, so the transported base
+    lengths do not depend on the route taken and the energy is unchanged
+    by the flips.  For the gauge-carrying target class
     ("zero") steps are solved orthogonal to constants and the
     normalization sum(exp(alpha*u)) (sum(u) at alpha = 0) is restored by
     a closed-form shift after each step.
@@ -606,7 +606,6 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     ones = np.ones(n)
 
     it = 0
-    pinned = 0
     while grad_inf >= tol:
         it += 1
         if it > max_iter:
@@ -627,19 +626,9 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
             delta = -g
             slope = float(g @ delta)
 
-        step_cap, at_wall = _first_wall(tri_c, base_c, u, delta)
-        if at_wall and step_cap < 1e-8:
-            pinned += 1
-            if pinned > 50 + tri_c.edge_count:
-                raise LineSearchStalled(
-                    f"pinned at a Delaunay wall at iteration {it} "
-                    f"(grad_inf={grad_inf:.3e})")
-        else:
-            pinned = 0
-
         noise = max(VALUE_NOISE * (1.0 + abs(rep.value)),
                     ROUNDING_NOISE * abs(offset))
-        step = step_cap
+        step = 1.0
         accepted = None
         for _ in range(MAX_BACKTRACKS + 1):
             u_try = u + step * delta
@@ -654,10 +643,10 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
             raise LineSearchStalled(
                 f"no acceptable step at iteration {it} (grad_inf={grad_inf:.3e})")
 
-        u = accepted
         if kind == "zero":
-            u = apply_gauge(u, alpha, conserved)
-        tri_c, base_c, flips = delaunay_surgery(tri_c, base_c, u)
+            accepted = apply_gauge(accepted, alpha, conserved)
+        tri_c, base_c, flips, _ = carry_chart(tri_c, base_c, u, accepted)
+        u = accepted
         total_flips += len(flips)
         rep = energy_W_alpha(tri_c, base_c, u, alpha, rbar, offset=offset)
         grad_inf = float(np.max(np.abs(rep.gradient)))

@@ -40,6 +40,8 @@ SLIVER_FIXED = os.path.join(DATA_DIR, "sliver_4x4_fixed.json")
 # The bytes flow --flow yamabe --alpha -1 --out-state must write for
 # SURGERY_GAP, generated by the wall search that certified every segment.
 SURGERY_GAP_STATE = os.path.join(DATA_DIR, "torus_surgery_gap_yamabe_state.json")
+# The unit cube's surface, two triangles per side (conftest.cube_off_text()).
+CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
 
 # Regular tetrahedron: every corner angle pi/3, so K = pi at each vertex.
 REGULAR_TETRA_OFF = """OFF
@@ -144,6 +146,16 @@ class TestCurvature:
         code, _ = run_cli(capsys, ["curvature", tetra_file,
                                    "--u-file", str(ufile)])
         assert code == 3
+
+    @pytest.mark.parametrize("text", ["[0, 300.5, 0, 0]", "[0, 0, 0, -1e250]", "301"])
+    def test_u_file_past_the_log_factor_bound_exits_3(self, capsys, caplog, tmp_path,
+                                                      tetra_file, text):
+        # exited 5 with LogFactorOverflow, as if the program had failed
+        ufile = tmp_path / "u.json"
+        ufile.write_text(text)
+        code, _ = run_cli(capsys, ["curvature", tetra_file, "--u-file", str(ufile)])
+        assert code == 3
+        assert f"LOG_FACTOR_BOUND = {geometry.LOG_FACTOR_BOUND}" in caplog.text
 
 
 GB_MESHES = ([build_triangulation(lattice_torus_faces(m)) for m in (3, 4, 5)]
@@ -310,6 +322,15 @@ class TestSolve:
         assert code == 0
         assert doc["rigidity_pass"] is True
         assert doc["spread"] < 1e-6
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_cube_starts_converge(self, capsys, seed):
+        # Newton steps capped at each wall crawled and hit --max-iter (exit 5)
+        code, doc = run_cli(capsys, ["solve", CUBE_OFF, "--alpha", "-1",
+                                     "--starts", "3", "--seed", str(seed)])
+        assert code == 0
+        assert doc["rigidity_pass"] is True
+        assert doc["spread"] < 1e-9
 
 
 class TestDelaunay:

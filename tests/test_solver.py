@@ -16,6 +16,7 @@ from plcurv.geometry import (
     is_delaunay_all,
     scale_metric,
 )
+from plcurv.mesh import build_triangulation
 from plcurv.solver import (
     Target,
     apply_gauge,
@@ -23,6 +24,7 @@ from plcurv.solver import (
     lobachevsky,
     newton_solve,
     rigidity_check,
+    start_chart,
     triangle_energy,
     trial_energy,
     trial_fault,
@@ -31,6 +33,7 @@ from plcurv.solver import (
 from conftest import (
     all_fixture_meshes,
     energy_value_quadrature,
+    lattice_torus_faces,
     random_lengths,
     triangle_angles,
     triangle_energy_quadrature,
@@ -403,6 +406,24 @@ class TestNewton:
         vals = [row.value for row in res.trace]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-9
+
+    def test_full_steps_carry_the_chart_past_walls(self):
+        # Steps capped at the next wall took 14 iterations here; a full step
+        # carried by carry_chart crosses every wall in its way.
+        tri = build_triangulation(lattice_torus_faces(24))
+        base = np.exp(np.random.default_rng(0).uniform(-0.25, 0.25, tri.edge_count))
+        zero = np.zeros(tri.vertex_count)
+        res = newton_solve(tri, base, zero, -1.0, Target.constant())
+        assert res.iterations <= 5
+        assert res.flips > 0
+        assert all(row.step == 1.0 for row in res.trace[1:])
+        rbar, _ = Target.constant().resolve(-1.0, tri.chi, zero)
+        tri0, base0, _ = start_chart(tri, base, zero)
+        offset = -energy_W_alpha(tri0, base0, zero, -1.0, rbar, order=0).value
+        for a, b in zip(res.trace, res.trace[1:]):
+            noise = max(solver.VALUE_NOISE * (1.0 + abs(a.value)),
+                        solver.ROUNDING_NOISE * abs(offset))
+            assert b.value <= a.value + noise
 
     def test_quadratic_convergence_tail(self, tetra):
         base = unit_lengths(tetra)
