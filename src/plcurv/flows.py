@@ -6,9 +6,12 @@ du/dt = laplacian(R) (smoothed relaxation).  Both conserve the weight
 sum and descend the same convex energy the Newton solver minimizes, so
 each renormalized trial point is accept/reject guarded by that energy.
 The chart is started, tested and carried by the solver, as Newton's is:
-an edge that turns cocircular along an accepted step is flipped there.
-A trial costs one energy evaluation and a flipping step one more; each
-accepted state gets one curvature report.
+dt is halved by the solver's guarded step until a trial passes, and an
+edge that turns cocircular along an accepted step is flipped there.  A
+trial costs one energy evaluation, angles included, and the accepted
+trial's angles make the arrival's curvature report: a step that flips
+nothing evaluates its angles once, and a flipping step once more, on
+the chart it lands in.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateFace, InsufficientTail, LogFactorOverflow, StepSizeUnderflow
-from .geometry import alpha_curvature, alpha_laplacian_apply, curvature, scale_metric
+from .errors import DegenerateFace, InsufficientTail, StepSizeUnderflow
+from .geometry import alpha_curvature, alpha_laplacian_apply, angle_deficit, curvature, scale_metric
 from .mesh import Flips, Triangulation, csv_text
 from .solver import (
     ROUNDING_NOISE,
@@ -30,6 +33,7 @@ from .solver import (
     check_weights,
     conserved_sum,
     energy_W_alpha,
+    guarded_step,
     start_chart,
     trial_energy,
     trial_fault,
@@ -56,7 +60,6 @@ class FlowConfig:
     max_steps: int = 20000
     surgery: bool = True
     integrator: str = "euler"
-    renormalize: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("yamabe", "calabi"):
@@ -180,19 +183,17 @@ def calabi_rhs(state: FlowState) -> np.ndarray:
     return _rhs(state, "calabi")
 
 
-def _rhs_at(state: FlowState, kind: str, u: np.ndarray) -> np.ndarray:
-    return _rhs(replace(state, u=u), kind)
-
-
 def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
              dt: float) -> np.ndarray:
+    """The integrator's step of size dt from ``state``, renormalized."""
     if config.integrator == "euler":
-        return state.u + dt * rhs0
-    k1 = rhs0
-    k2 = _rhs_at(state, config.kind, state.u + 0.5 * dt * k1)
-    k3 = _rhs_at(state, config.kind, state.u + 0.5 * dt * k2)
-    k4 = _rhs_at(state, config.kind, state.u + dt * k3)
-    return state.u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = state.u + dt * rhs0
+    else:
+        k2 = _rhs(replace(state, u=state.u + 0.5 * dt * rhs0), config.kind)
+        k3 = _rhs(replace(state, u=state.u + 0.5 * dt * k2), config.kind)
+        k4 = _rhs(replace(state, u=state.u + dt * k3), config.kind)
+        u = state.u + (dt / 6.0) * (rhs0 + 2.0 * k2 + 2.0 * k3 + k4)
+    return apply_gauge(u, state.alpha, state.conserved_target)
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -200,44 +201,38 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
     A renormalized trial is rejected (dt halved, at most MAX_HALVINGS times,
     never below DT_FLOOR) when the metric would overflow, a face degenerate
-    or the energy visibly increase; the value it passes is the one kept.
-    dt recovers by a factor 1.2 after 5 consecutive accepts, never beyond
-    config.dt.  With surgery on, an edge turning cocircular flips there, at
-    t + s * dt, and the energy is evaluated once more on the arrival chart.
+    or the energy visibly increase; the value it passes is the one kept,
+    and its angles give the arrival's curvature report.  dt recovers by a
+    factor 1.2 after 5 consecutive accepts, never beyond config.dt.  With
+    surgery on, an edge turning cocircular flips there, at t + s * dt, and
+    the energy and angles are evaluated once more on the arrival chart.
     """
     rhs0 = _rhs(state, config.kind, state.report)
     dt = config.dt if state.dt is None else state.dt
     noise = max(ENERGY_NOISE * (1.0 + abs(state.w_value)),
                 ROUNDING_NOISE * abs(state.w_offset))
 
-    for halvings in range(MAX_HALVINGS + 1):
-        try:
-            u_try = _advance(state, config, rhs0, dt)
-            if config.renormalize:
-                u_try = apply_gauge(u_try, state.alpha, state.conserved_target)
-        except LogFactorOverflow:  # an RK4 stage or the weights left their range
-            u_try = trial = None
-        else:
-            trial = trial_energy(state.tri, state.base, u_try, state.alpha,
-                                 state.rbar, state.w_offset)
-        if trial is not None and trial[0] <= state.w_value + noise:
-            break
-        if halvings == MAX_HALVINGS or dt * 0.5 < DT_FLOOR:
-            limit = "MAX_HALVINGS" if halvings == MAX_HALVINGS else "DT_FLOOR"
-            blocker = ("metric overflow" if u_try is None
-                       else trial_fault(state.tri, state.base, u_try, state.alpha)
-                       or "energy would increase")
-            raise StepSizeUnderflow(f"no step accepted down to dt={dt:.6g} ({limit} "
-                                    f"reached) at t={state.t:.6g}: {blocker}")
-        dt *= 0.5
+    dt, halvings, u_try, trial = guarded_step(
+        state.tri, state.base, state.alpha, state.rbar, state.w_offset,
+        lambda dt: _advance(state, config, rhs0, dt),
+        lambda dt, value: value <= state.w_value + noise,
+        step=dt, max_shrinks=MAX_HALVINGS, min_step=DT_FLOOR)
+    if trial is None:
+        limit = "MAX_HALVINGS" if halvings == MAX_HALVINGS else "DT_FLOOR"
+        blocker = ("metric overflow" if u_try is None
+                   else trial_fault(state.tri, state.base, u_try, state.alpha)
+                   or "energy would increase")
+        raise StepSizeUnderflow(f"no step accepted down to dt={dt:.6g} ({limit} "
+                                f"reached) at t={state.t:.6g}: {blocker}")
 
-    w_try, scaled = trial
+    w_try, angles = trial
     tri, base, flips, times = state.tri, state.base, state.flips, state.flip_times
     if config.surgery:
         tri, base, walk, s = carry_chart(tri, base, state.u, u_try)
-        if walk:  # past a wall, the trial's energy and metric are the departure chart's
-            w_try, scaled = energy_W_alpha(tri, base, u_try, state.alpha, state.rbar,
-                                           offset=state.w_offset, order=0).value, None
+        if walk:  # past a wall, the trial's energy and angles are the departure chart's
+            rep = energy_W_alpha(tri, base, u_try, state.alpha, state.rbar,
+                                 offset=state.w_offset, order=0)
+            w_try, angles = rep.value, rep.angles
             flips = Flips.join([flips, walk])
             times = np.concatenate([times, state.t + s * dt])
 
@@ -250,7 +245,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     arrival = replace(state, tri=tri, base=base, u=u_try, t=state.t + dt,
                       flips=flips, flip_times=times, step_count=state.step_count + 1,
                       dt=dt_next, last_dt=dt, accept_streak=streak, w_value=w_try)
-    arrival.report = _curvature_report(arrival, scaled)
+    arrival.report = alpha_curvature(angle_deficit(tri, angles), u_try, state.alpha,
+                                     chi=tri.chi)
     return arrival
 
 

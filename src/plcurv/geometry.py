@@ -170,9 +170,13 @@ def curvature(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     Degenerate faces contribute their extended angles, so the result is
     total and the deficit sum stays pinned at 2*pi*chi.
     """
+    return angle_deficit(tri, face_angles(tri, lengths))
+
+
+def angle_deficit(tri: Triangulation, theta: np.ndarray) -> np.ndarray:
+    """:func:`curvature` from the (F, 3) angles :func:`face_angles` gives."""
     at = tri.faces[:, PREV]
-    return TWO_PI - np.bincount(at.ravel(), weights=face_angles(tri, lengths).ravel(),
-                                minlength=tri.vertex_count)
+    return TWO_PI - np.bincount(at.ravel(), weights=theta.ravel(), minlength=tri.vertex_count)
 
 
 def alpha_curvature(K: np.ndarray, u: np.ndarray, alpha: float,

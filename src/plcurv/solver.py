@@ -8,9 +8,11 @@ total energy whose gradient is exactly (deficit - target * weight); a
 damped Newton iteration that carries its chart along each accepted step
 minimizes it.  Written in the scaled log lengths, the energy takes the
 same value in every Delaunay triangulation of a metric, so flips leave
-it unchanged and need no correction.  Newton and the flows move their
-chart only through :func:`start_chart`, :func:`trial_energy` and
-:func:`carry_chart`.
+it unchanged and need no correction.  An evaluation takes its point's
+angles once, bit for bit those :func:`geometry.curvature` takes, and the
+value and the gradient both read them.  Newton and the flows move their
+chart only through :func:`start_chart`, :func:`guarded_step` (trials
+scored by :func:`trial_energy`) and :func:`carry_chart`.
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ from .errors import (
     UnsupportedTarget,
 )
 from .geometry import (
+    NEXT,
+    PREV,
     CurvatureReport,
     alpha_curvature,
+    angle_deficit,
     curvature,
     curvature_jacobian,
     degenerate_faces,
     delaunay_surgery,
-    max3,
     opposite_cosines,
     scale_metric,
 )
@@ -132,29 +136,29 @@ def lobachevsky(x):
 
 # --- per-triangle energy ------------------------------------------------
 
-def _phi(base: np.ndarray, v: np.ndarray) -> float:
-    """Antiderivative of the angle 1-form, summed over faces on leading axes.
-
-    phi(v) = pi * sum(v) - sum_a [theta_a * lambda_a + Л(theta_a)] is a
-    global C1 antiderivative: its partial in v_a is the extended angle at
-    corner a (the log-radius terms cancel by the law of sines, and in the
-    degenerate regions the angles are locally constant).  Side a, of log
-    length lambda_a, is opposite corner a and picks up v_b + v_c.
-    """
-    lam = v[..., geometry.NEXT] + v[..., geometry.PREV] + np.log(base)
-    theta = np.arccos(opposite_cosines(np.exp(lam - max3(lam)[..., None])))
-    return math.pi * v.sum() - ((theta * lam).sum() + lobachevsky(theta).sum())
+def _corner_angles(base: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Extended angle at each corner of the faces on leading axes: side a,
+    opposite corner a, scaled to base_a * exp(v_b + v_c) as
+    :func:`geometry.scale_metric` scales it, so bit for bit the angle
+    :func:`geometry.face_angles` gives corner a on the scaled metric."""
+    return np.arccos(opposite_cosines(np.exp(v[..., NEXT] + v[..., PREV]) * base))
 
 
-def triangle_energy(base_lengths, u) -> float:
+def triangle_energy(base_lengths, u, angles=None) -> float:
     """Antiderivative in u of the extended corner angles.
 
     ``base_lengths[a]`` is the side opposite corner a at u = 0.  Concave
-    in u; the partial derivative in u_a is the extended angle at corner
-    a, so the difference of two values is the line integral of
-    sum_a angle_a * du_a between them.  Evaluated in closed form through
-    :func:`lobachevsky`.  Batched: arrays of shape (3, F) give the sum
-    over the F triangles, and shape (3,) is the single-triangle case.
+    in u; the partial derivative in u_a is the extended angle theta_a at
+    corner a, so the difference of two values is the line integral of
+    sum_a theta_a * du_a between them.  The closed form pi * sum(u) -
+    sum_a [theta_a * lambda_a + Л(theta_a)], with lambda_a the log length
+    of side a and Л :func:`lobachevsky`, is C1 everywhere: the log-radius
+    terms cancel by the law of sines, and past degeneracy the angles are
+    locally constant.  Batched: (3, F) arrays give the sum over F faces,
+    and shape (3,) is one face.  ``angles``, shaped like ``u``, are the
+    corner angles at u when the caller has them.  Past LOG_FACTOR_BOUND
+    the scaled sides the angles come from would overflow, and
+    LogFactorOverflow is raised, as :func:`geometry.scale_metric` does.
     """
     base = np.asarray(base_lengths, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -163,7 +167,12 @@ def triangle_energy(base_lengths, u) -> float:
                          "and a u-array of the same shape")
     if not np.all(base > 0.0):
         raise geometry.NonPositiveLength(f"base lengths {base} not positive")
-    return float(_phi(base.T, u.T))
+    if not np.abs(u).max(initial=0.0) <= geometry.LOG_FACTOR_BOUND:  # True on NaN
+        raise LogFactorOverflow(f"|u| exceeds {geometry.LOG_FACTOR_BOUND}; sides would overflow")
+    base, v = base.T, u.T  # faces on leading axes
+    theta = _corner_angles(base, v) if angles is None else angles.T
+    lam = v[..., NEXT] + v[..., PREV] + np.log(base)
+    return float(math.pi * v.sum() - ((theta * lam).sum() + lobachevsky(theta).sum()))
 
 
 # --- total energy -------------------------------------------------------
@@ -175,13 +184,15 @@ class EnergyReport:
     gradient[i] = deficit_i - target_i * exp(alpha * u_i);
     hessian = curvature Jacobian - alpha * diag(target * exp(alpha * u)).
     ``unsupported`` flags targets with a positive alpha * target entry,
-    for which convexity (hence uniqueness claims) are lost.
+    for which convexity (hence uniqueness claims) are lost.  ``angles``
+    are bit for bit :func:`geometry.face_angles` of the scaled metric.
     """
 
     value: float
     gradient: np.ndarray | None
     hessian: scipy.sparse.csr_matrix | None
     unsupported: bool
+    angles: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -241,34 +252,38 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     (the last term is (2*pi - rbar_i) * u_i at alpha = 0).  The face and
     edge terms together are a function of the scaled lengths that a flip
     at a cocircular edge leaves unchanged, so the value is the same in
-    every Delaunay triangulation of the metric.  Valid for any u,
-    Delaunay or not; convex per fixed triangulation when the target is
-    admissible.  ``order`` picks the derivatives: 0 gives the value alone
-    (no metric is scaled and ``gradient`` is None), 1 adds the gradient
-    and 2 the Hessian, which requires nondegenerate faces.
+    every Delaunay triangulation of the metric.  Valid for any u within
+    LOG_FACTOR_BOUND, Delaunay or not; convex per fixed triangulation
+    when the target is admissible.
+    The point's angles are evaluated once, as :func:`geometry.curvature`
+    evaluates them, and the value and the gradient both read them
+    (``angles``).  ``order`` picks the derivatives: 0 gives
+    the value alone (``gradient`` is None), 1 adds the gradient and 2 the
+    Hessian, which requires nondegenerate faces.
     """
     u = np.asarray(u, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
     # the side opposite corner a is the edge in slot (a + 1) % 3
-    total_faces = triangle_energy(base[tri.face_edges[:, geometry.NEXT].T],
-                                  u[tri.faces.T])
+    sides, corners = base[tri.face_edges[:, NEXT].T], u[tri.faces.T]  # row a: corner a
+    theta = _corner_angles(sides.T, corners.T)
+    total_faces = triangle_energy(sides, corners, theta.T)
     if alpha == 0.0:
         vertex_term = float(((TWO_PI - rbar) * u).sum())
     else:
         vertex_term = float((TWO_PI * u - rbar * np.exp(alpha * u) / alpha).sum())
     value = offset - total_faces - math.pi * float(np.log(base).sum()) + vertex_term
 
+    angles = theta[:, PREV]  # by slot: slot s faces corner (s + 2) % 3
     grad = hess = None
     if order >= 1:
-        scaled = scale_metric(tri, base, u)
         weights = np.exp(alpha * u)
-        grad = curvature(tri, scaled) - rbar * weights
+        grad = angle_deficit(tri, angles) - rbar * weights
     if order >= 2:
-        hess = curvature_jacobian(tri, scaled)
+        hess = curvature_jacobian(tri, scale_metric(tri, base, u))
         hess.setdiag(hess.diagonal() - alpha * (rbar * weights))
 
     return EnergyReport(value=value, gradient=grad, hessian=hess,
-                        unsupported=bool(np.any(alpha * rbar > 0.0)))
+                        unsupported=bool(np.any(alpha * rbar > 0.0)), angles=angles)
 
 
 # --- Newton solve -------------------------------------------------------
@@ -334,7 +349,7 @@ class _Chart:
             self.base_reach = np.maximum(np.log(base.max()), -np.log(base.min()))
             self.base_spread = 4.0 * np.log(base.max() / base.min())
             b = base / base.max()  # normalized by the longest
-            self.opposite = b[tri.face_edges[:, geometry.NEXT]]  # side opposite each corner
+            self.opposite = b[tri.face_edges[:, NEXT]]  # side opposite each corner
             corners = tri.quad_corners(slice(None))  # (E, 2, 3): (i, j, k), (j, i, l)
             q = b[tri.face_edges.reshape(-1)[corners]]  # (E, A, B), (E, C, D)
             e2, A, B, C, D = q[:, 0, 0] ** 2, q[:, 0, 1], q[:, 0, 2], q[:, 1, 1], q[:, 1, 2]
@@ -541,31 +556,54 @@ def start_chart(tri: Triangulation, base: np.ndarray, u0: np.ndarray
     return tri, base, len(flips0) + len(carried)
 
 
-def _trial_metric(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float
-                  ) -> tuple[str | None, np.ndarray | None]:
-    """What rules u out (overflowing metric or weights, degenerate faces) and its metric."""
+def trial_fault(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float
+                ) -> str | None:
+    """Why u cannot be a trial point on this chart (overflowing metric or
+    weights, degenerate faces), or None when it can."""
     try:
         check_weights(u, alpha)
         scaled = scale_metric(tri, base, u)
     except LogFactorOverflow:
-        return "metric overflow", None
+        return "metric overflow"
     bad = degenerate_faces(tri, scaled)
-    return (f"faces {bad} degenerate" if bad else None), scaled
-
-
-def trial_fault(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float
-                ) -> str | None:
-    """Why u cannot be a trial point on this chart, or None when it can."""
-    return _trial_metric(tri, base, u, alpha)[0]
+    return f"faces {bad} degenerate" if bad else None
 
 
 def trial_energy(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float,
                  rbar: np.ndarray, offset: float) -> tuple[float, np.ndarray] | None:
-    """Order-0 energy at u and its metric, or None when :func:`trial_fault` rules u out."""
-    fault, scaled = _trial_metric(tri, base, u, alpha)
-    if fault is not None:
+    """Order-0 energy at u and its angles (:attr:`EnergyReport.angles`), or
+    None when :func:`trial_fault` rules u out."""
+    if trial_fault(tri, base, u, alpha) is not None:
         return None
-    return energy_W_alpha(tri, base, u, alpha, rbar, offset=offset, order=0).value, scaled
+    rep = energy_W_alpha(tri, base, u, alpha, rbar, offset=offset, order=0)
+    return rep.value, rep.angles
+
+
+def guarded_step(tri: Triangulation, base: np.ndarray, alpha: float, rbar: np.ndarray,
+                 offset: float, propose, accept, step: float, max_shrinks: int,
+                 min_step: float = 0.0
+                 ) -> tuple[float, int, np.ndarray | None, tuple[float, np.ndarray] | None]:
+    """Halve ``step`` until :func:`trial_energy` at ``propose(step)``, on the
+    departure chart (tri, base), passes ``accept(step, value)``.
+
+    A proposal that raises LogFactorOverflow fails, as does a point
+    :func:`trial_fault` rules out.  Gives up after ``max_shrinks``
+    halvings, or before a step below ``min_step``.  Returns (step,
+    halvings, u, trial) of the accepted trial; on giving up ``trial`` is
+    None and ``u`` the last point tried (None: its proposal overflowed).
+    """
+    for shrinks in range(max_shrinks + 1):
+        try:
+            u_try = propose(step)
+        except LogFactorOverflow:
+            u_try = trial = None
+        else:
+            trial = trial_energy(tri, base, u_try, alpha, rbar, offset)
+        if trial is not None and accept(step, trial[0]):
+            return step, shrinks, u_try, trial
+        if shrinks == max_shrinks or step * BACKTRACK < min_step:
+            return step, shrinks, u_try, None
+        step *= BACKTRACK
 
 
 def newton_solve(tri: Triangulation, base: np.ndarray, u0,
@@ -573,8 +611,8 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
                  max_iter: int = 100) -> NewtonResult:
     """Minimize the curvature energy until the gradient is below ``tol``.
 
-    Damped Newton with Armijo backtracking from the full step, each trial
-    scored on the departure chart; reported values are relative to the
+    Damped Newton with Armijo backtracking from the full step
+    (:func:`guarded_step`); reported values are relative to the
     start.  :func:`carry_chart` carries the chart along every accepted
     step, flipping where an edge turns cocircular, so the transported base
     lengths do not depend on the route taken and the energy is unchanged
@@ -628,18 +666,15 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
 
         noise = max(VALUE_NOISE * (1.0 + abs(rep.value)),
                     ROUNDING_NOISE * abs(offset))
-        step = 1.0
-        accepted = None
-        for _ in range(MAX_BACKTRACKS + 1):
-            u_try = u + step * delta
-            trial = trial_energy(tri_c, base_c, u_try, alpha, rbar, offset)
-            if trial is not None and (
-                    trial[0] <= rep.value + ARMIJO_SLOPE * step * slope
-                    or (abs(slope) * step <= noise and trial[0] <= rep.value + noise)):
-                accepted = u_try
-                break
-            step *= BACKTRACK
-        if accepted is None:
+
+        def armijo(step: float, value: float) -> bool:
+            return (value <= rep.value + ARMIJO_SLOPE * step * slope
+                    or (abs(slope) * step <= noise and value <= rep.value + noise))
+
+        step, _, accepted, trial = guarded_step(
+            tri_c, base_c, alpha, rbar, offset, lambda step: u + step * delta, armijo,
+            step=1.0, max_shrinks=MAX_BACKTRACKS)
+        if trial is None:
             raise LineSearchStalled(
                 f"no acceptable step at iteration {it} (grad_inf={grad_inf:.3e})")
 

@@ -198,7 +198,7 @@ def test_c05_lyapunov_descent_and_rate_identities(conservation_runs):
     for kind in ("yamabe", "calabi"):
         state = flows.make_state(tri2, base2, u0, alpha=1.0)
         cfg = flows.FlowConfig(kind=kind, dt=dt, tol=1e-14, max_steps=1,
-                               surgery=False, renormalize=False)
+                               surgery=False)
         scaled = geometry.scale_metric(tri2, base2, u0)
         rep = geometry.alpha_curvature(
             geometry.curvature(tri2, scaled), u0, 1.0, chi=tri2.chi)

@@ -40,6 +40,9 @@ SLIVER_FIXED = os.path.join(DATA_DIR, "sliver_4x4_fixed.json")
 # The bytes flow --flow yamabe --alpha -1 --out-state must write for
 # SURGERY_GAP, generated by the wall search that certified every segment.
 SURGERY_GAP_STATE = os.path.join(DATA_DIR, "torus_surgery_gap_yamabe_state.json")
+# The bytes solve --alpha -1 --out must write for SURGERY_GAP, generated by
+# the Newton line search that backtracked in a loop of its own.
+SURGERY_GAP_SOLVE = os.path.join(DATA_DIR, "torus_surgery_gap_solve.json")
 # The unit cube's surface, two triangles per side (conftest.cube_off_text()).
 CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
 
@@ -278,6 +281,17 @@ class TestSolve:
         # grad_inf 9.06; --tol -1 and --max-iter -1 ran to exit 5
         assert run_cli(capsys, ["solve", SURGERY_GAP, "--alpha", "-1", option,
                                 value]) == (3, None)
+
+    def test_report_is_the_golden_bytes(self, capsys, tmp_path):
+        out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+        code, doc = run_cli(capsys, ["solve", SURGERY_GAP, "--alpha", "-1", "--out", str(out),
+                                     "--out-trace", str(trace)])
+        assert (code, doc["iterations"], doc["flips"]) == (0, 7, 15)
+        # the line search backtracks here, so the bytes pin the guarded step
+        steps = [row.split(",")[3] for row in trace.read_text().splitlines()[2:]]
+        assert {"0.125", "0.5"} <= set(steps)
+        with open(SURGERY_GAP_SOLVE, "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
     def test_report_and_trace_files(self, capsys, tmp_path, tetra_file):
         out = tmp_path / "report.json"

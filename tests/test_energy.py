@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 
 from plcurv import errors
 from plcurv.flows import FlowConfig, make_state, step
-from plcurv.geometry import delaunay_surgery
+from plcurv.geometry import curvature, delaunay_surgery, face_angles, scale_metric
 from plcurv.mesh import build_triangulation
 from plcurv.solver import Target, carry_chart, energy_W_alpha, newton_solve
 
-from conftest import GENUS2_FACES, lattice_torus_faces
+from conftest import GENUS2_FACES, cube12_faces, lattice_torus_faces
 
 MESHES = ([build_triangulation(lattice_torus_faces(m)) for m in (3, 4, 5, 6)]
           + [build_triangulation(GENUS2_FACES)])
+
+CUBE = build_triangulation(cube12_faces())
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -81,6 +83,22 @@ def test_surgeries_happen_on_the_drawn_segments():
     assert flipped >= 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(MESHES)), st.integers(0, 2 ** 32 - 1))
+def test_energy_reads_the_curvature_angles(mesh, seed):
+    # one angle route: the angles the value and the gradient read are bit for
+    # bit those geometry.curvature takes from the scaled metric
+    rng = np.random.default_rng(seed)
+    tri = MESHES[mesh] if mesh < len(MESHES) else CUBE
+    base = np.exp(rng.uniform(-0.2, 0.2, tri.edge_count))
+    u = rng.normal(0.0, 0.3, tri.vertex_count)
+    rbar = rng.uniform(0.5, 1.5, tri.vertex_count)
+    scaled = scale_metric(tri, base, u)
+    rep = energy_W_alpha(tri, base, u, -1.0, rbar, order=1)
+    assert np.array_equal(rep.angles, face_angles(tri, scaled))
+    assert np.array_equal(rep.gradient, curvature(tri, scaled) - rbar * np.exp(-u))
+
+
 @pytest.mark.parametrize("alpha", [-1.0, 0.0])
 def test_newton_trace_value_is_the_energy_difference(alpha):
     rng = np.random.default_rng(7)
@@ -100,15 +118,14 @@ def test_newton_trace_value_is_the_energy_difference(alpha):
     assert abs(res.trace[-1].value - expected) <= 1e-12
 
 
-@pytest.mark.parametrize("renormalize", [False, True])
-def test_flow_energy_after_a_flip_is_the_arrival_charts(renormalize):
+def test_flow_energy_after_a_flip_is_the_arrival_charts():
     # a step that crosses a wall stores the energy on the chart it lands in,
     # not the departure chart's continuation past the wall
     rng = np.random.default_rng(3)
     tri, base = delaunay_start(build_triangulation(lattice_torus_faces(4)),
                                rng, 0.15)
     state = make_state(tri, base, rng.normal(0.0, 0.15, tri.vertex_count), -1.0)
-    config = FlowConfig(kind="yamabe", dt=0.2, renormalize=renormalize)
+    config = FlowConfig(kind="yamabe", dt=0.2)
     flipped = 0
     for _ in range(40):
         before = len(state.flips)

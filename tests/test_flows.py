@@ -307,8 +307,7 @@ class TestDescentIdentities:
         rep = state_report(state)
         predicted = -float(np.sum(
             (rep.R_av - rep.R_alpha) ** 2 * np.exp(state.alpha * state.u)))
-        cfg = FlowConfig(kind="yamabe", dt=1e-4, surgery=False,
-                         renormalize=False)
+        cfg = FlowConfig(kind="yamabe", dt=1e-4, surgery=False)
         out = step(state, cfg)
         measured = (out.w_value - state.w_value) / out.last_dt
         assert measured == pytest.approx(predicted, rel=1e-2)
@@ -320,8 +319,7 @@ class TestDescentIdentities:
         L = geometry.curvature_jacobian(state.tri, scaled).toarray()
         dev = rep.R_alpha - rep.R_av
         predicted = -float(dev @ L @ dev)
-        cfg = FlowConfig(kind="calabi", dt=1e-4, surgery=False,
-                         renormalize=False)
+        cfg = FlowConfig(kind="calabi", dt=1e-4, surgery=False)
         out = step(state, cfg)
         measured = (out.w_value - state.w_value) / out.last_dt
         assert measured == pytest.approx(predicted, rel=1e-2)
@@ -401,10 +399,10 @@ def _same_report(state):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, len(FLOW_MESHES) - 1), st.sampled_from(["yamabe", "calabi"]),
-       st.sampled_from(["euler", "rk4"]), st.booleans(), st.booleans(),
+       st.sampled_from(["euler", "rk4"]), st.booleans(),
        st.sampled_from([-1.0, 0.0, 1.0]), st.integers(0, 2 ** 32 - 1))
 def test_carried_report_and_energy_match_fresh_evaluations(
-        mesh, kind, integrator, surgery, renormalize, alpha, seed):
+        mesh, kind, integrator, surgery, alpha, seed):
     rng = np.random.default_rng(seed)
     tri = FLOW_MESHES[mesh]
     n = tri.vertex_count
@@ -416,8 +414,7 @@ def test_carried_report_and_energy_match_fresh_evaluations(
             make_state(tri, base, u0, alpha)
         return
     state = make_state(tri, base, u0, alpha)
-    config = FlowConfig(kind=kind, integrator=integrator, surgery=surgery,
-                        renormalize=renormalize, dt=0.2)
+    config = FlowConfig(kind=kind, integrator=integrator, surgery=surgery, dt=0.2)
     assert _same_report(state)
     for _ in range(4):
         try:
@@ -455,8 +452,9 @@ def test_overflowing_start_is_refused_by_make_state(tetra):
 # --- one energy evaluation per accepted step -------------------------------
 
 def test_renormalization_costs_no_energy_evaluation(monkeypatch):
-    calls = {"energy": 0, "trials": 0}
+    calls = {"energy": 0, "trials": 0, "angles": 0}
     energy, trial = solver.energy_W_alpha, flows.trial_energy
+    cosines, curv = solver.opposite_cosines, flows.curvature
 
     def counted_energy(*args, **kwargs):
         calls["energy"] += 1
@@ -467,9 +465,18 @@ def test_renormalization_costs_no_energy_evaluation(monkeypatch):
         calls["trials"] += out is not None  # a trial that reached the energy
         return out
 
+    def counted(fn):  # the energy's angles, and the curvature report's
+        def wrapped(*args, **kwargs):
+            calls["angles"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
     monkeypatch.setattr(solver, "energy_W_alpha", counted_energy)
     monkeypatch.setattr(flows, "energy_W_alpha", counted_energy)
-    monkeypatch.setattr(flows, "trial_energy", counted_trial)
+    monkeypatch.setattr(flows, "trial_energy", counted_trial)  # make_state's
+    monkeypatch.setattr(solver, "trial_energy", counted_trial)  # guarded_step's
+    monkeypatch.setattr(solver, "opposite_cosines", counted(cosines))
+    monkeypatch.setattr(flows, "curvature", counted(curv))
     rng = np.random.default_rng(0)
     tri = FLOW_MESHES[1]  # 4 x 4 lattice torus
     base = np.exp(rng.uniform(-0.4, 0.4, tri.edge_count))
@@ -479,6 +486,10 @@ def test_renormalization_costs_no_energy_evaluation(monkeypatch):
     # the start counts as a trial (make_state), each step's accepted trial
     # is its stored value, and only a flipping step evaluates once more
     assert calls["energy"] == calls["trials"] + flipping
+    # angles likewise: the accepted trial's make the arrival report, so a
+    # step that flips nothing evaluates them once; make_state's report is
+    # the one evaluation outside the steps
+    assert calls["angles"] == calls["trials"] + flipping + 1
     assert abs(conserved_sum(state.u, -1.0) - 16.0) < 1e-12
 
 
@@ -524,13 +535,13 @@ def test_guard_tests_the_value_the_state_keeps(monkeypatch, cube12):
     # guard must test the shifted point to keep the value it tested
     tri, base = cube12
     tested = []
-    trial = flows.trial_energy
+    trial = solver.trial_energy
 
     def recorded_trial(*args, **kwargs):
         tested.append(trial(*args, **kwargs))
         return tested[-1]
 
-    monkeypatch.setattr(flows, "trial_energy", recorded_trial)
+    monkeypatch.setattr(solver, "trial_energy", recorded_trial)  # guarded_step's
     u0 = np.random.default_rng(5).uniform(-0.2, 0.2, tri.vertex_count)
     state = make_state(tri, base, u0, -1.0)
     config = FlowConfig(kind="yamabe", dt=0.1)

@@ -13,6 +13,7 @@ from plcurv.geometry import (
     curvature_jacobian,
     degenerate_faces,
     delaunay_surgery,
+    face_angles,
     is_delaunay_all,
     scale_metric,
 )
@@ -173,6 +174,15 @@ class TestTriangleEnergy:
             fm = triangle_energy(base, s * a + (1 - s) * b)
             assert fm >= s * fa + (1 - s) * fb - 1e-9
 
+    def test_log_factor_bound(self):
+        # the angles come from the scaled sides, so past the metric's bound
+        # the call refuses instead of overflowing exp into NaN angles
+        base = np.ones(3)
+        assert math.isfinite(triangle_energy(base, np.full(3, 300.0)))
+        for u in (400.0, -400.0, math.nan):
+            with pytest.raises(errors.LogFactorOverflow):
+                triangle_energy(base, np.full(3, u))
+
 
 class TestEnergyReport:
     def test_gradient_zero_at_solution(self, torus9, lattice_torus_lengths):
@@ -301,13 +311,13 @@ class TestTrialPoint:
         with pytest.raises(errors.LogFactorOverflow):
             newton_solve(tetra, base, u0, 3.0, Target.constant())
 
-    def test_trial_hands_over_its_metric(self, tetra):
+    def test_trial_hands_over_its_angles(self, tetra):
         base, u = unit_lengths(tetra), np.array([0.1, -0.2, 0.0, 0.05])
         rbar, _ = Target.constant().resolve(-1.0, tetra.chi, np.zeros(4))
-        value, scaled = trial_energy(tetra, base, u, -1.0, rbar, 0.5)
+        value, angles = trial_energy(tetra, base, u, -1.0, rbar, 0.5)
         assert value == energy_W_alpha(tetra, base, u, -1.0, rbar, offset=0.5,
                                        order=0).value
-        assert np.array_equal(scaled, scale_metric(tetra, base, u))
+        assert np.array_equal(angles, face_angles(tetra, scale_metric(tetra, base, u)))
         assert trial_fault(tetra, base, u, -1.0) is None
 
 
