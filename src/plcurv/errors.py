@@ -61,10 +61,6 @@ class LogFactorOverflow(PLCurvError):
     """A log conformal factor is too large to exponentiate safely."""
 
 
-class PredicateConflict(PLCurvError):
-    """Two geometric tests that must agree disagree, through rounding."""
-
-
 # --- flows ---
 
 class StepSizeUnderflow(PLCurvError):

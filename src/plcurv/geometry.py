@@ -11,10 +11,10 @@ transport lengths.
 Whole-mesh queries share one NumPy kernel over the triangulation's
 index arrays; the kernel also scores stacks of edge-length arrays.  The
 Delaunay pass runs in rounds on those arrays: each round flips a
-face-disjoint set of violators at once.  Only the Delaunay
-predicate's ``acos`` stays scalar, applied to the kernel's cosines on
-the edges a kernel screen cannot clear, so that the pass and
-``delaunay --check`` share one verdict.
+face-disjoint set of violators at once.  The one Delaunay test is the
+sign of cos alpha + cos beta, read from the kernel's cosines with no
+``arccos``: ``delaunay --check``, the pass and the solver's wall scan
+share it.
 """
 
 from __future__ import annotations
@@ -35,15 +35,14 @@ from .errors import (
     LogFactorOverflow,
     NonConvexQuad,
     NonPositiveLength,
-    PredicateConflict,
 )
 from .mesh import Flips, Triangulation
 
 log = logging.getLogger(__name__)
 
-# Inclusive slack on the Delaunay angle test; cocircular edges (opposite
-# angles summing to exactly pi) must not be flipped or the Delaunay pass
-# can cycle forever.
+# Inclusive slack on the Delaunay test; cocircular edges (opposite angles
+# summing to exactly pi, cosines to 0) must not be flipped or the Delaunay
+# pass can cycle forever.
 DELAUNAY_SLACK = 1e-12
 
 # Substitute for cot(0) / -cot(pi) on degenerate faces: large enough to be
@@ -81,17 +80,23 @@ class CurvatureReport:
     max_dev: float
 
 
-def side_lengths(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
+def side_lengths(tri: Triangulation, lengths: np.ndarray, edges=None) -> np.ndarray:
     """(..., F, 3) array of every face's edge lengths by slot, faces in id order.
 
-    ``lengths`` is a metric (E,) or a stack of metrics (..., E).
+    ``lengths`` is a metric (E,) or a stack of metrics (..., E).  Given
+    ``edges``, an edge id or an array of them, the result is (..., m, 2,
+    3) instead: the two faces of each edge, each read from the edge's own
+    slot on (see :meth:`Triangulation.quad_corners`), so entry 0 of a row
+    is the side on the edge.
     """
     flat = np.asarray(lengths, dtype=float)
     ok = flat > 0.0
     if not ok.all():
         raise NonPositiveLength(
             f"edge length {float(flat[~ok][0])!r} is not positive")
-    return flat[..., tri.face_edges]
+    if edges is None:
+        return flat[..., tri.face_edges]
+    return flat[..., tri.face_edges.reshape(-1)[tri.quad_corners(edges)]]
 
 
 def max3(x: np.ndarray) -> np.ndarray:
@@ -257,95 +262,63 @@ def alpha_laplacian_apply(tri: Triangulation, lengths: np.ndarray,
     return -np.exp(-alpha * u) * (_cot_laplacian(tri, lengths) @ f)
 
 
-def _quad_sides(tri: Triangulation, lengths, e) -> np.ndarray:
-    """(..., m, 2, 3) side lengths of the two faces of each edge in ``e``.
+def edge_margins(tri: Triangulation, lengths: np.ndarray, edges=None) -> np.ndarray:
+    """cos alpha + cos beta per edge, alpha and beta the angles facing it.
 
-    Each face is read from the edge's own slot on (see
-    :meth:`Triangulation.quad_corners`), so entry 0 of a row is the side
-    on the edge.  ``lengths`` is a metric (E,) or a stack (..., E); only
-    the sides read must be positive.
+    The one Delaunay test: an edge is Delaunay when its margin is at least
+    -DELAUNAY_SLACK (:func:`is_delaunay`).  Cosines come from
+    :func:`opposite_cosines`, so no ``arccos`` is taken and degenerate
+    faces have their extended cosines.  A metric (E,) gives an array
+    (E,), a stack (..., E) an array (..., E).
+
+    ``edges``, an edge id or an array of them, restricts the result to
+    those edges: only their two faces are scored (:func:`side_lengths`),
+    by the same elementwise formula, so every margin is bit for bit the
+    one the whole-mesh kernel gives that edge.
     """
-    corners = tri.quad_corners(np.asarray(e, dtype=np.intp))
-    sides = np.asarray(lengths, dtype=float)[..., tri.face_edges.reshape(-1)[corners]]
-    ok = sides > 0.0
-    if not ok.all():
-        raise NonPositiveLength(f"edge length {float(sides[~ok][0])!r} is not positive")
-    return sides
+    if edges is None:
+        cos = opposite_cosines(side_lengths(tri, lengths))
+        cos = cos.reshape(cos.shape[:-2] + (3 * cos.shape[-2],))
+        sides = tri.edge_sides
+        return cos[..., sides[:, 0]] + cos[..., sides[:, 1]]
+    # entry 0 of each face's row is the side on the edge
+    cos = opposite_cosines(side_lengths(tri, lengths, edges))[..., 0]
+    return cos[..., 0] + cos[..., 1]
 
 
-def is_delaunay(tri: Triangulation, lengths, e):
+def is_delaunay(tri: Triangulation, lengths, e=None):
     """True when the angles facing edge ``e`` sum to at most pi.
 
-    The test is inclusive with DELAUNAY_SLACK so cocircular edges count
-    as Delaunay and are never flipped.  ``e`` may be an array of edge
-    ids, giving a bool array.  Cosines come from :func:`opposite_cosines`;
-    each angle is ``math.acos`` of one cosine, as the one-edge form takes
-    it: NumPy's arccos can differ in the last bit, and that bit can tip
-    an edge whose angles sum to pi + DELAUNAY_SLACK within rounding.
+    The test is :func:`edge_margins` >= -DELAUNAY_SLACK: the slack makes
+    cocircular edges count as Delaunay, so they are never flipped.  A NaN
+    margin is a violation.  An int ``e`` gives a bool, an array of edge
+    ids a bool array, and ``e=None`` every edge's verdict.
     """
-    # entry 0 of each face's row is the side on edge e
-    cos = opposite_cosines(_quad_sides(tri, lengths, e))[..., 0]
-    theta = np.array(list(map(math.acos, cos.reshape(-1).tolist()))).reshape(cos.shape)
-    verdict = theta[..., 0] + theta[..., 1] <= math.pi + DELAUNAY_SLACK
+    verdict = edge_margins(tri, lengths, e) >= -DELAUNAY_SLACK
     return bool(verdict) if verdict.ndim == 0 else verdict
 
 
 def is_delaunay_all(tri: Triangulation, lengths: np.ndarray) -> list[int]:
-    """Edge ids violating the Delaunay condition, in edge id order.
-
-    Kernel screen (:func:`edge_margins`), then one :func:`is_delaunay`
-    call on the edges it cannot clear.  make_delaunay's rounds take the
-    same verdict, bit for bit, from the same margins.
-    """
-    return _violators(tri, lengths, edge_margins(tri, lengths)).tolist()
-
-
-def _violators(tri: Triangulation, lengths: np.ndarray, margins: np.ndarray) -> np.ndarray:
-    """:func:`is_delaunay_all` as an array, given the :func:`edge_margins` of ``lengths``."""
-    suspects = np.flatnonzero(~(margins > 0.0))  # NaN too
-    if not suspects.size:
-        return suspects
-    return suspects[~is_delaunay(tri, lengths, suspects)]
-
-
-def edge_margins(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
-    """pi - (sum of the angles facing the edge) per edge, stacked as in delaunay_margin.
-
-    A positive margin passes :func:`is_delaunay`: NumPy and scalar angles
-    differ by an ulp or so, far inside DELAUNAY_SLACK.
-    """
-    theta = face_angles(tri, lengths)
-    theta = theta.reshape(theta.shape[:-2] + (3 * theta.shape[-2],))
-    sides = tri.edge_sides
-    return math.pi - theta[..., sides[:, 0]] - theta[..., sides[:, 1]]
+    """Edge ids violating the Delaunay condition, in edge id order."""
+    return np.flatnonzero(~is_delaunay(tri, lengths)).tolist()
 
 
 def delaunay_margin(tri: Triangulation, lengths: np.ndarray, edges=None):
-    """Smallest pi - (sum of opposite angles) over all edges, or over ``edges``.
+    """Smallest :func:`edge_margins` value over all edges, or over ``edges``.
 
     Positive means strictly Delaunay everywhere, zero a cocircular edge,
     negative a violation.  Used by the solver to stop steps just short of
     a flip so surgery happens at (numerically) cocircular configurations.
     A metric (E,) gives a float, a stack (..., E) an array (...) with the
-    minimum of each metric.
+    minimum of each metric; an empty ``edges`` gives +inf.
 
-    The margin of edge ij, with angles alpha and beta facing it, is at
-    least 0 exactly when cos alpha + cos beta >= 0.  With the sides
-    e = ij, a = jk, b = ki of one face and c = il, d = lj of the other,
-    2abcd times that sum is (ac + bd)(ad + bc) - e^2 (ab + cd): with
-    lengths scaled conformally, a function linear in y = e^(-2u) whose
-    coefficients are Ptolemy products (the wall search's certificate).
-
-    ``edges``, an array of edge ids, restricts the minimum to those
-    edges (+inf when empty).  Only their two faces are scored
-    (:func:`_quad_sides`), by the same elementwise
-    :func:`opposite_cosines` and ``arccos``, so every margin is bit for
-    bit the one :func:`edge_margins` gives that edge.
+    With the sides e = ij, a = jk, b = ki of one face and c = il, d = lj
+    of the other, 2abcd times the margin of ij is
+    (ac + bd)(ad + bc) - e^2 (ab + cd): with lengths scaled conformally, a
+    function linear in y = e^(-2u) whose coefficients are Ptolemy products
+    (the wall search's certificate).
     """
-    if edges is None:
-        return edge_margins(tri, lengths).min(-1)
-    theta = np.arccos(opposite_cosines(_quad_sides(tri, lengths, edges)))
-    return (math.pi - theta[..., 0, 0] - theta[..., 1, 0]).min(-1, initial=math.inf)
+    return edge_margins(tri, lengths, edges).min(-1, initial=math.inf)
 
 
 def flip_length(tri: Triangulation, lengths, e):
@@ -355,33 +328,28 @@ def flip_length(tri: Triangulation, lengths, e):
     distance between the far corners; the law-of-cosines form below is
     that distance, taken on the quad's lengths divided by its longest
     side so that no square overflows or underflows.  Requires both faces
-    nondegenerate and the quad convex at the shared diagonal.  A
-    non-Delaunay edge always has a strictly convex quad, so the flip
-    needed to restore Delaunay never fails here; should rounding make the
-    two tests disagree, PredicateConflict says so.  ``e`` may be an array
+    nondegenerate and the quad convex at the shared diagonal.  A quad
+    that is not strictly convex has a Delaunay diagonal (at a flat corner
+    i the angles facing ij sum to pi minus the corner sum at j), so the
+    flips that restore Delaunay never fail here.  ``e`` may be an array
     of edge ids, giving an array of lengths; errors name the first edge
     at fault.  ``lengths`` may be a metric array or a list.
     """
-    L = np.asarray(lengths, dtype=float)
     es = np.array(e, dtype=np.intp, ndmin=1)
-    corners = tri.quad_corners(es)
     # row x: side lengths (ij, jk, ki) of f1 and (ij, il, lj) of f2
-    sides = side_lengths(tri, L).reshape(-1)[corners]
+    sides = side_lengths(tri, lengths, es)
     m = max3(sides)
     flat = m >= (sides[..., 0] + sides[..., 1] + sides[..., 2]) - m
     if flat.any():
         x, side = np.argwhere(flat)[0]
         raise DegenerateFace(
-            f"face {corners[x, side, 0] // 3} at edge {es[x]} is degenerate")
+            f"face {tri.edge_sides[es[x], side] // 3} at edge {es[x]} is degenerate")
     theta = np.arccos(opposite_cosines(sides))
     # corner sums at i (facing jk in f1, lj in f2) and at j (facing ki, il)
     at = theta[:, 0, 1:] + theta[:, 1, :0:-1]
     reflex = at >= math.pi
     if reflex.any():
         x = np.flatnonzero(reflex.any(axis=1))[0]
-        if not is_delaunay(tri, L, int(es[x])):
-            raise PredicateConflict(
-                f"edge {es[x]} is non-Delaunay but its quad is reflex")
         raise NonConvexQuad(
             f"quad of edge {es[x]} is reflex (corner sums {at[x, 0]:.6f}, {at[x, 1]:.6f})")
     scale = np.maximum(m[:, 0], m[:, 1])
@@ -395,18 +363,17 @@ def make_delaunay(tri: Triangulation, lengths: np.ndarray
                   ) -> tuple[Triangulation, np.ndarray, Flips]:
     """Flip edges until every edge passes the Delaunay test.
 
-    Works in rounds.  A round scores every edge once with
-    :func:`edge_margins`, takes the violators that
-    :func:`is_delaunay_all` would report from those margins (the verdict
-    of ``delaunay --check``) and keeps each one that is the most violated
-    edge at both of its faces: smallest margin, ties to the smaller edge
-    id.  Those quads share no face, and a flip reads and writes only its
-    own two faces and diagonal, so they all flip at once, in one
-    :func:`flip_length` and one :meth:`Triangulation.flip` call.  Away
-    from cocircular ties the Delaunay triangulation is unique, so the
-    result does not depend on the order of the flips.  The output metric
-    is isometric to the input (same deficit at every vertex).  All input
-    faces must be nondegenerate.
+    Works in rounds.  A round takes the violators from one
+    :func:`is_delaunay` call on every edge (the verdict of ``delaunay
+    --check``) and keeps each one that is the most violated edge at both
+    of its faces: smallest angle margin pi - alpha - beta, ties to the
+    smaller edge id.  Those quads share no face, and a flip reads and
+    writes only its own two faces and diagonal, so they all flip at once,
+    in one :func:`flip_length` and one :meth:`Triangulation.flip` call.
+    Away from cocircular ties the Delaunay triangulation is unique, so
+    the result does not depend on the order of the flips.  The output
+    metric is isometric to the input (same deficit at every vertex).  All
+    input faces must be nondegenerate.
 
     Returns the triangulation, the metric and one :class:`Flips` record:
     the rounds' records joined in order (empty when nothing flipped).
@@ -415,17 +382,16 @@ def make_delaunay(tri: Triangulation, lengths: np.ndarray
     cap = FLIP_CAP_FACTOR * tri.edge_count ** 2
     rounds: list[Flips] = []
     flipped = 0
-    while True:
-        margins = edge_margins(tri, L)
-        es = _violators(tri, L, margins)
-        if not es.size:
-            break
+    while (es := np.flatnonzero(~is_delaunay(tri, L))).size:
         if flipped >= cap:
             raise FlipLimitExceeded(
                 f"{flipped} flips without reaching a Delaunay state")
         if len(es) > 1:
+            # by angle, not cosine sum: the flip order the outputs have had
+            theta = np.arccos(opposite_cosines(side_lengths(tri, L, es))[..., 0])
+            margins = math.pi - theta[:, 0] - theta[:, 1]
             rank = np.empty_like(es)
-            rank[np.argsort(margins[es], kind="stable")] = np.arange(len(es))
+            rank[np.argsort(margins, kind="stable")] = np.arange(len(es))
             faces = tri.edge_sides[es] // 3
             best = np.full(tri.face_count, len(es))
             np.minimum.at(best, faces, rank[:, None])

@@ -149,8 +149,14 @@ class Triangulation:
         Each face is read from the edge's own slot on, so in the notation
         of :meth:`flip` the rows hold the corners of f1 at (i, j, k) and of
         f2 at (j, i, l); at the same positions ``face_edges`` holds
-        (e, jk, ki) and (e, il, lj).  ``e`` may be an array of edge ids.
+        (e, jk, ki) and (e, il, lj).  ``e`` may be an array of edge ids,
+        or a slice; an id out of range raises KeyError.
         """
+        if not isinstance(e, slice):
+            e = np.asarray(e, dtype=np.intp)
+            bad = (e < 0) | (e >= self.edge_count)
+            if bad.any():
+                raise KeyError(f"no edge {e[bad][0]}")
         sides = self.edge_sides[e]
         slot = sides % 3
         return (sides - slot)[..., None] + _ROTATIONS[slot]
@@ -189,8 +195,6 @@ class Triangulation:
         es = np.array(e, dtype=np.intp, ndmin=1)
         if not es.size:
             return self, Flips.join([])
-        if not (es.min() >= 0 and es.max() < self.edge_count):
-            raise KeyError(f"no edge {es[(es < 0) | (es >= self.edge_count)][0]}")
         corners = self.quad_corners(es).reshape(-1, 6)
         verts = self.faces.reshape(-1)[corners]       # i j k j i l
         edges = self.face_edges.reshape(-1)[corners]  # e jk ki e il lj

@@ -77,16 +77,19 @@ WEIGHT_LOG_BOUND = 700.0  # e^700 ~ 1e304: weights, reciprocals and their sums s
 _WALL_PANELS = 16
 _BISECT_DEPTH = 3
 
-# Twice the flip slack: the scan's NumPy angles may differ from the
-# math.acos ones of is_delaunay in the last place, and a wall found right at
-# the slack could be one the Delaunay pass does not flip, pinning the solver.
+# Twice the flip slack.  The scan reads the Delaunay pass's own margins
+# (geometry.edge_margins), so an edge it calls a wall is one slack past
+# the pass's threshold and gets flipped, with rounding of the stacked
+# probe metrics to spare.  The value also fixes where walls are found:
+# moving it moves the solver's and the flows' outputs.
 _WALL_MARGIN = -2.0 * geometry.DELAUNAY_SLACK
 
 # Relative clearance of the wall certificate: a cleared edge's cosines sum
-# to at least about 1e-6, and so does its margin.  The scan's arccos loses
-# about sqrt(eps) ~ 1.5e-8 where a cosine nears +-1, so a band near eps
-# could clear an edge the scan calls a wall.  Bands from 1e-9 to 1e-4
-# leave the same edges on the benchmark's Newton and Yamabe inputs.
+# to at least about 1e-6 on the whole segment.  That is the scan's margin,
+# with no arccos between, so the band only has to cover the few ulps of
+# rounding in the certificate's products and the kernel's cosines.  Bands
+# from 1e-9 to 1e-4 leave the same edges on the benchmark's Newton and
+# Yamabe inputs.
 _CERT_BAND = 1e-6
 
 # The certificate runs only while every scaled length and every product
@@ -446,9 +449,9 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     in closed form every edge that stays Delaunay, with both faces
     nondegenerate, on the whole segment.  Edge ij with faces (i, j, k)
     and (j, i, l) has base lengths E = ij, A = jk, B = ki, C = il,
-    D = lj, each scaled by e^(u_a + u_b).  Its angles facing ij sum to
-    at most pi exactly when their cosines sum to >= 0, and with
-    y = e^(-2u) that sum has the sign of
+    D = lj, each scaled by e^(u_a + u_b).  Its margin, the cosines of
+    the angles facing ij summed (:func:`geometry.edge_margins`), has with
+    y = e^(-2u) the sign of
 
         g = (AC + BD) (AD y_i + BC y_j) - E^2 (CD y_k + AB y_l),
 
@@ -459,8 +462,8 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     endpoint values bound every term over the whole segment.  A cleared
     edge keeps its margin about 1e-6 above _WALL_MARGIN at every s, so it
     can never make a probe a wall; the scan scores only the edges left,
-    with the margins a full scan gives them (see
-    :func:`geometry.delaunay_margin`), and when none is left the search
+    bit for bit as a full scan and the Delaunay pass score them (see
+    :func:`geometry.edge_margins`), and when none is left the search
     returns (1.0, False) without scanning.
 
     The bounds hold on any box of u.  On |u - c|_inf <= r they are the terms

@@ -220,12 +220,9 @@ def cot_weight(tri, lengths, e):
     return total
 
 
-def is_delaunay_reference(tri, lengths, e):
-    """The Delaunay verdict on one edge in plain floats: scalar cosines, math.acos.
-
-    geometry.is_delaunay, asked about many edges at once, must give each
-    the same bool.
-    """
+def edge_margin_reference(tri, lengths, e):
+    """cos alpha + cos beta for edge ``e`` in plain floats, alpha and beta
+    the angles facing it."""
     total = 0.0
     for corner in tri.edge_sides[e].tolist():
         f, s = divmod(corner, 3)
@@ -234,8 +231,17 @@ def is_delaunay_reference(tri, lengths, e):
         for x in (a, b, c):
             if not x > 0.0:
                 raise NonPositiveLength(f"edge length {x!r} is not positive")
-        total += math.acos(_cos_opposite(a, b, c))
-    return total <= math.pi + geometry.DELAUNAY_SLACK
+        total += _cos_opposite(a, b, c)
+    return total
+
+
+def is_delaunay_reference(tri, lengths, e):
+    """The Delaunay verdict on one edge in plain floats.
+
+    geometry.is_delaunay, asked about many edges at once, must give each
+    the same bool.
+    """
+    return edge_margin_reference(tri, lengths, e) >= -geometry.DELAUNAY_SLACK
 
 
 def flip_with_length(tri, lengths, e):

@@ -360,6 +360,19 @@ class TestDelaunay:
         assert is_delaunay(tri, lengths, edge_by_pair(tri, 0, 1))
 
 
+def test_every_edge_id_taker_refuses_an_id_out_of_range(torus9):
+    lengths = unit_lengths(torus9)
+    for bad in (-1, torus9.edge_count, -torus9.edge_count - 1):
+        for call in (lambda: is_delaunay(torus9, lengths, bad),
+                     lambda: is_delaunay(torus9, lengths, np.array([0, bad])),
+                     lambda: geometry.delaunay_margin(torus9, lengths, [bad]),
+                     lambda: flip_length(torus9, lengths, bad),
+                     lambda: torus9.flip(bad)):
+            with pytest.raises(KeyError, match=f"no edge {bad}"):
+                call()
+    assert torus9.quad_corners(slice(None)).shape == (torus9.edge_count, 2, 3)
+
+
 class TestFlipLength:
     def test_square_other_diagonal(self):
         # both diagonals of a square have the same length
@@ -398,14 +411,6 @@ class TestFlipLength:
         assert is_delaunay(tri, lengths, e)
         with pytest.raises(errors.NonConvexQuad):
             flip_length(tri, lengths, e)
-
-    def test_reflex_quad_with_nondelaunay_verdict_raises(self, monkeypatch):
-        # A non-Delaunay edge cannot have a reflex quad in exact arithmetic;
-        # force the disagreement and expect a typed error, not an assert.
-        tri, lengths = tetra_metric({(1, 2): 1.9, (1, 3): 1.9})
-        monkeypatch.setattr(geometry, "is_delaunay", lambda *args: False)
-        with pytest.raises(errors.PredicateConflict):
-            flip_length(tri, lengths, edge_by_pair(tri, 0, 1))
 
     def test_nondelaunay_quads_are_convex(self):
         # every non-Delaunay edge over many random metrics must flip

@@ -35,6 +35,7 @@ from plcurv.solver import triangle_energy
 from conftest import (
     all_fixture_meshes,
     cot_weight,
+    edge_margin_reference,
     flat_torus_document,
     is_delaunay_reference,
     make_delaunay_reference,
@@ -101,13 +102,8 @@ def test_degenerate_faces_match_face_loop(case):
 @given(metrics())
 def test_margin_matches_edge_loop_and_predicate(case):
     tri, lengths = case
-    angles = corner_angles_loop(tri, lengths)
-    ref = math.inf
-    for e in tri.edge_ids():
-        # the angle facing slot s sits at corner (s + 2) % 3
-        t1, t2 = (angles[f][(s + 2) % 3]
-                  for f, s in (divmod(c, 3) for c in tri.edge_sides[e].tolist()))
-        ref = min(ref, math.pi - t1 - t2)
+    L = lengths.tolist()
+    ref = min(edge_margin_reference(tri, L, e) for e in tri.edge_ids())
     margin = delaunay_margin(tri, lengths)
     assert abs(margin - ref) < 1e-12
     assert (margin < -DELAUNAY_SLACK) == bool(is_delaunay_all(tri, lengths))
@@ -122,6 +118,27 @@ def test_edge_array_verdict_matches_scalar_oracle(case):
     ref = [is_delaunay_reference(tri, L, e) for e in tri.edge_ids()]
     assert is_delaunay(tri, lengths, np.arange(tri.edge_count)).tolist() == ref
     assert is_delaunay_all(tri, lengths) == [e for e, ok in enumerate(ref) if not ok]
+
+
+@settings(max_examples=60, deadline=None)
+@given(metrics(), st.integers(-990, 990))
+def test_verdicts_and_pass_are_exactly_scale_invariant(case, k):
+    """Scaling a metric by 2^k scales nothing the Delaunay test reads: the
+    margins and verdicts keep their bits, and the pass flips the same edges
+    to lengths exactly 2^k times the unscaled ones."""
+    tri, lengths = case
+    scaled = lengths * 2.0 ** k
+    assert np.array_equal(edge_margins(tri, scaled), edge_margins(tri, lengths))
+    assert np.array_equal(is_delaunay(tri, scaled), is_delaunay(tri, lengths))
+    try:
+        _, want, want_flips = make_delaunay(tri, lengths)
+    except errors.PLCurvError as exc:
+        with pytest.raises(type(exc)):
+            make_delaunay(tri, scaled)
+        return
+    _, got, flips = make_delaunay(tri, scaled)
+    assert np.array_equal(flips.edge, want_flips.edge)
+    assert np.array_equal(got, want * 2.0 ** k)
 
 
 @pytest.mark.parametrize("m", [3, 4, 6])

@@ -39,7 +39,7 @@ from plcurv.geometry import (
     scale_metric,
     side_lengths,
 )
-from plcurv.mesh import build_triangulation, parse_lengths_json
+from plcurv.mesh import build_triangulation, load_mesh, parse_lengths_json
 from plcurv.solver import (
     _WALL_MARGIN,
     Target,
@@ -396,6 +396,25 @@ class TestCarryChart:
         with pytest.raises(errors.FlipLimitExceeded):
             step(make_state(tri, base, np.zeros(9), 1.0),
                  FlowConfig(kind="yamabe", dt=1e-12))
+
+
+LATTICES = [build_triangulation(lattice_torus_faces(m)) for m in (4, 5, 6)]
+CARRY_MESHES = ([(tri, unit_lengths(tri)) for tri in LATTICES]
+                + [load_mesh(str(pathlib.Path(__file__).with_name("data") / "cube.off"))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, len(CARRY_MESHES) - 1), st.integers(0, 2 ** 32 - 1))
+def test_carry_chart_arrives_on_a_delaunay_chart(mesh, seed):
+    """Every wall the scan reports gets flipped: the scan and the Delaunay
+    pass read the same margins, so the arrival chart is Delaunay."""
+    tri, base = CARRY_MESHES[mesh]
+    n = tri.vertex_count
+    u_to = np.random.default_rng(seed).uniform(-0.3, 0.3, n)
+    out_tri, out_base, _, _ = carry_chart(tri, base, np.zeros(n), u_to)
+    scaled = scale_metric(out_tri, out_base, u_to)
+    assert geometry.is_delaunay_all(out_tri, scaled) == []
+    assert abs(geometry.curvature(out_tri, scaled).sum() - 2.0 * math.pi * out_tri.chi) < 1e-9
 
 
 def test_flows_imports_no_private_solver_names():
