@@ -1,12 +1,12 @@
 """Metric geometry on triangulated surfaces.
 
 Everything here is a pure function of a Triangulation plus a metric: a
-float array of positive edge lengths indexed by edge id.  Provided:
-corner angles with a constant extension past triangle-inequality
-failure, conformal vertex scaling of the metric, angle-deficit curvature
-and its weighted variants, the curvature Jacobian, a weighted graph
-Laplacian, the Delaunay edge predicate, and intrinsic edge flips that
-transport lengths.
+float array of positive edge lengths indexed by edge id (for
+``delaunay_margin``, the sides of the quads it scores).  Provided:
+corner angles extended constantly past triangle-inequality failure,
+conformal vertex scaling, angle-deficit curvature and its weighted
+variants, the curvature Jacobian, a weighted graph Laplacian, the
+Delaunay predicate, and intrinsic edge flips that transport lengths.
 
 Whole-mesh queries share one NumPy kernel over the triangulation's
 index arrays; the kernel also scores stacks of edge-length arrays.  The
@@ -89,14 +89,18 @@ def side_lengths(tri: Triangulation, lengths: np.ndarray, edges=None) -> np.ndar
     slot on (see :meth:`Triangulation.quad_corners`), so entry 0 of a row
     is the side on the edge.
     """
-    flat = np.asarray(lengths, dtype=float)
-    ok = flat > 0.0
-    if not ok.all():
-        raise NonPositiveLength(
-            f"edge length {float(flat[~ok][0])!r} is not positive")
+    flat = _positive(lengths)
     if edges is None:
         return flat[..., tri.face_edges]
     return flat[..., tri.face_edges.reshape(-1)[tri.quad_corners(edges)]]
+
+
+def _positive(lengths) -> np.ndarray:
+    """``lengths`` as floats; NonPositiveLength unless each one is > 0."""
+    flat = np.asarray(lengths, dtype=float)
+    if not (ok := flat > 0.0).all():
+        raise NonPositiveLength(f"edge length {float(flat[~ok][0])!r} is not positive")
+    return flat
 
 
 def max3(x: np.ndarray) -> np.ndarray:
@@ -281,8 +285,12 @@ def edge_margins(tri: Triangulation, lengths: np.ndarray, edges=None) -> np.ndar
         cos = cos.reshape(cos.shape[:-2] + (3 * cos.shape[-2],))
         sides = tri.edge_sides
         return cos[..., sides[:, 0]] + cos[..., sides[:, 1]]
-    # entry 0 of each face's row is the side on the edge
-    cos = opposite_cosines(side_lengths(tri, lengths, edges))[..., 0]
+    return _quad_margins(side_lengths(tri, lengths, edges))
+
+
+def _quad_margins(sides: np.ndarray) -> np.ndarray:
+    """Margins (..., m) of quad sides (..., m, 2, 3) laid out as by ``side_lengths``."""
+    cos = opposite_cosines(sides)[..., 0]
     return cos[..., 0] + cos[..., 1]
 
 
@@ -303,22 +311,19 @@ def is_delaunay_all(tri: Triangulation, lengths: np.ndarray) -> list[int]:
     return np.flatnonzero(~is_delaunay(tri, lengths)).tolist()
 
 
-def delaunay_margin(tri: Triangulation, lengths: np.ndarray, edges=None):
-    """Smallest :func:`edge_margins` value over all edges, or over ``edges``.
+def delaunay_margin(sides: np.ndarray):
+    """Smallest cos alpha + cos beta over stacked quads (..., m, 2, 3).
 
-    Positive means strictly Delaunay everywhere, zero a cocircular edge,
-    negative a violation.  Used by the solver to stop steps just short of
-    a flip so surgery happens at (numerically) cocircular configurations.
-    A metric (E,) gives a float, a stack (..., E) an array (...) with the
-    minimum of each metric; an empty ``edges`` gives +inf.
-
-    With the sides e = ij, a = jk, b = ki of one face and c = il, d = lj
-    of the other, 2abcd times the margin of ij is
-    (ac + bd)(ad + bc) - e^2 (ab + cd): with lengths scaled conformally, a
-    function linear in y = e^(-2u) whose coefficients are Ptolemy products
-    (the wall search's certificate).
+    ``sides`` holds quad sides as ``side_lengths(tri, L, edges)`` lays
+    them out, so the margins are :func:`edge_margins` of those m edges, bit
+    for bit; the whole mesh's is ``edge_margins(tri, L).min(-1)``.  Gives
+    (...) minima, +inf for m = 0; a side that is not positive raises
+    NonPositiveLength.  2abcd times the margin of ij, with
+    sides e = ij, a = jk, b = ki and c = il, d = lj, is
+    (ac + bd)(ad + bc) - e^2 (ab + cd): conformally scaled, linear in
+    y = e^(-2u) with Ptolemy coefficients (the wall certificate).
     """
-    return edge_margins(tri, lengths, edges).min(-1, initial=math.inf)
+    return _quad_margins(_positive(sides)).min(-1, initial=math.inf)
 
 
 def flip_length(tri: Triangulation, lengths, e):

@@ -73,9 +73,9 @@ ROUNDING_NOISE = 16.0 * np.finfo(float).eps
 
 WEIGHT_LOG_BOUND = 700.0  # e^700 ~ 1e304: weights, reciprocals and their sums stay finite
 
-# The wall search scans 16 panels, then bisects 3 levels per kernel call.
+# The wall search scans 16 panels, then bisects 5 levels per kernel call.
 _WALL_PANELS = 16
-_BISECT_DEPTH = 3
+_BISECT_DEPTH = 5
 
 # Twice the flip slack.  The scan reads the Delaunay pass's own margins
 # (geometry.edge_margins), so an edge it calls a wall is one slack past
@@ -441,9 +441,9 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     inside the non-Delaunay region.  Flipping deep would transport base
     lengths along a path-dependent chart and solves from different starts
     could disagree by far more than the rigidity tolerance.  Points past
-    LOG_FACTOR_BOUND count as walls.  One kernel call scores all panels,
-    and one the next _BISECT_DEPTH bisection levels, with the result of
-    probing point by point.
+    LOG_FACTOR_BOUND, or with a NaN margin, count as walls.  One kernel
+    call scores the panels, and one each _BISECT_DEPTH levels: probes are
+    exact dyadic nodes, so any depth gives the point-by-point wall.
 
     Before the scan, a certificate (:func:`_uncertified_edges`) clears
     in closed form every edge that stays Delaunay, with both faces
@@ -461,10 +461,10 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     the base side opposite a.  Each y_v and z_v is monotone in s, so the
     endpoint values bound every term over the whole segment.  A cleared
     edge keeps its margin about 1e-6 above _WALL_MARGIN at every s, so it
-    can never make a probe a wall; the scan scores only the edges left,
-    bit for bit as a full scan and the Delaunay pass score them (see
-    :func:`geometry.edge_margins`), and when none is left the search
-    returns (1.0, False) without scanning.
+    can never make a probe a wall; the scan scores only the quads of the
+    edges left (all, if the certificate declines), on the sides
+    scale_metric gives them, bit for bit, and with none left returns
+    (1.0, False) at once.
 
     The bounds hold on any box of u.  On |u - c|_inf <= r they are the terms
     at c times e^(-+2r) (pos, neg) and e^(-+r) (rest, t), so the certificate
@@ -482,24 +482,29 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     if edges is not None and not edges.size:
         chart.box = chart.certified_box(u + delta)
         return 1.0, False
+    q = tri.face_edges.reshape(-1)[tri.quad_corners(slice(None) if edges is None else edges)]
+    ends, base_q = tri.edge_verts.T[:, q], base[q]  # q: (m, 2, 3) side edge ids
+    (ui, uj), (di, dj) = u[ends], delta[ends]
+    # u + s*delta lies between its ends, rounded too: only a far end can pass the bound
+    far = np.flatnonzero(~(np.maximum(np.abs(u), np.abs(u + delta)) <= geometry.LOG_FACTOR_BOUND))
 
-    def below(s: list[float]) -> np.ndarray:
-        U = u + np.array(s)[:, None] * delta
-        ok = np.abs(U).max(axis=1) <= geometry.LOG_FACTOR_BOUND  # False on NaN
-        margin = np.full(len(s), -math.inf)
-        margin[ok] = geometry.delaunay_margin(tri, scale_metric(tri, base, U[ok]), edges)
-        return margin < _WALL_MARGIN
+    def below(s: np.ndarray) -> np.ndarray:
+        U = u[far] + s[:, None] * delta[far]
+        ok = np.abs(U).max(axis=1, initial=0.0) <= geometry.LOG_FACTOR_BOUND  # False on NaN
+        t, margin = s[ok, None, None, None], np.full(len(s), -math.inf)
+        # each side at u + t*delta is the float scale_metric gives it
+        margin[ok] = geometry.delaunay_margin(np.exp((ui + t * di) + (uj + t * dj)) * base_q)
+        return ~(margin >= _WALL_MARGIN)  # True on NaN, as is_delaunay reads it
 
-    panels = [k / _WALL_PANELS for k in range(_WALL_PANELS + 1)]
+    panels = np.arange(_WALL_PANELS + 1) / _WALL_PANELS
     first = np.flatnonzero(below(panels[1:]))
     if not first.size:
         return 1.0, False
     lo, hi = panels[first[0]], panels[first[0] + 1]
+    nodes = np.arange(2 ** _BISECT_DEPTH + 1) / 2 ** _BISECT_DEPTH
     while hi - lo > 1e-12 * max(1.0, hi):
         # each probe of the next levels is a node of the dyadic grid on [lo, hi]
-        grid = [lo, hi]
-        for _ in range(_BISECT_DEPTH):
-            grid = [x for a, b in zip(grid, grid[1:]) for x in (a, 0.5 * (a + b))] + [hi]
+        grid = lo + (hi - lo) * nodes
         bad = below(grid[1:-1])
         a, b = 0, len(grid) - 1
         while b - a > 1 and hi - lo > 1e-12 * max(1.0, hi):
@@ -508,7 +513,7 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
                 b, hi = m, grid[m]
             else:
                 a, lo = m, grid[m]
-    return hi, True
+    return float(hi), True
 
 
 def carry_chart(tri: Triangulation, base: np.ndarray, u_from: np.ndarray,

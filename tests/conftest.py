@@ -413,24 +413,25 @@ def energy_value_quadrature(tri, base, u, u_ref, alpha, rbar):
 # --- point-by-point oracle for the wall search --------------------------------
 #
 # Production scores all panels, and several bisection levels, per kernel
-# call on stacks of metrics.  This is the reference it must reproduce:
-# one scale_metric and one delaunay_margin per probe point.
+# call on stacks of probe points, each scoring only the quads its
+# certificate leaves.  This is the reference it must reproduce: one
+# scale_metric and one whole-mesh edge_margins per probe point, with a
+# NaN margin a wall (as is_delaunay reads it).
 
 def first_wall_reference(tri, base, u, delta):
     """solver._first_wall probing one point of the segment at a time."""
 
-    def margin(s):
+    def wall(s):
         try:
             scaled = geometry.scale_metric(tri, base, u + s * delta)
         except LogFactorOverflow:
-            return -math.inf
-        return geometry.delaunay_margin(tri, scaled)
+            return True
+        return not geometry.edge_margins(tri, scaled).min() >= solver._WALL_MARGIN
 
-    bad = solver._WALL_MARGIN
     lo, hi = 0.0, None
     for k in range(1, solver._WALL_PANELS + 1):
         s = k / solver._WALL_PANELS
-        if margin(s) < bad:
+        if wall(s):
             hi = s
             break
         lo = s
@@ -438,7 +439,7 @@ def first_wall_reference(tri, base, u, delta):
         return 1.0, False
     while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if margin(mid) < bad:
+        if wall(mid):
             hi = mid
         else:
             lo = mid

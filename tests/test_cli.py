@@ -27,7 +27,7 @@ from conftest import (
 )
 from test_mesh import SPOILS, spoiled
 
-from plcurv import cli, geometry, mesh
+from plcurv import cli, geometry, mesh, solver
 from plcurv.mesh import build_triangulation
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -45,6 +45,9 @@ SURGERY_GAP_STATE = os.path.join(DATA_DIR, "torus_surgery_gap_yamabe_state.json"
 SURGERY_GAP_SOLVE = os.path.join(DATA_DIR, "torus_surgery_gap_solve.json")
 # The unit cube's surface, two triangles per side (conftest.cube_off_text()).
 CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
+# The bytes solve CUBE_OFF --alpha -1 --starts 3 --seed 5 --out must write:
+# its starts' chart walks hit 38 walls, the most of any fixture.
+CUBE_SOLVE = os.path.join(DATA_DIR, "cube_solve.json")
 
 # Regular tetrahedron: every corner angle pi/3, so K = pi at each vertex.
 REGULAR_TETRA_OFF = """OFF
@@ -291,6 +294,22 @@ class TestSolve:
         steps = [row.split(",")[3] for row in trace.read_text().splitlines()[2:]]
         assert {"0.125", "0.5"} <= set(steps)
         with open(SURGERY_GAP_SOLVE, "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    def test_multi_start_report_is_the_golden_bytes(self, capsys, tmp_path, monkeypatch):
+        hits, first_wall = [], solver._first_wall
+
+        def counted(*args):
+            result = first_wall(*args)
+            hits.append(result[1])
+            return result
+
+        monkeypatch.setattr(solver, "_first_wall", counted)
+        out = tmp_path / "report.json"
+        code, doc = run_cli(capsys, ["solve", CUBE_OFF, "--alpha", "-1", "--starts", "3",
+                                     "--seed", "5", "--out", str(out)])
+        assert (code, doc["rigidity_pass"], sum(hits)) == (0, True, 38)
+        with open(CUBE_SOLVE, "rb") as fh:
             assert out.read_bytes() == fh.read()
 
     def test_report_and_trace_files(self, capsys, tmp_path, tetra_file):

@@ -365,7 +365,7 @@ def test_every_edge_id_taker_refuses_an_id_out_of_range(torus9):
     for bad in (-1, torus9.edge_count, -torus9.edge_count - 1):
         for call in (lambda: is_delaunay(torus9, lengths, bad),
                      lambda: is_delaunay(torus9, lengths, np.array([0, bad])),
-                     lambda: geometry.delaunay_margin(torus9, lengths, [bad]),
+                     lambda: geometry.edge_margins(torus9, lengths, [bad]),
                      lambda: flip_length(torus9, lengths, bad),
                      lambda: torus9.flip(bad)):
             with pytest.raises(KeyError, match=f"no edge {bad}"):

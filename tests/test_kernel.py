@@ -28,6 +28,7 @@ from plcurv.geometry import (
     is_delaunay_all,
     make_delaunay,
     scale_metric,
+    side_lengths,
 )
 from plcurv.mesh import Flips, Triangulation, build_triangulation, parse_lengths_json
 from plcurv.solver import triangle_energy
@@ -104,7 +105,8 @@ def test_margin_matches_edge_loop_and_predicate(case):
     tri, lengths = case
     L = lengths.tolist()
     ref = min(edge_margin_reference(tri, L, e) for e in tri.edge_ids())
-    margin = delaunay_margin(tri, lengths)
+    margin = delaunay_margin(side_lengths(tri, lengths, slice(None)))
+    assert margin == edge_margins(tri, lengths).min()
     assert abs(margin - ref) < 1e-12
     assert (margin < -DELAUNAY_SLACK) == bool(is_delaunay_all(tri, lengths))
 

@@ -1,11 +1,12 @@
 """The array wall search against the point-by-point oracle, and chart transport.
 
 ``solver._first_wall`` scores the 16 panels, and then several bisection
-levels, per kernel call on stacked metrics.  It must return what
-probing one point at a time with ``scale_metric`` and ``delaunay_margin``
+levels, per kernel call on stacks of probe points.  It must return what
+probing one point at a time with ``scale_metric`` and ``edge_margins``
 on a single metric returns (``first_wall_reference`` in conftest).
 Before it scans, a closed-form certificate clears the edges that stay
-Delaunay on the whole segment, and only the rest are scanned.
+Delaunay on the whole segment, and the kernel scores only the quads of
+the rest.
 """
 
 import ast
@@ -128,18 +129,43 @@ class TestWallCases:
         assert hit and abs(s - LOG_FACTOR_BOUND / 400.0) < 1e-11
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, len(MESHES) - 1), st.integers(0, 2 ** 32 - 1),
-       st.integers(0, 5))
-def test_stacked_margin_is_each_single_margin(mesh, seed, count):
-    tri = MESHES[mesh]
+def test_a_nan_margin_is_a_wall():
+    """Scaled lengths that overflow give NaN margins, which the scan counts
+    as a wall, as is_delaunay counts them as violations; the surgery there
+    then refuses the overflowed metric."""
+    tri = build_triangulation(lattice_torus_faces(4))
+    base, u, delta = np.full(tri.edge_count, 1e200), np.zeros(16), np.zeros(16)
+    delta[0] = 250.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, hit = agree(tri, base, u, delta)
+        assert hit and 0.99 < s < 1.0
+        assert np.isinf(scale_metric(tri, base, s * delta)).any()
+        assert np.isfinite(scale_metric(tri, base, (s - 1e-11) * delta)).all()
+        with pytest.raises(errors.NonPositiveLength, match="nan"):
+            carry_chart(tri, base, u, delta)
+
+
+DEPTH_MESHES = [(build_triangulation(lattice_torus_faces(m)), None) for m in (3, 4, 5, 6)] + [
+    load_mesh(str(pathlib.Path(__file__).with_name("data") / "cube.off"))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, len(DEPTH_MESHES) - 1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.05, 0.5, 2.0, 20.0]))
+def test_bisection_depth_never_moves_a_wall(mesh, seed, scale):
+    """Every probe is an exact dyadic node and the walk reads one per level,
+    so any number of levels per kernel call finds the same wall."""
+    tri, base = DEPTH_MESHES[mesh]
     rng = np.random.default_rng(seed)
-    base = np.array([math.exp(rng.uniform(-0.5, 0.5)) for _ in tri.edge_ids()])
-    U = rng.uniform(-1.0, 1.0, (count, tri.vertex_count))
-    stacked = delaunay_margin(tri, scale_metric(tri, base, U))
-    assert stacked.shape == (count,)
-    for k in range(count):
-        assert stacked[k] == delaunay_margin(tri, scale_metric(tri, base, U[k]))
+    if base is None:
+        base = np.exp(rng.uniform(-0.3, 0.3, tri.edge_count))
+    tri, base, _ = geometry.make_delaunay(tri, base)
+    u, delta = rng.uniform(-0.3, 0.3, (2, tri.vertex_count)) * [[0.1], [scale]]
+    walls = set()
+    for depth in (1, 3, 5, 9):
+        with mock.patch.object(solver, "_BISECT_DEPTH", depth):
+            walls.add(repr(_first_wall(tri, base, u, delta)))
+    assert len(walls) == 1
 
 
 # --- the wall certificate -------------------------------------------------------
@@ -203,19 +229,61 @@ def test_certified_search_matches_point_by_point_oracle(case):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, len(CERTIFIED_MESHES) - 1), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([None, 0, 1, 3]), st.floats(0.0, 1.0))
+       st.sampled_from([None, 0, 1, 3, 16, 31, 32]), st.sampled_from([None, 0.0, 0.2, 1.0]))
 def test_restricted_margin_is_the_full_margin_bit_for_bit(mesh, seed, count, share):
+    """delaunay_margin on stacked quad sides is the whole-mesh margin of
+    those edges, on stacks of up to 32 metrics whose faces may degenerate;
+    share None passes every edge."""
     tri, base = CERTIFIED_MESHES[mesh]
     rng = np.random.default_rng(seed)
     shape = (tri.vertex_count,) if count is None else (count, tri.vertex_count)
     lengths = scale_metric(tri, base, rng.uniform(-1.0, 1.0, shape))  # faces may degenerate
-    edges = np.flatnonzero(rng.random(tri.edge_count) < share)
-    got = np.asarray(delaunay_margin(tri, lengths, edges))
-    if edges.size:
+    edges = (slice(None) if share is None
+             else np.flatnonzero(rng.random(tri.edge_count) < share))
+    got = np.asarray(delaunay_margin(side_lengths(tri, lengths, edges)))
+    if share is None or edges.size:
         want = edge_margins(tri, lengths)[..., edges].min(-1)
     else:
         want = np.full(lengths.shape[:-1], math.inf)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def scan_calls(tri, base, u, delta):
+    """The (sides, margins) of every kernel call one search makes."""
+    calls, margin = [], geometry.delaunay_margin
+
+    def spy(sides):
+        calls.append((sides, margin(sides)))
+        return calls[-1][1]
+
+    with mock.patch.object(geometry, "delaunay_margin", spy):
+        _first_wall(tri, base, u, delta)
+    return calls
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, len(CERTIFIED_MESHES) - 1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.05, 0.5, 2.0, 20.0]))
+def test_stacked_margin_is_each_single_margin(mesh, seed, scale):
+    """The scan's panel call builds the sides scale_metric gives the quads
+    left, as the same floats, and each probe's minimum is its own."""
+    tri, base = CERTIFIED_MESHES[mesh]
+    rng = np.random.default_rng(seed)
+    base = base * np.exp(rng.uniform(-0.2, 0.2, tri.edge_count))
+    u, delta = rng.uniform(-0.3, 0.3, (2, tri.vertex_count)) * [[1.0], [scale]]
+    left = _uncertified_edges(tri, base, u, delta)
+    calls = scan_calls(tri, base, u, delta)
+    if left is not None and not left.size:
+        assert calls == []
+        return
+    U = u + (np.arange(1, 17) / 16)[:, None] * delta  # the 16 panels
+    sides, _ = calls[0]
+    want = side_lengths(tri, scale_metric(tri, base, U), slice(None) if left is None else left)
+    assert sides.tobytes() == want.tobytes() and sides.shape == want.shape
+    for sides, margins in calls:
+        assert margins.shape == (len(sides),) and len(sides) in (16, 31)
+        for k in range(len(sides)):
+            assert margins[k] == delaunay_margin(sides[k])
 
 
 class TestCertificate:
@@ -246,21 +314,27 @@ class TestCertificate:
 
 
 def test_certificate_leaves_few_edges_to_scan(monkeypatch):
-    """Per search, the edge counts the scan's delaunay_margin calls receive.
+    """Per search, the quad counts the scan's delaunay_margin calls receive,
+    and the calls a search that hits a wall makes.
 
     A 12 x 12 lattice torus Newton solve (432 edges) and a 4 x 4 Yamabe
-    flow (48 edges), both from random metrics on seed 0.
+    flow (48 edges), both from random metrics on seed 0.  A hit scans
+    the panels once, then bisects 36 levels (from 1/16 to 1e-12),
+    _BISECT_DEPTH per call.
     """
-    searches = []
+    searches, hits = [], []
     first_wall, margin = solver._first_wall, geometry.delaunay_margin
 
     def counted_search(*args):
         searches.append([])
-        return first_wall(*args)
+        result = first_wall(*args)
+        if result[1]:
+            hits.append(len(searches[-1]))
+        return result
 
-    def counted_margin(tri, lengths, edges=None):
-        searches[-1].append(tri.edge_count if edges is None else len(edges))
-        return margin(tri, lengths, edges)
+    def counted_margin(sides):
+        searches[-1].append(sides.shape[-3])
+        return margin(sides)
 
     monkeypatch.setattr(solver, "_first_wall", counted_search)
     monkeypatch.setattr(geometry, "delaunay_margin", counted_margin)
@@ -279,6 +353,7 @@ def test_certificate_leaves_few_edges_to_scan(monkeypatch):
 
     assert summary(newton) == (8, 3, 7)
     assert summary(searches) == (112, 107, 2)
+    assert len(hits) == 7 and set(hits) == {1 + math.ceil(36 / solver._BISECT_DEPTH)}
 
 
 # --- the certified box ----------------------------------------------------------
