@@ -36,7 +36,7 @@ class OrientationConflict(PLCurvError):
 
 
 class FlipDegeneratesComplex(PLCurvError):
-    """The requested edge flip would create a combinatorially invalid face."""
+    """The edge to flip has both sides on one face, so it bounds no quad."""
 
 
 # --- geometry ---

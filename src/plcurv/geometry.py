@@ -34,6 +34,7 @@ from .errors import (
     FlipLimitExceeded,
     LogFactorOverflow,
     NonConvexQuad,
+    NonFiniteValue,
     NonPositiveLength,
 )
 from .mesh import Flips, Triangulation
@@ -158,8 +159,8 @@ def scale_metric(tri: Triangulation, base: np.ndarray, u: np.ndarray) -> np.ndar
     """Scale every edge {i, j} by exp(u_i + u_j).
 
     ``u`` may stack points (..., V), giving one metric (..., E) each.  A
-    self-edge at vertex i (possible in principle, never produced by the
-    mesh builder) picks up exp(2 u_i), the consistent specialization.
+    loop edge at vertex i, which a flip makes when its two faces share
+    all three vertices, picks up exp(2 u_i).
     """
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (tri.vertex_count,):
@@ -332,17 +333,19 @@ def flip_length(tri: Triangulation, lengths, e):
     Lays the two faces out flat on either side of ``e`` and measures the
     distance between the far corners; the law-of-cosines form below is
     that distance, taken on the quad's lengths divided by its longest
-    side so that no square overflows or underflows.  Requires both faces
-    nondegenerate and the quad convex at the shared diagonal.  A quad
-    that is not strictly convex has a Delaunay diagonal (at a flat corner
-    i the angles facing ij sum to pi minus the corner sum at j), so the
-    flips that restore Delaunay never fail here.  ``e`` may be an array
-    of edge ids, giving an array of lengths; errors name the first edge
-    at fault.  ``lengths`` may be a metric array or a list.
+    side so that no square overflows or underflows.  Requires finite sides,
+    both faces nondegenerate and the quad convex at the shared diagonal.
+    A quad that is not strictly convex has a Delaunay diagonal (at a flat
+    corner i the angles facing ij sum to pi minus the corner sum at j), so
+    the flips that restore Delaunay never fail here.  ``e`` may be an array
+    of edge ids, giving an array of lengths; errors name the first edge at
+    fault.  ``lengths`` may be a metric array or a list.
     """
     es = np.array(e, dtype=np.intp, ndmin=1)
     # row x: side lengths (ij, jk, ki) of f1 and (ij, il, lj) of f2
     sides = side_lengths(tri, lengths, es)
+    if not (finite := np.isfinite(sides).all(axis=(1, 2))).all():  # an overflowed scaling
+        raise NonFiniteValue(f"quad of edge {es[~finite][0]} has a side of length inf")
     m = max3(sides)
     flat = m >= (sides[..., 0] + sides[..., 1] + sides[..., 2]) - m
     if flat.any():

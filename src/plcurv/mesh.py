@@ -186,11 +186,13 @@ class Triangulation:
         record, a row per edge in the order given (one row for an int,
         none for an empty array).
 
+        The faces may share all three vertices (k == l): the flip is
+        valid, and the new diagonal is a loop at k.
+
         Raises
         ------
         FlipDegeneratesComplex
-            If the two faces coincide or share all three vertices, so the
-            flip would create a face with a repeated vertex.
+            If both sides of the edge lie on one face, so there is no quad.
         """
         es = np.array(e, dtype=np.intp, ndmin=1)
         if not es.size:
@@ -199,15 +201,10 @@ class Triangulation:
         verts = self.faces.reshape(-1)[corners]       # i j k j i l
         edges = self.face_edges.reshape(-1)[corners]  # e jk ki e il lj
         faces = corners[:, ::3] // 3                  # f1 f2
-        stuck = (faces[:, 0] == faces[:, 1]) | (verts[:, 2] == verts[:, 5])
+        stuck = faces[:, 0] == faces[:, 1]
         if stuck.any():
             x = np.flatnonzero(stuck)[0]
-            (f1, f2), edge = faces[x].tolist(), es[x]
-            if f1 == f2:
-                raise FlipDegeneratesComplex(f"edge {edge} has both sides on face {f1}")
-            raise FlipDegeneratesComplex(
-                f"faces {f1} and {f2} share all three vertices; flipping edge "
-                f"{edge} would repeat a vertex")
+            raise FlipDegeneratesComplex(f"edge {es[x]} has both sides on face {faces[x, 0]}")
         fs = faces.reshape(-1)
         if len(es) > 1 and np.bincount(fs).max() > 1:
             raise ValueError("edges flipped together must not share a face")
@@ -793,8 +790,13 @@ def lengths_json_text(tri: Triangulation, lengths: np.ndarray, **extra) -> str:
     keys after ``"lengths"``.  When two edges join the same vertex pair,
     the first-come pairing of the reader need not give back this gluing
     (flips put faces in any order), so every record then also carries
-    its edge id.  A non-finite length raises ValueError.
+    its edge id.  A non-finite length raises ValueError, and so does a
+    face that repeats a vertex (a flip can make one): the reader keys a
+    face's sides by vertex pair and could not read it back.
     """
+    if (repeats := tri.faces == tri.faces[:, [1, 2, 0]]).any():
+        f = int(repeats.argmax()) // 3
+        raise ValueError(f"cannot serialize face {f}, which repeats a vertex")
     length = np.asarray(lengths, dtype=float)[tri.face_edges].reshape(-1)
     if not np.isfinite(length).all():
         raise ValueError(f"cannot serialize non-finite length {length[~np.isfinite(length)][0]}")

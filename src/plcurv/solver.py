@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # scipy loads lazily; annotations only
 
 from . import geometry
 from .errors import (
-    DegenerateFace,
     FlipLimitExceeded,
     LineSearchStalled,
     LogFactorOverflow,
@@ -707,9 +706,6 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
 
 # --- rigidity experiment ------------------------------------------------
 
-START_DRAWS = 100  # random draws per start before rigidity_check gives up
-
-
 @dataclass
 class RigidityReport:
     kind: str
@@ -734,9 +730,9 @@ def rigidity_check(tri: Triangulation, base: np.ndarray, alpha: float,
     The target is resolved once (at u = 0) so every start chases the same
     prescribed vector.  PASS means all solutions agree within 1e-6 in the
     max norm, modulo the additive gauge in the "zero" class; an
-    unsupported target yields no claim.  Starts are drawn until no face of
-    the Delaunay chart at u = 0 degenerates, START_DRAWS times at most;
-    each solve starts on that chart, so its own pass at u = 0 flips nothing.
+    unsupported target yields no claim.  Each start, drawn once from
+    U(-spread, spread), is solved from the Delaunay chart at u = 0 that all
+    starts share, and its walk carries that chart to the start.
     """
     n = tri.vertex_count
     rbar, kind = target.resolve(alpha, tri.chi, np.zeros(n))
@@ -747,12 +743,7 @@ def rigidity_check(tri: Triangulation, base: np.ndarray, alpha: float,
     tri0, base0, _ = start_chart(tri, base, np.zeros(n))
     solutions = []
     for _ in range(trials):
-        for _ in range(START_DRAWS):
-            u0 = rng.uniform(-spread, spread, size=n)
-            if not degenerate_faces(tri0, scale_metric(tri0, base0, u0)):
-                break
-        else:
-            raise DegenerateFace(f"{START_DRAWS} draws all leave a face degenerate")
+        u0 = rng.uniform(-spread, spread, size=n)
         res = newton_solve(tri0, base0, u0, alpha, fixed, tol=tol)
         solutions.append(res.u - res.u.mean() if kind == "zero" else res.u)
     # the largest pairwise max-norm gap is the widest per-vertex range

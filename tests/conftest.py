@@ -453,6 +453,12 @@ def first_wall_reference(tri, base, u, delta):
 # scalar is_delaunay_reference; the rounds must reach its faces and
 # curvature.
 
+def repeats_vertex(tri):
+    """True when a face repeats a vertex: a flip whose two faces share all
+    three vertices makes two such faces and a loop edge."""
+    return bool((tri.faces == tri.faces[:, [1, 2, 0]]).any())
+
+
 def make_delaunay_reference(tri, lengths):
     """A Delaunay pass flipping one queued edge at a time."""
     cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2

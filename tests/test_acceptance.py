@@ -27,7 +27,6 @@ from conftest import (
 from plcurv import flows, geometry, mesh, solver
 from plcurv.errors import (
     DegenerateFace,
-    FlipDegeneratesComplex,
     NonConvexQuad,
 )
 from plcurv.mesh import build_triangulation
@@ -87,10 +86,7 @@ def test_c02_jacobian_matches_finite_differences():
             u = rng.uniform(-0.25, 0.25, n)
             if geometry.degenerate_faces(tri, geometry.scale_metric(tri, base, u)):
                 continue
-            try:
-                tri2, base2, _ = geometry.delaunay_surgery(tri, base, u)
-            except FlipDegeneratesComplex:
-                continue
+            tri2, base2, _ = geometry.delaunay_surgery(tri, base, u)
             scaled = geometry.scale_metric(tri2, base2, u)
             L = geometry.curvature_jacobian(tri2, scaled).toarray()
             fd = np.empty_like(L)
@@ -133,7 +129,7 @@ def test_c03_flip_isometry():
             tri2, lens2, info = flip_with_length(tri, lens, e)
             # the new diagonal keeps the id, so flipping e again undoes it
             tri3, lens3, back = flip_with_length(tri2, lens2, e)
-        except (NonConvexQuad, DegenerateFace, FlipDegeneratesComplex):
+        except (NonConvexQuad, DegenerateFace):
             continue
         assert info.edge.tolist() == back.edge.tolist() == [e]
         dk = float(np.max(np.abs(geometry.curvature(tri2, lens2) - k0)))

@@ -19,6 +19,7 @@ from conftest import (
     GENUS2_FACES,
     TETRA_FACES,
     flat_torus_document,
+    flip_with_length,
     json_text_reference,
     lattice_torus_faces,
     lengths_doc,
@@ -46,8 +47,11 @@ SURGERY_GAP_SOLVE = os.path.join(DATA_DIR, "torus_surgery_gap_solve.json")
 # The unit cube's surface, two triangles per side (conftest.cube_off_text()).
 CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
 # The bytes solve CUBE_OFF --alpha -1 --starts 3 --seed 5 --out must write:
-# its starts' chart walks hit 38 walls, the most of any fixture.
+# its starts' chart walks hit 36 walls, the most of any fixture.
 CUBE_SOLVE = os.path.join(DATA_DIR, "cube_solve.json")
+# The bytes solve SURGERY_GAP --alpha -1 --starts 3 --out must write: its
+# starts' chart walks flip quads whose two faces share all three vertices.
+SURGERY_GAP_STARTS = os.path.join(DATA_DIR, "torus_surgery_gap_starts.json")
 
 # Regular tetrahedron: every corner angle pi/3, so K = pi at each vertex.
 REGULAR_TETRA_OFF = """OFF
@@ -308,7 +312,7 @@ class TestSolve:
         out = tmp_path / "report.json"
         code, doc = run_cli(capsys, ["solve", CUBE_OFF, "--alpha", "-1", "--starts", "3",
                                      "--seed", "5", "--out", str(out)])
-        assert (code, doc["rigidity_pass"], sum(hits)) == (0, True, 38)
+        assert (code, doc["rigidity_pass"], sum(hits)) == (0, True, 36)
         with open(CUBE_SOLVE, "rb") as fh:
             assert out.read_bytes() == fh.read()
 
@@ -348,6 +352,38 @@ class TestSolve:
         flipping = [k for k in passes if k]
         assert flipping.count(passes[0]) == 2
         assert len(flipping) == 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_starts_flip_loops_in_and_pass(self, capsys, tmp_path, monkeypatch, seed):
+        loops, flip = [], mesh.Triangulation.flip
+
+        def counted(tri, *args):
+            out = flip(tri, *args)
+            quad = out[1].quad
+            loops.append(int((quad[:, 2] == quad[:, 3]).sum()))
+            return out
+
+        monkeypatch.setattr(mesh.Triangulation, "flip", counted)
+        out = tmp_path / "report.json"
+        code, doc = run_cli(capsys, ["solve", SURGERY_GAP, "--alpha", "-1", "--starts", "3",
+                                     "--seed", str(seed), "--out", str(out)])
+        assert code == 0 and doc["rigidity_pass"] is True and sum(loops) > 0
+        if seed == 0:
+            with open(SURGERY_GAP_STARTS, "rb") as fh:
+                assert out.read_bytes() == fh.read()
+
+    def test_starts_far_from_the_u0_chart_pass(self, capsys, tmp_path):
+        # On a 20 x 20 torus nearly every U(-0.3, 0.3) start leaves a face
+        # degenerate on the u = 0 chart; each start's walk carries it there.
+        tri = build_triangulation(lattice_torus_faces(20))
+        rng = np.random.default_rng(0)
+        while geometry.degenerate_faces(
+                tri, base := np.exp(rng.uniform(-0.25, 0.25, tri.edge_count))):
+            pass
+        path = tmp_path / "torus.json"
+        path.write_text(mesh.lengths_json_text(tri, base))
+        code, doc = run_cli(capsys, ["solve", str(path), "--alpha", "-1", "--starts", "3"])
+        assert code == 0 and doc["rigidity_pass"] is True
 
     def test_multi_start_rigidity(self, capsys, kite_file):
         code, doc = run_cli(capsys, ["solve", kite_file, "--alpha", "0",
@@ -402,6 +438,19 @@ class TestDelaunay:
         assert (code, doc["flips"]) == (0, 96)
         with open(SLIVER_FIXED, "rb") as fh:
             assert fixed.read_bytes() == fh.read()
+
+    def test_fix_refuses_to_write_a_face_that_repeats_a_vertex(self, capsys, caplog, tmp_path):
+        # The 3 x 3 torus planted at u_p has a loop edge in its Delaunay
+        # chart.  Flipped out, the loop makes a document --fix flips back.
+        tri = build_triangulation(torus9_faces())
+        u_p = np.random.default_rng(7).uniform(-0.6, 0.6, 9)
+        tri, base, _, _ = solver.carry_chart(tri, unit_lengths(tri), np.zeros(9), u_p)
+        (loop,) = np.flatnonzero(tri.edge_verts[:, 0] == tri.edge_verts[:, 1])
+        tri, lengths, _ = flip_with_length(tri, geometry.scale_metric(tri, base, u_p), loop)
+        path, fixed = tmp_path / "torus.json", tmp_path / "fixed.json"
+        path.write_text(mesh.lengths_json_text(tri, lengths))
+        assert run_cli(capsys, ["delaunay", str(path), "--fix", "--out", str(fixed)]) == (3, None)
+        assert "which repeats a vertex" in caplog.text and not fixed.exists()
 
 
 class TestReplay:
@@ -885,8 +934,65 @@ def test_writer_refuses_every_non_finite_float():
                 mesh.json_text(doc)
 
 
+OBJ_TETRA = ("".join(f"v {row}\n" for row in REGULAR_TETRA_OFF.splitlines()[2:6])
+             + "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
+SPHERE2_DOC = '{"vertices": 3, "faces": [[0, 1, 2], [0, 2, 1]]'
+
+# (argv, files, message): an argument "@name" is the path of file "name",
+# written with the text given; a name not in the files is never written.
+INPUT_ERRORS = {
+    "off count line": (["curvature", "@m.off"], {"m.off": "OFF\n4 x 6\n"},
+                       "bad OFF count line"),
+    "off truncated": (["curvature", "@m.off"], {"m.off": "OFF\n4 4 6\n1 1 1\n"},
+                      "truncated OFF file"),
+    "off vertex line": (["curvature", "@m.off"],
+                        {"m.off": REGULAR_TETRA_OFF.replace("1 -1 -1\n", "1 -1\n", 1)},
+                        "bad vertex line"),
+    "off quad": (["curvature", "@m.off"],
+                 {"m.off": REGULAR_TETRA_OFF.replace("3 0 1 2", "4 0 1 2 3")},
+                 "face line '4 0 1 2 3' is not a triangle"),
+    "obj vertex": (["curvature", "@m.obj"], {"m.obj": OBJ_TETRA.replace("v 1 -1 -1", "v 1 -1")},
+                   "bad OBJ vertex"),
+    "obj quad": (["curvature", "@m.obj"], {"m.obj": OBJ_TETRA.replace("f 1 2 3", "f 1 2 3 4")},
+                 "face 'f 1 2 3 4' is not a triangle"),
+    "obj no faces": (["curvature", "@m.obj"], {"m.obj": "v 0 0 0\n"}, "contains no faces"),
+    "coincident vertices": (["curvature", "@m.off"],
+                            {"m.off": REGULAR_TETRA_OFF.replace("1 -1 -1\n", "1 1 1\n", 1)},
+                            "vertices 0 and 1 coincide"),
+    "faces not lists": (["curvature", "@m.json"],
+                        {"m.json": '{"vertices": 3, "faces": [1, 2], "lengths": []}'},
+                        "'faces' must be a list of lists"),
+    "no lengths": (["curvature", "@m.json"], {"m.json": SPHERE2_DOC + "}"},
+                   "need either 'lengths' or 'edge_lengths'"),
+    "lengths not a list": (["curvature", "@m.json"], {"m.json": SPHERE2_DOC + ', "lengths": 5}'},
+                           "'lengths' must be a list of records"),
+    "edge without length": (["curvature", "@m.json"], {"m.json": SPHERE2_DOC + (
+        ', "edge_lengths": [[0, 1, 1.0], [1, 2, 1.0]]}')}, "1 edges have no length"),
+    "no format": (["curvature", "@m.txt"], {"m.txt": REGULAR_TETRA_OFF}, "cannot infer format"),
+}
+for flag, argv, key in (("--target", ["solve", "@t.off", "--alpha", "-1", "--target"], "target"),
+                        ("--u-file", ["curvature", "@t.off", "--u-file"], "u")):
+    INPUT_ERRORS[f"{flag} invalid JSON"] = (
+        argv + ["@v.json"], {"t.off": REGULAR_TETRA_OFF, "v.json": "{"}, "invalid JSON in")
+    INPUT_ERRORS[f"{flag} without its key"] = (
+        argv + ["@v.json"], {"t.off": REGULAR_TETRA_OFF, "v.json": '{"x": [1]}'},
+        f"has no {key!r} entry")
+    INPUT_ERRORS[f"{flag} unreadable"] = (
+        argv + ["@v.json"], {"t.off": REGULAR_TETRA_OFF}, "cannot read")
+
+
 class TestMalformedInput:
     """Every malformed input exits 2 (parse) or 3 (validation), never 0."""
+
+    @pytest.mark.parametrize("argv, files, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+    def test_input_error_exits_2_without_traceback(self, capsys, caplog, tmp_path,
+                                                   argv, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        assert run_cli(capsys, argv) == (2, None)
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
 
     def test_float_vertex_id_exits_2(self, capsys, caplog, tmp_path):
         # int(1.7) used to read this as the two-face sphere and exit 0

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plcurv import errors
+from plcurv.geometry import curvature
 from plcurv.mesh import (
     Flips,
     build_triangulation,
@@ -26,10 +27,12 @@ from conftest import (
     TETRA_FACES,
     cube12_faces,
     cube_off_text,
+    flip_with_length,
     glue_reference,
     lattice_torus_faces,
     lengths_doc,
     torus9_faces,
+    unit_lengths,
     vertex_degree,
 )
 
@@ -199,11 +202,24 @@ class TestFlip:
         rebuilt = build_triangulation([tri2.faces[f] for f in tri2.face_ids()])
         assert rebuilt.chi == 2
 
-    def test_two_face_sphere_flip_degenerates(self):
+    def test_two_face_sphere_flips_make_a_loop(self):
+        # The two faces share all three vertices, so every flip is valid and
+        # makes a loop edge; on the equilateral metric it is an isometry.
         tri = build_triangulation(SPHERE2_FACES)
+        lengths = unit_lengths(tri)
         for e in tri.edge_ids():
-            with pytest.raises(errors.FlipDegeneratesComplex):
-                tri.flip(e)
+            flipped, flipped_lengths, _ = flip_with_length(tri, lengths, e)
+            k, l = flipped.edge_vertices(e)
+            assert k == l and flipped.chi == 2
+            assert curvature(flipped, flipped_lengths) == pytest.approx(
+                np.full(3, 4.0 * math.pi / 3.0), abs=1e-12)
+            assert face_multiset(flipped.flip(e)[0]) == face_multiset(tri)
+            for rim in set(tri.edge_ids()) - {e}:
+                # both sides of each rim edge now lie on one face: no quad
+                assert len(set((flipped.edge_sides[rim] // 3).tolist())) == 1
+                with pytest.raises(errors.FlipDegeneratesComplex,
+                                   match=f"edge {rim} has both sides on face"):
+                    flipped.flip(rim)
 
     def test_random_flip_walk_stays_valid(self, torus9):
         rng = np.random.default_rng(7)
@@ -668,8 +684,7 @@ def disjoint_flips(draw):
     chosen, used = [], set()
     for e in order[:wanted]:
         faces = set((tri.edge_sides[e] // 3).tolist())
-        k, l = tri.faces.reshape(-1)[tri.quad_corners(e)][:, 2].tolist()
-        if len(faces) == 2 and k != l and not faces & used:
+        if len(faces) == 2 and not faces & used:
             chosen.append(e)
             used |= faces
     assume(chosen)

@@ -5,6 +5,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcurv import errors, solver
 from plcurv.geometry import (
@@ -25,6 +27,7 @@ from plcurv.solver import (
     lobachevsky,
     newton_solve,
     rigidity_check,
+    carry_chart,
     start_chart,
     triangle_energy,
     trial_energy,
@@ -487,11 +490,13 @@ class TestRigidity:
         assert rep.passed is None
         assert "no claim" in str(rep)
 
-    def test_start_draws_are_bounded(self, torus9, lattice_torus_lengths):
-        # at |u| up to 50 every draw leaves some face degenerate
-        with pytest.raises(errors.DegenerateFace):
-            rigidity_check(torus9, lattice_torus_lengths, -1.0,
-                           Target.constant(), trials=1, spread=50.0)
+    @pytest.mark.parametrize("spread", [1.0, 3.0, 10.0])
+    def test_far_starts_pass(self, torus9, lattice_torus_lengths, spread):
+        # such draws leave faces degenerate on the u = 0 chart; each start's
+        # walk carries that chart to the start, flipping loop edges in too
+        rep = rigidity_check(torus9, lattice_torus_lengths, -1.0,
+                             Target.constant(), spread=spread)
+        assert rep.passed and rep.spread < 1e-9
 
     def test_cube_alpha_zero_gauge(self, cube12):
         tri, base = cube12
@@ -499,3 +504,24 @@ class TestRigidity:
                              seed=3, spread=0.2)
         assert rep.kind == "zero"
         assert rep.passed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 8), st.floats(0.0, 0.6), st.floats(-2.0, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_planted_torus_is_recovered(m, sigma, alpha, seed):
+    """The flat equilateral torus, scaled by u_p with its chart carried there,
+    is in the flat metric's conformal class; rigidity makes -u_p (up to a
+    constant) the only answer, at every alpha, and from every start."""
+    tri = build_triangulation(lattice_torus_faces(m))
+    u_p = np.random.default_rng(seed).uniform(-sigma, sigma, tri.vertex_count)
+    tri, base, _, _ = carry_chart(tri, np.ones(tri.edge_count), np.zeros(tri.vertex_count), u_p)
+    planted = scale_metric(tri, base, u_p)
+    res = newton_solve(tri, planted, np.zeros(tri.vertex_count), alpha, Target.constant())
+    assert np.ptp(res.u + u_p) < 1e-9
+    # every final edge has one length, read off the result with NumPy alone
+    ends = res.tri.edge_verts
+    lengths = res.base * np.exp(res.u[ends[:, 0]] + res.u[ends[:, 1]])
+    assert lengths.max() / lengths.min() - 1.0 < 1e-9
+    rep = rigidity_check(tri, planted, alpha, Target.constant(), trials=2, seed=seed)
+    assert rep.passed and all(np.ptp(sol + u_p) < 1e-9 for sol in rep.solutions)
