@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-steps", type=int, default=20000)
     p.add_argument("--surgery", choices=("on", "off"), default="on")
-    p.add_argument("--integrator", choices=("euler", "rk4"), default="euler")
+    p.add_argument("--integrator", choices=flows.INTEGRATORS,
+                   default=flows.FlowConfig.integrator)
     p.add_argument("--out-history", metavar="PATH", help="history CSV")
     p.add_argument("--out-state", metavar="PATH", help="final state JSON")
 

@@ -5,6 +5,9 @@ curvature: du/dt = R_av - R (relaxation toward the average) and
 du/dt = laplacian(R) (smoothed relaxation).  Both conserve the weight
 sum and descend the same convex energy the Newton solver minimizes, so
 each renormalized trial point is accept/reject guarded by that energy.
+The default integrator is linearly implicit Euler: one dense linear solve
+per trial, on the energy's Hessian, with dt doubling after every accepted
+step; explicit Euler and RK4 follow the trajectory at a capped dt.
 The chart is started, tested and carried by the solver, as Newton's is:
 dt is halved by the solver's guarded step until a trial passes, and an
 edge that turns cocircular along an accepted step is flipped there.  A
@@ -16,6 +19,7 @@ the chart it lands in.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +47,12 @@ log = logging.getLogger(__name__)
 
 DT_FLOOR = 1e-16
 MAX_HALVINGS = 40
+# The implicit dt doubles up to here.  Past it the step is Newton's to
+# rounding, and far past it diag(w) + dt*H loses the gauge direction, along
+# which H is singular on a torus: a converged run that cannot reach its
+# tolerance would end in singular systems (near dt = 1e22 on a 4x4 torus)
+# instead of at --max-steps.
+DT_CEILING = 1e12
 GROWTH_FACTOR = 1.2
 GROWTH_STREAK = 5
 
@@ -52,6 +62,9 @@ GROWTH_STREAK = 5
 ENERGY_NOISE = 1e-12
 
 
+INTEGRATORS = ("implicit", "euler", "rk4")
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     kind: str = "yamabe"
@@ -59,12 +72,12 @@ class FlowConfig:
     tol: float = 1e-10
     max_steps: int = 20000
     surgery: bool = True
-    integrator: str = "euler"
+    integrator: str = "implicit"
 
     def __post_init__(self) -> None:
         if self.kind not in ("yamabe", "calabi"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if self.integrator not in ("euler", "rk4"):
+        if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
@@ -185,7 +198,7 @@ def calabi_rhs(state: FlowState) -> np.ndarray:
 
 def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
              dt: float) -> np.ndarray:
-    """The integrator's step of size dt from ``state``, renormalized."""
+    """The explicit integrator's step of size dt from ``state``, renormalized."""
     if config.integrator == "euler":
         u = state.u + dt * rhs0
     else:
@@ -196,25 +209,65 @@ def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
     return apply_gauge(u, state.alpha, state.conserved_target)
 
 
+def _implicit(state: FlowState, kind: str):
+    """propose(dt): the linearly implicit Euler step of size dt, renormalized.
+
+    One order-2 energy evaluation at the state gives the gradient g and
+    the Hessian H = L - alpha*diag(rbar*w), with w = e^(alpha u) and L the
+    curvature Jacobian.  Yamabe, w du/dt = -g, solves
+    (diag(w) + dt*H) du = -dt*g.  Calabi, du/dt = f = -W^-1 L R_alpha,
+    takes a Rosenbrock-W step (I - dt*J) du = dt*f with
+    J = -W^-1 L (W^-1 L - alpha*diag(R_alpha)); J leaves out the
+    derivatives of L and W^-1, whose terms multiply L R_alpha and vanish
+    at the fixed point.  Every trial is one dense solve; a singular system
+    raises LinAlgError, which the guarded step counts as a rejection.
+    """
+    u, alpha = state.u, state.alpha
+    rep = energy_W_alpha(state.tri, state.base, u, alpha, state.rbar)
+    w = np.exp(alpha * u)
+    if kind == "yamabe":
+        A, diag, b = rep.hessian, w, -rep.gradient
+    else:  # in place: at V = 2304 each (V, V) array is 42 MB
+        WL = rep.hessian
+        WL.flat[::len(u) + 1] += alpha * (state.rbar * w)  # L
+        WL /= w[:, None]
+        R = state.report.R_alpha
+        dR = WL.copy()  # dR_alpha/du = W^-1 L - alpha*diag(R_alpha)
+        dR.flat[::len(u) + 1] -= alpha * R
+        A, diag, b = WL @ dR, 1.0, -(WL @ R)
+
+    def propose(dt: float) -> np.ndarray:
+        lhs = dt * A
+        lhs.flat[::len(u) + 1] += diag
+        return apply_gauge(u + np.linalg.solve(lhs, dt * b), alpha, state.conserved_target)
+
+    return propose
+
+
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """One accepted integrator step: integrate, renormalize, guard, carry.
 
     A renormalized trial is rejected (dt halved, at most MAX_HALVINGS times,
-    never below DT_FLOOR) when the metric would overflow, a face degenerate
-    or the energy visibly increase; the value it passes is the one kept,
-    and its angles give the arrival's curvature report.  dt recovers by a
-    factor 1.2 after 5 consecutive accepts, never beyond config.dt.  With
-    surgery on, an edge turning cocircular flips there, at t + s * dt, and
-    the energy and angles are evaluated once more on the arrival chart.
+    never below DT_FLOOR) when the metric would overflow, a face degenerate,
+    the implicit system be singular or the energy visibly increase; the
+    value it passes is the one kept, and its angles give the arrival's
+    curvature report.  The implicit integrator doubles dt after every
+    accepted step, up to DT_CEILING.  Euler and RK4 recover dt by a factor
+    1.2 after 5 consecutive accepts, never beyond config.dt.  With surgery
+    on, an edge turning cocircular flips there, at t + s * dt, and the
+    energy and angles are evaluated once more on the arrival chart.
     """
-    rhs0 = _rhs(state, config.kind, state.report)
+    if config.integrator == "implicit":
+        propose = _implicit(state, config.kind)
+    else:
+        rhs0 = _rhs(state, config.kind, state.report)
+        propose = functools.partial(_advance, state, config, rhs0)
     dt = config.dt if state.dt is None else state.dt
     noise = max(ENERGY_NOISE * (1.0 + abs(state.w_value)),
                 ROUNDING_NOISE * abs(state.w_offset))
 
     dt, halvings, u_try, trial = guarded_step(
-        state.tri, state.base, state.alpha, state.rbar, state.w_offset,
-        lambda dt: _advance(state, config, rhs0, dt),
+        state.tri, state.base, state.alpha, state.rbar, state.w_offset, propose,
         lambda dt, value: value <= state.w_value + noise,
         step=dt, max_shrinks=MAX_HALVINGS, min_step=DT_FLOOR)
     if trial is None:
@@ -222,6 +275,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         blocker = ("metric overflow" if u_try is None
                    else trial_fault(state.tri, state.base, u_try, state.alpha)
                    or "energy would increase")
+        if u_try is None and config.integrator == "implicit":
+            blocker += " or a singular system"
         raise StepSizeUnderflow(f"no step accepted down to dt={dt:.6g} ({limit} "
                                 f"reached) at t={state.t:.6g}: {blocker}")
 
@@ -238,7 +293,9 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
     streak = 0 if halvings else state.accept_streak + 1
     dt_next = dt
-    if streak >= GROWTH_STREAK:
+    if config.integrator == "implicit":
+        dt_next, streak = min(2.0 * dt, DT_CEILING), 0
+    elif streak >= GROWTH_STREAK:
         dt_next = min(dt * GROWTH_FACTOR, config.dt)
         streak = 0
 

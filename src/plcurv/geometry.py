@@ -22,12 +22,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # scipy loads lazily; annotations only
-    import scipy.sparse
 
 from .errors import (
     DegenerateFace,
@@ -212,15 +208,14 @@ def alpha_curvature(K: np.ndarray, u: np.ndarray, alpha: float,
                            sum_K=sum_K, R_av=R_av, max_dev=max_dev)
 
 
-def _cot_laplacian(tri: Triangulation, lengths: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Cot-weight graph Laplacian: minus the edge's cot weight (the cotangents
-    of the two angles facing it, summed) off the diagonal, zero row sums.
+def _cot_weights(tri: Triangulation, lengths: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, w) per edge joining two vertices: its ends and its cot weight, the
+    cotangents of the two angles facing it summed.
 
-    Self-edges contribute nothing.  Degenerate faces contribute
-    +/-COT_CLAMP through the extended angles (cot 0 and cot pi).
+    Self-edges are left out.  Degenerate faces contribute +/-COT_CLAMP
+    through the extended angles (cot 0 and cot pi).
     """
-    import scipy.sparse  # only the Jacobian and Laplacian need it
-
     cos = opposite_cosines(side_lengths(tri, lengths)).ravel()
     sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
     cot = np.divide(cos, sin, out=np.where(cos > 0.0, COT_CLAMP, -COT_CLAMP),
@@ -228,28 +223,28 @@ def _cot_laplacian(tri: Triangulation, lengths: np.ndarray) -> scipy.sparse.csr_
     ends, sides = tri.edge_verts, tri.edge_sides
     real = ends[:, 0] != ends[:, 1]
     i, j = ends[real].T
-    w = (cot[sides[:, 0]] + cot[sides[:, 1]])[real]
-    rows = np.stack([i, j, i, j], axis=1).ravel()
-    cols = np.stack([j, i, i, j], axis=1).ravel()
-    vals = np.stack([-w, -w, w, w], axis=1).ravel()
-    n = tri.vertex_count
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return i, j, (cot[sides[:, 0]] + cot[sides[:, 1]])[real]
 
 
-def curvature_jacobian(tri: Triangulation, lengths: np.ndarray) -> scipy.sparse.csr_matrix:
+def curvature_jacobian(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     """Derivative of the deficit vector in the log conformal factors.
 
-    Returns a sparse symmetric matrix with zero row sums: off-diagonal
+    Returns a dense (V, V) symmetric array with zero row sums: off-diagonal
     (i, j) entries are minus the cot weights of the edges joining i and j
     (a finite-difference test pins this scale), the diagonal makes rows
     sum to zero.  Self-edges contribute nothing.  On a Delaunay metric the
     matrix is positive semi-definite with kernel spanned by the constant
-    vector.
+    vector.  One bincount sums the entries edge by edge, (i, j), (j, i),
+    (i, i), (j, j) in turn.
     """
     bad = degenerate_faces(tri, lengths)
     if bad:
         raise DegenerateFace(f"faces {bad} are degenerate")
-    return _cot_laplacian(tri, lengths)
+    i, j, w = _cot_weights(tri, lengths)
+    n = tri.vertex_count
+    at = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)], axis=1).ravel()
+    vals = np.stack([-w, -w, w, w], axis=1).ravel()
+    return np.bincount(at, weights=vals, minlength=n * n).reshape(n, n)
 
 
 def alpha_laplacian_apply(tri: Triangulation, lengths: np.ndarray,
@@ -258,13 +253,17 @@ def alpha_laplacian_apply(tri: Triangulation, lengths: np.ndarray,
 
     Entry i is exp(-alpha*u_i) times the cot-weighted sum of differences
     (f_j - f_i) over edges at i, i.e. -exp(-alpha*u) * (L @ f) with L the
-    curvature Jacobian's Laplacian; self-edges drop out.  ``lengths``
-    must already be the scaled metric.  Degenerate faces are allowed
-    (clamped cotangents).
+    curvature Jacobian; self-edges drop out.  ``lengths`` must already be
+    the scaled metric.  Degenerate faces are allowed (clamped
+    cotangents).  No matrix is formed: O(E) work.
     """
     u = np.asarray(u, dtype=float)
     f = np.asarray(f, dtype=float)
-    return -np.exp(-alpha * u) * (_cot_laplacian(tri, lengths) @ f)
+    i, j, w = _cot_weights(tri, lengths)
+    flow = w * (f[j] - f[i])
+    n = tri.vertex_count
+    return np.exp(-alpha * u) * (np.bincount(i, weights=flow, minlength=n)
+                                 - np.bincount(j, weights=flow, minlength=n))
 
 
 def edge_margins(tri: Triangulation, lengths: np.ndarray, edges=None) -> np.ndarray:

@@ -21,12 +21,8 @@ import logging
 import math
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # scipy loads lazily; annotations only
-    import scipy.sparse
 
 from . import geometry
 from .errors import (
@@ -192,7 +188,7 @@ class EnergyReport:
 
     value: float
     gradient: np.ndarray | None
-    hessian: scipy.sparse.csr_matrix | None
+    hessian: np.ndarray | None
     unsupported: bool
     angles: np.ndarray
 
@@ -261,7 +257,7 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     evaluates them, and the value and the gradient both read them
     (``angles``).  ``order`` picks the derivatives: 0 gives
     the value alone (``gradient`` is None), 1 adds the gradient and 2 the
-    Hessian, which requires nondegenerate faces.
+    Hessian, a dense (V, V) array, which requires nondegenerate faces.
     """
     u = np.asarray(u, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
@@ -282,7 +278,7 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
         grad = angle_deficit(tri, angles) - rbar * weights
     if order >= 2:
         hess = curvature_jacobian(tri, scale_metric(tri, base, u))
-        hess.setdiag(hess.diagonal() - alpha * (rbar * weights))
+        hess.flat[::tri.vertex_count + 1] -= alpha * (rbar * weights)
 
     return EnergyReport(value=value, gradient=grad, hessian=hess,
                         unsupported=bool(np.any(alpha * rbar > 0.0)), angles=angles)
@@ -593,7 +589,8 @@ def guarded_step(tri: Triangulation, base: np.ndarray, alpha: float, rbar: np.nd
     """Halve ``step`` until :func:`trial_energy` at ``propose(step)``, on the
     departure chart (tri, base), passes ``accept(step, value)``.
 
-    A proposal that raises LogFactorOverflow fails, as does a point
+    A proposal that raises LogFactorOverflow or NumPy's LinAlgError (a
+    singular implicit-step system) fails, as does a point
     :func:`trial_fault` rules out.  Gives up after ``max_shrinks``
     halvings, or before a step below ``min_step``.  Returns (step,
     halvings, u, trial) of the accepted trial; on giving up ``trial`` is
@@ -602,7 +599,7 @@ def guarded_step(tri: Triangulation, base: np.ndarray, alpha: float, rbar: np.nd
     for shrinks in range(max_shrinks + 1):
         try:
             u_try = propose(step)
-        except LogFactorOverflow:
+        except (LogFactorOverflow, np.linalg.LinAlgError):
             u_try = trial = None
         else:
             trial = trial_energy(tri, base, u_try, alpha, rbar, offset)
@@ -643,9 +640,9 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     conserved = conserved_sum(u, alpha)
 
     tri_c, base_c, total_flips = start_chart(tri, base, u)
-    start = energy_W_alpha(tri_c, base_c, u, alpha, rbar)
-    offset = -start.value
-    rep = replace(start, value=0.0)
+    rep = energy_W_alpha(tri_c, base_c, u, alpha, rbar)
+    offset = -rep.value
+    rep = replace(rep, value=0.0)  # the start's Hessian dies with its first replacement
     grad_inf = float(np.max(np.abs(rep.gradient)))
     trace = [TraceRow(0, grad_inf, rep.value, 0.0, total_flips)]
     ones = np.ones(n)
@@ -657,15 +654,16 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
             raise MaxIterations(
                 f"gradient {grad_inf:.3e} still above {tol:.3e} "
                 f"after {max_iter} iterations")
-        H = rep.hessian.toarray()
-        g = rep.gradient
-        if kind == "zero":
-            g_eff = g - g.mean()
-            delta = -np.linalg.solve(H + np.outer(ones, ones) / n, g_eff)
-            delta -= delta.mean()
-        else:
-            delta = -np.linalg.solve(H, g)
-        slope = float(g @ delta)
+        H, g = rep.hessian, rep.gradient
+        try:
+            if kind == "zero":
+                delta = -np.linalg.solve(H + np.outer(ones, ones) / n, g - g.mean())
+                delta -= delta.mean()
+            else:
+                delta = -np.linalg.solve(H, g)
+            slope = float(g @ delta)
+        except np.linalg.LinAlgError:  # singular: no Newton direction at all
+            slope = math.inf
         if slope >= 0.0:
             # Hessian too ill-conditioned to give descent; fall back.
             delta = -g

@@ -23,6 +23,7 @@ from conftest import (
     json_text_reference,
     lattice_torus_faces,
     lengths_doc,
+    random_lattice_torus,
     torus9_faces,
     unit_lengths,
 )
@@ -242,10 +243,17 @@ class TestFlow:
     def test_state_is_the_golden_bytes(self, capsys, tmp_path):
         state = tmp_path / "state.json"
         code, doc = run_cli(capsys, ["flow", SURGERY_GAP, "--flow", "yamabe", "--alpha", "-1",
-                                     "--out-state", str(state)])
+                                     "--integrator", "euler", "--out-state", str(state)])
         assert (code, doc["flips"]) == (0, 15)
         with open(SURGERY_GAP_STATE, "rb") as fh:
             assert state.read_bytes() == fh.read()
+
+    def test_calabi_converges_on_a_24x24_torus(self, capsys, tmp_path):
+        # explicit Euler runs out of --max-steps here (exit 4); the implicit
+        # step, the default, converges in about 17 steps
+        path = write_lengths(tmp_path / "torus24.json", *random_lattice_torus(24))
+        code, doc = run_cli(capsys, ["flow", path, "--flow", "calabi", "--alpha", "-1"])
+        assert (code, doc["status"]) == (0, "converged")
 
     def test_max_steps_exits_4(self, capsys, kite_file):
         code, doc = run_cli(capsys, ["flow", kite_file, "--alpha", "1",
@@ -1076,19 +1084,23 @@ class TestProcess:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rigidity_pass"] is True
 
-    def test_delaunay_and_curvature_leave_scipy_unloaded(self, tmp_path):
-        # scipy.sparse and scipy.special load on first use, so the commands
-        # that need neither do not pay for them in time or memory.
+    def test_no_command_loads_scipy(self, tmp_path):
+        # every matrix is a dense NumPy array, so no command pays for scipy
+        # in time or memory, and an install needs numpy alone
         script = ("import json, sys\n"
                   "from plcurv import cli\n"
-                  "codes = [cli.main(['delaunay', sys.argv[1], '--fix', '--out', sys.argv[2]]),\n"
-                  "         cli.main(['curvature', sys.argv[2]])]\n"
-                  "print(json.dumps([codes, [m for m in ('scipy.sparse', 'scipy.special')\n"
-                  "                          if m in sys.modules]]))\n")
+                  "sliver, fixed, gap = sys.argv[1:]\n"
+                  "codes = [cli.main(['delaunay', sliver, '--fix', '--out', fixed]),\n"
+                  "         cli.main(['curvature', fixed]),\n"
+                  "         cli.main(['solve', gap, '--alpha', '-1', '--starts', '2']),\n"
+                  "         cli.main(['flow', gap, '--flow', 'yamabe', '--alpha', '-1']),\n"
+                  "         cli.main(['flow', gap, '--flow', 'calabi', '--alpha', '-1'])]\n"
+                  "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+                  "                                if m.split('.')[0] == 'scipy')]))\n")
         proc = subprocess.run(
-            [sys.executable, "-c", script, SLIVER, str(tmp_path / "fixed.json")],
+            [sys.executable, "-c", script, SLIVER, str(tmp_path / "fixed.json"), SURGERY_GAP],
             capture_output=True, text=True, timeout=60)
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], []]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0, 0], []]
 
     def test_log_env_quiet_silences_warning(self, tetra_file):
         env = dict(os.environ, PLCURV_LOG="info")

@@ -125,7 +125,7 @@ class TestStep:
     def test_rejection_halves_dt_and_resets_streak(self, tetra):
         u0 = np.array([0.3, -0.2, 0.1, 0.0])
         state = make_state(tetra, unit_lengths(tetra), u0, -1.0)
-        cfg = FlowConfig(kind="yamabe", dt=64.0)
+        cfg = FlowConfig(kind="yamabe", dt=64.0, integrator="euler")
         out = step(state, cfg)
         assert out.last_dt < 64.0
         assert out.accept_streak == 0
@@ -133,7 +133,7 @@ class TestStep:
     def test_dt_recovers_toward_cap_after_accepts(self, tetra):
         u0 = np.array([0.3, -0.2, 0.1, 0.0])
         state = make_state(tetra, unit_lengths(tetra), u0, -1.0)
-        cfg = FlowConfig(kind="yamabe", dt=16.0)
+        cfg = FlowConfig(kind="yamabe", dt=16.0, integrator="euler")
         state = step(state, cfg)
         shrunk = state.dt
         assert shrunk < 16.0
@@ -184,6 +184,30 @@ class TestStep:
         assert conserved_sum(out.u, 3.0) == pytest.approx(state.conserved_target,
                                                           rel=1e-12)
 
+    def test_implicit_dt_doubles_after_each_accept(self, tetra):
+        u0 = np.array([0.3, -0.2, 0.1, 0.0])
+        state = make_state(tetra, unit_lengths(tetra), u0, -1.0)
+        cfg = FlowConfig(kind="yamabe", dt=0.05)
+        for k in range(8):
+            state = step(state, cfg)
+            assert (state.last_dt, state.dt) == (0.05 * 2 ** k, 0.05 * 2 ** (k + 1))
+
+    @pytest.mark.parametrize("kind", ["yamabe", "calabi"])
+    def test_singular_implicit_system_is_a_rejection(self, tetra, monkeypatch, kind):
+        solve, calls = np.linalg.solve, []
+
+        def singular_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        u0 = np.array([0.3, -0.2, 0.1, 0.0])
+        state = make_state(tetra, unit_lengths(tetra), u0, -1.0)
+        out = step(state, FlowConfig(kind=kind, dt=0.05))
+        assert len(calls) == 2 and out.last_dt == 0.025
+
     def test_renormalization_pins_conserved_sum(self, tetra):
         rng = np.random.default_rng(3)
         u0 = rng.uniform(-0.2, 0.2, 4)
@@ -196,6 +220,16 @@ class TestStep:
 
 
 class TestRunFlow:
+    @pytest.mark.parametrize("kind", ["yamabe", "calabi"])
+    def test_unreachable_tol_ends_at_max_steps(self, kind):
+        # the implicit dt stops doubling at DT_CEILING: past about 1e22 the
+        # system is singular along the gauge and every trial would fail
+        tri = build_triangulation(lattice_torus_faces(4))
+        base = np.exp(np.random.default_rng(0).uniform(-0.4, 0.4, tri.edge_count))
+        cfg = FlowConfig(kind=kind, tol=1e-17, max_steps=100)
+        state, hist = run_flow(tri, base, np.zeros(16), -1.0, cfg)
+        assert hist.status == "max_steps" and state.dt == flows.DT_CEILING
+
     def test_flat_torus_converges_at_step_zero(self, torus9):
         state, hist = run_flow(torus9, unit_lengths(torus9), np.zeros(9), 2.0,
                                FlowConfig(kind="yamabe"))
@@ -315,10 +349,10 @@ class TestDescentIdentities:
         state = self.oracle_state(torus9, 1.0, 14)
         rep = state_report(state)
         scaled = scale_metric(state.tri, state.base, state.u)
-        L = geometry.curvature_jacobian(state.tri, scaled).toarray()
+        L = geometry.curvature_jacobian(state.tri, scaled)
         dev = rep.R_alpha - rep.R_av
         predicted = -float(dev @ L @ dev)
-        cfg = FlowConfig(kind="calabi", dt=1e-4, surgery=False)
+        cfg = FlowConfig(kind="calabi", dt=1e-4, surgery=False, integrator="euler")
         out = step(state, cfg)
         measured = (out.w_value - state.w_value) / out.last_dt
         assert measured == pytest.approx(predicted, rel=1e-2)
@@ -377,7 +411,8 @@ class TestRateProbe:
         rep0 = alpha_curvature(
             curvature(tetra, scale_metric(tetra, base, u0)), u0, -1.0, chi=2)
         assert np.all(-1.0 * rep0.R_alpha < 0.0)  # qualifying start
-        cfg = FlowConfig(kind="yamabe", dt=0.02, tol=1e-11, max_steps=40000)
+        cfg = FlowConfig(kind="yamabe", dt=0.02, tol=1e-11, max_steps=40000,
+                         integrator="euler")
         _, hist = run_flow(tetra, base, u0, -1.0, cfg)
         slope = exponential_rate_probe(hist, -1.0, rep0.R_av)
         assert slope <= 0.8 * -1.0 * rep0.R_av
@@ -398,7 +433,7 @@ def _same_report(state):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, len(FLOW_MESHES) - 1), st.sampled_from(["yamabe", "calabi"]),
-       st.sampled_from(["euler", "rk4"]), st.booleans(),
+       st.sampled_from(flows.INTEGRATORS), st.booleans(),
        st.sampled_from([-1.0, 0.0, 1.0]), st.integers(0, 2 ** 32 - 1))
 def test_carried_report_and_energy_match_fresh_evaluations(
         mesh, kind, integrator, surgery, alpha, seed):
@@ -476,7 +511,7 @@ def test_renormalization_costs_no_energy_evaluation(monkeypatch):
     rng = np.random.default_rng(0)
     tri = FLOW_MESHES[1]  # 4 x 4 lattice torus
     base = np.exp(rng.uniform(-0.4, 0.4, tri.edge_count))
-    state, history = run_flow(tri, base, np.zeros(16), -1.0, FlowConfig())
+    state, history = run_flow(tri, base, np.zeros(16), -1.0, FlowConfig(integrator="euler"))
     flipping = sum(1 for row in history.rows[1:] if row.flips)
     assert history.status == "converged" and flipping > 0
     # the start counts as a trial (make_state), each step's accepted trial
@@ -487,6 +522,25 @@ def test_renormalization_costs_no_energy_evaluation(monkeypatch):
     # the one evaluation outside the steps
     assert calls["angles"] == calls["trials"] + flipping + 1
     assert abs(conserved_sum(state.u, -1.0) - 16.0) < 1e-12
+
+
+def test_implicit_step_adds_one_order_2_evaluation(monkeypatch):
+    orders = []
+    energy = flows.energy_W_alpha
+
+    def counted(*args, order=2, **kwargs):
+        orders.append(order)
+        return energy(*args, order=order, **kwargs)
+
+    monkeypatch.setattr(flows, "energy_W_alpha", counted)
+    tri = FLOW_MESHES[1]  # 4 x 4 lattice torus
+    base = np.exp(np.random.default_rng(0).uniform(-0.4, 0.4, tri.edge_count))
+    state, history = run_flow(tri, base, np.zeros(16), -1.0, FlowConfig())
+    flipping = sum(1 for row in history.rows[1:] if row.flips)
+    assert history.status == "converged" and flipping > 0
+    # one at each step's departure for the matrix; past a wall, the arrival's value
+    assert orders.count(2) == state.step_count
+    assert orders.count(0) == flipping and len(orders) == state.step_count + flipping
 
 
 def test_flow_flip_log_holds_every_flip_at_its_time(monkeypatch):
@@ -540,7 +594,7 @@ def test_guard_tests_the_value_the_state_keeps(monkeypatch, cube12):
     monkeypatch.setattr(solver, "trial_energy", recorded_trial)  # guarded_step's
     u0 = np.random.default_rng(5).uniform(-0.2, 0.2, tri.vertex_count)
     state = make_state(tri, base, u0, -1.0)
-    config = FlowConfig(kind="yamabe", dt=0.1)
+    config = FlowConfig(kind="yamabe", dt=0.1, integrator="euler")
     shifted = 0
     for _ in range(40):
         prev = state
@@ -553,3 +607,28 @@ def test_guard_tests_the_value_the_state_keeps(monkeypatch, cube12):
             shifted += energy_W_alpha(prev.tri, prev.base, raw, -1.0, prev.rbar,
                                       offset=prev.w_offset, order=0).value != state.w_value
     assert shifted > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 8), st.floats(0.0, 0.6), st.floats(-2.0, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_planted_torus_is_recovered_by_the_flows(m, sigma, alpha, seed):
+    """The flat equilateral torus scaled by u_p, its chart carried there: by
+    rigidity -u_p (up to a constant) is the only constant-curvature answer,
+    so every flow from 0 must end there, whatever the integrator."""
+    tri = build_triangulation(lattice_torus_faces(m))
+    n = tri.vertex_count
+    u_p = np.random.default_rng(seed).uniform(-sigma, sigma, n)
+    tri, base, _, _ = carry_chart(tri, np.ones(tri.edge_count), np.zeros(n), u_p)
+    planted = scale_metric(tri, base, u_p)
+    # explicit steps stay at dt <= 0.05, so they run on the small tori only
+    for integrator in ("implicit", "euler") if m <= 4 else ("implicit",):
+        for kind in ("yamabe", "calabi"):
+            state, history = run_flow(tri, planted, np.zeros(n), alpha,
+                                      FlowConfig(kind=kind, integrator=integrator))
+            assert history.status == "converged"
+            assert np.ptp(state.u + u_p) < 1e-9, (integrator, kind)
+            # every final edge has one length, read off the state with NumPy alone
+            ends = state.tri.edge_verts
+            lengths = state.base * np.exp(state.u[ends[:, 0]] + state.u[ends[:, 1]])
+            assert lengths.max() / lengths.min() - 1.0 < 1e-9, (integrator, kind)

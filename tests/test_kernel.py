@@ -183,7 +183,7 @@ def test_jacobian_off_diagonal_is_minus_cot_weight(case):
             w = cot_weight(tri, lengths, e)
             ref[i, j] -= w
             ref[j, i] -= w
-    J = curvature_jacobian(tri, lengths).toarray()
+    J = curvature_jacobian(tri, lengths)
     off = ~np.eye(n, dtype=bool)
     assert np.allclose(J[off], ref[off], rtol=1e-12, atol=1e-12)
 

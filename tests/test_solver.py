@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -226,7 +225,7 @@ class TestEnergyReport:
         rbar = -np.abs(rng.normal(1, 0.2, n))
         u = rng.uniform(-0.1, 0.1, n)
         rep = energy_W_alpha(tri, base, u, alpha, rbar)
-        H = rep.hessian.toarray()
+        H = rep.hessian
         h = 1e-5
         fd = np.zeros_like(H)
         for j in range(n):
@@ -265,10 +264,10 @@ class TestEnergyReport:
                 tri, base * random_lengths(tri, rng, spread=0.1), u)
             rbar = rng.normal(0.0, 1.0, n)
             weights = np.exp(alpha * u)
-            H = energy_W_alpha(tri, base, u, alpha, rbar).hessian.toarray()
+            H = energy_W_alpha(tri, base, u, alpha, rbar).hessian
             ref = (curvature_jacobian(tri, scale_metric(tri, base, u))
-                   - alpha * scipy.sparse.diags(rbar * weights))
-            assert np.array_equal(H, ref.toarray()), name
+                   - alpha * np.diag(rbar * weights))
+            assert np.array_equal(H, ref), name
 
     def test_unsupported_flag(self, tetra):
         base = unit_lengths(tetra)
@@ -497,6 +496,19 @@ class TestRigidity:
         rep = rigidity_check(torus9, lattice_torus_lengths, -1.0,
                              Target.constant(), spread=spread)
         assert rep.passed and rep.spread < 1e-9
+
+    @pytest.mark.parametrize("spread", [0.3, 10.0, 20.0])
+    def test_far_starts_pass_or_raise_a_plcurv_error(self, torus9, lattice_torus_lengths,
+                                                     spread):
+        # at spread 20 the Hessian of some starts is singular: Newton falls
+        # back to -g there, and NumPy's LinAlgError never reaches the caller
+        try:
+            rep = rigidity_check(torus9, lattice_torus_lengths, -1.0,
+                                 Target.constant(), spread=spread)
+        except errors.PLCurvError:
+            assert spread == 20.0
+        else:
+            assert rep.passed
 
     def test_cube_alpha_zero_gauge(self, cube12):
         tri, base = cube12

@@ -344,7 +344,7 @@ def test_certificate_leaves_few_edges_to_scan(monkeypatch):
     newton, searches[:] = searches[:], []
     tri = build_triangulation(lattice_torus_faces(4))
     base = np.exp(np.random.default_rng(0).uniform(-0.4, 0.4, tri.edge_count))
-    state, history = run_flow(tri, base, np.zeros(tri.vertex_count), -1.0, FlowConfig())
+    state, history = run_flow(tri, base, np.zeros(tri.vertex_count), -1.0, FlowConfig(integrator="euler"))
     assert history.status == "converged"
 
     def summary(runs):
