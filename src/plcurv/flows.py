@@ -11,10 +11,10 @@ step; explicit Euler and RK4 follow the trajectory at a capped dt.
 The chart is started, tested and carried by the solver, as Newton's is:
 dt is halved by the solver's guarded step until a trial passes, and an
 edge that turns cocircular along an accepted step is flipped there.  A
-trial costs one energy evaluation, angles included, and the accepted
-trial's angles make the arrival's curvature report: a step that flips
-nothing evaluates its angles once, and a flipping step once more, on
-the chart it lands in.
+trial costs one energy evaluation, angles and cosines included, and the
+accepted trial's make the arrival's curvature report and the cosines the
+implicit step builds its system from: a step that flips nothing evaluates
+its angles once, and a flipping step once more, on the chart it lands in.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ class FlowState:
     ``conserved_target`` is the weight sum the renormalization restores.
     ``flips`` logs every flip since t = 0 as one :class:`~plcurv.mesh.Flips`
     record, and ``flip_times`` (k,) the time of each row's surgery.
-    ``report`` is the curvature report of this (tri, base, u), set by
-    :func:`make_state` and :func:`step`; ``replace(state, u=...)`` keeps
-    the old report and does not refresh it.
+    ``report`` and ``cosines`` (:attr:`~plcurv.solver.EnergyReport.cosines`)
+    are those of this (tri, base, u), set by :func:`make_state` and
+    :func:`step`; ``replace(state, u=...)`` keeps them and does not refresh them.
     """
 
     tri: Triangulation
@@ -122,6 +122,7 @@ class FlowState:
     rbar: np.ndarray | None = None
     conserved_target: float = 0.0
     report: geometry.CurvatureReport | None = None
+    cosines: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def make_state(tri: Triangulation, base: np.ndarray, u0,
     start = trial_energy(tri, base, u0, state.alpha, rbar, 0.0)
     if start is None:
         raise DegenerateFace(f"flow start: {trial_fault(tri, base, u0, state.alpha)}")
-    state.w_offset = -start[0]
+    state.w_offset, state.cosines = -start[0], start[2]
     return state
 
 
@@ -212,9 +213,10 @@ def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
 def _implicit(state: FlowState, kind: str):
     """propose(dt): the linearly implicit Euler step of size dt, renormalized.
 
-    One order-2 energy evaluation at the state gives the gradient g and
-    the Hessian H = L - alpha*diag(rbar*w), with w = e^(alpha u) and L the
-    curvature Jacobian.  Yamabe, w du/dt = -g, solves
+    The state's cosines give L, the curvature Jacobian, and its report the
+    gradient g = K - rbar*w, w = e^(alpha u); they and the Hessian
+    H = L - alpha*diag(rbar*w) are bit for bit an order-2 energy_W_alpha's
+    at the state.  Yamabe, w du/dt = -g, solves
     (diag(w) + dt*H) du = -dt*g.  Calabi, du/dt = f = -W^-1 L R_alpha,
     takes a Rosenbrock-W step (I - dt*J) du = dt*f with
     J = -W^-1 L (W^-1 L - alpha*diag(R_alpha)); J leaves out the
@@ -223,14 +225,13 @@ def _implicit(state: FlowState, kind: str):
     raises LinAlgError, which the guarded step counts as a rejection.
     """
     u, alpha = state.u, state.alpha
-    rep = energy_W_alpha(state.tri, state.base, u, alpha, state.rbar)
     w = np.exp(alpha * u)
+    L = geometry.cosine_jacobian(state.tri, state.cosines)
     if kind == "yamabe":
-        A, diag, b = rep.hessian, w, -rep.gradient
+        L.flat[::len(u) + 1] -= alpha * (state.rbar * w)  # H
+        A, diag, b = L, w, -(state.report.K - state.rbar * w)
     else:  # in place: at V = 2304 each (V, V) array is 42 MB
-        WL = rep.hessian
-        WL.flat[::len(u) + 1] += alpha * (state.rbar * w)  # L
-        WL /= w[:, None]
+        WL = np.divide(L, w[:, None], out=L)
         R = state.report.R_alpha
         dR = WL.copy()  # dR_alpha/du = W^-1 L - alpha*diag(R_alpha)
         dR.flat[::len(u) + 1] -= alpha * R
@@ -280,14 +281,14 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         raise StepSizeUnderflow(f"no step accepted down to dt={dt:.6g} ({limit} "
                                 f"reached) at t={state.t:.6g}: {blocker}")
 
-    w_try, angles = trial
+    w_try, angles, cosines = trial
     tri, base, flips, times = state.tri, state.base, state.flips, state.flip_times
     if config.surgery:
         tri, base, walk, s = carry_chart(tri, base, state.u, u_try)
         if walk:  # past a wall, the trial's energy and angles are the departure chart's
             rep = energy_W_alpha(tri, base, u_try, state.alpha, state.rbar,
                                  offset=state.w_offset, order=0)
-            w_try, angles = rep.value, rep.angles
+            w_try, angles, cosines = rep.value, rep.angles, rep.cosines
             flips = Flips.join([flips, walk])
             times = np.concatenate([times, state.t + s * dt])
 
@@ -301,7 +302,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
     arrival = replace(state, tri=tri, base=base, u=u_try, t=state.t + dt,
                       flips=flips, flip_times=times, step_count=state.step_count + 1,
-                      dt=dt_next, last_dt=dt, accept_streak=streak, w_value=w_try)
+                      dt=dt_next, last_dt=dt, accept_streak=streak, w_value=w_try, cosines=cosines)
     arrival.report = alpha_curvature(angle_deficit(tri, angles), u_try, state.alpha,
                                      chi=tri.chi)
     return arrival

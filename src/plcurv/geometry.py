@@ -208,15 +208,15 @@ def alpha_curvature(K: np.ndarray, u: np.ndarray, alpha: float,
                            sum_K=sum_K, R_av=R_av, max_dev=max_dev)
 
 
-def _cot_weights(tri: Triangulation, lengths: np.ndarray
+def _cot_weights(tri: Triangulation, cos: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, w) per edge joining two vertices: its ends and its cot weight, the
-    cotangents of the two angles facing it summed.
+    cotangents of the two angles facing it, by their (F, 3) ``cos``, summed.
 
     Self-edges are left out.  Degenerate faces contribute +/-COT_CLAMP
     through the extended angles (cot 0 and cot pi).
     """
-    cos = opposite_cosines(side_lengths(tri, lengths)).ravel()
+    cos = cos.ravel()
     sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
     cot = np.divide(cos, sin, out=np.where(cos > 0.0, COT_CLAMP, -COT_CLAMP),
                     where=sin != 0.0)
@@ -234,13 +234,20 @@ def curvature_jacobian(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:
     (a finite-difference test pins this scale), the diagonal makes rows
     sum to zero.  Self-edges contribute nothing.  On a Delaunay metric the
     matrix is positive semi-definite with kernel spanned by the constant
-    vector.  One bincount sums the entries edge by edge, (i, j), (j, i),
-    (i, i), (j, j) in turn.
+    vector.  Raises DegenerateFace on a degenerate face, then assembles
+    :func:`cosine_jacobian` of the metric's cosines.
     """
     bad = degenerate_faces(tri, lengths)
     if bad:
         raise DegenerateFace(f"faces {bad} are degenerate")
-    i, j, w = _cot_weights(tri, lengths)
+    return cosine_jacobian(tri, opposite_cosines(side_lengths(tri, lengths)))
+
+
+def cosine_jacobian(tri: Triangulation, cos: np.ndarray) -> np.ndarray:
+    """:func:`curvature_jacobian` from the (F, 3) cosines facing each slot,
+    with no degeneracy check.  One bincount sums the entries edge by edge,
+    (i, j), (j, i), (i, i), (j, j) in turn."""
+    i, j, w = _cot_weights(tri, cos)
     n = tri.vertex_count
     at = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)], axis=1).ravel()
     vals = np.stack([-w, -w, w, w], axis=1).ravel()
@@ -259,7 +266,7 @@ def alpha_laplacian_apply(tri: Triangulation, lengths: np.ndarray,
     """
     u = np.asarray(u, dtype=float)
     f = np.asarray(f, dtype=float)
-    i, j, w = _cot_weights(tri, lengths)
+    i, j, w = _cot_weights(tri, opposite_cosines(side_lengths(tri, lengths)))
     flow = w * (f[j] - f[i])
     n = tri.vertex_count
     return np.exp(-alpha * u) * (np.bincount(i, weights=flow, minlength=n)

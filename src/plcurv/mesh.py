@@ -82,11 +82,14 @@ class Flips:
     def join(cls, parts) -> Flips:
         """The rows of ``parts``, in order, as one record.
 
-        A length column is None when it is None in any part.
+        A length column is None when it is None in any part.  A lone part
+        is returned as it is: the record is read-only.
         """
         parts = list(parts)
         if not parts:
             return _NO_FLIPS
+        if len(parts) == 1:
+            return parts[0]
         columns = [[getattr(p, name) for p in parts] for name in cls.__slots__]
         return cls(*(None if any(c is None for c in col) else np.concatenate(col)
                      for col in columns))

@@ -10,9 +10,10 @@ minimizes it.  Written in the scaled log lengths, the energy takes the
 same value in every Delaunay triangulation of a metric, so flips leave
 it unchanged and need no correction.  An evaluation takes its point's
 angles once, bit for bit those :func:`geometry.curvature` takes, and the
-value and the gradient both read them.  Newton and the flows move their
-chart only through :func:`start_chart`, :func:`guarded_step` (trials
-scored by :func:`trial_energy`) and :func:`carry_chart`.
+value and the gradient both read them, and a flow its cosines.  Newton
+and the flows move their chart only through :func:`start_chart`,
+:func:`guarded_step` (trials scored by :func:`trial_energy`) and
+:func:`carry_chart`.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ ROUNDING_NOISE = 16.0 * np.finfo(float).eps
 
 WEIGHT_LOG_BOUND = 700.0  # e^700 ~ 1e304: weights, reciprocals and their sums stay finite
 
-# The wall search scans 16 panels, then bisects 5 levels per kernel call.
+# The wall search scans 16 panels, then bisects at least 5 levels per kernel
+# call down to a bracket 1e-12 wide (1e-12 * max(1, s), as s <= 1).
 _WALL_PANELS = 16
 _BISECT_DEPTH = 5
+_WALL_RESOLUTION = 1e-12
 
 # Twice the flip slack.  The scan reads the Delaunay pass's own margins
 # (geometry.edge_margins), so an edge it calls a wall is one slack past
@@ -134,15 +137,7 @@ def lobachevsky(x):
 
 # --- per-triangle energy ------------------------------------------------
 
-def _corner_angles(base: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Extended angle at each corner of the faces on leading axes: side a,
-    opposite corner a, scaled to base_a * exp(v_b + v_c) as
-    :func:`geometry.scale_metric` scales it, so bit for bit the angle
-    :func:`geometry.face_angles` gives corner a on the scaled metric."""
-    return np.arccos(opposite_cosines(np.exp(v[..., NEXT] + v[..., PREV]) * base))
-
-
-def triangle_energy(base_lengths, u, angles=None) -> float:
+def triangle_energy(base_lengths, u, angles=None, log_lengths=None) -> float:
     """Antiderivative in u of the extended corner angles.
 
     ``base_lengths[a]`` is the side opposite corner a at u = 0.  Concave
@@ -153,8 +148,9 @@ def triangle_energy(base_lengths, u, angles=None) -> float:
     of side a and Л :func:`lobachevsky`, is C1 everywhere: the log-radius
     terms cancel by the law of sines, and past degeneracy the angles are
     locally constant.  Batched: (3, F) arrays give the sum over F faces,
-    and shape (3,) is one face.  ``angles``, shaped like ``u``, are the
-    corner angles at u when the caller has them.  Past LOG_FACTOR_BOUND
+    and shape (3,) is one face.  ``angles`` and ``log_lengths``, shaped
+    like ``u`` and given together, are the corner angles and the lambda_a
+    at u when the caller has them.  Past LOG_FACTOR_BOUND
     the scaled sides the angles come from would overflow, and
     LogFactorOverflow is raised, as :func:`geometry.scale_metric` does.
     """
@@ -168,8 +164,11 @@ def triangle_energy(base_lengths, u, angles=None) -> float:
     if not np.abs(u).max(initial=0.0) <= geometry.LOG_FACTOR_BOUND:  # True on NaN
         raise LogFactorOverflow(f"|u| exceeds {geometry.LOG_FACTOR_BOUND}; sides would overflow")
     base, v = base.T, u.T  # faces on leading axes
-    theta = _corner_angles(base, v) if angles is None else angles.T
-    lam = v[..., NEXT] + v[..., PREV] + np.log(base)
+    if angles is None:
+        pair = v[..., NEXT] + v[..., PREV]
+        angles = np.arccos(opposite_cosines(np.exp(pair) * base)).T
+        log_lengths = (pair + np.log(base)).T
+    theta, lam = angles.T, log_lengths.T
     return float(math.pi * v.sum() - ((theta * lam).sum() + lobachevsky(theta).sum()))
 
 
@@ -183,7 +182,8 @@ class EnergyReport:
     hessian = curvature Jacobian - alpha * diag(target * exp(alpha * u)).
     ``unsupported`` flags targets with a positive alpha * target entry,
     for which convexity (hence uniqueness claims) are lost.  ``angles``
-    are bit for bit :func:`geometry.face_angles` of the scaled metric.
+    are bit for bit :func:`geometry.face_angles` of the scaled metric, and
+    ``cosines`` the :func:`geometry.opposite_cosines` they come from.
     """
 
     value: float
@@ -191,6 +191,7 @@ class EnergyReport:
     hessian: np.ndarray | None
     unsupported: bool
     angles: np.ndarray
+    cosines: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -255,16 +256,19 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     when the target is admissible.
     The point's angles are evaluated once, as :func:`geometry.curvature`
     evaluates them, and the value and the gradient both read them
-    (``angles``).  ``order`` picks the derivatives: 0 gives
-    the value alone (``gradient`` is None), 1 adds the gradient and 2 the
-    Hessian, a dense (V, V) array, which requires nondegenerate faces.
+    (``angles``, from ``cosines``).  ``order`` picks the derivatives: 0
+    gives the value alone (``gradient`` is None), 1 adds the gradient and 2
+    the Hessian, a dense (V, V) array, which requires nondegenerate faces.
     """
     u = np.asarray(u, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
     # the side opposite corner a is the edge in slot (a + 1) % 3
     sides, corners = base[tri.face_edges[:, NEXT].T], u[tri.faces.T]  # row a: corner a
-    theta = _corner_angles(sides.T, corners.T)
-    total_faces = triangle_energy(sides, corners, theta.T)
+    b, v = sides.T, corners.T  # faces on leading axes
+    pair = v[..., NEXT] + v[..., PREV]  # the sum scale_metric takes: face_angles' bits
+    cos = opposite_cosines(np.exp(pair) * b)
+    theta = np.arccos(cos)
+    total_faces = triangle_energy(sides, corners, theta.T, (pair + np.log(b)).T)
     if alpha == 0.0:
         vertex_term = float(((TWO_PI - rbar) * u).sum())
     else:
@@ -281,7 +285,8 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
         hess.flat[::tri.vertex_count + 1] -= alpha * (rbar * weights)
 
     return EnergyReport(value=value, gradient=grad, hessian=hess,
-                        unsupported=bool(np.any(alpha * rbar > 0.0)), angles=angles)
+                        unsupported=bool(np.any(alpha * rbar > 0.0)), angles=angles,
+                        cosines=cos[:, PREV])
 
 
 # --- Newton solve -------------------------------------------------------
@@ -437,8 +442,11 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     lengths along a path-dependent chart and solves from different starts
     could disagree by far more than the rigidity tolerance.  Points past
     LOG_FACTOR_BOUND, or with a NaN margin, count as walls.  One kernel
-    call scores the panels, and one each _BISECT_DEPTH levels: probes are
-    exact dyadic nodes, so any depth gives the point-by-point wall.
+    call scores s = 0 and the panels, and each later one the next
+    _BISECT_DEPTH levels with the path bisection walks if the wall is at
+    the margins' secant guess; the walk reads what was scored.  Probes are
+    exact dyadic nodes, read as point-by-point bisection reads them, so
+    neither the depth nor the guess moves a wall.
 
     Before the scan, a certificate (:func:`_uncertified_edges`) clears
     in closed form every edge that stays Delaunay, with both faces
@@ -483,32 +491,41 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     # u + s*delta lies between its ends, rounded too: only a far end can pass the bound
     far = np.flatnonzero(~(np.maximum(np.abs(u), np.abs(u + delta)) <= geometry.LOG_FACTOR_BOUND))
 
-    def below(s: np.ndarray) -> np.ndarray:
-        U = u[far] + s[:, None] * delta[far]
-        ok = np.abs(U).max(axis=1, initial=0.0) <= geometry.LOG_FACTOR_BOUND  # False on NaN
+    def below(s: np.ndarray) -> tuple[list, list]:  # walls, margins (-inf past the bound)
+        ok = slice(None)
+        if far.size:
+            U = u[far] + s[:, None] * delta[far]
+            ok = np.abs(U).max(axis=1) <= geometry.LOG_FACTOR_BOUND  # False on NaN
         t, margin = s[ok, None, None, None], np.full(len(s), -math.inf)
         # each side at u + t*delta is the float scale_metric gives it
         margin[ok] = geometry.delaunay_margin(np.exp((ui + t * di) + (uj + t * dj)) * base_q)
-        return ~(margin >= _WALL_MARGIN)  # True on NaN, as is_delaunay reads it
+        return (~(margin >= _WALL_MARGIN)).tolist(), margin.tolist()  # NaN: a wall
 
-    panels = np.arange(_WALL_PANELS + 1) / _WALL_PANELS
-    first = np.flatnonzero(below(panels[1:]))
-    if not first.size:
+    panels = np.arange(_WALL_PANELS + 1) / _WALL_PANELS  # s = 0 too, for its margin
+    bad, margins = below(panels)
+    if not any(bad[1:]):
         return 1.0, False
-    lo, hi = panels[first[0]], panels[first[0] + 1]
-    nodes = np.arange(2 ** _BISECT_DEPTH + 1) / 2 ** _BISECT_DEPTH
-    while hi - lo > 1e-12 * max(1.0, hi):
-        # each probe of the next levels is a node of the dyadic grid on [lo, hi]
-        grid = lo + (hi - lo) * nodes
-        bad = below(grid[1:-1])
-        a, b = 0, len(grid) - 1
-        while b - a > 1 and hi - lo > 1e-12 * max(1.0, hi):
-            m = (a + b) // 2
-            if bad[m - 1]:
-                b, hi = m, grid[m]
+    k = bad.index(True, 1)
+    lo, hi, m_lo, m_hi = float(panels[k - 1]), float(panels[k]), margins[k - 1], margins[k]
+    nodes = np.arange(1, 2 ** _BISECT_DEPTH) / 2 ** _BISECT_DEPTH
+    while hi - lo > _WALL_RESOLUTION:
+        # the path bisection walks if the wall sits where the margins' secant
+        # through the bracket's ends crosses _WALL_MARGIN
+        frac = (m_lo - _WALL_MARGIN) / (m_lo - m_hi) if m_lo > m_hi else 0.5
+        guess, path, a, b = lo + (hi - lo) * frac, [], lo, hi
+        while b - a > _WALL_RESOLUTION:
+            path.append(mid := 0.5 * (a + b))
+            a, b = (a, mid) if mid >= guess else (mid, b)
+        # its first levels are nodes of the dyadic grid on [lo, hi], scored whole
+        probes = np.concatenate([lo + (hi - lo) * nodes, path[_BISECT_DEPTH:]])
+        scored = dict(zip(probes.tolist(), zip(*below(probes))))
+        while hi - lo > _WALL_RESOLUTION and (mid := 0.5 * (lo + hi)) in scored:
+            wall, margin = scored[mid]
+            if wall:
+                hi, m_hi = mid, margin
             else:
-                a, lo = m, grid[m]
-    return float(hi), True
+                lo, m_lo = mid, margin
+    return hi, True
 
 
 def carry_chart(tri: Triangulation, base: np.ndarray, u_from: np.ndarray,
@@ -573,19 +590,21 @@ def trial_fault(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: floa
 
 
 def trial_energy(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float,
-                 rbar: np.ndarray, offset: float) -> tuple[float, np.ndarray] | None:
-    """Order-0 energy at u and its angles (:attr:`EnergyReport.angles`), or
-    None when :func:`trial_fault` rules u out."""
+                 rbar: np.ndarray, offset: float
+                 ) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """Order-0 energy at u, its angles and their cosines
+    (:attr:`EnergyReport.angles`, :attr:`EnergyReport.cosines`), or None
+    when :func:`trial_fault` rules u out."""
     if trial_fault(tri, base, u, alpha) is not None:
         return None
     rep = energy_W_alpha(tri, base, u, alpha, rbar, offset=offset, order=0)
-    return rep.value, rep.angles
+    return rep.value, rep.angles, rep.cosines
 
 
 def guarded_step(tri: Triangulation, base: np.ndarray, alpha: float, rbar: np.ndarray,
                  offset: float, propose, accept, step: float, max_shrinks: int,
                  min_step: float = 0.0
-                 ) -> tuple[float, int, np.ndarray | None, tuple[float, np.ndarray] | None]:
+                 ) -> tuple[float, int, np.ndarray | None, tuple | None]:
     """Halve ``step`` until :func:`trial_energy` at ``propose(step)``, on the
     departure chart (tri, base), passes ``accept(step, value)``.
 

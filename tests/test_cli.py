@@ -42,6 +42,11 @@ SLIVER_FIXED = os.path.join(DATA_DIR, "sliver_4x4_fixed.json")
 # The bytes flow --flow yamabe --alpha -1 --out-state must write for
 # SURGERY_GAP, generated by the wall search that certified every segment.
 SURGERY_GAP_STATE = os.path.join(DATA_DIR, "torus_surgery_gap_yamabe_state.json")
+# The bytes flow --flow yamabe --alpha -1 --out-state and --out-history must
+# write for SURGERY_GAP with the default, implicit, integrator; generated by
+# the step that made one order-2 energy evaluation at each state.
+SURGERY_GAP_IMPLICIT_STATE = os.path.join(DATA_DIR, "torus_surgery_gap_implicit_state.json")
+SURGERY_GAP_IMPLICIT_HISTORY = os.path.join(DATA_DIR, "torus_surgery_gap_implicit_history.csv")
 # The bytes solve --alpha -1 --out must write for SURGERY_GAP, generated by
 # the Newton line search that backtracked in a loop of its own.
 SURGERY_GAP_SOLVE = os.path.join(DATA_DIR, "torus_surgery_gap_solve.json")
@@ -247,6 +252,16 @@ class TestFlow:
         assert (code, doc["flips"]) == (0, 15)
         with open(SURGERY_GAP_STATE, "rb") as fh:
             assert state.read_bytes() == fh.read()
+
+    def test_implicit_state_and_history_are_the_golden_bytes(self, capsys, tmp_path):
+        state, history = tmp_path / "state.json", tmp_path / "history.csv"
+        code, doc = run_cli(capsys, ["flow", SURGERY_GAP, "--flow", "yamabe", "--alpha", "-1",
+                                     "--out-state", str(state), "--out-history", str(history)])
+        assert (code, doc["steps"], doc["flips"]) == (0, 12, 15)
+        for path, golden in ((state, SURGERY_GAP_IMPLICIT_STATE),
+                             (history, SURGERY_GAP_IMPLICIT_HISTORY)):
+            with open(golden, "rb") as fh:
+                assert path.read_bytes() == fh.read()
 
     def test_calabi_converges_on_a_24x24_torus(self, capsys, tmp_path):
         # explicit Euler runs out of --max-steps here (exit 4); the implicit

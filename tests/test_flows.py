@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -524,23 +525,115 @@ def test_renormalization_costs_no_energy_evaluation(monkeypatch):
     assert abs(conserved_sum(state.u, -1.0) - 16.0) < 1e-12
 
 
-def test_implicit_step_adds_one_order_2_evaluation(monkeypatch):
-    orders = []
-    energy = flows.energy_W_alpha
+@pytest.mark.parametrize("kind", ["yamabe", "calabi"])
+def test_implicit_step_makes_no_order_2_evaluation(monkeypatch, kind):
+    trials, arrivals = [], []
+    energy = solver.energy_W_alpha
 
-    def counted(*args, order=2, **kwargs):
-        orders.append(order)
-        return energy(*args, order=order, **kwargs)
+    def counted(orders):
+        def wrapped(*args, order=2, **kwargs):
+            orders.append(order)
+            return energy(*args, order=order, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(flows, "energy_W_alpha", counted)
+    monkeypatch.setattr(solver, "energy_W_alpha", counted(trials))
+    monkeypatch.setattr(flows, "energy_W_alpha", counted(arrivals))
+    monkeypatch.setattr(solver, "curvature_jacobian", None)  # a call would fail
     tri = FLOW_MESHES[1]  # 4 x 4 lattice torus
     base = np.exp(np.random.default_rng(0).uniform(-0.4, 0.4, tri.edge_count))
-    state, history = run_flow(tri, base, np.zeros(16), -1.0, FlowConfig())
+    state, history = run_flow(tri, base, np.zeros(16), -1.0, FlowConfig(kind=kind))
     flipping = sum(1 for row in history.rows[1:] if row.flips)
     assert history.status == "converged" and flipping > 0
-    # one at each step's departure for the matrix; past a wall, the arrival's value
-    assert orders.count(2) == state.step_count
-    assert orders.count(0) == flipping and len(orders) == state.step_count + flipping
+    # the matrix comes from the state's kept cosines: the start's and each
+    # step's trials evaluate the value alone, as does a walk's arrival
+    assert set(trials) == {0} and len(trials) >= state.step_count + 1
+    assert arrivals == [0] * flipping
+
+
+def implicit_system(state, kind, dt):
+    """(lhs, rhs) of the linear solve the implicit step makes at dt."""
+    systems, solve = [], np.linalg.solve
+
+    def recorded(lhs, rhs):
+        systems.append((lhs.copy(), rhs.copy()))
+        return solve(lhs, rhs)
+
+    with mock.patch.object(np.linalg, "solve", recorded):
+        flows._implicit(state, kind)(dt)
+    (system,) = systems
+    return system
+
+
+def energy_system(state, kind, dt):
+    """The same system from an order-2 energy evaluation at the state:
+    Yamabe's is its H and g, Calabi's the curvature Jacobian L, which is
+    H + alpha*diag(rbar*w)."""
+    tri, u, alpha, n = state.tri, state.u, state.alpha, len(state.u)
+    w = np.exp(alpha * u)
+    if kind == "yamabe":
+        rep = energy_W_alpha(tri, state.base, u, alpha, state.rbar)
+        A, diag, b = rep.hessian, w, -rep.gradient
+    else:
+        WL = geometry.curvature_jacobian(tri, scale_metric(tri, state.base, u)) / w[:, None]
+        R = state.report.R_alpha
+        dR = WL.copy()
+        dR.flat[::n + 1] -= alpha * R
+        A, diag, b = WL @ dR, 1.0, -(WL @ R)
+    lhs = dt * A
+    lhs.flat[::n + 1] += diag
+    return lhs, dt * b
+
+
+def loop_chart():
+    """The chart a walk from the unit 3 x 3 torus to u = -e_0 reaches; it
+    has loop edges at vertex 0."""
+    tri = build_triangulation(lattice_torus_faces(3))
+    u = -np.eye(9)[0]
+    tri, base, _, _ = carry_chart(tri, unit_lengths(tri), np.zeros(9), u)
+    assert (tri.edge_verts[:, 0] == tri.edge_verts[:, 1]).any()
+    return tri, base, u
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(FLOW_MESHES)), st.sampled_from(["yamabe", "calabi"]),
+       st.sampled_from([-1.0, 0.0, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_kept_cosines_give_the_order_2_system(mesh, kind, alpha, seed):
+    rng = np.random.default_rng(seed)
+    if mesh == len(FLOW_MESHES):  # the loop chart, about its own start
+        tri, base, u0 = loop_chart()
+        u0 = u0 + rng.normal(0.0, 0.05, 9)
+    else:
+        tri = FLOW_MESHES[mesh]
+        base = np.exp(rng.uniform(-0.2, 0.2, tri.edge_count))
+        tri, base, _ = delaunay_surgery(tri, base, np.zeros(tri.vertex_count))
+        u0 = rng.normal(0.0, 0.3, tri.vertex_count)
+    if geometry.degenerate_faces(tri, scale_metric(tri, base, u0)):
+        return
+    state = make_state(tri, base, u0, alpha)
+    for _ in range(4):
+        cosines = geometry.opposite_cosines(
+            geometry.side_lengths(state.tri, scale_metric(state.tri, state.base, state.u)))
+        assert np.array_equal(state.cosines, cosines)
+        for got, want in zip(implicit_system(state, kind, 0.3), energy_system(state, kind, 0.3)):
+            assert np.array_equal(got, want)
+        state = step(state, FlowConfig(kind=kind, dt=0.2))
+
+
+def test_kept_cosines_give_the_order_2_system_across_flips():
+    # the 4 x 4 torus flow flips on three of its steps
+    tri = FLOW_MESHES[1]
+    base = np.exp(np.random.default_rng(0).uniform(-0.4, 0.4, tri.edge_count))
+    tri, base, _ = delaunay_surgery(tri, base, np.zeros(16))
+    state, flipped = make_state(tri, base, np.zeros(16), -1.0), 0
+    while state.report.max_dev >= 1e-10:
+        for kind in ("yamabe", "calabi"):
+            for got, want in zip(implicit_system(state, kind, 0.3),
+                                 energy_system(state, kind, 0.3)):
+                assert np.array_equal(got, want)
+        seen = len(state.flips)
+        state = step(state, FlowConfig())
+        flipped += len(state.flips) > seen
+    assert flipped == 3
 
 
 def test_flow_flip_log_holds_every_flip_at_its_time(monkeypatch):

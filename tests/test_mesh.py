@@ -166,6 +166,10 @@ class TestFlip:
             assert len(record) == 0
             assert flip_columns(record) == flip_columns(Flips.join([]))
 
+    def test_join_returns_a_lone_part_as_it_is(self, torus9):
+        _, record = torus9.flip(np.array(torus9.edge_ids()[:1]))
+        assert Flips.join([record]) is record
+
     def test_flip_is_new_value(self, torus9):
         e = torus9.edge_ids()[0]
         names = ("faces", "face_edges", "edge_sides", "edge_verts")

@@ -16,7 +16,9 @@ from plcurv.geometry import (
     delaunay_surgery,
     face_angles,
     is_delaunay_all,
+    opposite_cosines,
     scale_metric,
+    side_lengths,
 )
 from plcurv.mesh import build_triangulation
 from plcurv.solver import (
@@ -316,10 +318,12 @@ class TestTrialPoint:
     def test_trial_hands_over_its_angles(self, tetra):
         base, u = unit_lengths(tetra), np.array([0.1, -0.2, 0.0, 0.05])
         rbar, _ = Target.constant().resolve(-1.0, tetra.chi, np.zeros(4))
-        value, angles = trial_energy(tetra, base, u, -1.0, rbar, 0.5)
+        value, angles, cosines = trial_energy(tetra, base, u, -1.0, rbar, 0.5)
         assert value == energy_W_alpha(tetra, base, u, -1.0, rbar, offset=0.5,
                                        order=0).value
-        assert np.array_equal(angles, face_angles(tetra, scale_metric(tetra, base, u)))
+        scaled = scale_metric(tetra, base, u)
+        assert np.array_equal(angles, face_angles(tetra, scaled))
+        assert np.array_equal(cosines, opposite_cosines(side_lengths(tetra, scaled)))
         assert trial_fault(tetra, base, u, -1.0) is None
 
 
