@@ -199,6 +199,8 @@ def _exec_flow(args: argparse.Namespace) -> int:
 def _exec_solve(args: argparse.Namespace) -> int:
     if args.starts < 1:
         raise ValueError(f"--starts must be at least 1, not {args.starts}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, not {args.seed}")
     tri, lengths = _load_input(args)
     n = tri.vertex_count
     if args.target == "const":

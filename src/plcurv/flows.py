@@ -7,7 +7,7 @@ sum and descend the same convex energy the Newton solver minimizes, so
 each renormalized trial point is accept/reject guarded by that energy.
 The default integrator is linearly implicit Euler: one dense linear solve
 per trial, on the energy's Hessian, with dt doubling after every accepted
-step; explicit Euler and RK4 follow the trajectory at a capped dt.
+step; explicit Euler follows the trajectory at a capped dt.
 The chart is started, tested and carried by the solver, as Newton's is:
 dt is halved by the solver's guarded step until a trial passes, and an
 edge that turns cocircular along an accepted step is flipped there.  A
@@ -62,7 +62,7 @@ GROWTH_STREAK = 5
 ENERGY_NOISE = 1e-12
 
 
-INTEGRATORS = ("implicit", "euler", "rk4")
+INTEGRATORS = ("implicit", "euler")
 
 
 @dataclass(frozen=True)
@@ -197,17 +197,9 @@ def calabi_rhs(state: FlowState) -> np.ndarray:
     return _rhs(state, "calabi")
 
 
-def _advance(state: FlowState, config: FlowConfig, rhs0: np.ndarray,
-             dt: float) -> np.ndarray:
-    """The explicit integrator's step of size dt from ``state``, renormalized."""
-    if config.integrator == "euler":
-        u = state.u + dt * rhs0
-    else:
-        k2 = _rhs(replace(state, u=state.u + 0.5 * dt * rhs0), config.kind)
-        k3 = _rhs(replace(state, u=state.u + 0.5 * dt * k2), config.kind)
-        k4 = _rhs(replace(state, u=state.u + dt * k3), config.kind)
-        u = state.u + (dt / 6.0) * (rhs0 + 2.0 * k2 + 2.0 * k3 + k4)
-    return apply_gauge(u, state.alpha, state.conserved_target)
+def _euler(state: FlowState, rhs0: np.ndarray, dt: float) -> np.ndarray:
+    """The explicit Euler step of size dt from ``state``, renormalized."""
+    return apply_gauge(state.u + dt * rhs0, state.alpha, state.conserved_target)
 
 
 def _implicit(state: FlowState, kind: str):
@@ -253,8 +245,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     the implicit system be singular or the energy visibly increase; the
     value it passes is the one kept, and its angles give the arrival's
     curvature report.  The implicit integrator doubles dt after every
-    accepted step, up to DT_CEILING.  Euler and RK4 recover dt by a factor
-    1.2 after 5 consecutive accepts, never beyond config.dt.  With surgery
+    accepted step, up to DT_CEILING.  Euler recovers dt by a factor 1.2
+    after 5 consecutive accepts, never beyond config.dt.  With surgery
     on, an edge turning cocircular flips there, at t + s * dt, and the
     energy and angles are evaluated once more on the arrival chart.
     """
@@ -262,7 +254,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         propose = _implicit(state, config.kind)
     else:
         rhs0 = _rhs(state, config.kind, state.report)
-        propose = functools.partial(_advance, state, config, rhs0)
+        propose = functools.partial(_euler, state, rhs0)
     dt = config.dt if state.dt is None else state.dt
     noise = max(ENERGY_NOISE * (1.0 + abs(state.w_value)),
                 ROUNDING_NOISE * abs(state.w_offset))

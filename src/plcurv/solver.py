@@ -343,11 +343,10 @@ def apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
 
 
 class _Chart:
-    """Wall-certificate constants of one chart, and (centre, radius) of the box
-    it last cleared whole (radius -inf: none).  Made by :func:`_chart`."""
+    """Wall-certificate constants of one chart.  Made by :func:`_chart`."""
 
     def __init__(self, tri: Triangulation, base: np.ndarray, key: bytes):
-        self.faces, self.key, self.box = tri.faces, key, (0.0, -math.inf)
+        self.faces, self.key = tri.faces, key
         with np.errstate(all="ignore"):  # a NaN or nonpositive base is never in range
             self.base_reach = np.maximum(np.log(base.max()), -np.log(base.min()))
             self.base_spread = 4.0 * np.log(base.max() / base.min())
@@ -360,29 +359,6 @@ class _Chart:
             self.E2CD, self.E2AB = e2 * C * D, e2 * A * B
         self.quad_verts = tri.faces.reshape(-1)[corners[:, [0, 0, 0, 1], [0, 1, 2, 2]]].T
         self.quad_faces = corners[:, :, 0].T // 3
-
-    def terms(self, z_lo: np.ndarray, z_hi: np.ndarray):
-        """At z = e^-u, the sides (rest, t) of each corner's triangle inequality
-        and the parts (pos, neg) of each edge's g: positive at z_lo, negative at z_hi."""
-        t_lo, t = self.opposite * z_lo[self.faces], self.opposite * z_hi[self.faces]
-        y_lo, y_hi = z_lo * z_lo, z_hi * z_hi
-        i, j, k, l = self.quad_verts
-        pos = self.ptolemy * (self.AD * y_lo[i] + self.BC * y_lo[j])
-        return t_lo.sum(axis=1)[:, None] - t_lo, t, pos, self.E2CD * y_hi[k] + self.E2AB * y_hi[l]
-
-    def certified_box(self, centre: np.ndarray) -> tuple[np.ndarray, float]:
-        """The largest in-range L-inf box about ``centre`` the certificate clears whole."""
-        low, high = float(centre.min()), float(centre.max())
-        reach = max(high, -low)
-        z = np.exp(low - centre)
-        rest, t, pos, neg = self.terms(z, z)
-        keep = 1.0 - _CERT_BAND
-        radius = min(0.25 * math.log(keep * float((pos / neg).min())),
-                     0.5 * math.log(keep * float((rest / t).min())),
-                     geometry.LOG_FACTOR_BOUND - reach,
-                     0.5 * (_CERT_LOG_RANGE - self.base_reach) - reach,
-                     0.25 * (_CERT_LOG_RANGE - self.base_spread) - 0.5 * (high - low))
-        return centre, radius
 
 
 _CHARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # dies with its Triangulation
@@ -423,8 +399,14 @@ def _uncertified_edges(tri: Triangulation, base: np.ndarray, u: np.ndarray,
             and 2.0 * reach + chart.base_reach <= _CERT_LOG_RANGE
             and 2.0 * (high - low) + chart.base_spread <= _CERT_LOG_RANGE):
         return None
-    # factors shifted so that z <= 1
-    rest, t, pos, neg = chart.terms(np.exp(low - hi), np.exp(low - lo))
+    # z = e^-u shifted so that z <= 1: positive terms at z_lo, negative ones at z_hi
+    z_lo, z_hi = np.exp(low - hi), np.exp(low - lo)
+    t_lo, t = chart.opposite * z_lo[chart.faces], chart.opposite * z_hi[chart.faces]
+    rest = t_lo.sum(axis=1)[:, None] - t_lo  # each corner's triangle inequality: rest > t
+    y_lo, y_hi = z_lo * z_lo, z_hi * z_hi
+    i, j, k, l = chart.quad_verts
+    pos = chart.ptolemy * (chart.AD * y_lo[i] + chart.BC * y_lo[j])  # g's parts
+    neg = chart.E2CD * y_hi[k] + chart.E2AB * y_hi[l]
     keep = 1.0 - _CERT_BAND
     face_ok = (keep * rest > t).all(axis=1)
     return np.flatnonzero(~((keep * pos > neg) & face_ok[chart.quad_faces].all(axis=0)))
@@ -468,22 +450,9 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     edges left (all, if the certificate declines), on the sides
     scale_metric gives them, bit for bit, and with none left returns
     (1.0, False) at once.
-
-    The bounds hold on any box of u.  On |u - c|_inf <= r they are the terms
-    at c times e^(-+2r) (pos, neg) and e^(-+r) (rest, t), so the certificate
-    clears the box of radius r = min(1/4 min_e log(keep pos_e / neg_e),
-    1/2 min_(f,a) log(keep rest / t)), keep = 1 - _CERT_BAND, capped to stay
-    inside LOG_FACTOR_BOUND and _CERT_LOG_RANGE.  A search that clears a whole
-    segment keeps the box about its end with the chart; a later segment with
-    both ends in it gets (1.0, False), as the certificate and scan would.
     """
-    chart = _chart(tri, base)
-    centre, radius = chart.box
-    if np.abs(u - centre).max() <= radius and np.abs(u + delta - centre).max() <= radius:
-        return 1.0, False
     edges = _uncertified_edges(tri, base, u, delta)
     if edges is not None and not edges.size:
-        chart.box = chart.certified_box(u + delta)
         return 1.0, False
     q = tri.face_edges.reshape(-1)[tri.quad_corners(slice(None) if edges is None else edges)]
     ends, base_q = tri.edge_verts.T[:, q], base[q]  # q: (m, 2, 3) side edge ids

@@ -458,6 +458,50 @@ def first_wall_reference(tri, base, u, delta):
     return hi, True
 
 
+# --- Ptolemy oracle for chart transport -------------------------------------------
+#
+# Production carries the chart along a segment wall by wall, flipping each
+# edge where it turns cocircular.  Flipped by Ptolemy's formula, in which
+# vertex scaling cancels, a base length is the same at every u, so the chart
+# reached at u does not depend on the route (Penner coordinates): this pass
+# flips at u alone, one edge at a time, and the walk must reach its chart.
+
+def ptolemy_pass_reference(tri, base, u):
+    """The Delaunay chart at u reached from (tri, base) by Ptolemy flips.
+
+    Flips the edge whose formal cosine sum (A^2+B^2-E^2)/(2AB) +
+    (C^2+D^2-E^2)/(2CD) over the scaled sides of its quad is the most
+    negative, until none is below -DELAUNAY_SLACK; the sum is defined on
+    degenerate faces too.  The new diagonal kl is (AC + BD)/E scaled, and
+    that times e^-(u_k + u_l) in base.  Returns the triangulation and its
+    base lengths.
+    """
+    base, u = np.array(base, dtype=float), np.asarray(u, dtype=float)
+    for _ in range(geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2):
+        corners = tri.quad_corners(slice(None))  # (E, 2, 3): (i, j, k), (j, i, l)
+        q = geometry.scale_metric(tri, base, u)[tri.face_edges.reshape(-1)[corners]]
+        E, A, B, C, D = q[:, 0, 0], q[:, 0, 1], q[:, 0, 2], q[:, 1, 1], q[:, 1, 2]
+        sums = (A * A + B * B - E * E) / (2 * A * B) + (C * C + D * D - E * E) / (2 * C * D)
+        e = int(np.argmin(sums))
+        if sums[e] >= -geometry.DELAUNAY_SLACK:
+            return tri, base
+        k, l = tri.faces.reshape(-1)[corners[e, :, 2]].tolist()
+        base[e] = (A[e] * C[e] + B[e] * D[e]) / E[e] * math.exp(-(u[k] + u[l]))
+        tri, _ = tri.flip(e)
+    raise FlipLimitExceeded(f"{geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2} flips")
+
+
+def chart_faces(tri, base, u):
+    """Each face's (vertex cycle, scaled sides), read from its least rotation, sorted:
+    two charts are the same when these agree, whatever their edge ids."""
+    L = geometry.scale_metric(tri, base, u)
+    out = []
+    for verts, edges in zip(tri.faces.tolist(), tri.face_edges.tolist()):
+        r = min(range(3), key=lambda r: verts[r:] + verts[:r])
+        out.append((verts[r:] + verts[:r], [float(L[x]) for x in edges[r:] + edges[:r]]))
+    return sorted(out)
+
+
 # --- one-flip-at-a-time oracle for the Delaunay pass ---------------------------
 #
 # Production flips in rounds, many face-disjoint edges per array call.

@@ -207,6 +207,13 @@ def test_gauss_bonnet_through_the_cli(mesh, spread, u_spread, alpha, seed):
 
 
 class TestFlow:
+    def test_rk4_is_no_integrator(self, capsys, torus_file):
+        # rk4 is no integrator: the choices are implicit and euler
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flow", torus_file, "--integrator", "rk4"])
+        assert exc.value.code == 2
+        assert "--integrator" in capsys.readouterr().err
+
     def test_flat_torus_converges_at_step_zero(self, capsys, torus_file):
         code, doc = run_cli(capsys, ["flow", torus_file, "--flow", "calabi",
                                      "--alpha", "-2"])
@@ -490,12 +497,13 @@ class TestReplay:
 
     @pytest.mark.parametrize("argv, outputs", [
         (["curvature", "{kite}", "--alpha", "-1", "--u-file", "{d}/u.json"], []),
-        (["flow", "{kite}", "--flow", "yamabe", "--integrator", "rk4", "--alpha", "-1",
-          "--out-history", "{d}/h.csv", "--out-state", "{d}/s.json"], ["h.csv", "s.json"]),
+        (["flow", "{kite}", "--flow", "yamabe", "--integrator", "euler", "--dt", "0.1",
+          "--alpha", "-1", "--out-history", "{d}/h.csv", "--out-state", "{d}/s.json"],
+         ["h.csv", "s.json"]),
         (["solve", "{kite}", "--alpha", "-1", "--target", "{d}/t.json", "--starts", "2",
           "--seed", "3", "--out", "{d}/r.json"], ["r.json"]),
         (["delaunay", SLIVER, "--fix", "--out", "{d}/f.json"], ["f.json"]),
-    ], ids=["curvature-u-file", "flow-rk4", "solve-target-starts-seed", "delaunay-fix"])
+    ], ids=["curvature-u-file", "flow-euler", "solve-target-starts-seed", "delaunay-fix"])
     def test_round_trip_is_byte_identical(self, capsys, tmp_path, kite_file, argv,
                                           outputs):
         (tmp_path / "u.json").write_text("[0.1, 0, 0, 0, -0.05, 0, 0, 0, 0]")
@@ -628,14 +636,16 @@ class TestReplay:
     @pytest.mark.parametrize("command, key, value", [
         ("flow", "max_steps", "3.9"), ("flow", "max_steps", True), ("flow", "dt", 0.05),
         ("flow", "dt", "x"), ("flow", "tol", None), ("solve", "tol", 1e-10),
-        ("solve", "max_iter", "2.5"), ("solve", "starts", 2)])
+        ("solve", "max_iter", "2.5"), ("solve", "starts", 2),
+        ("flow", "integrator", "rk4")])
     def test_config_numbers_must_have_their_json_type(self, capsys, tmp_path, command,
                                                       key, value):
         # once cast on replay, 3.9 ran 3 steps and "0.05" was accepted as a
-        # number; now an entry is a string the option's type must parse
+        # number; now an entry is a string the option's type must parse, and
+        # a manifest that records the removed rk4 integrator is refused
         man = tmp_path / "run.json"
         argv = {"flow": ["flow", SURGERY_GAP, "--flow", "yamabe", "--max-steps", "3",
-                         "--dt", "0.05", "--tol", "1e-10"],
+                         "--dt", "0.05", "--tol", "1e-10", "--integrator", "implicit"],
                 "solve": ["solve", SURGERY_GAP, "--tol", "1e-10", "--max-iter", "100",
                           "--starts", "1"]}[command]
         code, _ = run_cli(capsys, argv + ["--alpha", "-1", "--manifest", str(man)])
@@ -796,10 +806,16 @@ class TestExtremeInput:
         assert run_cli(capsys, [argv[0], SURGERY_GAP, *argv[1:]]) == (3, None)
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--starts", "0"], ["solve", "--starts", "-1"], ["flow", "--max-steps", "-1"]])
-    def test_count_below_its_range_exits_3(self, capsys, argv):
-        # --starts 0 ran the one-start report; --max-steps -1 exited 4 after 0 steps
+        ["solve", "--starts", "0"], ["solve", "--starts", "-1"], ["flow", "--max-steps", "-1"],
+        ["solve", "--starts", "2", "--seed", "-1"]])
+    def test_count_below_its_range_exits_3(self, capsys, caplog, monkeypatch, argv):
+        # --starts 0 ran the one-start report; --max-steps -1 exited 4 after 0 steps;
+        # --seed -1 ran the first solve, then exited 3 naming no option
+        solves = []
+        monkeypatch.setattr(solver, "newton_solve", lambda *a, **k: solves.append(a))
         assert run_cli(capsys, [argv[0], SURGERY_GAP, "--alpha", "-1", *argv[1:]]) == (3, None)
+        assert solves == []
+        assert argv[-2].lstrip("-") in caplog.text.replace("_", "-")  # names the option
 
     @pytest.mark.parametrize("text, code", [
         ("[true, 0, 0, 0]", 2), ('["0.1", 0, 0, 0]', 2), ("[[0.1], 0, 0, 0]", 2),

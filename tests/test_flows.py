@@ -145,7 +145,6 @@ class TestStep:
 
     @pytest.mark.parametrize("integrator, dt, blocker", [
         ("euler", 1e4, "metric overflow"),
-        ("rk4", 1e4, "metric overflow"),  # a stage overflows, not the trial
         ("euler", 1.0, "faces [0, 1, 2, 3] degenerate"),
         ("euler", 0.275, "energy would increase"),
     ])
@@ -314,16 +313,6 @@ class TestRunFlow:
         cells = lines[1].split(",")
         assert float(cells[0]) == hist.rows[0].t
         assert float(cells[3]) == hist.rows[0].energy
-
-    def test_rk4_matches_euler_limit(self, tetra):
-        base = unit_lengths(tetra)
-        u0 = np.array([0.1, -0.1, 0.05, 0.0])
-        cfg = FlowConfig(kind="yamabe", dt=0.1, tol=1e-10, integrator="rk4",
-                         max_steps=20000)
-        state, hist = run_flow(tetra, base, u0, -1.0, cfg)
-        assert hist.status == "converged"
-        res = newton_solve(tetra, base, u0, -1.0, Target.constant())
-        assert np.max(np.abs(state.u - res.u)) < 1e-6
 
 
 class TestDescentIdentities:

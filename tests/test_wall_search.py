@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_fixture_meshes,
+    chart_faces,
     first_wall_reference,
     flat_torus_document,
     flip_columns,
     flip_with_length,
     lattice_torus_faces,
+    ptolemy_pass_reference,
     torus9_faces,
     unit_lengths,
 )
@@ -360,76 +362,71 @@ def test_certificate_leaves_few_edges_to_scan(monkeypatch):
     assert hits == [4] * 7 and max(hits) <= 1 + math.ceil(36 / solver._BISECT_DEPTH)
 
 
-# --- the certified box ----------------------------------------------------------
+# --- the chart cache -------------------------------------------------------------
 
-BOX_MESHES = ([build_triangulation(lattice_torus_faces(m)) for m in (3, 4, 5)]
-              + [tri for name, tri, _ in all_fixture_meshes() if name == "genus2"])
-
-
-def certified_box(tri, base, centre):
-    """(centre, radius) of the box a search ending at ``centre`` leaves with
-    the chart; radius -inf when it leaves none."""
-    _first_wall(tri, base, centre, np.zeros(tri.vertex_count))
-    return solver._chart(tri, base).box
-
-
-def no_certificate(*args):
-    raise AssertionError("the certificate ran inside a certified box")
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, len(BOX_MESHES) - 1), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([0.0, 0.05, 0.2]), st.sampled_from([0.0, 0.1, 0.3]))
-def test_segments_in_a_certified_box_find_no_wall(mesh, seed, jitter, spread):
-    tri = BOX_MESHES[mesh]
-    rng = np.random.default_rng(seed)
-    base = np.exp(rng.uniform(-jitter, jitter, tri.edge_count))
-    n = tri.vertex_count
-    centre, radius = certified_box(tri, base, rng.uniform(-spread, spread, n))
-    if radius < 1e-9:
-        return
-    # half the coordinates on the box's faces; a margin of 1e-6 r covers rounding
-    sides = rng.choice([-1.0, 1.0], (6, n)) * np.where(rng.random((6, n)) < 0.5, 1.0,
-                                                       rng.random((6, n)))
-    points = centre + (1.0 - 1e-6) * radius * sides
-    for p, q in zip(points[::2], points[1::2]):
-        with mock.patch.object(solver, "_uncertified_edges", no_certificate):
-            assert _first_wall(tri, base, p, q - p) == (1.0, False)
-        assert first_wall_reference(tri, base, p, q - p) == (1.0, False)
-    for p in points:
-        assert geometry.degenerate_faces(tri, scale_metric(tri, base, p)) == []
-    delta = np.zeros(n)
-    delta[0] = math.nan  # from inside the box to nowhere: the scan's wall, not the box
-    assert agree(tri, base, points[0], delta)[1]
+CACHE_MESHES = ([build_triangulation(lattice_torus_faces(m)) for m in (3, 4, 5)]
+                + [tri for name, tri, _ in all_fixture_meshes() if name == "genus2"])
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, len(BOX_MESHES) - 1), st.integers(0, 2 ** 32 - 1))
-def test_a_box_lives_for_one_chart(mesh, seed):
-    tri = BOX_MESHES[mesh]
+@given(st.integers(0, len(CACHE_MESHES) - 1), st.integers(0, 2 ** 32 - 1))
+def test_certificate_constants_live_for_one_chart(mesh, seed):
+    tri = CACHE_MESHES[mesh]
     rng = np.random.default_rng(seed)
     base = np.exp(rng.uniform(-0.05, 0.05, tri.edge_count))
     n = tri.vertex_count
-    centre, radius = certified_box(tri, base, rng.uniform(-0.1, 0.1, n))
-    step = 0.5 * radius * rng.uniform(-1.0, 1.0, n)
-    searched = []
+    u, step = rng.uniform(-0.1, 0.1, n), rng.uniform(-0.05, 0.05, n)
+    built = []
 
-    def spy(*args):
-        searched.append(args[0])
-        return _uncertified_edges(*args)
+    class Spy(solver._Chart):
+        def __init__(self, tri, *args):
+            built.append(tri)
+            super().__init__(tri, *args)
 
-    with mock.patch.object(solver, "_uncertified_edges", spy):
-        assert _first_wall(tri, base, centre, step) == (1.0, False)
-        assert searched == []  # the box is reused on its own chart
+    solver._CHARTS.pop(tri, None)  # an earlier example's chart
+    with mock.patch.object(solver, "_Chart", Spy):
+        agree(tri, base, u, step)
+        agree(tri, base, u + step, -step)
+        assert built == [tri]  # the constants are reused on their own chart
         e = rng.permutation(tri.edge_count)[0]
         flipped, flipped_base, _ = flip_with_length(tri, base, e)
-        agree(flipped, flipped_base, centre, step)  # after a surgery
-        assert searched == [flipped]
-        certified_box(tri, base, centre)
-        searched.clear()
+        agree(flipped, flipped_base, u, step)  # after a surgery
+        assert built == [tri, flipped]
+        agree(tri, base, u, step)  # each triangulation keeps its own
+        assert built == [tri, flipped]
         base[e] *= 1.0 + 1e-3  # an in-place edit of the writable base
-        assert agree(tri, base, centre, step) == (1.0, False)
-        assert searched == [tri]
+        agree(tri, base, u, step)
+        assert built == [tri, flipped, tri]
+
+
+# --- route independence -----------------------------------------------------------
+
+ROUTE_MESHES = ([(build_triangulation(lattice_torus_faces(m)), None) for m in range(3, 9)]
+                + [(tri, base) for name, tri, base in all_fixture_meshes()
+                   if name in ("cube12", "genus2")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(ROUTE_MESHES) - 1), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.05, 0.6), st.integers(1, 3))
+def test_carried_chart_is_the_ptolemy_pass_chart(mesh, seed, sigma, segments):
+    # the chart carry_chart reaches at u does not depend on the route there
+    tri, lengths = ROUTE_MESHES[mesh]
+    rng = np.random.default_rng(seed)
+    lengths = unit_lengths(tri) if lengths is None else lengths
+    while geometry.degenerate_faces(
+            tri, base := lengths * np.exp(rng.uniform(-0.25, 0.25, tri.edge_count))):
+        pass
+    tri, base, _ = geometry.make_delaunay(tri, base)
+    n = tri.vertex_count
+    route = [np.zeros(n)] + [rng.uniform(-sigma, sigma, n) for _ in range(segments)]
+    walked_tri, walked_base = tri, base
+    for a, b in zip(route, route[1:]):
+        walked_tri, walked_base, _, _ = carry_chart(walked_tri, walked_base, a, b)
+    walked = chart_faces(walked_tri, walked_base, route[-1])
+    ref = chart_faces(*ptolemy_pass_reference(tri, base, route[-1]), route[-1])
+    assert [cycle for cycle, _ in walked] == [cycle for cycle, _ in ref]
+    np.testing.assert_allclose([s for _, s in walked], [s for _, s in ref], rtol=1e-12, atol=0)
 
 
 class TestCarryChart:
