@@ -197,10 +197,6 @@ def _exec_flow(args: argparse.Namespace) -> int:
 
 
 def _exec_solve(args: argparse.Namespace) -> int:
-    if args.starts < 1:
-        raise ValueError(f"--starts must be at least 1, not {args.starts}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be at least 0, not {args.seed}")
     tri, lengths = _load_input(args)
     n = tri.vertex_count
     if args.target == "const":
@@ -277,11 +273,19 @@ def _exec_replay(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace, argv: list[str]) -> int:
-    """Check what the parser cannot, record the run if asked, and run it."""
+    """Check what the parser cannot, before any file is read; record the run if asked; run it."""
     if args.command == "delaunay" and args.fix and not args.out:
         raise ParseError("--fix requires --out")
     if not math.isfinite(getattr(args, "alpha", 0.0)):
-        raise NonFiniteValue(f"alpha must be finite, not {args.alpha!r}")
+        raise NonFiniteValue(f"--alpha must be finite, not {args.alpha!r}")
+    for option in ("dt", "tol"):
+        value = getattr(args, option, 1.0)
+        if not 0.0 < value < math.inf:  # False on NaN
+            raise ValueError(f"--{option} must be positive and finite, not {value!r}")
+    for option, low in (("starts", 1), ("seed", 0), ("max_steps", 0), ("max_iter", 0)):
+        value = getattr(args, option, low)
+        if value < low:
+            raise ValueError(f"--{option.replace('_', '-')} must be at least {low}, not {value}")
     if getattr(args, "manifest", None):
         doc = {"argv": argv, "sha256": _input_hashes(args)}
         _atomic_write(args.manifest, mesh.json_text(doc) + "\n")

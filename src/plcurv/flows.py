@@ -38,6 +38,7 @@ from .solver import (
     conserved_sum,
     energy_W_alpha,
     guarded_step,
+    implicit_step,
     start_chart,
     trial_energy,
     trial_fault,
@@ -176,8 +177,9 @@ def _curvature_report(state: FlowState, scaled=None) -> geometry.CurvatureReport
                            chi=state.tri.chi)
 
 
-def _rhs(state: FlowState, kind: str, rep=None) -> np.ndarray:
-    """du/dt at ``state``; ``rep``, when given, is its curvature report."""
+def rhs(state: FlowState, kind: str, rep=None) -> np.ndarray:
+    """du/dt at ``state``: R_av - R_alpha for "yamabe", the weighted Laplacian
+    of R_alpha for "calabi"; ``rep``, when given, is the state's curvature report."""
     if kind == "yamabe":
         rep = rep or _curvature_report(state)
         return rep.R_av - rep.R_alpha
@@ -185,16 +187,6 @@ def _rhs(state: FlowState, kind: str, rep=None) -> np.ndarray:
     rep = rep or _curvature_report(state, scaled)
     return alpha_laplacian_apply(state.tri, scaled, state.u, state.alpha,
                                  rep.R_alpha)
-
-
-def yamabe_rhs(state: FlowState) -> np.ndarray:
-    """du/dt pulling each weighted curvature toward the average."""
-    return _rhs(state, "yamabe")
-
-
-def calabi_rhs(state: FlowState) -> np.ndarray:
-    """du/dt equal to the weighted Laplacian of the weighted curvature."""
-    return _rhs(state, "calabi")
 
 
 def _euler(state: FlowState, rhs0: np.ndarray, dt: float) -> np.ndarray:
@@ -213,8 +205,8 @@ def _implicit(state: FlowState, kind: str):
     takes a Rosenbrock-W step (I - dt*J) du = dt*f with
     J = -W^-1 L (W^-1 L - alpha*diag(R_alpha)); J leaves out the
     derivatives of L and W^-1, whose terms multiply L R_alpha and vanish
-    at the fixed point.  Every trial is one dense solve; a singular system
-    raises LinAlgError, which the guarded step counts as a rejection.
+    at the fixed point.  Every trial is one :func:`~plcurv.solver.implicit_step`;
+    a singular system raises LinAlgError, a rejection to the guarded step.
     """
     u, alpha = state.u, state.alpha
     w = np.exp(alpha * u)
@@ -227,14 +219,9 @@ def _implicit(state: FlowState, kind: str):
         R = state.report.R_alpha
         dR = WL.copy()  # dR_alpha/du = W^-1 L - alpha*diag(R_alpha)
         dR.flat[::len(u) + 1] -= alpha * R
-        A, diag, b = WL @ dR, 1.0, -(WL @ R)
-
-    def propose(dt: float) -> np.ndarray:
-        lhs = dt * A
-        lhs.flat[::len(u) + 1] += diag
-        return apply_gauge(u + np.linalg.solve(lhs, dt * b), alpha, state.conserved_target)
-
-    return propose
+        A, diag, b = WL @ dR, None, -(WL @ R)
+    return lambda dt: apply_gauge(u + implicit_step(A, b, dt, diag), alpha,
+                                  state.conserved_target)
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -253,7 +240,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     if config.integrator == "implicit":
         propose = _implicit(state, config.kind)
     else:
-        rhs0 = _rhs(state, config.kind, state.report)
+        rhs0 = rhs(state, config.kind, state.report)
         propose = functools.partial(_euler, state, rhs0)
     dt = config.dt if state.dt is None else state.dt
     noise = max(ENERGY_NOISE * (1.0 + abs(state.w_value)),
@@ -358,7 +345,7 @@ def curvature_evolution_residual(state: FlowState,
     the result is O(dt^2) small on nondegenerate states.
     """
     dt = config.dt
-    rhs0 = _rhs(state, config.kind)
+    rhs0 = rhs(state, config.kind)
 
     def r_at(u: np.ndarray) -> np.ndarray:
         scaled = scale_metric(state.tri, state.base, u)

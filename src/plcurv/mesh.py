@@ -136,12 +136,6 @@ class Triangulation:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def edge_ids(self) -> range:
-        return range(len(self.edge_sides))
-
-    def face_ids(self) -> range:
-        return range(len(self.faces))
-
     def edge_vertices(self, e: int) -> tuple[int, int]:
         """Endpoints of edge ``e`` in the direction of its first side."""
         return tuple(self.edge_verts[e].tolist())

@@ -342,6 +342,22 @@ def apply_gauge(u: np.ndarray, alpha: float, conserved: float) -> np.ndarray:
     return u + math.log(ratio) / alpha
 
 
+def implicit_step(A: np.ndarray, b: np.ndarray, dt: float, diag=None,
+                  gauge: bool = False) -> np.ndarray:
+    """x with (diag(``diag``) + dt*A) x = dt*b, ``diag`` None for the identity:
+    the one linear solve of Newton and the implicit flows.  At dt = inf it is
+    Newton's A x = b, solved orthogonal to the constants, along which A is
+    singular, when ``gauge`` is set.  A singular system raises LinAlgError."""
+    if dt < math.inf:
+        lhs = dt * A
+        lhs.flat[::len(b) + 1] += 1.0 if diag is None else diag
+        return np.linalg.solve(lhs, dt * b)
+    if not gauge:
+        return np.linalg.solve(A, b)
+    x = np.linalg.solve(A + 1.0 / len(b), b - b.mean())
+    return x - x.mean()
+
+
 class _Chart:
     """Wall-certificate constants of one chart.  Made by :func:`_chart`."""
 
@@ -633,7 +649,6 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
     rep = replace(rep, value=0.0)  # the start's Hessian dies with its first replacement
     grad_inf = float(np.max(np.abs(rep.gradient)))
     trace = [TraceRow(0, grad_inf, rep.value, 0.0, total_flips)]
-    ones = np.ones(n)
 
     it = 0
     while grad_inf >= tol:
@@ -644,11 +659,7 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
                 f"after {max_iter} iterations")
         H, g = rep.hessian, rep.gradient
         try:
-            if kind == "zero":
-                delta = -np.linalg.solve(H + np.outer(ones, ones) / n, g - g.mean())
-                delta -= delta.mean()
-            else:
-                delta = -np.linalg.solve(H, g)
+            delta = implicit_step(H, -g, math.inf, gauge=kind == "zero")
             slope = float(g @ delta)
         except np.linalg.LinAlgError:  # singular: no Newton direction at all
             slope = math.inf

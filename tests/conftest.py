@@ -162,7 +162,7 @@ def cube12():
 
 def cube_lengths(tri):
     return np.array([math.dist(*(CUBE_COORDS[v] for v in tri.edge_vertices(e)))
-                     for e in tri.edge_ids()])
+                     for e in range(tri.edge_count)])
 
 
 @pytest.fixture
@@ -172,7 +172,7 @@ def genus2():
 
 def random_lengths(tri, rng, spread=0.4):
     """Independent log-uniform lengths; faces may legitimately degenerate."""
-    return np.array([math.exp(rng.uniform(-spread, spread)) for _ in tri.edge_ids()])
+    return np.array([math.exp(rng.uniform(-spread, spread)) for _ in range(tri.edge_count)])
 
 
 def all_fixture_meshes():
@@ -409,7 +409,7 @@ def triangle_energy_quadrature(base, u, u0, tol=QUADRATURE_TOL):
 def energy_value_quadrature(tri, base, u, u_ref, alpha, rbar):
     """E(u) - E(u_ref) of energy_W_alpha, faces integrated by quadrature."""
     faces = 0.0
-    for f in tri.face_ids():
+    for f in range(tri.face_count):
         e0, e1, e2 = tri.face_edges[f]
         idx = list(tri.faces[f])
         faces += triangle_energy_quadrature(
@@ -519,7 +519,7 @@ def make_delaunay_reference(tri, lengths):
     """A Delaunay pass flipping one queued edge at a time."""
     cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
     L = np.asarray(lengths, dtype=float).tolist()
-    queue = deque(tri.edge_ids())
+    queue = deque(range(tri.edge_count))
     flips = []
     while queue:
         e = queue.popleft()

@@ -123,7 +123,7 @@ def test_c03_flip_isometry():
         lens = random_lengths(tri, rng, spread=0.3)
         if geometry.degenerate_faces(tri, lens):
             continue
-        e = int(rng.choice(list(tri.edge_ids())))
+        e = int(rng.choice(list(range(tri.edge_count))))
         k0 = geometry.curvature(tri, lens)
         try:
             tri2, lens2, info = flip_with_length(tri, lens, e)

@@ -799,23 +799,33 @@ class TestExtremeInput:
     @pytest.mark.parametrize("argv", [
         ["curvature", "--alpha", "nan"], ["flow", "--alpha", "nan"],
         ["flow", "--alpha=-inf"], ["solve", "--alpha", "inf"],
-        ["flow", "--alpha", "-1", "--dt", "inf"], ["flow", "--alpha", "-1", "--tol", "inf"]])
-    def test_non_finite_option_exits_3(self, capsys, argv):
+        ["flow", "--alpha", "-1", "--dt", "inf"], ["flow", "--alpha", "-1", "--tol", "inf"],
+        ["flow", "--alpha", "-1", "--dt", "0"], ["flow", "--alpha", "-1", "--tol", "nan"],
+        ["solve", "--alpha", "-1", "--tol", "0"], ["solve", "--alpha", "-1", "--tol", "inf"]])
+    def test_non_finite_option_exits_3(self, capsys, caplog, monkeypatch, argv):
         # flow exited 5 on these (--tol inf exited 0 as converged at step 0),
-        # and solve --alpha inf warned on stderr first
+        # and solve --alpha inf warned on stderr first; --dt 0 named the field
+        # dt, and solve --tol 0 was refused by newton_solve after the mesh loaded
+        loads = []
+        monkeypatch.setattr(mesh, "load_mesh", lambda *a, **k: loads.append(a))
         assert run_cli(capsys, [argv[0], SURGERY_GAP, *argv[1:]]) == (3, None)
+        assert loads == []
+        option = [a for a in argv if a.startswith("--")][-1].split("=")[0]
+        assert f"{option} must be" in caplog.text
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--starts", "0"], ["solve", "--starts", "-1"], ["flow", "--max-steps", "-1"],
-        ["solve", "--starts", "2", "--seed", "-1"]])
+        ["solve", "--starts", "2", "--seed", "-1"], ["solve", "--max-iter", "-1"]])
     def test_count_below_its_range_exits_3(self, capsys, caplog, monkeypatch, argv):
         # --starts 0 ran the one-start report; --max-steps -1 exited 4 after 0 steps;
-        # --seed -1 ran the first solve, then exited 3 naming no option
+        # --seed -1 ran the first solve, then exited 3 naming no option;
+        # --max-iter -1 was refused by newton_solve, after the mesh loaded
         solves = []
         monkeypatch.setattr(solver, "newton_solve", lambda *a, **k: solves.append(a))
+        monkeypatch.setattr(mesh, "load_mesh", lambda *a, **k: solves.append(a))
         assert run_cli(capsys, [argv[0], SURGERY_GAP, "--alpha", "-1", *argv[1:]]) == (3, None)
         assert solves == []
-        assert argv[-2].lstrip("-") in caplog.text.replace("_", "-")  # names the option
+        assert f"{argv[-2]} must be" in caplog.text  # names the option
 
     @pytest.mark.parametrize("text, code", [
         ("[true, 0, 0, 0]", 2), ('["0.1", 0, 0, 0]', 2), ("[[0.1], 0, 0, 0]", 2),

@@ -22,14 +22,13 @@ from plcurv.flows import (
     FlowConfig,
     FlowHistory,
     HistoryRow,
-    calabi_rhs,
     conserved_sum,
     curvature_evolution_residual,
     exponential_rate_probe,
     make_state,
+    rhs,
     run_flow,
     step,
-    yamabe_rhs,
 )
 from plcurv.geometry import alpha_curvature, curvature, delaunay_surgery, scale_metric
 from plcurv.mesh import build_triangulation
@@ -54,20 +53,20 @@ def kite_state(tri, alpha=1.0, stretch=1.9):
 class TestRhs:
     def test_flat_torus_both_zero(self, torus9):
         state = make_state(torus9, unit_lengths(torus9), np.zeros(9), 2.0)
-        assert np.max(np.abs(yamabe_rhs(state))) < 1e-13
-        assert np.max(np.abs(calabi_rhs(state))) < 1e-13
+        assert np.max(np.abs(rhs(state, "yamabe"))) < 1e-13
+        assert np.max(np.abs(rhs(state, "calabi"))) < 1e-13
 
     def test_regular_tetrahedron_stationary(self, tetra):
         # all R_alpha equal pi at u = 0, so both right sides vanish
         state = make_state(tetra, unit_lengths(tetra), np.zeros(4), -1.0)
-        assert np.max(np.abs(yamabe_rhs(state))) < 1e-13
-        assert np.max(np.abs(calabi_rhs(state))) < 1e-13
+        assert np.max(np.abs(rhs(state, "yamabe"))) < 1e-13
+        assert np.max(np.abs(rhs(state, "calabi"))) < 1e-13
 
     def test_converged_solution_is_stationary(self, torus9):
         res = newton_solve(torus9, unit_lengths(torus9),
                            np.full(9, 0.17), 1.0, Target.constant())
         state = make_state(res.tri, res.base, res.u, 1.0)
-        assert np.max(np.abs(yamabe_rhs(state))) < 1e-9
+        assert np.max(np.abs(rhs(state, "yamabe"))) < 1e-9
 
     def test_calabi_weighted_sum_vanishes(self):
         rng = np.random.default_rng(21)
@@ -75,14 +74,14 @@ class TestRhs:
             for alpha in (-2.0, 0.0, 1.5):
                 u = rng.uniform(-0.2, 0.2, tri.vertex_count)
                 state = make_state(tri, lens, u, alpha)
-                rhs = calabi_rhs(state)
-                total = float(np.sum(np.exp(alpha * u) * rhs))
+                du = rhs(state, "calabi")
+                total = float(np.sum(np.exp(alpha * u) * du))
                 assert abs(total) < 1e-10, (name, alpha)
 
     def test_nonconstant_curvature_moves(self, tetra):
         u0 = np.array([0.1, 0.0, 0.0, 0.0])
         state = make_state(tetra, unit_lengths(tetra), u0, -1.0)
-        assert np.max(np.abs(yamabe_rhs(state))) > 1e-3
+        assert np.max(np.abs(rhs(state, "yamabe"))) > 1e-3
         assert state_report(state).max_dev > 1e-3
 
 
@@ -113,7 +112,7 @@ class TestStep:
         assert out.flips.old_length[0] == pytest.approx(1.9)
         # the log carries the time of the wall: t + s * dt, with s the
         # fraction of the step walked when the edge flipped
-        u_try = state.u + out.last_dt * yamabe_rhs(state)
+        u_try = state.u + out.last_dt * rhs(state, "yamabe")
         _, _, _, walls = carry_chart(state.tri, state.base, state.u, u_try)
         s = walls[0]
         assert 0.0 < s < 1.0
@@ -685,7 +684,7 @@ def test_guard_tests_the_value_the_state_keeps(monkeypatch, cube12):
             assert state.w_value == tested[-1][0]
             # the unshifted point has another energy here, so testing it
             # would store a value the guard never saw
-            raw = prev.u + state.last_dt * yamabe_rhs(prev)
+            raw = prev.u + state.last_dt * rhs(prev, "yamabe")
             shifted += energy_W_alpha(prev.tri, prev.base, raw, -1.0, prev.rbar,
                                       offset=prev.w_offset, order=0).value != state.w_value
     assert shifted > 0

@@ -35,7 +35,7 @@ from conftest import (
 
 
 def edge_by_pair(tri, a, b):
-    for e in tri.edge_ids():
+    for e in range(tri.edge_count):
         if set(tri.edge_vertices(e)) == {a, b}:
             return e
     raise AssertionError(f"no edge {a}-{b}")
@@ -88,7 +88,7 @@ class TestScaleMetric:
 
     def test_single_edge_factor(self, tetra):
         lengths = unit_lengths(tetra)
-        for e in tetra.edge_ids():
+        for e in range(tetra.edge_count):
             lengths[e] = 5.0
         u = np.zeros(4)
         u[0], u[1] = math.log(2.0), math.log(3.0)
@@ -203,7 +203,7 @@ class TestAlphaCurvature:
             r2 = alpha_curvature(K2, u + math.log(lam), alpha, chi=2)
             assert r2.R_alpha == pytest.approx(
                 r1.R_alpha * lam ** (-alpha), rel=1e-9, abs=1e-12)
-            for e in tri.edge_ids():
+            for e in range(tri.edge_count):
                 assert is_delaunay(tri, base, e) == is_delaunay(tri, shifted, e)
 
 
@@ -215,7 +215,7 @@ class TestCotWeight:
 
     def test_equilateral_pair(self, tetra):
         lengths = unit_lengths(tetra)
-        for e in tetra.edge_ids():
+        for e in range(tetra.edge_count):
             assert cot_weight(tetra, lengths, e) == \
                 pytest.approx(2.0 / math.sqrt(3.0), rel=1e-14)
 
@@ -344,7 +344,7 @@ class TestAlphaLaplacian:
 class TestDelaunay:
     def test_equilateral_true(self, tetra):
         lengths = unit_lengths(tetra)
-        for e in tetra.edge_ids():
+        for e in range(tetra.edge_count):
             assert is_delaunay(tetra, lengths, e)
         assert is_delaunay_all(tetra, lengths) == []
 
@@ -383,7 +383,7 @@ class TestFlipLength:
 
     def test_unit_rhombus(self, tetra):
         lengths = unit_lengths(tetra)
-        for e in tetra.edge_ids():
+        for e in range(tetra.edge_count):
             assert flip_length(tetra, lengths, e) == \
                 pytest.approx(math.sqrt(3.0), rel=1e-14)
 
@@ -436,7 +436,7 @@ class TestFlipIsometry:
             u = rng.uniform(-0.15, 0.15, size=tri.vertex_count)
             metric = scale_metric(tri, base, u)
             K0 = curvature(tri, metric)
-            for e in list(tri.edge_ids())[:8]:
+            for e in list(range(tri.edge_count))[:8]:
                 try:
                     tri2, metric2, _ = flip_with_length(tri, metric, e)
                 except errors.NonConvexQuad:

@@ -55,21 +55,21 @@ def metrics(draw):
     """(triangulation, lengths) after up to six random flips."""
     tri = MESHES[draw(st.integers(0, len(MESHES) - 1))]
     for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=6)):
-        edges = tri.edge_ids()
+        edges = range(tri.edge_count)
         try:
             tri, _ = tri.flip(edges[pick % len(edges)])
         except errors.FlipDegeneratesComplex:
             pass
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     spread = draw(st.floats(0.05, 1.5))
-    lengths = np.array([math.exp(rng.uniform(-spread, spread)) for _ in tri.edge_ids()])
+    lengths = np.array([math.exp(rng.uniform(-spread, spread)) for _ in range(tri.edge_count)])
     return tri, lengths
 
 
 def corner_angles_loop(tri, lengths):
     """Face id -> angles at corners 0, 1, 2 (corner c faces slot (c+1) % 3)."""
     out = {}
-    for f in tri.face_ids():
+    for f in range(tri.face_count):
         l0, l1, l2 = (lengths[e] for e in tri.face_edges[f])
         out[f] = triangle_angles(l1, l2, l0)
     return out
@@ -93,7 +93,7 @@ def test_curvature_matches_face_loop(case):
 def test_degenerate_faces_match_face_loop(case):
     tri, lengths = case
     ref = []
-    for f in tri.face_ids():
+    for f in range(tri.face_count):
         a, b, c = (lengths[e] for e in tri.face_edges[f])
         if max(a, b, c) >= (a + b + c) - max(a, b, c):
             ref.append(f)
@@ -105,7 +105,7 @@ def test_degenerate_faces_match_face_loop(case):
 def test_margin_matches_edge_loop_and_predicate(case):
     tri, lengths = case
     L = lengths.tolist()
-    ref = min(edge_margin_reference(tri, L, e) for e in tri.edge_ids())
+    ref = min(edge_margin_reference(tri, L, e) for e in range(tri.edge_count))
     margin = delaunay_margin(side_lengths(tri, lengths, slice(None)))
     assert margin == edge_margins(tri, lengths).min()
     assert abs(margin - ref) < 1e-12
@@ -118,7 +118,7 @@ def test_edge_array_verdict_matches_scalar_oracle(case):
     """One is_delaunay call on every edge gives the scalar verdicts, bit for bit."""
     tri, lengths = case
     L = lengths.tolist()
-    ref = [is_delaunay_reference(tri, L, e) for e in tri.edge_ids()]
+    ref = [is_delaunay_reference(tri, L, e) for e in range(tri.edge_count)]
     assert is_delaunay(tri, lengths, np.arange(tri.edge_count)).tolist() == ref
     assert is_delaunay_all(tri, lengths) == [e for e, ok in enumerate(ref) if not ok]
 
@@ -158,9 +158,9 @@ def test_verdict_on_cocircular_square_torus(m, sigma):
     if sigma == 0.0:
         assert np.count_nonzero(np.abs(edge_margins(tri, lengths)) <= DELAUNAY_SLACK) == m * m
     L = lengths.tolist()
-    ref = [is_delaunay_reference(tri, L, e) for e in tri.edge_ids()]
+    ref = [is_delaunay_reference(tri, L, e) for e in range(tri.edge_count)]
     assert is_delaunay(tri, lengths, np.arange(tri.edge_count)).tolist() == ref
-    assert [is_delaunay(tri, lengths, e) for e in tri.edge_ids()] == ref
+    assert [is_delaunay(tri, lengths, e) for e in range(tri.edge_count)] == ref
     assert all(type(is_delaunay(tri, lengths, e)) is bool for e in range(3))
     assert is_delaunay_all(tri, lengths) == [e for e, ok in enumerate(ref) if not ok]
 
@@ -177,7 +177,7 @@ def test_jacobian_off_diagonal_is_minus_cot_weight(case):
         raise AssertionError("Jacobian accepted a degenerate metric")
     n = tri.vertex_count
     ref = np.zeros((n, n))
-    for e in tri.edge_ids():
+    for e in range(tri.edge_count):
         i, j = tri.edge_vertices(e)
         if i != j:
             w = cot_weight(tri, lengths, e)
@@ -228,7 +228,7 @@ def test_screened_pass_matches_scalar_loop(case):
     tri, lengths = case
     L = lengths.tolist()
     assert is_delaunay_all(tri, lengths) == [
-        e for e in tri.edge_ids() if not is_delaunay(tri, L, e)]
+        e for e in range(tri.edge_count) if not is_delaunay(tri, L, e)]
     try:
         ref_tri, ref_lengths, _ = make_delaunay_reference(tri, lengths)
     except errors.PLCurvError as exc:

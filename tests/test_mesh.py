@@ -38,12 +38,12 @@ from conftest import (
 
 
 def edge_pair_multiset(tri):
-    return sorted(tuple(sorted(tri.edge_vertices(e))) for e in tri.edge_ids())
+    return sorted(tuple(sorted(tri.edge_vertices(e))) for e in range(tri.edge_count))
 
 
 def face_multiset(tri):
     out = []
-    for f in tri.face_ids():
+    for f in range(tri.face_count):
         t = tri.faces[f]
         r = min(range(3), key=lambda s: t[s])
         out.append((t[r], t[(r + 1) % 3], t[(r + 2) % 3]))
@@ -143,7 +143,7 @@ class TestBuild:
 
 class TestFlip:
     def test_flip_preserves_counts(self, torus9):
-        e = torus9.edge_ids()[0]
+        e = range(torus9.edge_count)[0]
         tri2, info = torus9.flip(e)
         assert tri2.vertex_count == torus9.vertex_count
         assert tri2.edge_count == torus9.edge_count
@@ -167,11 +167,11 @@ class TestFlip:
             assert flip_columns(record) == flip_columns(Flips.join([]))
 
     def test_join_returns_a_lone_part_as_it_is(self, torus9):
-        _, record = torus9.flip(np.array(torus9.edge_ids()[:1]))
+        _, record = torus9.flip(np.array(range(torus9.edge_count)[:1]))
         assert Flips.join([record]) is record
 
     def test_flip_is_new_value(self, torus9):
-        e = torus9.edge_ids()[0]
+        e = range(torus9.edge_count)[0]
         names = ("faces", "face_edges", "edge_sides", "edge_verts")
         before = [getattr(torus9, name).copy() for name in names]
         tri2, _ = torus9.flip(e)
@@ -184,7 +184,7 @@ class TestFlip:
                     getattr(tri, name)[0, 0] = 1
 
     def test_flip_flip_back_isomorphic(self, torus9):
-        e = torus9.edge_ids()[5]
+        e = range(torus9.edge_count)[5]
         tri2, info = torus9.flip(e)
         tri3, info2 = tri2.flip(e)
         assert face_multiset(tri3) == face_multiset(torus9)
@@ -193,7 +193,7 @@ class TestFlip:
     def test_tetrahedron_flip_doubles_edge(self, tetra):
         # Flipping edge {0,1} replaces faces (0,1,2),(0,3,1) by (0,3,2),
         # (3,1,2); vertices 2 and 3 end up joined by two distinct edges.
-        e01 = next(e for e in tetra.edge_ids()
+        e01 = next(e for e in range(tetra.edge_count)
                    if set(tetra.edge_vertices(e)) == {0, 1})
         tri2, info = tetra.flip(e01)
         assert set(info.quad[0, :2].tolist()) == {0, 1}
@@ -203,7 +203,7 @@ class TestFlip:
         pairs = edge_pair_multiset(tri2)
         assert pairs.count((2, 3)) == 2
         # the complex is still a closed surface
-        rebuilt = build_triangulation([tri2.faces[f] for f in tri2.face_ids()])
+        rebuilt = build_triangulation([tri2.faces[f] for f in range(tri2.face_count)])
         assert rebuilt.chi == 2
 
     def test_two_face_sphere_flips_make_a_loop(self):
@@ -211,14 +211,14 @@ class TestFlip:
         # makes a loop edge; on the equilateral metric it is an isometry.
         tri = build_triangulation(SPHERE2_FACES)
         lengths = unit_lengths(tri)
-        for e in tri.edge_ids():
+        for e in range(tri.edge_count):
             flipped, flipped_lengths, _ = flip_with_length(tri, lengths, e)
             k, l = flipped.edge_vertices(e)
             assert k == l and flipped.chi == 2
             assert curvature(flipped, flipped_lengths) == pytest.approx(
                 np.full(3, 4.0 * math.pi / 3.0), abs=1e-12)
             assert face_multiset(flipped.flip(e)[0]) == face_multiset(tri)
-            for rim in set(tri.edge_ids()) - {e}:
+            for rim in set(range(tri.edge_count)) - {e}:
                 # both sides of each rim edge now lie on one face: no quad
                 assert len(set((flipped.edge_sides[rim] // 3).tolist())) == 1
                 with pytest.raises(errors.FlipDegeneratesComplex,
@@ -229,7 +229,7 @@ class TestFlip:
         rng = np.random.default_rng(7)
         tri = torus9
         for _ in range(60):
-            e = tri.edge_ids()[int(rng.integers(tri.edge_count))]
+            e = range(tri.edge_count)[int(rng.integers(tri.edge_count))]
             try:
                 tri, _ = tri.flip(e)
             except errors.FlipDegeneratesComplex:
@@ -241,7 +241,7 @@ class TestFlip:
             for v in range(9):
                 assert vertex_degree(tri, v) >= 1
         # every edge still has two sides that traverse it oppositely
-        for e in tri.edge_ids():
+        for e in range(tri.edge_count):
             (f1, s1), (f2, s2) = (divmod(c, 3) for c in tri.edge_sides[e].tolist())
             a1 = tri.faces[f1][s1], tri.faces[f1][(s1 + 1) % 3]
             a2 = tri.faces[f2][s2], tri.faces[f2][(s2 + 1) % 3]
@@ -299,7 +299,7 @@ class TestLoad:
         assert all(v == 2.0 for v in lengths)
 
     def test_pair_form_rejected_on_doubled_edges(self, tetra):
-        e01 = next(e for e in tetra.edge_ids()
+        e01 = next(e for e in range(tetra.edge_count)
                    if set(tetra.edge_vertices(e)) == {0, 1})
         tri2, _ = tetra.flip(e01)
         doc = {"vertices": 4, "faces": tri2.faces.tolist(),
@@ -407,7 +407,7 @@ class TestGlueOracle:
             assert np.array_equal(got, want)
 
     def test_doubled_edge_document_with_edge_ids(self, tetra):
-        e01 = next(e for e in tetra.edge_ids()
+        e01 = next(e for e in range(tetra.edge_count)
                    if set(tetra.edge_vertices(e)) == {0, 1})
         tri2, _ = tetra.flip(e01)
         doc = lengths_doc(tri2, np.ones(tri2.edge_count))

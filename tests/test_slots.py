@@ -42,7 +42,7 @@ def gluing(tri):
 
 
 def has_doubled_edge(tri):
-    pairs = [frozenset(tri.edge_vertices(e)) for e in tri.edge_ids()]
+    pairs = [frozenset(tri.edge_vertices(e)) for e in range(tri.edge_count)]
     return len(set(pairs)) < len(pairs)
 
 
@@ -206,11 +206,11 @@ def test_flips_keep_ids_and_undo_in_reverse(case):
         f1, f2 = faces
         quad = {e, *rim}
         assert set(tri2.face_edges[f1]) | set(tri2.face_edges[f2]) == quad
-        for f in tri.face_ids():
+        for f in range(tri.face_count):
             if f not in faces:
                 assert np.array_equal(tri2.faces[f], tri.faces[f])
                 assert np.array_equal(tri2.face_edges[f], tri.face_edges[f])
-        for g in tri.edge_ids():
+        for g in range(tri.edge_count):
             if g not in quad:
                 assert np.array_equal(tri2.edge_sides[g], tri.edge_sides[g])
             if g != e:

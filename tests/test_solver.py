@@ -37,9 +37,12 @@ from plcurv.solver import (
 
 from conftest import (
     all_fixture_meshes,
+    cube12_faces,
+    cube_lengths,
     energy_value_quadrature,
     lattice_torus_faces,
     random_lengths,
+    torus9_faces,
     triangle_angles,
     triangle_energy_quadrature,
     unit_lengths,
@@ -520,6 +523,24 @@ class TestRigidity:
                              seed=3, spread=0.2)
         assert rep.kind == "zero"
         assert rep.passed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["torus9", "cube"]), st.sampled_from([-1.0, 0.0]),
+       st.floats(0.3, 10.0), st.integers(0, 2 ** 32 - 1))
+def test_far_start_lands_on_the_solve_from_0(mesh, alpha, spread, seed):
+    """A start drawn from U(-spread, spread), spread <= 10, either lands on
+    the solve from u = 0, up to the constant shift, or raises a plcurv
+    error: it never exits with another u.  From spread 12 on it can."""
+    tri = build_triangulation(torus9_faces() if mesh == "torus9" else cube12_faces())
+    base = unit_lengths(tri) if mesh == "torus9" else cube_lengths(tri)
+    ref = newton_solve(tri, base, np.zeros(tri.vertex_count), alpha, Target.constant()).u
+    u0 = np.random.default_rng(seed).uniform(-spread, spread, tri.vertex_count)
+    try:
+        u = newton_solve(tri, base, u0, alpha, Target.constant()).u
+    except errors.PLCurvError:
+        return
+    assert np.max(np.abs((u - u.mean()) - (ref - ref.mean()))) < 1e-9
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

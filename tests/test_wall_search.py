@@ -73,14 +73,14 @@ def segments(draw):
     """
     tri = MESHES[draw(st.integers(0, len(MESHES) - 1))]
     for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=4)):
-        edges = tri.edge_ids()
+        edges = range(tri.edge_count)
         try:
             tri, _ = tri.flip(edges[pick % len(edges)])
         except errors.FlipDegeneratesComplex:
             pass
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     spread = draw(st.floats(0.0, 0.5))
-    base = np.array([math.exp(rng.uniform(-spread, spread)) for _ in tri.edge_ids()])
+    base = np.array([math.exp(rng.uniform(-spread, spread)) for _ in range(tri.edge_count)])
     n = tri.vertex_count
     u = rng.uniform(-0.3, 0.3, n) * draw(st.floats(0.0, 1.0))
     scale = draw(st.sampled_from([0.0, 1e-4, 0.05, 0.5, 2.0, 20.0]))
