@@ -116,21 +116,18 @@ def opposite_cosines(L: np.ndarray) -> np.ndarray:
     cosine facing side k.  The clamp is the whole degeneracy story: when
     one length reaches the sum of the others the raw ratio leaves
     [-1, 1] and clamping pins the angles at exactly (pi, 0, 0), which is
-    the continuous extension.  Lengths are normalized first so their
-    squares cannot overflow.  The arithmetic is elementwise, so each entry
-    is the float the same formula gives on one triangle in plain floats.
+    the continuous extension.  The clamp divides by max(2bc, |num|), so a
+    ratio at or past +-1 is exactly +-1 and none overflows on a needle face
+    (its long side's 0 / 0, floored at the least float 5e-324, reads 0: the
+    limit angle pi/2).  Lengths are normalized first so their squares
+    cannot overflow.  The arithmetic is elementwise, so each entry is the
+    float the same formula gives on one triangle in plain floats.
     """
     n = L / max3(L)[..., None]
     b, c = n[..., NEXT], n[..., PREV]
     num = b * b + c * c - n * n
     den = 2.0 * b * c
-    flat = den == 0.0
-    if flat.any():
-        # b*c underflowed, so some side is negligible: only the sign of num
-        # survives (0 for a needle face's long side: its limit angle pi/2).
-        den = np.where(flat, 1.0, den)
-        num = np.where(flat, np.sign(num), num)
-    return np.minimum(np.maximum(num / den, -1.0), 1.0)
+    return num / np.maximum(np.maximum(den, np.abs(num)), 5e-324)
 
 
 def face_angles(tri: Triangulation, lengths: np.ndarray) -> np.ndarray:

@@ -8,12 +8,13 @@ total energy whose gradient is exactly (deficit - target * weight); a
 damped Newton iteration that carries its chart along each accepted step
 minimizes it.  Written in the scaled log lengths, the energy takes the
 same value in every Delaunay triangulation of a metric, so flips leave
-it unchanged and need no correction.  An evaluation takes its point's
-angles once, bit for bit those :func:`geometry.curvature` takes, and the
-value and the gradient both read them, and a flow its cosines.  Newton
-and the flows move their chart only through :func:`start_chart`,
-:func:`guarded_step` (trials scored by :func:`trial_energy`) and
-:func:`carry_chart`.
+it unchanged and need no correction.  An evaluation scales its point
+once and takes its angles once, bit for bit those :func:`geometry.curvature`
+takes; the value and the gradient read the angles, the Hessian, the
+degeneracy test and Newton's final curvature the metric, and a flow the
+cosines.  Newton and the flows move their chart only through
+:func:`start_chart`, :func:`guarded_step` (trials gated and scored by
+:func:`trial_energy`, refusals named) and :func:`carry_chart`.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ class EnergyReport:
     hessian = curvature Jacobian - alpha * diag(target * exp(alpha * u)).
     ``unsupported`` flags targets with a positive alpha * target entry,
     for which convexity (hence uniqueness claims) are lost.  ``angles``
-    are bit for bit :func:`geometry.face_angles` of the scaled metric, and
-    ``cosines`` the :func:`geometry.opposite_cosines` they come from.
+    are bit for bit :func:`geometry.face_angles` of ``metric``, the
+    :func:`geometry.scale_metric` of the point, and ``cosines`` the
+    :func:`geometry.opposite_cosines` they come from.
     """
 
     value: float
@@ -192,6 +194,7 @@ class EnergyReport:
     unsupported: bool
     angles: np.ndarray
     cosines: np.ndarray
+    metric: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -254,26 +257,28 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
     every Delaunay triangulation of the metric.  Valid for any u within
     LOG_FACTOR_BOUND, Delaunay or not; convex per fixed triangulation
     when the target is admissible.
-    The point's angles are evaluated once, as :func:`geometry.curvature`
-    evaluates them, and the value and the gradient both read them
-    (``angles``, from ``cosines``).  ``order`` picks the derivatives: 0
-    gives the value alone (``gradient`` is None), 1 adds the gradient and 2
-    the Hessian, a dense (V, V) array, which requires nondegenerate faces.
+    The point is scaled once (``metric``) and its angles are taken once
+    from those sides, as :func:`geometry.curvature` takes them; the value
+    and the gradient read the angles (``angles``, from ``cosines``), the
+    Hessian the metric.  ``order`` picks the derivatives: 0 gives the
+    value alone (``gradient`` is None), 1 adds the gradient and 2 the
+    Hessian, a dense (V, V) array, which requires nondegenerate faces.
     """
     u = np.asarray(u, dtype=float)
     rbar = np.asarray(rbar, dtype=float)
+    metric, log_base = scale_metric(tri, base, u), np.log(base)
     # the side opposite corner a is the edge in slot (a + 1) % 3
-    sides, corners = base[tri.face_edges[:, NEXT].T], u[tri.faces.T]  # row a: corner a
-    b, v = sides.T, corners.T  # faces on leading axes
-    pair = v[..., NEXT] + v[..., PREV]  # the sum scale_metric takes: face_angles' bits
-    cos = opposite_cosines(np.exp(pair) * b)
+    edges, corners = tri.face_edges[:, NEXT], u[tri.faces.T]  # corners: row a is corner a
+    v = corners.T  # faces on leading axes
+    cos = opposite_cosines(metric[edges])  # face_angles' bits
     theta = np.arccos(cos)
-    total_faces = triangle_energy(sides, corners, theta.T, (pair + np.log(b)).T)
+    lam = v[..., NEXT] + v[..., PREV] + log_base[edges]
+    total_faces = triangle_energy(base[edges.T], corners, theta.T, lam.T)
     if alpha == 0.0:
         vertex_term = float(((TWO_PI - rbar) * u).sum())
     else:
         vertex_term = float((TWO_PI * u - rbar * np.exp(alpha * u) / alpha).sum())
-    value = offset - total_faces - math.pi * float(np.log(base).sum()) + vertex_term
+    value = offset - total_faces - math.pi * float(log_base.sum()) + vertex_term
 
     angles = theta[:, PREV]  # by slot: slot s faces corner (s + 2) % 3
     grad = hess = None
@@ -281,12 +286,12 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
         weights = np.exp(alpha * u)
         grad = angle_deficit(tri, angles) - rbar * weights
     if order >= 2:
-        hess = curvature_jacobian(tri, scale_metric(tri, base, u))
+        hess = curvature_jacobian(tri, metric)
         hess.flat[::tri.vertex_count + 1] -= alpha * (rbar * weights)
 
     return EnergyReport(value=value, gradient=grad, hessian=hess,
                         unsupported=bool(np.any(alpha * rbar > 0.0)), angles=angles,
-                        cosines=cos[:, PREV])
+                        cosines=cos[:, PREV], metric=metric)
 
 
 # --- Newton solve -------------------------------------------------------
@@ -561,56 +566,52 @@ def start_chart(tri: Triangulation, base: np.ndarray, u0: np.ndarray
     return tri, base, len(flips0) + len(carried)
 
 
-def trial_fault(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float
-                ) -> str | None:
-    """Why u cannot be a trial point on this chart (overflowing metric or
-    weights, degenerate faces), or None when it can."""
-    try:
-        check_weights(u, alpha)
-        scaled = scale_metric(tri, base, u)
-    except LogFactorOverflow:
-        return "metric overflow"
-    bad = degenerate_faces(tri, scaled)
-    return f"faces {bad} degenerate" if bad else None
-
-
 def trial_energy(tri: Triangulation, base: np.ndarray, u: np.ndarray, alpha: float,
                  rbar: np.ndarray, offset: float
-                 ) -> tuple[float, np.ndarray, np.ndarray] | None:
+                 ) -> tuple[float, np.ndarray, np.ndarray] | str:
     """Order-0 energy at u, its angles and their cosines
-    (:attr:`EnergyReport.angles`, :attr:`EnergyReport.cosines`), or None
-    when :func:`trial_fault` rules u out."""
-    if trial_fault(tri, base, u, alpha) is not None:
-        return None
-    rep = energy_W_alpha(tri, base, u, alpha, rbar, offset=offset, order=0)
-    return rep.value, rep.angles, rep.cosines
+    (:attr:`EnergyReport.angles`, :attr:`EnergyReport.cosines`), or why u
+    cannot be a trial point on this chart: "metric overflow" (the metric or
+    the weights would overflow) or "faces [...] degenerate" (on the
+    evaluation's own metric)."""
+    try:
+        check_weights(u, alpha)
+        rep = energy_W_alpha(tri, base, u, alpha, rbar, offset=offset, order=0)
+    except LogFactorOverflow:
+        return "metric overflow"
+    bad = degenerate_faces(tri, rep.metric)
+    return f"faces {bad} degenerate" if bad else (rep.value, rep.angles, rep.cosines)
 
 
 def guarded_step(tri: Triangulation, base: np.ndarray, alpha: float, rbar: np.ndarray,
                  offset: float, propose, accept, step: float, max_shrinks: int,
                  min_step: float = 0.0
-                 ) -> tuple[float, int, np.ndarray | None, tuple | None]:
+                 ) -> tuple[float, int, np.ndarray | None, tuple | str | None]:
     """Halve ``step`` until :func:`trial_energy` at ``propose(step)``, on the
     departure chart (tri, base), passes ``accept(step, value)``.
 
-    A proposal that raises LogFactorOverflow or NumPy's LinAlgError (a
-    singular implicit-step system) fails, as does a point
-    :func:`trial_fault` rules out.  Gives up after ``max_shrinks``
+    A proposal that raises NumPy's LinAlgError (a singular implicit-step
+    system) or LogFactorOverflow fails, as does a point
+    :func:`trial_energy` rules out.  Gives up after ``max_shrinks``
     halvings, or before a step below ``min_step``.  Returns (step,
-    halvings, u, trial) of the accepted trial; on giving up ``trial`` is
-    None and ``u`` the last point tried (None: its proposal overflowed).
+    halvings, u, trial) of the accepted trial.  On giving up ``u`` is None
+    and ``trial`` why the last trial failed: "singular system", "metric
+    overflow" or the reason :func:`trial_energy` gave, and None when
+    ``accept`` refused it, whose rule the caller names.
     """
     for shrinks in range(max_shrinks + 1):
         try:
             u_try = propose(step)
-        except (LogFactorOverflow, np.linalg.LinAlgError):
-            u_try = trial = None
+        except np.linalg.LinAlgError:
+            trial = "singular system"
+        except LogFactorOverflow:
+            trial = "metric overflow"
         else:
             trial = trial_energy(tri, base, u_try, alpha, rbar, offset)
-        if trial is not None and accept(step, trial[0]):
-            return step, shrinks, u_try, trial
+            if not isinstance(trial, str) and accept(step, trial[0]):
+                return step, shrinks, u_try, trial
         if shrinks == max_shrinks or step * BACKTRACK < min_step:
-            return step, shrinks, u_try, None
+            return step, shrinks, None, trial if isinstance(trial, str) else None
         step *= BACKTRACK
 
 
@@ -678,9 +679,9 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
         step, _, accepted, trial = guarded_step(
             tri_c, base_c, alpha, rbar, offset, lambda step: u + step * delta, armijo,
             step=1.0, max_shrinks=MAX_BACKTRACKS)
-        if trial is None:
-            raise LineSearchStalled(
-                f"no acceptable step at iteration {it} (grad_inf={grad_inf:.3e})")
+        if accepted is None:
+            raise LineSearchStalled(f"no acceptable step at iteration {it} (grad_inf="
+                                    f"{grad_inf:.3e}): {trial or 'Armijo decrease not met'}")
 
         if kind == "zero":
             accepted = apply_gauge(accepted, alpha, conserved)
@@ -691,8 +692,7 @@ def newton_solve(tri: Triangulation, base: np.ndarray, u0,
         grad_inf = float(np.max(np.abs(rep.gradient)))
         trace.append(TraceRow(it, grad_inf, rep.value, step, len(flips)))
 
-    scaled = scale_metric(tri_c, base_c, u)
-    curv = alpha_curvature(curvature(tri_c, scaled), u, alpha, chi=tri_c.chi)
+    curv = alpha_curvature(curvature(tri_c, rep.metric), u, alpha, chi=tri_c.chi)
     iterations = trace[-1].iteration
     log.info("newton_solve: %d iterations, %d flips, grad_inf=%.3e",
              iterations, total_flips, grad_inf)

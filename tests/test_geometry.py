@@ -66,6 +66,12 @@ class TestTriangleAngles:
         # exactly at the degeneracy onset
         assert triangle_angles(2.0, 1, 1) == (math.pi, 0.0, 0.0)
 
+    def test_needle_cosines_do_not_overflow(self):
+        # 2bc is subnormal at the long side's corner, so the raw ratio would
+        # overflow: it reads the clamped -1
+        sides = np.array([1.0, 1e-160, 1e-149])
+        assert geometry.opposite_cosines(sides).tolist() == [-1.0, 1.0, 1.0]
+
     def test_nonpositive_rejected(self):
         with pytest.raises(errors.NonPositiveLength):
             triangle_angles(0.0, 1, 1)

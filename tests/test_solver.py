@@ -32,7 +32,6 @@ from plcurv.solver import (
     start_chart,
     triangle_energy,
     trial_energy,
-    trial_fault,
 )
 
 from conftest import (
@@ -300,8 +299,7 @@ class TestTrialPoint:
         # the vertex term used to read -inf, which every guard accepts
         base, u = unit_lengths(tetra), np.full(4, 250.0)
         rbar, _ = Target.constant().resolve(3.0, tetra.chi, np.zeros(4))
-        assert trial_fault(tetra, base, u, 3.0) == "metric overflow"
-        assert trial_energy(tetra, base, u, 3.0, rbar, 0.0) is None
+        assert trial_energy(tetra, base, u, 3.0, rbar, 0.0) == "metric overflow"
         for sign in (1.0, -1.0):  # the weight sum overflows, or underflows to 0
             with pytest.raises(errors.LogFactorOverflow):
                 apply_gauge(sign * u, 3.0, 4.0)
@@ -310,8 +308,8 @@ class TestTrialPoint:
         # |alpha * u| = 660: the weights are finite, so the trial stands
         base, u = unit_lengths(tetra), np.full(4, 300.0)
         rbar, _ = Target.constant().resolve(2.2, tetra.chi, np.zeros(4))
-        assert trial_fault(tetra, base, u, 2.2) is None
-        assert np.isfinite(trial_energy(tetra, base, u, 2.2, rbar, 0.0)[0])
+        trial = trial_energy(tetra, base, u, 2.2, rbar, 0.0)
+        assert not isinstance(trial, str) and np.isfinite(trial[0])
 
     def test_overflowing_start_is_refused(self, tetra):
         base, u0 = unit_lengths(tetra), np.full(4, 250.0)
@@ -327,7 +325,14 @@ class TestTrialPoint:
         scaled = scale_metric(tetra, base, u)
         assert np.array_equal(angles, face_angles(tetra, scaled))
         assert np.array_equal(cosines, opposite_cosines(side_lengths(tetra, scaled)))
-        assert trial_fault(tetra, base, u, -1.0) is None
+
+    def test_degenerate_point_names_its_faces(self, tetra):
+        # the two faces at edge {0, 1} get sides 1, e^-0.8 and e^-0.8 < 1/2
+        base, u = unit_lengths(tetra), np.array([0.0, 0.0, -0.8, -0.8])
+        bad = degenerate_faces(tetra, scale_metric(tetra, base, u))
+        assert bad
+        rbar, _ = Target.constant().resolve(-1.0, tetra.chi, np.zeros(4))
+        assert trial_energy(tetra, base, u, -1.0, rbar, 0.0) == f"faces {bad} degenerate"
 
 
 class TestTarget:
@@ -460,6 +465,23 @@ class TestNewton:
         base = unit_lengths(tetra)
         with pytest.raises(errors.UnsupportedTarget):
             newton_solve(tetra, base, np.zeros(4), 1.0, Target.constant())
+
+    def test_far_start_stalls_on_the_armijo_rule(self, torus9, lattice_torus_lengths):
+        # the last trial of iteration 21 is a valid point whose energy is too high
+        u0 = np.random.default_rng(2).uniform(-20, 20, 9)
+        with pytest.raises(errors.LineSearchStalled) as err:
+            newton_solve(torus9, lattice_torus_lengths, u0, -1.0, Target.constant())
+        assert str(err.value).startswith("no acceptable step at iteration 21 ")
+        assert str(err.value).endswith(": Armijo decrease not met")
+
+    def test_stall_names_the_trial_gates_reason(self, torus9, lattice_torus_lengths, monkeypatch):
+        # the gate refuses every trial: its reason, not Armijo's, is the blocker
+        monkeypatch.setattr(solver, "degenerate_faces", lambda tri, lengths: [0])
+        u0 = np.random.default_rng(53).uniform(-0.3, 0.3, 9)
+        with pytest.raises(errors.LineSearchStalled) as err:
+            newton_solve(torus9, lattice_torus_lengths, u0, -1.0, Target.constant())
+        assert str(err.value).startswith("no acceptable step at iteration 1 ")
+        assert str(err.value).endswith("): faces [0] degenerate")
 
     def test_max_iterations_raises(self, torus9, lattice_torus_lengths):
         rng = np.random.default_rng(53)

@@ -490,7 +490,18 @@ def test_carry_chart_arrives_on_a_delaunay_chart(mesh, seed):
 
 
 def test_flows_imports_no_private_solver_names():
-    source = pathlib.Path(cli.__file__).with_name("flows.py").read_text()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            assert not [a.name for a in node.names if a.name.startswith("_")]
+    # every module of the package, not flows alone: none imports a _name
+    # or reads one off a name it imported, as module._name
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert not [a.name for a in node.names
+                            if a.name.rsplit(".", 1)[-1].startswith("_")], path.name
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in imported and node.attr.startswith("_")
+                   and not node.attr.endswith("__")]
+        assert not private, (path.name, private)
