@@ -29,7 +29,7 @@ import numpy as np
 from . import geometry
 from .errors import DegenerateFace, InsufficientTail, StepSizeUnderflow
 from .geometry import alpha_curvature, alpha_laplacian_apply, angle_deficit, curvature, scale_metric
-from .mesh import Flips, Triangulation, csv_text
+from .mesh import Triangulation, csv_text
 from .solver import (
     ROUNDING_NOISE,
     Target,
@@ -98,8 +98,8 @@ class FlowState:
     energy unchanged.  ``rbar`` is the average curvature frozen at the
     start (the conserved weight sum keeps it meaningful), and
     ``conserved_target`` is the weight sum the renormalization restores.
-    ``flips`` logs every flip since t = 0 as one :class:`~plcurv.mesh.Flips`
-    record, and ``flip_times`` (k,) the time of each row's surgery.
+    ``flips`` holds the id of every edge flipped since t = 0, in order,
+    and ``flip_times`` the time of each one's surgery.
     ``report`` and ``cosines`` (:attr:`~plcurv.solver.EnergyReport.cosines`)
     are those of this (tri, base, u), set by :func:`make_state` and
     :func:`step`; ``replace(state, u=...)`` keeps them and does not refresh them.
@@ -110,7 +110,7 @@ class FlowState:
     u: np.ndarray
     alpha: float
     t: float = 0.0
-    flips: Flips = field(default_factory=lambda: Flips.join([]))
+    flips: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
     flip_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_count: int = 0
     # adaptive stepping
@@ -259,11 +259,11 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     tri, base, flips, times = state.tri, state.base, state.flips, state.flip_times
     if config.surgery:
         tri, base, walk, s = carry_chart(tri, base, state.u, u_try)
-        if walk:  # past a wall, the trial's energy and angles are the departure chart's
+        if walk.size:  # past a wall, the trial's energy and angles are the departure chart's
             rep = energy_W_alpha(tri, base, u_try, state.alpha, state.rbar,
                                  offset=state.w_offset, order=0)
             w_try, angles, cosines = rep.value, rep.angles, rep.cosines
-            flips = Flips.join([flips, walk])
+            flips = np.concatenate([flips, walk])
             times = np.concatenate([times, state.t + s * dt])
 
     streak = 0 if halvings else state.accept_streak + 1

@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveLength,
 )
-from .mesh import Flips, Triangulation
+from .mesh import Triangulation
 
 log = logging.getLogger(__name__)
 
@@ -371,7 +371,7 @@ def flip_length(tri: Triangulation, lengths, e):
 
 
 def make_delaunay(tri: Triangulation, lengths: np.ndarray
-                  ) -> tuple[Triangulation, np.ndarray, Flips]:
+                  ) -> tuple[Triangulation, np.ndarray, np.ndarray]:
     """Flip edges until every edge passes the Delaunay test.
 
     Works in rounds.  A round takes the violators from one
@@ -386,12 +386,12 @@ def make_delaunay(tri: Triangulation, lengths: np.ndarray
     metric is isometric to the input (same deficit at every vertex).  All
     input faces must be nondegenerate.
 
-    Returns the triangulation, the metric and one :class:`Flips` record:
-    the rounds' records joined in order (empty when nothing flipped).
+    Returns the triangulation, the metric and the flipped edge ids, the
+    rounds' in order (empty when nothing flipped).
     """
     L = np.array(lengths, dtype=float)
     cap = FLIP_CAP_FACTOR * tri.edge_count ** 2
-    rounds: list[Flips] = []
+    rounds: list[np.ndarray] = []
     flipped = 0
     while (es := np.flatnonzero(~is_delaunay(tri, L))).size:
         if flipped >= cap:
@@ -407,30 +407,29 @@ def make_delaunay(tri: Triangulation, lengths: np.ndarray
             best = np.full(tri.face_count, len(es))
             np.minimum.at(best, faces, rank[:, None])
             es = es[(best[faces] == rank[:, None]).all(axis=1)]
-        new = flip_length(tri, L, es)
-        tri, flips = tri.flip(es, L[es], new)
-        L[es] = new
-        rounds.append(flips)
+        L[es] = flip_length(tri, L, es)
+        tri = tri.flip(es)
+        rounds.append(es)
         flipped += len(es)
     if rounds:
         log.debug("make_delaunay performed %d flips in %d rounds", flipped, len(rounds))
-    return tri, L, Flips.join(rounds)
+    return tri, L, np.concatenate([np.empty(0, np.intp), *rounds])
 
 
 def delaunay_surgery(tri: Triangulation, base: np.ndarray, u: np.ndarray
-                     ) -> tuple[Triangulation, np.ndarray, Flips]:
+                     ) -> tuple[Triangulation, np.ndarray, np.ndarray]:
     """make_delaunay in the metric scaled by ``u``, transporting base lengths.
 
     The conformal factors stay attached to vertices, so a flipped-in edge
     {k, l} gets the base length flip_length / exp(u_k + u_l); surviving
-    edges keep their base length bit for bit.
+    edges keep their base length bit for bit.  Returns the triangulation,
+    the base lengths and make_delaunay's flipped edge ids.
     """
     u = np.asarray(u, dtype=float)
-    tri2, scaled2, flips = make_delaunay(tri, scale_metric(tri, base, u))
-    if not flips:
-        return tri, base, flips
-    es = flips.edge
+    tri2, scaled2, es = make_delaunay(tri, scale_metric(tri, base, u))
+    if not es.size:
+        return tri, base, es
     ends = tri2.edge_verts[es]
     base2 = np.array(base, dtype=float)
     base2[es] = scaled2[es] * np.exp(-(u[ends[:, 0]] + u[ends[:, 1]]))
-    return tri2, base2, flips
+    return tri2, base2, es

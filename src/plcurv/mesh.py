@@ -50,55 +50,10 @@ log = logging.getLogger(__name__)
 _ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
-def _frozen(a, dtype=np.intp) -> np.ndarray:
-    a = np.asarray(a, dtype=dtype)
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.intp)
     a.flags.writeable = False
     return a
-
-
-class Flips:
-    """Edge flips as one record of read-only arrays, a row per flip.
-
-    Row x flipped edge ``edge[x]`` (k,), whose id the new diagonal keeps,
-    in the quad of faces ``faces[x]`` (k, 2), whose ids the new triangles
-    keep.  ``quad[x]`` (k, 4) holds its vertices (i, j, k, l): the flipped
-    edge joined i and j, the new one joins k and l; ``rim[x]`` (k, 4) its
-    boundary edges (jk, ki, il, lj).  ``old_length``/``new_length`` (k,)
-    hold the diagonal lengths given to :meth:`Triangulation.flip`, else
-    None.  ``len`` counts the flips.
-    """
-
-    __slots__ = ("edge", "faces", "quad", "rim", "old_length", "new_length")
-
-    def __init__(self, edge, faces, quad, rim, old_length=None, new_length=None):
-        # copies: freezing must not reach the caller's arrays
-        self.edge, self.faces, self.quad, self.rim = (
-            _frozen(np.array(x, dtype=np.intp)) for x in (edge, faces, quad, rim))
-        self.old_length, self.new_length = (
-            None if x is None else _frozen(np.array(x, dtype=float, ndmin=1), float)
-            for x in (old_length, new_length))
-
-    @classmethod
-    def join(cls, parts) -> Flips:
-        """The rows of ``parts``, in order, as one record.
-
-        A length column is None when it is None in any part.  A lone part
-        is returned as it is: the record is read-only.
-        """
-        parts = list(parts)
-        if not parts:
-            return _NO_FLIPS
-        if len(parts) == 1:
-            return parts[0]
-        columns = [[getattr(p, name) for p in parts] for name in cls.__slots__]
-        return cls(*(None if any(c is None for c in col) else np.concatenate(col)
-                     for col in columns))
-
-    def __len__(self) -> int:
-        return len(self.edge)
-
-
-_NO_FLIPS = Flips(*(np.empty((0, *shape)) for shape in ((), (2,), (4,), (4,), (), ())))
 
 
 class Triangulation:
@@ -160,14 +115,13 @@ class Triangulation:
 
     # --- flip ----------------------------------------------------------
 
-    def flip(self, e, old_length=None, new_length=None) -> tuple[Triangulation, Flips]:
+    def flip(self, e) -> Triangulation:
         """Replace the diagonal ``e`` of its two-face quad by the other one.
 
         Faces f1 = (i,j,k) and f2 = (j,i,l) become f1 = (l,j,k) and
         f2 = (i,l,k), and the new edge joining k and l keeps the id ``e``:
         every id survives the flip.  Each new face takes the slot of the
-        old face whose rim edge at j or i it keeps (jk or il).  Diagonal
-        lengths, when given, are recorded with the flip.
+        old face whose rim edge at j or i it keeps (jk or il).
 
             k                 k
            / \\               /|\\
@@ -178,10 +132,9 @@ class Triangulation:
             l                 l
 
         ``e`` is an edge id or an array of edge ids whose quads share no
-        face; they all flip at once, and the lengths are floats or arrays
-        alike.  Returns the new Triangulation and one :class:`Flips`
-        record, a row per edge in the order given (one row for an int,
-        none for an empty array).
+        face; they all flip at once, as if one at a time.  An empty array
+        returns this Triangulation.  A flip's quad and rim are read off
+        :meth:`quad_corners` before it, its lengths off the metric.
 
         The faces may share all three vertices (k == l): the flip is
         valid, and the new diagonal is a loop at k.
@@ -193,7 +146,7 @@ class Triangulation:
         """
         es = np.array(e, dtype=np.intp, ndmin=1)
         if not es.size:
-            return self, Flips.join([])
+            return self
         corners = self.quad_corners(es).reshape(-1, 6)
         verts = self.faces.reshape(-1)[corners]       # i j k j i l
         edges = self.face_edges.reshape(-1)[corners]  # e jk ki e il lj
@@ -216,11 +169,7 @@ class Triangulation:
         moved[corners[:, [1, 2, 4, 5]]] = 3 * faces[:, [0, 1, 1, 0]] + [1, 2, 0, 0]
         edge_sides = moved[self.edge_sides]
         edge_sides[es] = 3 * faces[:, ::-1] + [1, 2]
-        tri = Triangulation(self.vertex_count, face_verts, face_edges, edge_sides)
-
-        # rim: jk ki il lj
-        return tri, Flips(es, faces, verts[:, [0, 1, 2, 5]], edges[:, [1, 2, 4, 5]],
-                          old_length, new_length)
+        return Triangulation(self.vertex_count, face_verts, face_edges, edge_sides)
 
 
 # --- construction ------------------------------------------------------

@@ -47,7 +47,7 @@ from .geometry import (
     opposite_cosines,
     scale_metric,
 )
-from .mesh import Flips, Triangulation, csv_text
+from .mesh import Triangulation, csv_text
 
 log = logging.getLogger(__name__)
 
@@ -181,17 +181,14 @@ class EnergyReport:
 
     gradient[i] = deficit_i - target_i * exp(alpha * u_i);
     hessian = curvature Jacobian - alpha * diag(target * exp(alpha * u)).
-    ``unsupported`` flags targets with a positive alpha * target entry,
-    for which convexity (hence uniqueness claims) are lost.  ``angles``
-    are bit for bit :func:`geometry.face_angles` of ``metric``, the
-    :func:`geometry.scale_metric` of the point, and ``cosines`` the
-    :func:`geometry.opposite_cosines` they come from.
+    ``angles`` are bit for bit :func:`geometry.face_angles` of
+    ``metric``, the :func:`geometry.scale_metric` of the point, and
+    ``cosines`` the :func:`geometry.opposite_cosines` they come from.
     """
 
     value: float
     gradient: np.ndarray | None
     hessian: np.ndarray | None
-    unsupported: bool
     angles: np.ndarray
     cosines: np.ndarray
     metric: np.ndarray
@@ -289,8 +286,7 @@ def energy_W_alpha(tri: Triangulation, base: np.ndarray, u: np.ndarray,
         hess = curvature_jacobian(tri, metric)
         hess.flat[::tri.vertex_count + 1] -= alpha * (rbar * weights)
 
-    return EnergyReport(value=value, gradient=grad, hessian=hess,
-                        unsupported=bool(np.any(alpha * rbar > 0.0)), angles=angles,
+    return EnergyReport(value=value, gradient=grad, hessian=hess, angles=angles,
                         cosines=cos[:, PREV], metric=metric)
 
 
@@ -519,19 +515,19 @@ def _first_wall(tri: Triangulation, base: np.ndarray, u: np.ndarray,
 
 
 def carry_chart(tri: Triangulation, base: np.ndarray, u_from: np.ndarray,
-                u_to: np.ndarray) -> tuple[Triangulation, np.ndarray, Flips, np.ndarray]:
+                u_to: np.ndarray) -> tuple[Triangulation, np.ndarray, np.ndarray, np.ndarray]:
     """Transport the chart along the straight segment from u_from to u_to.
 
     Walks the segment and performs each flip at the wall where the edge
     turns cocircular, so the arrival chart does not depend on where the
     segment started.  Returns the arrival triangulation, base lengths,
-    the flips made on the way as one :class:`~plcurv.mesh.Flips` record,
-    and a (k,) array ``s``: the surgery that made row x ran at
+    the edge ids flipped on the way, in order, and an array ``s`` of the
+    same length: the surgery that flipped the x-th ran at
     u_from + s[x] * (u_to - u_from).
     """
     cur = np.asarray(u_from, dtype=float).copy()
     u_to = np.asarray(u_to, dtype=float)
-    surgeries: list[Flips] = []
+    surgeries: list[np.ndarray] = []
     walls: list[float] = []
     walked = 0.0
     cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
@@ -542,14 +538,14 @@ def carry_chart(tri: Triangulation, base: np.ndarray, u_from: np.ndarray,
             break
         walked += s_cap * (1.0 - walked)
         tri, base, flips = delaunay_surgery(tri, base, cur)
-        if not flips:
+        if not flips.size:
             break
         surgeries.append(flips)
         walls += [walked] * len(flips)
         if len(walls) > cap:
             raise FlipLimitExceeded(
                 f"{len(walls)} flips while carrying the chart along one segment")
-    return tri, base, Flips.join(surgeries), np.array(walls)
+    return tri, base, np.concatenate([np.empty(0, np.intp), *surgeries]), np.array(walls)
 
 
 def start_chart(tri: Triangulation, base: np.ndarray, u0: np.ndarray

@@ -17,7 +17,7 @@ from plcurv.errors import (
     NonPositiveLength,
     OrientationConflict,
 )
-from plcurv.mesh import Flips, build_triangulation
+from plcurv.mesh import build_triangulation
 
 # Every run draws the same examples, so a property cannot pass at one
 # commit and fail at the next with no code change; a failing property
@@ -259,19 +259,16 @@ def is_delaunay_reference(tri, lengths, e):
 def flip_with_length(tri, lengths, e):
     """Flip edge ``e`` and put the new diagonal's length in slot ``e`` of a copy.
 
-    Returns the triangulation, the lengths and the flip's one-row record.
+    Returns the triangulation and the lengths.
     """
-    new_len = geometry.flip_length(tri, lengths, e)
-    tri2, flip = tri.flip(e, float(lengths[e]), new_len)
     lengths2 = np.array(lengths, dtype=float)
-    lengths2[e] = new_len
-    return tri2, lengths2, flip
+    lengths2[e] = geometry.flip_length(tri, lengths, e)
+    return tri.flip(e), lengths2
 
 
-def flip_columns(flips):
-    """A Flips record's columns as lists by name, None for an absent length column."""
-    return {name: None if getattr(flips, name) is None else getattr(flips, name).tolist()
-            for name in Flips.__slots__}
+def quad_rim(tri, e):
+    """The rim edges (jk, ki, il, lj) of edge ``e``'s quad, read before a flip."""
+    return tri.face_edges.reshape(-1)[tri.quad_corners(e)][:, 1:].reshape(-1).tolist()
 
 
 def vertex_degree(tri, v):
@@ -487,7 +484,7 @@ def ptolemy_pass_reference(tri, base, u):
             return tri, base
         k, l = tri.faces.reshape(-1)[corners[e, :, 2]].tolist()
         base[e] = (A[e] * C[e] + B[e] * D[e]) / E[e] * math.exp(-(u[k] + u[l]))
-        tri, _ = tri.flip(e)
+        tri = tri.flip(e)
     raise FlipLimitExceeded(f"{geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2} flips")
 
 
@@ -516,7 +513,10 @@ def repeats_vertex(tri):
 
 
 def make_delaunay_reference(tri, lengths):
-    """A Delaunay pass flipping one queued edge at a time."""
+    """A Delaunay pass flipping one queued edge at a time.
+
+    Returns the triangulation, the lengths and the flipped edge ids.
+    """
     cap = geometry.FLIP_CAP_FACTOR * tri.edge_count ** 2
     L = np.asarray(lengths, dtype=float).tolist()
     queue = deque(range(tri.edge_count))
@@ -527,12 +527,11 @@ def make_delaunay_reference(tri, lengths):
             continue
         if len(flips) >= cap:
             raise FlipLimitExceeded(f"{len(flips)} flips")
-        new_len = geometry.flip_length(tri, L, e)
-        tri, flip = tri.flip(e, L[e], new_len)
-        L[e] = new_len
-        flips.append(flip)
-        queue.extend(flip.rim[0].tolist())
-    return tri, np.array(L), Flips.join(flips)
+        queue.extend(quad_rim(tri, e))
+        L[e] = geometry.flip_length(tri, L, e)
+        tri = tri.flip(e)
+        flips.append(e)
+    return tri, np.array(L), np.array(flips, dtype=np.intp)
 
 
 # --- recursive oracle for the JSON writer ---------------------------------------

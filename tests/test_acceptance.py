@@ -126,12 +126,11 @@ def test_c03_flip_isometry():
         e = int(rng.choice(list(range(tri.edge_count))))
         k0 = geometry.curvature(tri, lens)
         try:
-            tri2, lens2, info = flip_with_length(tri, lens, e)
+            tri2, lens2 = flip_with_length(tri, lens, e)
             # the new diagonal keeps the id, so flipping e again undoes it
-            tri3, lens3, back = flip_with_length(tri2, lens2, e)
+            tri3, lens3 = flip_with_length(tri2, lens2, e)
         except (NonConvexQuad, DegenerateFace):
             continue
-        assert info.edge.tolist() == back.edge.tolist() == [e]
         dk = float(np.max(np.abs(geometry.curvature(tri2, lens2) - k0)))
         dlen = abs(lens3[e] - lens[e])
         worst_k = max(worst_k, dk)

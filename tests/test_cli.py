@@ -387,11 +387,11 @@ class TestSolve:
     def test_starts_flip_loops_in_and_pass(self, capsys, tmp_path, monkeypatch, seed):
         loops, flip = [], mesh.Triangulation.flip
 
-        def counted(tri, *args):
-            out = flip(tri, *args)
-            quad = out[1].quad
-            loops.append(int((quad[:, 2] == quad[:, 3]).sum()))
-            return out
+        def counted(tri, e):
+            # a flip makes a loop when its quad's far corners k and l coincide
+            far = tri.faces.reshape(-1)[tri.quad_corners(e)[..., 2]].reshape(-1, 2)
+            loops.append(int((far[:, 0] == far[:, 1]).sum()))
+            return flip(tri, e)
 
         monkeypatch.setattr(mesh.Triangulation, "flip", counted)
         out = tmp_path / "report.json"
@@ -476,7 +476,7 @@ class TestDelaunay:
         u_p = np.random.default_rng(7).uniform(-0.6, 0.6, 9)
         tri, base, _, _ = solver.carry_chart(tri, unit_lengths(tri), np.zeros(9), u_p)
         (loop,) = np.flatnonzero(tri.edge_verts[:, 0] == tri.edge_verts[:, 1])
-        tri, lengths, _ = flip_with_length(tri, geometry.scale_metric(tri, base, u_p), loop)
+        tri, lengths = flip_with_length(tri, geometry.scale_metric(tri, base, u_p), loop)
         path, fixed = tmp_path / "torus.json", tmp_path / "fixed.json"
         path.write_text(mesh.lengths_json_text(tri, lengths))
         assert run_cli(capsys, ["delaunay", str(path), "--fix", "--out", str(fixed)]) == (3, None)

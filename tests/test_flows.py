@@ -108,8 +108,7 @@ class TestStep:
         k_before = curvature(state.tri,
                              scale_metric(state.tri, state.base, state.u))
         out = step(state, FlowConfig(kind="yamabe", dt=1e-12))
-        assert out.flips.edge.tolist() == [e]
-        assert out.flips.old_length[0] == pytest.approx(1.9)
+        assert out.flips.tolist() == [e]
         # the log carries the time of the wall: t + s * dt, with s the
         # fraction of the step walked when the edge flipped
         u_try = state.u + out.last_dt * rhs(state, "yamabe")
@@ -638,9 +637,9 @@ def test_kept_cosines_give_the_order_2_system_across_flips():
 
 
 def test_flow_flip_log_holds_every_flip_at_its_time(monkeypatch):
-    # the log is each flipping step's record joined in order, stamped with
-    # the time of its wall, and each row's old length is the edge's length
-    # in the metric of that time
+    # the log is each flipping step's edge ids in order, stamped with the
+    # time of its wall, and replaying the surgery at each wall flips those
+    # ids and reaches the step's arrival chart
     steps = []
     plain = flows.step
 
@@ -660,17 +659,16 @@ def test_flow_flip_log_holds_every_flip_at_its_time(monkeypatch):
     for prev, out in steps:
         rows = slice(len(prev.flips), len(out.flips))
         _, _, walk, walls = carry_chart(prev.tri, prev.base, prev.u, out.u)
-        assert walk.edge.tolist() == out.flips.edge[rows].tolist()
+        assert walk.tolist() == out.flips[rows].tolist()
         assert times[rows].tolist() == (prev.t + walls * out.last_dt).tolist()
         chart, chart_base = prev.tri, prev.base
         for s in np.unique(walls):
             at = prev.u + s * (out.u - prev.u)
-            mine = walls == s
-            scaled = scale_metric(chart, chart_base, at)
-            assert out.flips.old_length[rows][mine] == pytest.approx(
-                scaled[walk.edge[mine]], rel=1e-12)
-            chart, chart_base, _ = delaunay_surgery(chart, chart_base, at)
-            checked += np.count_nonzero(mine)
+            chart, chart_base, made = delaunay_surgery(chart, chart_base, at)
+            assert made.tolist() == walk[walls == s].tolist()
+            checked += len(made)
+        assert np.array_equal(chart.faces, out.tri.faces)
+        np.testing.assert_allclose(chart_base, out.base, rtol=1e-12, atol=0)
     assert checked == len(state.flips)
 
 

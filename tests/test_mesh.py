@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from plcurv import errors
 from plcurv.geometry import curvature
 from plcurv.mesh import (
-    Flips,
     build_triangulation,
     load_mesh,
     parse_lengths_json,
@@ -21,7 +20,6 @@ from plcurv.mesh import (
 from conftest import (
     CUBE_COORDS,
     all_fixture_meshes,
-    flip_columns,
     GENUS2_FACES,
     SPHERE2_FACES,
     TETRA_FACES,
@@ -144,37 +142,29 @@ class TestBuild:
 class TestFlip:
     def test_flip_preserves_counts(self, torus9):
         e = range(torus9.edge_count)[0]
-        tri2, info = torus9.flip(e)
+        corners = torus9.quad_corners(e)
+        tri2 = torus9.flip(e)
         assert tri2.vertex_count == torus9.vertex_count
         assert tri2.edge_count == torus9.edge_count
         assert tri2.face_count == torus9.face_count
         assert tri2.chi == torus9.chi
-        # an int flips as a one-row record; the new diagonal and faces
-        # take over the old ids
-        assert len(info) == 1 and info.edge.tolist() == [e]
-        i, j, k, l = info.quad[0].tolist()
+        # the new diagonal joins the quad's far corners k and l, and it
+        # and the new faces take over the old ids
+        (i, j, k), (_, _, l) = torus9.faces.reshape(-1)[corners].tolist()
         assert set(tri2.edge_vertices(e)) == {k, l}
         assert {i, j} == set(torus9.edge_vertices(e))
-        faces = set(info.faces[0].tolist())
+        faces = set((corners[:, 0] // 3).tolist())
         assert {c // 3 for c in tri2.edge_sides[e].tolist()} == faces
         assert {c // 3 for c in torus9.edge_sides[e].tolist()} == faces
 
     def test_empty_edge_array_flips_nothing(self, torus9):
-        for lengths in ((), (np.empty(0), np.empty(0))):
-            tri2, record = torus9.flip(np.array([], dtype=int), *lengths)
-            assert tri2 is torus9
-            assert len(record) == 0
-            assert flip_columns(record) == flip_columns(Flips.join([]))
-
-    def test_join_returns_a_lone_part_as_it_is(self, torus9):
-        _, record = torus9.flip(np.array(range(torus9.edge_count)[:1]))
-        assert Flips.join([record]) is record
+        assert torus9.flip(np.array([], dtype=int)) is torus9
 
     def test_flip_is_new_value(self, torus9):
         e = range(torus9.edge_count)[0]
         names = ("faces", "face_edges", "edge_sides", "edge_verts")
         before = [getattr(torus9, name).copy() for name in names]
-        tri2, _ = torus9.flip(e)
+        tri2 = torus9.flip(e)
         for name, old in zip(names, before):
             assert np.array_equal(getattr(torus9, name), old), name
         assert set(tri2.edge_vertices(e)) != set(torus9.edge_vertices(e))
@@ -185,8 +175,8 @@ class TestFlip:
 
     def test_flip_flip_back_isomorphic(self, torus9):
         e = range(torus9.edge_count)[5]
-        tri2, info = torus9.flip(e)
-        tri3, info2 = tri2.flip(e)
+        tri2 = torus9.flip(e)
+        tri3 = tri2.flip(e)
         assert face_multiset(tri3) == face_multiset(torus9)
         assert edge_pair_multiset(tri3) == edge_pair_multiset(torus9)
 
@@ -195,9 +185,8 @@ class TestFlip:
         # (3,1,2); vertices 2 and 3 end up joined by two distinct edges.
         e01 = next(e for e in range(tetra.edge_count)
                    if set(tetra.edge_vertices(e)) == {0, 1})
-        tri2, info = tetra.flip(e01)
-        assert set(info.quad[0, :2].tolist()) == {0, 1}
-        assert set(info.quad[0, 2:].tolist()) == {2, 3}
+        tri2 = tetra.flip(e01)
+        assert set(tri2.edge_vertices(e01)) == {2, 3}
         # survivors (0,2,3),(1,3,2) plus replacements (0,3,2),(3,1,2)
         assert face_multiset(tri2) == [(0, 2, 3), (0, 3, 2), (1, 2, 3), (1, 3, 2)]
         pairs = edge_pair_multiset(tri2)
@@ -212,12 +201,12 @@ class TestFlip:
         tri = build_triangulation(SPHERE2_FACES)
         lengths = unit_lengths(tri)
         for e in range(tri.edge_count):
-            flipped, flipped_lengths, _ = flip_with_length(tri, lengths, e)
+            flipped, flipped_lengths = flip_with_length(tri, lengths, e)
             k, l = flipped.edge_vertices(e)
             assert k == l and flipped.chi == 2
             assert curvature(flipped, flipped_lengths) == pytest.approx(
                 np.full(3, 4.0 * math.pi / 3.0), abs=1e-12)
-            assert face_multiset(flipped.flip(e)[0]) == face_multiset(tri)
+            assert face_multiset(flipped.flip(e)) == face_multiset(tri)
             for rim in set(range(tri.edge_count)) - {e}:
                 # both sides of each rim edge now lie on one face: no quad
                 assert len(set((flipped.edge_sides[rim] // 3).tolist())) == 1
@@ -231,7 +220,7 @@ class TestFlip:
         for _ in range(60):
             e = range(tri.edge_count)[int(rng.integers(tri.edge_count))]
             try:
-                tri, _ = tri.flip(e)
+                tri = tri.flip(e)
             except errors.FlipDegeneratesComplex:
                 continue
             assert tri.vertex_count == 9
@@ -301,7 +290,7 @@ class TestLoad:
     def test_pair_form_rejected_on_doubled_edges(self, tetra):
         e01 = next(e for e in range(tetra.edge_count)
                    if set(tetra.edge_vertices(e)) == {0, 1})
-        tri2, _ = tetra.flip(e01)
+        tri2 = tetra.flip(e01)
         doc = {"vertices": 4, "faces": tri2.faces.tolist(),
                "edge_lengths": [[0, 1, 1.0]]}
         with pytest.raises(errors.ParseError):
@@ -331,7 +320,7 @@ class TestLoad:
                "edge_lengths": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
         with pytest.raises(errors.ParseError, match="vertex index out of range"):
             parse_lengths_json(json.dumps(doc))
-        tri2, _ = tetra.flip(0)
+        tri2 = tetra.flip(0)
         doc = lengths_doc(tri2, np.ones(tri2.edge_count))
         doc["lengths"][0]["edge"] = 2 ** 70
         with pytest.raises(errors.ParseError, match="edge id out of range"):
@@ -409,7 +398,7 @@ class TestGlueOracle:
     def test_doubled_edge_document_with_edge_ids(self, tetra):
         e01 = next(e for e in range(tetra.edge_count)
                    if set(tetra.edge_vertices(e)) == {0, 1})
-        tri2, _ = tetra.flip(e01)
+        tri2 = tetra.flip(e01)
         doc = lengths_doc(tri2, np.ones(tri2.edge_count))
         ids = [[None] * 3 for _ in doc["faces"]]
         for rec in doc["lengths"]:
@@ -450,7 +439,7 @@ def flipped_tetra_doc():
     """Per-face records with edge ids: three flips give the tetrahedron doubled edges."""
     tri = build_triangulation(TETRA_FACES)
     for _ in range(3):
-        tri, _ = tri.flip(0)
+        tri = tri.flip(0)
     return lengths_doc(tri, 1.0 + 0.125 * np.arange(tri.edge_count))
 
 
@@ -672,7 +661,7 @@ FLIP_MESHES = [tri for _, tri, _ in all_fixture_meshes()] + [
 
 @st.composite
 def disjoint_flips(draw):
-    """(triangulation, face-disjoint flippable edges, old and new lengths or None).
+    """(triangulation, face-disjoint flippable edges).
 
     A fixture mesh or lattice torus after up to six random flips, so
     slots hold flipped-in edges and faces and doubled edges occur.
@@ -680,7 +669,7 @@ def disjoint_flips(draw):
     tri = draw(st.sampled_from(FLIP_MESHES))
     for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=6)):
         try:
-            tri, _ = tri.flip(pick % tri.edge_count)
+            tri = tri.flip(pick % tri.edge_count)
         except errors.FlipDegeneratesComplex:
             pass
     order = draw(st.permutations(range(tri.edge_count)))
@@ -692,35 +681,19 @@ def disjoint_flips(draw):
             chosen.append(e)
             used |= faces
     assume(chosen)
-    if not draw(st.booleans()):
-        return tri, chosen, None, None
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return tri, chosen, *np.exp(rng.uniform(-1.0, 1.0, (2, len(chosen))))
+    return tri, chosen
 
 
 @settings(max_examples=150, deadline=None)
 @given(disjoint_flips())
 def test_flip_record_matches_flips_one_at_a_time(case):
-    tri, chosen, old, new = case
-    out, record = tri.flip(np.array(chosen), old, new)
-    one, rows = tri, []
-    for x, e in enumerate(chosen):
-        lengths = (None, None) if old is None else (float(old[x]), float(new[x]))
-        one, row = one.flip(e, *lengths)
-        rows.append(row)
-    assert isinstance(record, Flips) and all(len(row) == 1 for row in rows)
-    assert len(record) == len(chosen) and record.edge.tolist() == chosen
-    assert flip_columns(record) == flip_columns(Flips.join(rows))
-    if old is None:
-        assert record.old_length is None and record.new_length is None
-    # each row reads its quad off the input: ij is the flipped edge, kl the
-    # new one, and the rim edges join jk, ki, il and lj
-    i, j, k, l = record.quad.T
-    assert np.array_equal(np.sort(record.quad[:, :2]), np.sort(tri.edge_verts[chosen]))
-    assert np.array_equal(np.sort(record.quad[:, 2:]), np.sort(out.edge_verts[chosen]))
-    rim_ends = np.stack([j, k, k, i, i, l, l, j], axis=1).reshape(-1, 4, 2)
-    assert np.array_equal(np.sort(tri.edge_verts[record.rim]), np.sort(rim_ends))
+    tri, chosen = case
+    out = tri.flip(np.array(chosen))
+    one = tri
+    for e in chosen:
+        one = one.flip(e)
+    # each new diagonal joins its quad's far corners k and l
+    far = tri.faces.reshape(-1)[tri.quad_corners(np.array(chosen))[:, :, 2]]
+    assert np.array_equal(np.sort(far), np.sort(out.edge_verts[chosen]))
     for name in ("faces", "face_edges", "edge_sides"):
         assert np.array_equal(getattr(out, name), getattr(one, name)), name
-    with pytest.raises(ValueError):
-        record.edge[0] = 0

@@ -8,6 +8,7 @@ doubled edges (two edges joining one vertex pair).
 """
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,14 +22,17 @@ from conftest import (
     flip_with_length,
     json_text_reference,
     lengths_doc,
+    quad_rim,
     repeats_vertex,
     torus9_faces,
     unit_lengths,
 )
 
 from plcurv import errors
-from plcurv.geometry import scale_metric, side_lengths
-from plcurv.mesh import build_triangulation, lengths_json_text, parse_lengths_json
+from plcurv.flows import INTEGRATORS, FlowConfig, run_flow
+from plcurv.geometry import make_delaunay, scale_metric, side_lengths
+from plcurv.mesh import build_triangulation, lengths_json_text, load_mesh, parse_lengths_json
+from plcurv.solver import start_chart
 
 from test_mesh import face_multiset
 
@@ -55,7 +59,7 @@ def flipped_metrics(draw):
     """
     tri = MESHES[draw(st.integers(0, len(MESHES) - 1))]
     for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=8)):
-        flipped, _ = tri.flip(pick % tri.edge_count)
+        flipped = tri.flip(pick % tri.edge_count)
         if not repeats_vertex(flipped):
             tri = flipped
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -86,7 +90,7 @@ def test_lengths_document_round_trips(case):
 def test_writer_refuses_a_face_that_repeats_a_vertex():
     # the reader keys a face's sides by vertex pair, so it could not read
     # back the loop edge of a flipped two-face sphere
-    tri, _ = build_triangulation(SPHERE2_FACES).flip(0)
+    tri = build_triangulation(SPHERE2_FACES).flip(0)
     assert repeats_vertex(tri)
     with pytest.raises(ValueError, match=r"face \d+, which repeats a vertex"):
         lengths_json_text(tri, unit_lengths(tri))
@@ -97,7 +101,7 @@ def test_round_trip_where_first_come_pairing_fails():
     # whose first-come pairing pinches a vertex; the edge ids carry it.
     tri = build_triangulation(TETRA_FACES)
     for _ in range(3):
-        tri, _ = tri.flip(0)
+        tri = tri.flip(0)
     with pytest.raises(errors.NonManifold):
         build_triangulation(tri.faces)
     assert_round_trip(tri, 1.0 + 0.1 * np.arange(tri.edge_count))
@@ -126,7 +130,7 @@ def test_non_finite_length_is_not_written(value):
 def tetra_flipped_doc():
     tri = build_triangulation(TETRA_FACES)
     for _ in range(3):
-        tri, _ = tri.flip(0)
+        tri = tri.flip(0)
     return lengths_doc(tri, np.ones(tri.edge_count))
 
 
@@ -170,9 +174,9 @@ def test_ids_only_in_documents_with_doubled_edges():
     tri = build_triangulation(torus9_faces())
     assert not has_doubled_edge(tri)
     assert "edge" not in lengths_doc(tri, unit_lengths(tri))["lengths"][0]
-    tri2, _ = tri.flip(0)
-    tri2, _ = tri2.flip(1)
-    tri2, _ = tri2.flip(2)
+    tri2 = tri.flip(0)
+    tri2 = tri2.flip(1)
+    tri2 = tri2.flip(2)
     assert has_doubled_edge(tri2)
     assert "edge" in lengths_doc(tri2, unit_lengths(tri2))["lengths"][0]
 
@@ -194,13 +198,12 @@ def test_flips_keep_ids_and_undo_in_reverse(case):
     tri, lengths, done = tri0, lengths0, []
     for e in picks:
         try:
-            tri2, lengths2, info = flip_with_length(tri, lengths, e)
+            tri2, lengths2 = flip_with_length(tri, lengths, e)
         except (errors.NonConvexQuad, errors.DegenerateFace,
                 errors.FlipDegeneratesComplex):
             continue
         assert (tri2.edge_count, tri2.face_count) == (tri.edge_count, tri.face_count)
-        assert info.edge.tolist() == [e]
-        rim, faces = info.rim[0].tolist(), info.faces[0].tolist()
+        rim, faces = quad_rim(tri, e), (tri.edge_sides[e] // 3).tolist()
         for r in rim:
             assert set(tri2.edge_vertices(r)) == set(tri.edge_vertices(r))
         f1, f2 = faces
@@ -218,6 +221,33 @@ def test_flips_keep_ids_and_undo_in_reverse(case):
         tri, lengths = tri2, lengths2
         done.append(e)
     for e in reversed(done):
-        tri, lengths, _ = flip_with_length(tri, lengths, e)
+        tri, lengths = flip_with_length(tri, lengths, e)
     assert face_multiset(tri) == face_multiset(tri0)
     assert np.max(np.abs(lengths - lengths0), initial=0.0) < 1e-9
+
+
+DATA = pathlib.Path(__file__).with_name("data")
+
+
+def flip_log_cases():
+    """(chart a flip log starts on, the log, the chart it arrives on)."""
+    tri, lengths = load_mesh(str(DATA / "sliver_4x4.json"))
+    out, _, flips = make_delaunay(tri, lengths)
+    yield "make_delaunay", tri, flips, out
+    tri, base = load_mesh(str(DATA / "torus_surgery_gap.json"))
+    u0 = np.zeros(tri.vertex_count)
+    start = start_chart(tri, base, u0)[0]
+    for integrator in INTEGRATORS:
+        state, _ = run_flow(tri, base, u0, -1.0, FlowConfig(integrator=integrator))
+        yield integrator, start, state.flips, state.tri
+
+
+def test_flip_log_replays_to_the_arrival():
+    """A flip log's ids are the whole record: flipped one at a time from the
+    chart the log starts on, they rebuild the arrival's index arrays."""
+    for name, tri, flips, out in flip_log_cases():
+        assert flips.dtype == np.intp and len(flips) > 0, name
+        for e in flips.tolist():
+            tri = tri.flip(e)
+        for array in ("faces", "face_edges", "edge_sides"):
+            assert np.array_equal(getattr(tri, array), getattr(out, array)), (name, array)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from plcurv.geometry import (
     scale_metric,
     side_lengths,
 )
-from plcurv.mesh import build_triangulation
+from plcurv.mesh import build_triangulation, load_mesh
 from plcurv.solver import (
     Target,
     apply_gauge,
@@ -199,7 +200,6 @@ class TestEnergyReport:
         assert rep.value == pytest.approx(54 * lobachevsky(math.pi / 3),
                                           abs=1e-12)
         assert np.max(np.abs(rep.gradient)) < 1e-12
-        assert not rep.unsupported
 
     def test_gradient_matches_fd(self, cube12):
         tri, base = cube12
@@ -272,12 +272,6 @@ class TestEnergyReport:
             ref = (curvature_jacobian(tri, scale_metric(tri, base, u))
                    - alpha * np.diag(rbar * weights))
             assert np.array_equal(H, ref), name
-
-    def test_unsupported_flag(self, tetra):
-        base = unit_lengths(tetra)
-        rbar = np.array([1.0, -1.0, -1.0, -1.0])
-        rep = energy_W_alpha(tetra, base, np.zeros(4), 1.0, rbar)
-        assert rep.unsupported
 
     def test_methods_agree(self):
         rng = np.random.default_rng(23)
@@ -353,6 +347,9 @@ class TestTarget:
         assert kind == "unsupported"
         _, kind2 = Target.prescribed([1.0, -1.0]).resolve(1.0, 0, np.zeros(2))
         assert kind2 == "unsupported"
+        # one positive entry on the tetrahedron is enough
+        _, kind3 = Target.prescribed([1.0, -1.0, -1.0, -1.0]).resolve(1.0, 2, np.zeros(4))
+        assert kind3 == "unsupported"
 
 
 class TestNewton:
@@ -584,3 +581,20 @@ def test_planted_torus_is_recovered(m, sigma, alpha, seed):
     assert lengths.max() / lengths.min() - 1.0 < 1e-9
     rep = rigidity_check(tri, planted, alpha, Target.constant(), trials=2, seed=seed)
     assert rep.passed and all(np.ptp(sol + u_p) < 1e-9 for sol in rep.solutions)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 0.6])
+def test_planted_octahedron_is_recovered_at_alpha_zero(sigma):
+    """The regular octahedron, scaled by u_p with its chart carried there.
+    At alpha = 0 the constant target is K = 2*pi/3 at every vertex, which
+    the regular metric has, and the solution is unique up to scale: Newton
+    returns -u_p up to a constant."""
+    octahedron, edge = load_mesh(str(pathlib.Path(__file__).with_name("data") / "octahedron.off"))
+    assert np.allclose(edge, math.sqrt(2.0), rtol=1e-15, atol=0.0)
+    n = octahedron.vertex_count
+    for seed in range(20):
+        u_p = np.random.default_rng(seed).uniform(-sigma, sigma, n)
+        tri, base, _, _ = carry_chart(octahedron, edge, np.zeros(n), u_p)
+        planted = scale_metric(tri, base, u_p)
+        res = newton_solve(tri, planted, np.zeros(n), 0.0, Target.constant())
+        assert np.ptp(res.u + u_p) < 1e-9, seed
